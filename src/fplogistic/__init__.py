@@ -20,14 +20,14 @@ from .eigen import EigenError, EigenOptions, EigenPair, principal_eigenpair
 from .kernel import (KernelError, KernelWeights, assemble, load_weights,
                      save_weights)
 from .logistic import (LogisticParams, TruncKind, TruncatedReaction,
-                       energy_phi, grad_phi, phi_functional,
-                       torsion_functional, truncated_functional)
+                       phi_functional, torsion_functional,
+                       truncated_functional)
 from .operator import (DiscreteFunction, GridMismatchError, apply_operator,
                        gagliardo_energy, lp_norm, signed_power)
-from .solve import (BranchPoint, MountainPassOptions, SolveOptions,
-                    SolveReport, SolverError, Status, ThresholdReport,
-                    detect_threshold, lower_bound_lambda0, minimize,
-                    mountain_pass, solve_branch_point, torsion_solve)
+from .solve import (BranchPoint, SolveOptions, SolveReport, SolverError,
+                    Status, ThresholdReport, detect_threshold,
+                    lower_bound_lambda0, minimize, mountain_pass,
+                    solve_branch_point, torsion_solve)
 from .verify import (CheckResult, check_hopf, check_limit_branch,
                      check_nonexistence_equi, check_strict_order,
                      refinement_study, run_suite)
@@ -38,11 +38,11 @@ __all__ = [
     "Regime", "build_grid", "classify_regime", "validate_params",
     "EigenError", "EigenOptions", "EigenPair", "principal_eigenpair",
     "KernelError", "KernelWeights", "assemble", "load_weights", "save_weights",
-    "LogisticParams", "TruncKind", "TruncatedReaction", "energy_phi",
-    "grad_phi", "phi_functional", "torsion_functional", "truncated_functional",
+    "LogisticParams", "TruncKind", "TruncatedReaction", "phi_functional",
+    "torsion_functional", "truncated_functional",
     "DiscreteFunction", "GridMismatchError", "apply_operator",
     "gagliardo_energy", "lp_norm", "signed_power",
-    "BranchPoint", "MountainPassOptions", "SolveOptions", "SolveReport",
+    "BranchPoint", "SolveOptions", "SolveReport",
     "SolverError", "Status", "ThresholdReport", "detect_threshold",
     "lower_bound_lambda0", "minimize", "mountain_pass", "solve_branch_point",
     "torsion_solve",

@@ -5,7 +5,8 @@ threshold detection, the saddle search, verification bundles, and
 refinement studies.  Configuration comes from a key=value file overridden
 by FPLOG_ environment variables and then by flags.  Exit codes: 0 success
 or all checks passing, 1 validation error (bad usage, configuration, or
-parameters), 2 solver non-convergence, 3 verification failure.
+parameters), 2 solver non-convergence or an unusable weights cache,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .config import (ConfigError, RunConfig, config_dict, load_config,
 from .domain import GridError, ParamError, classify_regime
 from .eigen import EigenError, EigenOptions, principal_eigenpair
 from .kernel import KernelError, assemble, load_weights, save_weights
-from .solve import (BranchPoint, MountainPassOptions, SolveOptions,
-                    SolverError, Status, detect_threshold, mountain_pass,
-                    solve_branch_point, torsion_solve)
+from .solve import (BranchPoint, SolveOptions, SolverError, Status,
+                    detect_threshold, mountain_pass, solve_branch_point,
+                    torsion_solve)
 from .verify import refinement_study, run_suite
 
 __all__ = ["main"]
@@ -46,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides output.dir)")
     common.add_argument("--weights-cache", type=Path, default=None,
                         help="npz file holding assembled kernel weights")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; "
-                             "execution is sequential")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("eigen", parents=[common],
                    help="principal eigenpair of the nonlocal operator")
@@ -218,7 +216,7 @@ def _run(args) -> int:
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "
                 f"saddle search (status {rep.status.value})")
         mp = mountain_pass(cfg.lam, params, kw, grid, rep.u, opts,
-                           MountainPassOptions(nodes=cfg.mp_nodes))
+                           nodes=cfg.mp_nodes)
         print(f"status = {mp.status.value}  sup_saddle = {mp.u.sup_norm()!r}  "
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")

@@ -21,6 +21,11 @@ from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
 __all__ = ["EigenError", "EigenOptions", "EigenPair", "rayleigh_quotient",
            "principal_eigenpair"]
 
+# Armijo sufficient-decrease constant and backtracking factor, shared by
+# every descent loop of the package
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+
 
 class EigenError(RuntimeError):
     """No restart of the eigen iteration converged."""
@@ -32,8 +37,6 @@ class EigenOptions:
     max_iters: int = 50_000
     restarts: int = 1
     seed: int = 0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
 
 
 @dataclass(eq=False)
@@ -93,10 +96,10 @@ def _descend_quotient(kw: KernelWeights, grid: Grid, p: float, u0: np.ndarray,
         for _ in range(60):
             v = _normalize(u - t * g, p, meas)
             lam_v = _energy(v, kw, p)
-            if np.isfinite(lam_v) and lam_v <= lam - opts.armijo_c * t * gg + slack:
+            if np.isfinite(lam_v) and lam_v <= lam - ARMIJO_C * t * gg + slack:
                 accepted = True
                 break
-            t *= opts.armijo_shrink
+            t *= ARMIJO_SHRINK
         if not accepted:
             break
         prev_u, prev_g = u, g

@@ -25,6 +25,7 @@ far-field term |cell| * R^(-ps) / ps.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,13 +455,23 @@ def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
 
 
 def load_weights(path, grid: Grid, params) -> KernelWeights:
-    """Load cached weights, checking the (dim, s, p, domain, n) key."""
-    data = np.load(path)
-    key = data["key"]
+    """Load cached weights, checking the (dim, s, p, domain, n) key and shapes.
+
+    A file that cannot be read as a weights archive raises KernelError
+    naming the file, like a cache built for another problem.
+    """
+    try:
+        with np.load(path) as data:
+            key, lo, hi, W, V = (data[k] for k in ("key", "dom_lo", "dom_hi", "W", "V"))
+    # TypeError: np.load returned a bare array, which is no archive
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as exc:
+        raise KernelError(f"weight cache {path} cannot be read: {exc}") from exc
     want = np.array([float(grid.dim), float(params.s), float(params.p), float(grid.n)])
+    m = grid.ncells
     if (key.shape != want.shape or not np.array_equal(key, want)
-            or not np.array_equal(data["dom_lo"], np.asarray(grid.domain.lo))
-            or not np.array_equal(data["dom_hi"], np.asarray(grid.domain.hi))):
+            or not np.array_equal(lo, np.asarray(grid.domain.lo))
+            or not np.array_equal(hi, np.asarray(grid.domain.hi))
+            or W.shape != (m, m) or V.shape != (m,)):
         raise KernelError(f"weight cache {path} does not match the requested problem")
-    return KernelWeights(W=data["W"], V=data["V"], dim=grid.dim,
-                         s=float(params.s), p=float(params.p))
+    return KernelWeights(W=W, V=V, dim=grid.dim, s=float(params.s), p=float(params.p))

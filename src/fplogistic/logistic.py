@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import KernelWeights
-from .operator import (DiscreteFunction, _apply, _energy, _check_weights)
+from .operator import DiscreteFunction, _apply, _energy, _check_weights
 
 __all__ = [
     "LogisticParams",
@@ -30,12 +30,8 @@ __all__ = [
     "Functional",
     "reaction",
     "reaction_primitive",
-    "energy_phi",
-    "grad_phi",
     "truncated_reaction",
     "truncated_primitive",
-    "truncated_energy",
-    "truncated_grad",
     "brezis_oswald_applicable",
     "phi_functional",
     "truncated_functional",
@@ -71,29 +67,6 @@ def reaction_primitive(lp: LogisticParams, t):
     """F(t) = int_0^t f; bounded above since r > q."""
     out = lp.lam * _pos_pow(t, lp.q) / lp.q - _pos_pow(t, lp.r) / lp.r
     return out if np.ndim(t) else float(out)
-
-
-def _phi_energy(values: np.ndarray, kw: KernelWeights, lp: LogisticParams,
-                measures: np.ndarray) -> float:
-    return (_energy(values, kw, lp.p) / lp.p
-            - float((reaction_primitive(lp, values) * measures).sum()))
-
-
-def _phi_grad(values: np.ndarray, kw: KernelWeights, lp: LogisticParams,
-              measures: np.ndarray) -> np.ndarray:
-    return _apply(values, kw, lp.p, measures) - reaction(lp, values)
-
-
-def energy_phi(u: DiscreteFunction, kw: KernelWeights, lp: LogisticParams) -> float:
-    """Free energy Phi(u) = E(u)/p - sum F(u_i)|C_i|."""
-    _check_weights(u.values, kw)
-    return _phi_energy(u.values, kw, lp, u.grid.measures)
-
-
-def grad_phi(u: DiscreteFunction, kw: KernelWeights, lp: LogisticParams) -> DiscreteFunction:
-    """Mass-gradient of Phi: (Lu)_i - f(u_i)."""
-    _check_weights(u.values, kw)
-    return DiscreteFunction(_phi_grad(u.values, kw, lp, u.grid.measures), u.grid)
 
 
 class TruncKind(enum.Enum):
@@ -143,30 +116,6 @@ def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
     return np.where(below, reaction_primitive(lp, t), high)
 
 
-def _trunc_energy(values: np.ndarray, kw: KernelWeights, tr: TruncatedReaction,
-                  measures: np.ndarray) -> float:
-    return (_energy(values, kw, tr.base.p) / tr.base.p
-            - float((truncated_primitive(tr, values) * measures).sum()))
-
-
-def _trunc_grad(values: np.ndarray, kw: KernelWeights, tr: TruncatedReaction,
-                measures: np.ndarray) -> np.ndarray:
-    return (_apply(values, kw, tr.base.p, measures)
-            - truncated_reaction(tr, values))
-
-
-def truncated_energy(u: DiscreteFunction, kw: KernelWeights,
-                     tr: TruncatedReaction) -> float:
-    _check_weights(u.values, kw)
-    return _trunc_energy(u.values, kw, tr, u.grid.measures)
-
-
-def truncated_grad(u: DiscreteFunction, kw: KernelWeights,
-                   tr: TruncatedReaction) -> DiscreteFunction:
-    _check_weights(u.values, kw)
-    return DiscreteFunction(_trunc_grad(u.values, kw, tr, u.grid.measures), u.grid)
-
-
 def brezis_oswald_applicable(params) -> bool:
     """True when f(t)/t^(p-1) is nonincreasing in t > 0, i.e. q <= p."""
     return params.q <= params.p
@@ -181,29 +130,29 @@ class Functional:
     nonneg_minimizer: bool = False
 
 
-def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
+def _functional(kw: KernelWeights, grid, p: float, primitive, rxn) -> Functional:
+    """E(u)/p - sum_i primitive(u)_i |C_i|, whose mass-gradient is Lu - rxn(u)."""
+    _check_weights(grid.measures, kw)
     m = grid.measures
     return Functional(
-        energy=lambda v: _phi_energy(v, kw, lp, m),
-        gradient=lambda v: _phi_grad(v, kw, lp, m),
+        energy=lambda v: _energy(v, kw, p) / p - float((primitive(v) * m).sum()),
+        gradient=lambda v: _apply(v, kw, p, m) - rxn(v),
         nonneg_minimizer=True,
     )
+
+
+def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
+    """Free energy Phi(u) = E(u)/p - sum F(u_i)|C_i|, gradient Lu - f(u)."""
+    return _functional(kw, grid, lp.p, lambda v: reaction_primitive(lp, v),
+                       lambda v: reaction(lp, v))
 
 
 def truncated_functional(kw: KernelWeights, grid, tr: TruncatedReaction) -> Functional:
-    m = grid.measures
-    return Functional(
-        energy=lambda v: _trunc_energy(v, kw, tr, m),
-        gradient=lambda v: _trunc_grad(v, kw, tr, m),
-        nonneg_minimizer=True,
-    )
+    """Phi with the reaction replaced by its truncation around the anchor."""
+    return _functional(kw, grid, tr.base.p, lambda v: truncated_primitive(tr, v),
+                       lambda v: truncated_reaction(tr, v))
 
 
 def torsion_functional(kw: KernelWeights, grid, p: float) -> Functional:
     """Energy E(u)/p - sum_i u_i |C_i| whose critical point solves L u = 1."""
-    m = grid.measures
-    return Functional(
-        energy=lambda v: _energy(v, kw, p) / p - float((v * m).sum()),
-        gradient=lambda v: _apply(v, kw, p, m) - 1.0,
-        nonneg_minimizer=True,
-    )
+    return _functional(kw, grid, p, lambda v: v, lambda v: 1.0)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Grid
-from .eigen import EigenOptions, EigenPair, principal_eigenpair
+from .eigen import (ARMIJO_C, ARMIJO_SHRINK, EigenOptions, EigenPair,
+                    principal_eigenpair)
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, TruncKind, TruncatedReaction,
-                       phi_functional, torsion_functional, truncated_functional,
-                       _phi_energy, _phi_grad)
+                       phi_functional, torsion_functional, truncated_functional)
 from .operator import DiscreteFunction, mass_dot, mass_norm
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SolveReport",
     "BranchPoint",
     "ThresholdReport",
-    "MountainPassOptions",
     "minimize",
     "torsion_solve",
     "initial_values",
@@ -58,8 +57,6 @@ class SolveOptions:
     seed: int = 0
     initial: str = "eigen"          # zero | eigen | random
     initial_tau: float | None = None
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     collapse_tol: float = 1e-6      # times the domain diameter
     distinct_tol: float = 1e-6
 
@@ -88,13 +85,6 @@ class ThresholdReport:
     bracket_width: float
     u_star: DiscreteFunction
     branch: list[BranchPoint] = field(default_factory=list)
-
-
-@dataclass
-class MountainPassOptions:
-    nodes: int = 32
-    path_tol: float = 1e-3
-    max_sweeps: int = 3000
 
 
 def _collapse_threshold(grid: Grid, opts: SolveOptions) -> float:
@@ -149,7 +139,7 @@ def _descend(func: Functional, u0: np.ndarray, grid: Grid,
         # drop the line search and iterate plain Barzilai-Borwein steps,
         # which contract on the local quadratic basin without monotonicity
         if not free and res <= endgame_res \
-                and opts.armijo_c * step * gg < 64.0 * slack:
+                and ARMIJO_C * step * gg < 64.0 * slack:
             free = True
         if free:
             v = u - step * g
@@ -163,10 +153,10 @@ def _descend(func: Functional, u0: np.ndarray, grid: Grid,
             for _ in range(60):
                 v = u - t * g
                 ev = func.energy(v)
-                if np.isfinite(ev) and ev <= energy - opts.armijo_c * t * gg + slack:
+                if np.isfinite(ev) and ev <= energy - ARMIJO_C * t * gg + slack:
                     accepted = True
                     break
-                t *= opts.armijo_shrink
+                t *= ARMIJO_SHRINK
             if not accepted:
                 if res <= endgame_res:
                     free = True
@@ -252,8 +242,9 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
         base = eigen.u1.values
         if opts.initial_tau is not None:
             return opts.initial_tau * base
+        energy = phi_functional(kw, grid, lp).energy
         taus = np.geomspace(1e-6, 1e4, 101)
-        vals = np.array([_phi_energy(t * base, kw, lp, grid.measures) for t in taus])
+        vals = np.array([energy(t * base) for t in taus])
         if vals.min() >= 0.0:
             # no negative dip along the ray: the zero basin is the only
             # one visible from here, so collapse cleanly from the origin
@@ -415,87 +406,36 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     )
 
 
-def _respline(path: list[np.ndarray], meas: np.ndarray) -> list[np.ndarray]:
-    """Redistribute path nodes to uniform arc length in the mass metric."""
-    m = len(path)
-    seg = np.array([mass_norm(path[k + 1] - path[k], meas) for k in range(m - 1)])
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    if cum[-1] == 0.0:
-        return path
-    fracs = np.linspace(0.0, 1.0, m) * cum[-1]
-    stacked = np.stack(path)
-    out = [path[0]]
-    for f in fracs[1:-1]:
-        k = int(np.searchsorted(cum, f, side="right")) - 1
-        k = min(k, m - 2)
-        w = (f - cum[k]) / seg[k] if seg[k] > 0 else 0.0
-        out.append((1.0 - w) * stacked[k] + w * stacked[k + 1])
-    out.append(path[-1])
-    return out
-
-
 def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
                   u_lam: DiscreteFunction, opts: SolveOptions | None = None,
-                  mp: MountainPassOptions | None = None) -> SolveReport:
+                  *, nodes: int = 32) -> SolveReport:
     """Search for the second solution between zero and the branch solution.
 
     The reaction is capped above the known solution, which makes zero a
     strict local minimum while keeping every critical point below the known
-    solution.  A discretized path from zero to the solution is deformed by
-    descending its maximal node transversally; the resulting saddle estimate
-    is polished by descent on the squared residual.
+    solution.  The truncated energy is sampled at ``nodes`` points t * u_lam
+    of the segment from zero to the solution; when no interior sample rises
+    above both ends there is no barrier and the search reports NOT_FOUND.
+    Otherwise the maximal sample starts a descent on the squared residual,
+    which ends at the saddle; ``iterations`` counts its steps.
     """
     opts = opts or SolveOptions()
-    mp = mp or MountainPassOptions()
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
     tr = TruncatedReaction(TruncKind.UPPER, anchor=u_lam, base=lp)
     func = truncated_functional(kw, grid, tr)
     meas = grid.measures
 
-    m = mp.nodes
-    fracs = np.linspace(0.0, 1.0, m)
-    path = [f * u_lam.values for f in fracs]
-    e_ends = max(func.energy(path[0]), func.energy(path[-1]))
-    scale = max(1.0, abs(e_ends))
-
-    step = 1.0
-    sweeps = 0
-    k = 1
-    for sweeps in range(mp.max_sweeps):
-        energies = [func.energy(z) for z in path]
-        k = 1 + int(np.argmax(energies[1:-1]))
-        g = func.gradient(path[k])
-        res = mass_norm(g, meas)
-        if res <= mp.path_tol:
-            break
-        tau = path[k + 1] - path[k - 1]
-        tt = mass_dot(tau, tau, meas)
-        gperp = g - (mass_dot(g, tau, meas) / tt) * tau if tt > 0 else g
-        ek = energies[k]
-        gg = mass_dot(gperp, gperp, meas)
-        if gg == 0.0:
-            break
-        t = step
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(ek))
-        for _ in range(60):
-            znew = path[k] - t * gperp
-            enew = func.energy(znew)
-            if np.isfinite(enew) and enew <= ek - opts.armijo_c * t * gg + slack:
-                path[k] = znew
-                step = min(t * 2.0, 1e6)
-                break
-            t *= opts.armijo_shrink
-        path = _respline(path, meas)
-
-    energies = [func.energy(z) for z in path]
-    peak = max(energies[1:-1])
-    if peak <= e_ends + 1e-12 * scale:
-        return SolveReport(u=DiscreteFunction(path[k].copy(), grid),
-                           energy=peak, residual=float("nan"),
-                           iterations=sweeps, status=Status.NOT_FOUND)
+    ts = np.linspace(0.0, 1.0, nodes)
+    energies = [func.energy(t * u_lam.values) for t in ts]
+    e_ends = max(energies[0], energies[-1])
+    k = 1 + int(np.argmax(energies[1:-1]))
+    u = ts[k] * u_lam.values
+    if energies[k] <= e_ends + 1e-12 * max(1.0, abs(e_ends)):
+        return SolveReport(u=DiscreteFunction(u, grid), energy=energies[k],
+                           residual=float("nan"), iterations=0,
+                           status=Status.NOT_FOUND)
 
     # polish: descend Psi(u) = 0.5 |grad|^2 via finite-difference curvature action
-    u = path[int(1 + np.argmax(energies[1:-1]))].copy()
     g = func.gradient(u)
     psi = 0.5 * mass_dot(g, g, meas)
     prev_u = prev_d = None
@@ -524,10 +464,10 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
             v = u - t * d
             gv = func.gradient(v)
             psiv = 0.5 * mass_dot(gv, gv, meas)
-            if np.isfinite(psiv) and psiv <= psi - opts.armijo_c * t * dd + slack:
+            if np.isfinite(psiv) and psiv <= psi - ARMIJO_C * t * dd + slack:
                 accepted = True
                 break
-            t *= opts.armijo_shrink
+            t *= ARMIJO_SHRINK
         if not accepted:
             break
         prev_u, prev_d = u, d
@@ -545,4 +485,4 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
                                        or gap_top <= opts.distinct_tol):
         status = Status.NOT_FOUND
     return SolveReport(u=DiscreteFunction(v, grid), energy=energy,
-                       residual=res, iterations=sweeps + it, status=status)
+                       residual=res, iterations=it, status=status)

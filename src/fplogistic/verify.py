@@ -16,7 +16,7 @@ import numpy as np
 from .domain import Grid, Regime, classify_regime
 from .eigen import EigenOptions, principal_eigenpair
 from .kernel import KernelWeights
-from .logistic import LogisticParams, grad_phi
+from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, lp_norm, mass_dot, mass_norm
 
 __all__ = [
@@ -110,8 +110,6 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
                            notes=f"requires lam <= lambda1, got lam = {lam:.6g}, "
                                  f"lambda1 = {lambda1:.6g}")
-    from .logistic import phi_functional
-
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
     meas = grid.measures
@@ -122,8 +120,7 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
         u0 = DiscreteFunction(rng.uniform(0.1, 1.0, size=grid.ncells), grid)
         rep = minimize(func, u0, opts)
         u = rep.u
-        g = grad_phi(u, kw, lp)
-        res = mass_norm(g.values, meas)
+        res = mass_norm(func.gradient(u.values), meas)
         lhs = ((lambda1 - lam) * lp_norm(u, params.p) ** params.p
                + lp_norm(u, params.r) ** params.r)
         slack = max(res, opts.residual_tol) * max(mass_norm(u.values, meas), 1.0)

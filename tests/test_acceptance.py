@@ -18,12 +18,11 @@ from fplogistic.cli import main as cli_main
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble, exterior_weight_1d, pair_weight_1d
-from fplogistic.logistic import LogisticParams, energy_phi, grad_phi
+from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, apply_operator,
                                  gagliardo_energy, mass_dot, signed_power)
-from fplogistic.solve import (MountainPassOptions, SolveOptions, Status,
-                              detect_threshold, mountain_pass,
-                              solve_branch_point, torsion_solve)
+from fplogistic.solve import (SolveOptions, Status, detect_threshold,
+                              mountain_pass, solve_branch_point, torsion_solve)
 from fplogistic.verify import check_hopf
 
 from oracles import (dense_reference_lambda1, mc_exterior_2d, mc_pair_2d,
@@ -131,23 +130,21 @@ def test_c02_operator_consistency(criterion, grid64, kw64, kw64_p3):
         worst_pair = 0.0
         worst_fd = 0.0
         for p, kw, (q, r) in ((2.0, kw64, (1.5, 3.0)), (3.0, kw64_p3, (2.0, 4.0))):
-            lp = LogisticParams(lam=1.0, p=p, q=q, r=r)
+            phi = phi_functional(kw, grid64, LogisticParams(lam=1.0, p=p, q=q, r=r))
             for _ in range(10):
                 u = DiscreteFunction(rng.uniform(-1.0, 1.0, 64), grid64)
                 lu = apply_operator(u, kw, p)
                 pairing = mass_dot(lu.values, u.values, grid64.measures)
                 energy = gagliardo_energy(u, kw, p)
                 worst_pair = max(worst_pair, abs(pairing / energy - 1.0))
-                g = grad_phi(u, kw, lp)
+                g = phi.gradient(u.values)
                 eps = 1e-6
                 for i in rng.integers(0, 64, size=3):
                     vp, vm = u.values.copy(), u.values.copy()
                     vp[i] += eps
                     vm[i] -= eps
-                    fd = (energy_phi(DiscreteFunction(vp, grid64), kw, lp)
-                          - energy_phi(DiscreteFunction(vm, grid64), kw, lp)
-                          ) / (2.0 * eps)
-                    got = g.values[i] * grid64.measures[i]
+                    fd = (phi.energy(vp) - phi.energy(vm)) / (2.0 * eps)
+                    got = g[i] * grid64.measures[i]
                     worst_fd = max(worst_fd,
                                    abs(got - fd) / max(abs(fd), 1e-6))
         checks["pairing_identity_within_1e10"] = worst_pair <= 1e-10
@@ -327,7 +324,7 @@ def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
         big = solve_branch_point(lam, None, super_params, kw, grid64,
                                  SolveOptions(), eigen=eig)
         mp = mountain_pass(lam, super_params, kw, grid64, big.u,
-                           SolveOptions(), MountainPassOptions())
+                           SolveOptions())
         checks["mountain_pass_converged"] = mp.status is Status.CONVERGED
         checks["saddle_residual_below_1e6"] = mp.residual <= 1e-6
         checks["saddle_strictly_between"] = \

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fplogistic import __version__
@@ -116,6 +117,31 @@ def test_weights_cache_created_and_reused(sub_cfg, tmp_path, capsys):
     assert first == second
 
 
+def _write_npz_without_key(path):
+    np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16))
+
+
+def _write_truncated_npz(path):
+    _write_npz_without_key(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text("not an archive\n"),
+    _write_truncated_npz,
+    _write_npz_without_key,
+], ids=["not_zip", "truncated_zip", "missing_key"])
+def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
+    cache = tmp_path / "weights.npz"
+    write(cache)
+    assert main(["eigen", "--config", str(sub_cfg), "--out",
+                 str(tmp_path / "out"), "--weights-cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: weight cache {cache}")
+    assert err.count("\n") == 1
+
+
 def test_env_override_reaches_report(sub_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("FPLOG_LAM", "2.0")
     out = tmp_path / "out"
@@ -182,8 +208,3 @@ def test_refine_study(sub_cfg, tmp_path, capsys):
     lines = (out / "refine.csv").read_text().splitlines()
     assert lines[0] == "n,lambda1,lambda_star_h,sup_norm,status"
     assert len(lines) == 4
-
-
-def test_threads_flag_accepted(sub_cfg, tmp_path):
-    assert main(["solve", "--config", str(sub_cfg), "--threads", "4",
-                 "--out", str(tmp_path / "out")]) == 0

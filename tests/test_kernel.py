@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.kernel import (KernelError, MAX_DENSE_CELLS, assemble,
-                               exterior_weight_1d, exterior_weight_2d,
-                               load_weights, pair_weight_1d, pair_weight_2d,
+from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
+                               assemble, exterior_weight_1d,
+                               exterior_weight_2d, load_weights,
+                               pair_weight_1d, pair_weight_2d,
                                radial_exterior_tail, save_weights)
 
 from oracles import (exit_distance, mc_exterior_2d, oracle_exterior_1d,
@@ -247,6 +248,12 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
         load_weights(path, other_grid, sub_params)
     with pytest.raises(KernelError):
         load_weights(path, grid32, p3_params)
+    # a key that matches the grid over tables of the wrong size
+    short = KernelWeights(W=kw32.W[:16, :16], V=kw32.V[:16], dim=1,
+                          s=kw32.s, p=kw32.p)
+    save_weights(path, short, grid32)
+    with pytest.raises(KernelError, match="does not match"):
+        load_weights(path, grid32, sub_params)
 
 
 def test_dense_cap_enforced(sub_params):

@@ -3,14 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fplogistic.logistic import (Functional, LogisticParams, TruncKind,
+from fplogistic.logistic import (LogisticParams, TruncKind,
                                  TruncatedReaction, brezis_oswald_applicable,
-                                 energy_phi, grad_phi, phi_functional,
-                                 reaction, reaction_primitive,
-                                 torsion_functional, truncated_energy,
-                                 truncated_functional, truncated_grad,
+                                 phi_functional, reaction, reaction_primitive,
+                                 torsion_functional, truncated_functional,
                                  truncated_primitive, truncated_reaction)
-from fplogistic.operator import DiscreteFunction, mass_dot
+from fplogistic.operator import DiscreteFunction, GridMismatchError
 
 
 @pytest.fixture()
@@ -45,17 +43,27 @@ def test_reaction_is_primitive_derivative(lp):
 
 
 def test_phi_gradient_matches_finite_differences(grid32, kw32, rng, lp):
-    u = DiscreteFunction(rng.uniform(-0.5, 1.5, grid32.ncells), grid32)
-    g = grad_phi(u, kw32, lp)
+    f = phi_functional(kw32, grid32, lp)
+    assert f.nonneg_minimizer
+    v = rng.uniform(-0.5, 1.5, grid32.ncells)
+    g = f.gradient(v)
     eps = 1e-6
     for i in (0, 11, 31):
-        vp, vm = u.values.copy(), u.values.copy()
+        vp, vm = v.copy(), v.copy()
         vp[i] += eps
         vm[i] -= eps
-        fd = (energy_phi(DiscreteFunction(vp, grid32), kw32, lp)
-              - energy_phi(DiscreteFunction(vm, grid32), kw32, lp)) / (2.0 * eps)
-        assert g.values[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-5,
-                                                                 abs=1e-9)
+        fd = (f.energy(vp) - f.energy(vm)) / (2.0 * eps)
+        assert g[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-5,
+                                                          abs=1e-9)
+
+
+def test_functional_builders_check_the_weights(grid32, kw2d, lp, anchor):
+    tr = TruncatedReaction(TruncKind.UPPER, anchor, lp)
+    for build in (lambda: phi_functional(kw2d, grid32, lp),
+                  lambda: truncated_functional(kw2d, grid32, tr),
+                  lambda: torsion_functional(kw2d, grid32, 2.0)):
+        with pytest.raises(GridMismatchError, match="weight table"):
+            build()
 
 
 def test_truncation_requires_positive_anchor(grid32, lp):
@@ -121,51 +129,35 @@ def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp, kind):
 def test_upper_truncated_energy_dominates_phi(grid32, kw32, anchor, lp, rng):
     # capping the growth only lowers the primitive, raising the energy
     tr = TruncatedReaction(TruncKind.UPPER, anchor, lp)
+    trunc = truncated_functional(kw32, grid32, tr).energy
+    phi = phi_functional(kw32, grid32, lp).energy
     for _ in range(5):
-        u = DiscreteFunction(rng.uniform(0.0, 2.0, grid32.ncells), grid32)
-        assert truncated_energy(u, kw32, tr) >= energy_phi(u, kw32, lp) - 1e-12
+        v = rng.uniform(0.0, 2.0, grid32.ncells)
+        assert trunc(v) >= phi(v) - 1e-12
 
 
 @pytest.mark.parametrize("kind", [TruncKind.LOWER, TruncKind.UPPER])
 def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
                                                        lp, rng, kind):
     tr = TruncatedReaction(kind, anchor, lp)
-    u = DiscreteFunction(rng.uniform(0.0, 1.6, grid32.ncells), grid32)
-    g = truncated_grad(u, kw32, tr)
+    f = truncated_functional(kw32, grid32, tr)
+    assert f.nonneg_minimizer
+    v = rng.uniform(0.0, 1.6, grid32.ncells)
+    g = f.gradient(v)
     eps = 1e-6
     for i in (3, 17, 29):
-        vp, vm = u.values.copy(), u.values.copy()
+        vp, vm = v.copy(), v.copy()
         vp[i] += eps
         vm[i] -= eps
-        fd = (truncated_energy(DiscreteFunction(vp, grid32), kw32, tr)
-              - truncated_energy(DiscreteFunction(vm, grid32), kw32, tr)) / (
-                  2.0 * eps)
-        assert g.values[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-4,
-                                                                 abs=1e-8)
+        fd = (f.energy(vp) - f.energy(vm)) / (2.0 * eps)
+        assert g[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-4,
+                                                          abs=1e-8)
 
 
 def test_brezis_oswald_applicability(sub_params, equi_params, super_params):
     assert brezis_oswald_applicable(sub_params)
     assert brezis_oswald_applicable(equi_params)
     assert not brezis_oswald_applicable(super_params)
-
-
-def test_functional_builders_agree_with_module_functions(grid32, kw32, anchor,
-                                                         lp, rng):
-    v = rng.uniform(-0.2, 1.2, grid32.ncells)
-    u = DiscreteFunction(v.copy(), grid32)
-    f = phi_functional(kw32, grid32, lp)
-    assert f.energy(v) == pytest.approx(energy_phi(u, kw32, lp), rel=1e-14)
-    assert f.gradient(v) == pytest.approx(grad_phi(u, kw32, lp).values,
-                                          rel=1e-14)
-    assert f.nonneg_minimizer
-
-    tr = TruncatedReaction(TruncKind.LOWER, anchor, lp)
-    ft = truncated_functional(kw32, grid32, tr)
-    assert ft.energy(v) == pytest.approx(truncated_energy(u, kw32, tr),
-                                         rel=1e-14)
-    assert ft.gradient(v) == pytest.approx(truncated_grad(u, kw32, tr).values,
-                                           rel=1e-14)
 
 
 def test_torsion_functional_gradient(grid32, kw32, rng):

@@ -3,15 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fplogistic.domain import DomainSpec, build_grid
+from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import DiscreteFunction, apply_operator, mass_norm
-from fplogistic.solve import (MountainPassOptions, SolveOptions, SolveReport,
-                              SolverError, Status, detect_threshold,
-                              initial_values, lower_bound_lambda0, minimize,
-                              mountain_pass, solve_branch_point, torsion_solve)
+from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
+                              detect_threshold, initial_values,
+                              lower_bound_lambda0, minimize, mountain_pass,
+                              solve_branch_point, torsion_solve)
 
 
 @pytest.fixture(scope="module")
@@ -192,22 +192,44 @@ def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params):
     big = solve_branch_point(lam, report.u_star, super_params, kw16_super,
                              grid16, SolveOptions(), eigen=eig)
     rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u,
-                        SolveOptions(), MountainPassOptions())
+                        SolveOptions())
     assert rep.status is Status.CONVERGED
     v = rep.u.values
     assert 0.0 < rep.u.sup_norm() < big.u.sup_norm()
     assert np.all(v >= 0.0)
     assert np.all(v <= big.u.values + 1e-12)
+    _assert_mountain_pass_level(rep, big, super_params, kw16_super, grid16, lam)
+
+
+def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
+    # the mountain-pass level lies above both ends of the segment
+    lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+    phi = phi_functional(kw, grid, lp).energy
+    assert rep.energy == pytest.approx(phi(rep.u.values), rel=1e-14)
+    assert rep.energy > max(phi(np.zeros(grid.ncells)), phi(big.u.values))
+
+
+def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
+    # weights depend on s and p only, so the sublinear kw2d serves here
+    params = validate_params(2, 0.4, 2.0, 2.5, 3.2)
+    lam = 40.0
+    big = solve_branch_point(lam, None, params, kw2d, grid2d, SolveOptions())
+    assert big.status is Status.CONVERGED
+    rep = mountain_pass(lam, params, kw2d, grid2d, big.u, SolveOptions())
+    assert rep.status is Status.CONVERGED
+    v = rep.u.values
+    assert 0.0 < v.min() and rep.u.sup_norm() < big.u.sup_norm()
+    assert np.all(v <= big.u.values + 1e-12)
+    _assert_mountain_pass_level(rep, big, params, kw2d, grid2d, lam)
 
 
 def test_mountain_pass_not_found_without_barrier(grid32, kw32, sub_params,
                                                  eig32):
-    # in the sublinear regime zero is not a separated local minimum, so the
-    # deformed path peak stays at the endpoint level
+    # in the sublinear regime zero is not a separated local minimum, so no
+    # sample of the segment from zero to the solution rises above its ends
     rep = solve_branch_point(1.0, None, sub_params, kw32, grid32,
                              SolveOptions(), eigen=eig32)
-    mp = mountain_pass(1.0, sub_params, kw32, grid32, rep.u, SolveOptions(),
-                       MountainPassOptions())
+    mp = mountain_pass(1.0, sub_params, kw32, grid32, rep.u, SolveOptions())
     assert mp.status is Status.NOT_FOUND
 
 
