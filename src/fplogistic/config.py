@@ -189,6 +189,10 @@ def load_config(path: str | Path | None = None,
         raise ConfigError(
             f"domain.lo/domain.hi must have dim = {cfg.dim} coordinates, got "
             f"{len(cfg.domain_lo)} and {len(cfg.domain_hi)}")
+    if cfg.mp_nodes < 3:
+        raise ConfigError(
+            f"mp.nodes must be at least 3 (both segment ends and one interior "
+            f"sample), got {cfg.mp_nodes}")
     return cfg
 
 

@@ -127,7 +127,6 @@ class Functional:
 
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    nonneg_minimizer: bool = False
 
 
 def _functional(kw: KernelWeights, grid, p: float, primitive, rxn) -> Functional:
@@ -137,7 +136,6 @@ def _functional(kw: KernelWeights, grid, p: float, primitive, rxn) -> Functional
     return Functional(
         energy=lambda v: _energy(v, kw, p) / p - float((primitive(v) * m).sum()),
         gradient=lambda v: _apply(v, kw, p, m) - rxn(v),
-        nonneg_minimizer=True,
     )
 
 

@@ -1,22 +1,22 @@
-"""Descent solvers, branch continuation, threshold detection, saddle search.
+"""Energy minimization, branch continuation, threshold detection, saddle search.
 
-All solvers minimize an energy over cell functions with monotone Armijo
-backtracking and Barzilai-Borwein trial steps.  Collapse of an iterate to the
-zero function is detected by a sup-norm threshold and reported as its own
-status: for the logistic energy the zero function is always a critical point,
-and below the existence threshold it is the only one.
+Every solve here runs the package's one descent engine (``descent.descend``):
+``minimize`` on an energy functional, ``mountain_pass`` on half the squared
+residual.  Collapse of an iterate to the zero function is detected by a
+sup-norm threshold and reported as its own status: for the logistic energy
+the zero function is always a critical point, and below the existence
+threshold it is the only one.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .descent import SolverError, Status, descend
 from .domain import Grid
-from .eigen import (ARMIJO_C, ARMIJO_SHRINK, EigenOptions, EigenPair,
-                    principal_eigenpair)
+from .eigen import EigenOptions, EigenPair, principal_eigenpair
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, TruncKind, TruncatedReaction,
                        phi_functional, torsion_functional, truncated_functional)
@@ -38,16 +38,8 @@ __all__ = [
     "mountain_pass",
 ]
 
-
-class SolverError(RuntimeError):
-    """Hard solver failure (non-finite energy, broken ordering, no start)."""
-
-
-class Status(enum.Enum):
-    CONVERGED = "converged"
-    COLLAPSED = "collapsed"
-    MAX_ITERS = "max_iters"
-    NOT_FOUND = "not_found"
+# each continuation step of detect_threshold scales the intensity by this
+CONTINUATION_FACTOR = 0.9
 
 
 @dataclass
@@ -56,7 +48,6 @@ class SolveOptions:
     max_iters: int = 50_000
     seed: int = 0
     initial: str = "eigen"          # zero | eigen | random
-    initial_tau: float | None = None
     collapse_tol: float = 1e-6      # times the domain diameter
     distinct_tol: float = 1e-6
 
@@ -91,90 +82,23 @@ def _collapse_threshold(grid: Grid, opts: SolveOptions) -> float:
     return opts.collapse_tol * grid.domain.diameter
 
 
-def _descend(func: Functional, u0: np.ndarray, grid: Grid,
-             opts: SolveOptions) -> tuple[np.ndarray, float, float, int, Status]:
-    """Core monotone descent; returns (u, energy, residual, iterations, status)."""
-    meas = grid.measures
-    collapse_thr = _collapse_threshold(grid, opts)
-    u = np.asarray(u0, dtype=float).copy()
-    energy = func.energy(u)
-    if not np.isfinite(energy):
-        raise SolverError(f"non-finite energy at the initial point ({energy})")
-    g = func.gradient(u)
-    res = mass_norm(g, meas)
+def minimize(func: Functional, u0: DiscreteFunction,
+             opts: SolveOptions | None = None) -> SolveReport:
+    """Descend an energy functional from u0 to a nonnegative critical point.
 
-    prev_u = prev_g = None
-    step = 1.0
-    it = 0
-    below = 0
-    free = False
-    endgame_res = 1e3 * opts.residual_tol
-    best_u, best_res, best_energy = u.copy(), res, energy
-    status = Status.CONVERGED
-    while res > opts.residual_tol:
-        # a genuine collapse decays through the threshold and stays there;
-        # require consecutive hits so a solution sitting just above the
-        # threshold is not misclassified by a transient dip
-        if np.abs(u).max() < collapse_thr:
-            below += 1
-            if below >= 3:
-                status = Status.COLLAPSED
-                break
-        else:
-            below = 0
-        if it >= opts.max_iters:
-            status = Status.MAX_ITERS
-            break
-        if prev_u is not None:
-            du = u - prev_u
-            dg = g - prev_g
-            denom = mass_dot(du, dg, meas)
-            if denom > 0.0:
-                step = min(max(mass_dot(du, du, meas) / denom, 1e-14), 1e8)
-        gg = res * res
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(energy))
-        # near a minimum the energy decrease per step drops below the
-        # rounding floor of the energy evaluation, whose cancellation noise
-        # swamps the sufficient-decrease test; once the residual is small,
-        # drop the line search and iterate plain Barzilai-Borwein steps,
-        # which contract on the local quadratic basin without monotonicity
-        if not free and res <= endgame_res \
-                and ARMIJO_C * step * gg < 64.0 * slack:
-            free = True
-        if free:
-            v = u - step * g
-            ev = func.energy(v)
-            if not np.isfinite(ev) or res > max(1e6 * endgame_res, 1.0):
-                status = Status.MAX_ITERS
-                break
-        else:
-            t = step
-            accepted = False
-            for _ in range(60):
-                v = u - t * g
-                ev = func.energy(v)
-                if np.isfinite(ev) and ev <= energy - ARMIJO_C * t * gg + slack:
-                    accepted = True
-                    break
-                t *= ARMIJO_SHRINK
-            if not accepted:
-                if res <= endgame_res:
-                    free = True
-                    continue
-                status = Status.MAX_ITERS
-                break
-        prev_u, prev_g = u, g
-        u, energy = v, ev
-        g = func.gradient(u)
-        res = mass_norm(g, meas)
-        if res < best_res:
-            best_u, best_res, best_energy = u.copy(), res, energy
-        it += 1
-
-    if status is Status.MAX_ITERS and best_res < res:
-        u, res, energy = best_u, best_res, best_energy
-
-    if func.nonneg_minimizer and status is not Status.COLLAPSED:
+    The energy sequence is nonincreasing up to the rounding floor of the
+    energy evaluation.  An exact critical point returns immediately with
+    zero iterations.  Unless the iterate collapsed, the result is clipped to
+    be nonnegative and its energy and residual are those of the clipped
+    function.
+    """
+    opts = opts or SolveOptions()
+    meas = u0.grid.measures
+    collapse_thr = _collapse_threshold(u0.grid, opts)
+    u, energy, res, it, status = descend(
+        func.energy, func.gradient, u0.values, meas, opts.residual_tol,
+        opts.max_iters, collapse_thr=collapse_thr)
+    if status is not Status.COLLAPSED:
         clipped = np.maximum(u, 0.0)
         if not np.array_equal(clipped, u):
             u = clipped
@@ -184,19 +108,6 @@ def _descend(func: Functional, u0: np.ndarray, grid: Grid,
         status = Status.MAX_ITERS
     if np.abs(u).max() < collapse_thr:
         status = Status.COLLAPSED
-    return u, energy, res, it, status
-
-
-def minimize(func: Functional, u0: DiscreteFunction,
-             opts: SolveOptions | None = None) -> SolveReport:
-    """Descend an energy functional from u0.
-
-    The energy sequence is nonincreasing up to the rounding floor of the
-    energy evaluation.  An exact critical point returns immediately with
-    zero iterations.
-    """
-    opts = opts or SolveOptions()
-    u, energy, res, it, status = _descend(func, u0.values, u0.grid, opts)
     return SolveReport(
         u=DiscreteFunction(u, u0.grid),
         energy=energy,
@@ -240,8 +151,6 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
         if eigen is None:
             eigen = principal_eigenpair(kw, grid, lp.p, EigenOptions(seed=opts.seed))
         base = eigen.u1.values
-        if opts.initial_tau is not None:
-            return opts.initial_tau * base
         energy = phi_functional(kw, grid, lp).energy
         taus = np.geomspace(1e-6, 1e4, 101)
         vals = np.array([energy(t * base) for t in taus])
@@ -328,8 +237,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
                      opts: SolveOptions | None = None,
                      bracket_tol: float = 1e-3,
                      lambda_high: float | None = None,
-                     eigen: EigenPair | None = None,
-                     continuation_factor: float = 0.9) -> ThresholdReport:
+                     eigen: EigenPair | None = None) -> ThresholdReport:
     """Locate the smallest solvable intensity by continuation plus bisection.
 
     Starting from a solvable high intensity, the branch is continued downward
@@ -369,7 +277,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     lam_no = None
     lam = lam_hi
     for _ in range(400):
-        lam = lam * continuation_factor
+        lam = lam * CONTINUATION_FACTOR
         rep = _probe(lam, u_yes, lp_proto, kw, grid, opts)
         if _nontrivial(rep, grid, opts):
             branch.append((lam, rep))
@@ -435,44 +343,22 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
                            residual=float("nan"), iterations=0,
                            status=Status.NOT_FOUND)
 
-    # polish: descend Psi(u) = 0.5 |grad|^2 via finite-difference curvature action
-    g = func.gradient(u)
-    psi = 0.5 * mass_dot(g, g, meas)
-    prev_u = prev_d = None
-    step = 1e-2
-    it = 0
-    while it < opts.max_iters:
-        res = (2.0 * psi) ** 0.5
-        if res <= opts.residual_tol:
-            break
-        gn = mass_norm(g, meas)
-        eps = 1e-6 * (1.0 + np.abs(u).max()) / max(gn, 1e-300)
-        d = (func.gradient(u + eps * g) - func.gradient(u - eps * g)) / (2.0 * eps)
-        dd = mass_dot(d, d, meas)
-        if dd == 0.0:
-            break
-        if prev_u is not None:
-            du = u - prev_u
-            dg = d - prev_d
-            denom = mass_dot(du, dg, meas)
-            if denom > 0.0:
-                step = min(max(mass_dot(du, du, meas) / denom, 1e-14), 1e8)
-        t = step
-        slack = 8.0 * np.finfo(float).eps * psi
-        accepted = False
-        for _ in range(60):
-            v = u - t * d
-            gv = func.gradient(v)
-            psiv = 0.5 * mass_dot(gv, gv, meas)
-            if np.isfinite(psiv) and psiv <= psi - ARMIJO_C * t * dd + slack:
-                accepted = True
-                break
-            t *= ARMIJO_SHRINK
-        if not accepted:
-            break
-        prev_u, prev_d = u, d
-        u, g, psi = v, gv, psiv
-        it += 1
+    # polish: descend Psi(u) = 0.5 |grad Phi(u)|^2, whose gradient is the
+    # curvature of Phi acting on grad Phi, taken by a central difference
+    last_grad = [None]
+
+    def psi(v: np.ndarray) -> float:
+        last_grad[0] = func.gradient(v)
+        return 0.5 * mass_dot(last_grad[0], last_grad[0], meas)
+
+    def curvature(v: np.ndarray) -> np.ndarray:
+        # the engine asks for this where it last evaluated Psi
+        g = last_grad[0]
+        eps = 1e-6 * (1.0 + np.abs(v).max()) / max(mass_norm(g, meas), 1e-300)
+        return (func.gradient(v + eps * g) - func.gradient(v - eps * g)) / (2.0 * eps)
+
+    u, _, _, it, _ = descend(psi, curvature, u, meas, opts.residual_tol,
+                             opts.max_iters)
 
     v = np.minimum(np.maximum(u, 0.0), u_lam.values)
     func_plain = phi_functional(kw, grid, lp)

@@ -185,6 +185,17 @@ def test_mountain_pass_not_found_in_sub(sub_cfg, tmp_path, capsys):
     assert doc["results"]["status"] == "not_found"
 
 
+@pytest.mark.parametrize("nodes", [2, 1, 0, -1])
+def test_mountain_pass_too_few_nodes_exits_one(super_cfg, tmp_path, capsys,
+                                               nodes):
+    code = main(["mountain-pass", "--config", str(super_cfg),
+                 "--set", f"mp.nodes={nodes}", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "mp.nodes" in err
+
+
 def test_verify_sub_bundle(sub_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify", "--config", str(sub_cfg), "--regime", "sub",

@@ -44,7 +44,6 @@ def test_reaction_is_primitive_derivative(lp):
 
 def test_phi_gradient_matches_finite_differences(grid32, kw32, rng, lp):
     f = phi_functional(kw32, grid32, lp)
-    assert f.nonneg_minimizer
     v = rng.uniform(-0.5, 1.5, grid32.ncells)
     g = f.gradient(v)
     eps = 1e-6
@@ -141,7 +140,6 @@ def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
                                                        lp, rng, kind):
     tr = TruncatedReaction(kind, anchor, lp)
     f = truncated_functional(kw32, grid32, tr)
-    assert f.nonneg_minimizer
     v = rng.uniform(0.0, 1.6, grid32.ncells)
     g = f.gradient(v)
     eps = 1e-6

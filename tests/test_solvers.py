@@ -71,8 +71,7 @@ def test_restart_from_solution_is_immediate(grid32, kw32, sub_params, eig32):
     rep = solve_branch_point(1.0, None, sub_params, kw32, grid32,
                              SolveOptions(), eigen=eig32)
     again = solve_branch_point(1.0, None, sub_params, kw32, grid32,
-                               SolveOptions(initial="eigen",
-                                            initial_tau=None), eigen=eig32)
+                               SolveOptions(initial="eigen"), eigen=eig32)
     lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
     func = phi_functional(kw32, grid32, lp)
     refined = minimize(func, rep.u, SolveOptions())
@@ -108,7 +107,7 @@ def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
     assert rep.u.sup_norm() <= 1e-6
 
 
-def test_initial_values_kinds(grid32, kw32, eig32):
+def test_initial_values_kinds(grid32, kw32):
     lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
     opts = SolveOptions(seed=5)
     assert np.all(initial_values("zero", grid32, kw32, lp, opts) == 0.0)
@@ -116,9 +115,6 @@ def test_initial_values_kinds(grid32, kw32, eig32):
     r2 = initial_values("random", grid32, kw32, lp, SolveOptions(seed=5))
     assert np.array_equal(r1, r2)
     assert r1.min() >= 0.1 and r1.max() < 1.0
-    tau = initial_values("eigen", grid32, kw32, lp,
-                         SolveOptions(initial_tau=2.0), eigen=eig32)
-    assert tau == pytest.approx(2.0 * eig32.u1.values, rel=1e-14)
     with pytest.raises(ValueError, match="unknown"):
         initial_values("best", grid32, kw32, lp, opts)
 
@@ -184,13 +180,21 @@ def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,
                          lambda_high=0.5 * lam0, eigen=eig)
 
 
-def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params):
+@pytest.fixture(scope="module")
+def super_branch16(grid16, kw16_super, super_params):
+    """Intensity 1.5 lambda*_h and the branch solution there, on grid16."""
     eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     lam = 1.5 * report.lambda_star_h
     big = solve_branch_point(lam, report.u_star, super_params, kw16_super,
                              grid16, SolveOptions(), eigen=eig)
+    return lam, big
+
+
+def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params,
+                                    super_branch16):
+    lam, big = super_branch16
     rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u,
                         SolveOptions())
     assert rep.status is Status.CONVERGED
@@ -199,6 +203,19 @@ def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params):
     assert np.all(v >= 0.0)
     assert np.all(v <= big.u.values + 1e-12)
     _assert_mountain_pass_level(rep, big, super_params, kw16_super, grid16, lam)
+
+
+def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
+                                     super_branch16):
+    # the polish stops at the cap and hands back its best iterate, clipped
+    lam, big = super_branch16
+    opts = SolveOptions(max_iters=5)
+    rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u, opts)
+    assert rep.status is Status.MAX_ITERS
+    assert rep.iterations == 5
+    assert rep.residual > opts.residual_tol
+    assert np.all(rep.u.values >= 0.0)
+    assert np.all(rep.u.values <= big.u.values)
 
 
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
