@@ -38,7 +38,8 @@ class Regime(enum.Enum):
 class ProblemParams:
     """Validated exponent tuple (dim, s, p, q, r) plus the derived critical exponent.
 
-    Validity: p >= 2, s in (0, 1), p*s < dim, and 1 < q < r < p_star where
+    Validity: p >= 2, s in (0, 1), p*s < dim, p*s < 1 in 2D (the limit of
+    piecewise-constant cells), and 1 < q < r < p_star where
     p_star = dim*p / (dim - p*s).
     """
 
@@ -70,6 +71,10 @@ def validate_params(dim: int, s: float, p: float, q: float, r: float) -> Problem
     ps = p * s
     if ps >= dim:
         raise ParamError(f"ps >= N: p*s = {ps}, N = {dim}")
+    if dim == 2 and ps >= 1.0:
+        raise ParamError(
+            f"ps >= 1 in 2D: p*s = {ps}; piecewise-constant cells have "
+            "infinite W^{s,p} energy there")
     p_star = dim * p / (dim - ps)
     if q <= 1.0:
         raise ParamError(f"q <= 1: q = {q}")

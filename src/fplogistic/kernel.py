@@ -17,9 +17,17 @@ where each c_d is a piecewise-linear interval-overlap profile.  Along any ray
 from the origin the product profile is piecewise quadratic in the radius, so
 the radial integral against r^(-1-ps) has a closed form; only the angular
 integral is numerical (adaptive Gauss panels split at the profile corner
-directions).  The exterior weight uses the same machinery with
+directions).  Each sweep of the angular rule evaluates the closed form on
+all of its rays, every panel times every Gauss node, as one numpy batch.
+The exterior weight uses the same machinery with
 C(t) = |cell| - |cell ∩ (domain + t)|, whose radial tail gives the analytic
 far-field term |cell| * R^(-ps) / ps.
+
+Assembly on a uniform grid computes each weight once per symmetry class:
+pair weights per cell offset (|di|, |dj|), with table[di, dj] = table[dj, di]
+when the cells are square, and exterior weights per cell position folded by
+the reflections of the rectangle, including the diagonal one when the domain
+is square.
 """
 
 from __future__ import annotations
@@ -148,86 +156,105 @@ def radial_exterior_tail(radius: float, dim: int, ps: float) -> float:
 def _overlap_profile(cl: float, ch: float, dl: float, dh: float):
     """Piecewise-linear profile tau -> |[cl,ch] ∩ [dl+tau, dh+tau]|.
 
-    Returns (breaks, coeffs): sorted kink locations and per-piece (value0,
-    slope) so the profile is value0 + slope*tau on (breaks[k], breaks[k+1]).
-    The profile vanishes outside [breaks[0], breaks[-1]].
+    Returns (breaks, value0, slope): the sorted kink locations and the
+    pieces value0 + slope*tau, indexed by np.searchsorted(breaks, tau), so
+    that piece k covers (breaks[k-1], breaks[k]].  Pieces 0 and len(breaks)
+    are the zero profile outside (breaks[0], breaks[-1]).
     """
+    def overlap(tau: float) -> float:
+        return min(ch, dh + tau) - max(cl, dl + tau)
+
     ks = sorted({cl - dh, cl - dl, ch - dh, ch - dl})
-    coeffs = []
+    value0, slope = [0.0], [0.0]
     for k0, k1 in zip(ks[:-1], ks[1:]):
         tm = 0.5 * (k0 + k1)
-        val = min(ch, dh + tm) - max(cl, dl + tm)
-        if val <= 0.0:
-            coeffs.append((0.0, 0.0))
+        if overlap(tm) <= 0.0:
+            value0.append(0.0)
+            slope.append(0.0)
             continue
-        slope = (1.0 if dh + tm < ch else 0.0) - (1.0 if dl + tm > cl else 0.0)
-        coeffs.append((val - slope * tm, slope))
-    return np.asarray(ks), coeffs
+        sl = (1.0 if dh + tm < ch else 0.0) - (1.0 if dl + tm > cl else 0.0)
+        # anchor the line at the piece end nearer tau = 0: near the origin
+        # the kernel is largest, and a profile that vanishes at a contact
+        # then gets value0 = 0 exactly instead of rounding dust, which
+        # r^(-ps) would amplify on a ray through a nearby tiny kink
+        ka = k0 if abs(k0) < abs(k1) else k1
+        value0.append(overlap(ka) - sl * ka)
+        slope.append(sl)
+    value0.append(0.0)
+    slope.append(0.0)
+    return np.asarray(ks), np.asarray(value0), np.asarray(slope)
 
 
-def _profile_at(breaks: np.ndarray, coeffs, tau: float) -> tuple[float, float]:
-    """(value0, slope) of the profile piece containing tau; (0,0) outside."""
-    if tau <= breaks[0] or tau >= breaks[-1]:
-        return (0.0, 0.0)
-    idx = int(np.searchsorted(breaks, tau)) - 1
-    idx = min(max(idx, 0), len(coeffs) - 1)
-    return coeffs[idx]
+def _pieces(prof, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value0, slope) of the profile pieces containing each tau."""
+    breaks, value0, slope = prof
+    idx = np.searchsorted(breaks, tau)
+    idx[tau >= breaks[-1]] = len(breaks)
+    return value0[idx], slope[idx]
 
 
-def _ray_integral(prof1, prof2, dx: float, dy: float, ps: float,
-                  area: float | None, fscale: float) -> float:
-    """Closed-form integral of r^(-1-ps) * F(r*dir) dr along one ray.
+def _pow0(r: np.ndarray, mu: float) -> np.ndarray:
+    """r^mu elementwise, read as 0 where r = 0."""
+    return np.power(r, mu, out=np.zeros_like(r), where=r > 0.0)
 
-    F is the product profile c1*c2 when area is None (pair weight), otherwise
-    area - c1*c2 (exterior weight, integrated to infinity with an exact tail).
-    Raises KernelError when a non-integrable term survives at r = 0.
+
+def _ray_integrals(prof1, prof2, dx: np.ndarray, dy: np.ndarray, ps: float,
+                   area: float | None, fscale: float) -> np.ndarray:
+    """Closed-form integrals of r^(-1-ps) * F(r*dir) dr along a batch of rays.
+
+    dx, dy hold the ray directions.  F is the product profile c1*c2 when
+    area is None (pair weight), otherwise area - c1*c2 (exterior weight,
+    integrated to infinity with an exact tail).  Raises KernelError when a
+    non-integrable term survives at r = 0.
     """
-    breaks1, co1 = prof1
-    breaks2, co2 = prof2
-    events: list[float] = []
-    for brs, d in ((breaks1, dx), (breaks2, dy)):
-        if d != 0.0:
-            for k in brs:
-                rk = k / d
-                if rk > 0.0:
-                    events.append(rk)
-    events = sorted(set(events))
+    nray = dx.shape[0]
+    # radial events: the radii where a ray crosses a profile kink
+    breaks = np.concatenate((prof1[0], prof2[0]))
+    dirs = np.where(np.arange(len(breaks)) < len(prof1[0]), dx[:, None], dy[:, None])
+    ev = np.divide(breaks, dirs, out=np.full(dirs.shape, np.inf), where=dirs != 0.0)
+    ev[~(ev > 0.0)] = np.inf
+    ev.sort(axis=1)
+    ev[:, 1:][ev[:, 1:] == ev[:, :-1]] = np.inf
+    ev.sort(axis=1)
+    # segments (r0, r1] between consecutive events, starting at r = 0; rows
+    # are padded with empty segments at the last event (0 without events)
+    finite = np.isfinite(ev)
+    r_last = np.where(finite, ev, 0.0).max(axis=1)
+    r1 = np.where(finite, ev, r_last[:, None])
+    r0 = np.concatenate((np.zeros((nray, 1)), r1[:, :-1]), axis=1)
+    rm = 0.5 * (r0 + r1)
+    a1, b1 = _pieces(prof1, rm * dx[:, None])
+    a2, b2 = _pieces(prof2, rm * dy[:, None])
+    s1 = b1 * dx[:, None]
+    s2 = b2 * dy[:, None]
+    alpha = a1 * a2
+    beta = a1 * s2 + a2 * s1
+    gamma = s1 * s2
+    if area is not None:
+        alpha, beta, gamma = area - alpha, -beta, -gamma
 
-    total = 0.0
-    r0 = 0.0
-    for r1 in events:
-        if r1 <= r0:
-            continue
-        rm = 0.5 * (r0 + r1)
-        a1, b1 = _profile_at(breaks1, co1, rm * dx)
-        a2, b2 = _profile_at(breaks2, co2, rm * dy)
-        s1 = b1 * dx
-        s2 = b2 * dy
-        alpha = a1 * a2
-        beta = a1 * s2 + a2 * s1
-        gamma = s1 * s2
-        if area is not None:
-            alpha, beta, gamma = area - alpha, -beta, -gamma
-        for coef, mu in ((alpha, -ps), (beta, 1.0 - ps), (gamma, 2.0 - ps)):
-            if coef == 0.0:
-                continue
-            if r0 == 0.0 and mu <= 0.0:
-                if abs(coef) <= 1e-10 * fscale:
-                    continue  # floating-point dust on an exactly vanishing coefficient
+    empty = r1 <= r0
+    total = np.zeros(nray)
+    for coef, mu in ((alpha, -ps), (beta, 1.0 - ps), (gamma, 2.0 - ps)):
+        coef[empty] = 0.0
+        if mu <= 0.0:
+            # the first segment starts at r = 0, where r^(mu-1) is not integrable
+            if np.any(np.abs(coef[:, 0]) > 1e-10 * fscale):
                 raise KernelError(
                     "divergent cell weight: the kernel is not integrable at the "
                     f"contact (p*s = {ps})")
-            if mu == 0.0:
-                total += coef * math.log(r1 / r0)
-            else:
-                total += coef * (r1 ** mu - r0 ** mu) / mu
-        r0 = r1
+            coef[:, 0] = 0.0  # floating-point dust on an exactly vanishing coefficient
+        if mu == 0.0:
+            ratio = np.divide(r1, r0, out=np.ones_like(r0), where=r0 > 0.0)
+            total += (coef * np.log(ratio)).sum(axis=1)
+        else:
+            total += (coef * (_pow0(r1, mu) - _pow0(r0, mu)) / mu).sum(axis=1)
 
     if area is not None:
         # beyond the last profile corner the product vanishes: exact far field
-        if r0 == 0.0:
+        if np.any(r_last == 0.0):
             raise KernelError("exterior profile has no radial events")
-        total += area * r0 ** (-ps) / ps
+        total += area * r_last ** (-ps) / ps
     return total
 
 
@@ -247,6 +274,7 @@ def _angular_integral(prof1, prof2, ps: float, area: float | None,
     Panels are split at the corner directions of the profile grid, inside
     which the integrand is analytic.  Convergence is verified by comparing
     two Gauss orders; panels are halved until agreement or a depth cap.
+    Each sweep evaluates all panels x nodes rays in one batch.
     """
     two_pi = 2.0 * math.pi
     angles = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
@@ -258,32 +286,27 @@ def _angular_integral(prof1, prof2, ps: float, area: float | None,
     panels = sorted(angles)
     panels.append(panels[0] + two_pi)
 
-    def sweep(bounds: list[float], order: int) -> float:
+    def sweep(bounds: np.ndarray, order: int) -> float:
         nodes, wts = _gauss(order)
-        total = 0.0
-        for t0, t1 in zip(bounds[:-1], bounds[1:]):
-            half = 0.5 * (t1 - t0)
-            mid = 0.5 * (t0 + t1)
-            if half <= 0.0:
-                continue
-            for xi, wi in zip(nodes, wts):
-                theta = mid + half * xi
-                val = _ray_integral(prof1, prof2, math.cos(theta),
-                                    math.sin(theta), ps, area, fscale)
-                total += wi * half * val
-        return total
+        half = 0.5 * (bounds[1:] - bounds[:-1])
+        mid = 0.5 * (bounds[:-1] + bounds[1:])
+        keep = half > 0.0
+        half, mid = half[keep, None], mid[keep, None]
+        theta = (mid + half * nodes).ravel()
+        val = _ray_integrals(prof1, prof2, np.cos(theta), np.sin(theta), ps,
+                             area, fscale)
+        return float(((wts * half).ravel() * val).sum())
 
-    bounds = panels
+    bounds = np.asarray(panels)
     for _ in range(7):
         coarse = sweep(bounds, 12)
         fine = sweep(bounds, 20)
         scale = max(abs(fine), abs(coarse), 1e-300)
         if abs(fine - coarse) <= rel_tol * scale:
             return fine
-        refined: list[float] = []
-        for t0, t1 in zip(bounds[:-1], bounds[1:]):
-            refined.extend([t0, 0.5 * (t0 + t1)])
-        refined.append(bounds[-1])
+        refined = np.empty(2 * len(bounds) - 1)
+        refined[0::2] = bounds
+        refined[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
         bounds = refined
     raise KernelError(f"weight quadrature did not converge for {label}")
 
@@ -391,15 +414,19 @@ def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.
     hx, hy = grid.spacing
     dl, dh = grid.domain.lo, grid.domain.hi
 
-    # offset table: weight for cell displacement (|di|, |dj|)
+    # offset table: weight for cell displacement (|di|, |dj|); on square
+    # cells the reflection in the diagonal gives table[dj, di] = table[di, dj]
+    square_cells = hx == hy
     base = ((0.0, 0.0), (hx, hy))
     table = np.zeros((n, n))
     for di in range(n):
-        for dj in range(n):
+        for dj in range(di if square_cells else 0, n):
             if di == 0 and dj == 0:
                 continue
             other = ((di * hx, dj * hy), (di * hx + hx, dj * hy + hy))
             table[di, dj] = pair_weight_2d(base, other, ps, rel_tol)
+    if square_cells:
+        table += np.triu(table, 1).T
 
     ix = np.arange(m) // n
     iy = np.arange(m) % n
@@ -408,12 +435,16 @@ def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.
     W = table[di, dj]
     np.fill_diagonal(W, 0.0)
 
-    # exterior weights by folded cell position (reflection symmetry per axis)
+    # exterior weights by folded cell position (reflection symmetry per
+    # axis, and in the diagonal when the domain is square)
+    square_domain = grid.domain.sides[0] == grid.domain.sides[1]
     fold = {}
     V = np.empty(m)
     for i in range(m):
         fx = min(ix[i], n - 1 - ix[i])
         fy = min(iy[i], n - 1 - iy[i])
+        if square_domain and fx > fy:
+            fx, fy = fy, fx
         key = (fx, fy)
         if key not in fold:
             cell = ((dl[0] + fx * hx, dl[1] + fy * hy),

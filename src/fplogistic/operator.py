@@ -91,17 +91,27 @@ def _check_weights(values: np.ndarray, kw: KernelWeights) -> None:
             f"{values.shape[0]}")
 
 
+# The m x m pair terms are built in place in one or two buffers, so that an
+# operator call allocates no further m x m temporaries.
+
 def _energy(values: np.ndarray, kw: KernelWeights, p: float) -> float:
-    diff = values[:, None] - values[None, :]
-    pair = float((kw.W * np.abs(diff) ** p).sum())
+    diff = np.subtract.outer(values, values)
+    np.abs(diff, out=diff)
+    diff **= p
+    diff *= kw.W
+    pair = float(diff.sum())
     ext = 2.0 * float((kw.V * np.abs(values) ** p).sum())
     return pair + ext
 
 
 def _apply(values: np.ndarray, kw: KernelWeights, p: float,
            measures: np.ndarray) -> np.ndarray:
-    diff = values[:, None] - values[None, :]
-    row = 2.0 * (kw.W * signed_power(diff, p - 1.0)).sum(axis=1)
+    diff = np.subtract.outer(values, values)
+    mag = np.abs(diff)
+    mag **= p - 1.0
+    np.copysign(mag, diff, out=mag)
+    mag *= kw.W
+    row = 2.0 * mag.sum(axis=1)
     row += 2.0 * kw.V * signed_power(values, p - 1.0)
     return row / measures
 

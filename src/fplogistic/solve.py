@@ -327,6 +327,8 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     Otherwise the maximal sample starts a descent on the squared residual,
     which ends at the saddle; ``iterations`` counts its steps.
     """
+    if nodes < 3:
+        raise ValueError(f"nodes must be at least 3, got {nodes}")
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
     tr = TruncatedReaction(TruncKind.UPPER, anchor=u_lam, base=lp)

@@ -196,6 +196,21 @@ def test_mountain_pass_too_few_nodes_exits_one(super_cfg, tmp_path, capsys,
     assert "mp.nodes" in err
 
 
+def test_2d_ps_at_least_one_exits_one(tmp_path, capsys):
+    # piecewise-constant cells cannot represent 2D p*s >= 1: rejected with
+    # the parameters, before any assembly
+    cfg = tmp_path / "ps12.cfg"
+    cfg.write_text(SUB_CFG.replace("dim = 1", "dim = 2")
+                   .replace("s = 0.4", "s = 0.6")
+                   .replace("domain.lo = 0.0", "domain.lo = 0.0,0.0")
+                   .replace("domain.hi = 1.0", "domain.hi = 1.0,1.0"))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "infinite W^{s,p} energy" in err
+
+
 def test_verify_sub_bundle(sub_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify", "--config", str(sub_cfg), "--regime", "sub",

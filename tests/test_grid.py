@@ -15,6 +15,7 @@ def test_validate_accepts_reference_parameters():
 
 @pytest.mark.parametrize("dim,s,p,q,r,fragment", [
     (1, 0.5, 2.0, 1.5, 3.0, "ps >= N"),
+    (2, 0.6, 2.0, 1.5, 3.0, "infinite W"),
     (1, 0.0, 2.0, 1.5, 3.0, "s"),
     (1, 1.0, 2.0, 1.5, 3.0, "s"),
     (1, 0.4, 1.5, 1.2, 1.4, "p"),

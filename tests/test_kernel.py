@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
@@ -205,18 +207,67 @@ def test_radial_exterior_tail_matches_quadrature():
 
 
 def test_assemble_2d_matches_direct_weights(params2d):
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 3)
-    kw = assemble(grid, params2d)
+    # the unit square takes the diagonal-symmetry shortcuts; the 2 x 1
+    # rectangle (hx != hy) must compute every entry
     ps = params2d.ps
-    dom = ((0.0, 0.0), (1.0, 1.0))
-    for i in range(grid.ncells):
-        ci = (tuple(grid.lows[i]), tuple(grid.highs[i]))
-        assert kw.V[i] == pytest.approx(
-            exterior_weight_2d(ci, dom, ps, rel_tol=1e-7), rel=1e-6)
-        for j in range(i + 1, grid.ncells):
-            cj = (tuple(grid.lows[j]), tuple(grid.highs[j]))
-            assert kw.W[i, j] == pytest.approx(
-                pair_weight_2d(ci, cj, ps, rel_tol=1e-7), rel=1e-6)
+    for dom in (((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), (2.0, 1.0))):
+        grid = build_grid(DomainSpec(*dom), 3)
+        kw = assemble(grid, params2d)
+        for i in range(grid.ncells):
+            ci = (tuple(grid.lows[i]), tuple(grid.highs[i]))
+            assert kw.V[i] == pytest.approx(
+                exterior_weight_2d(ci, dom, ps, rel_tol=1e-7), rel=1e-6)
+            for j in range(i + 1, grid.ncells):
+                cj = (tuple(grid.lows[j]), tuple(grid.highs[j]))
+                assert kw.W[i, j] == pytest.approx(
+                    pair_weight_2d(ci, cj, ps, rel_tol=1e-7), rel=1e-6)
+
+
+@st.composite
+def _disjoint_rectangles(draw):
+    """Two rectangles separated along x, y or both; touching allowed.
+
+    Along an axis that does not separate them the lower edges either
+    coincide, so that some offsets lie on a coordinate axis, or are shifted.
+    """
+    size = st.floats(0.05, 1.0)
+    gap = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    shift = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    lo_a = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    wa = (draw(size), draw(size))
+    wb = (draw(size), draw(size))
+    split = draw(st.sampled_from(((True, False), (False, True), (True, True))))
+    lo_b = tuple(lo_a[d] + (wa[d] + draw(gap) if split[d] else draw(shift))
+                 for d in range(2))
+    a = (lo_a, (lo_a[0] + wa[0], lo_a[1] + wa[1]))
+    b = (lo_b, (lo_b[0] + wb[0], lo_b[1] + wb[1]))
+    return a, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=_disjoint_rectangles(), ps=st.floats(0.1, 0.95),
+       shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       c=st.floats(0.25, 4.0))
+# edge contact whose side edges are offset by far less than a rounding unit:
+# the kink at tau = -5e-83 once turned rounding dust into weights of 1e25
+@example(cells=(((0.0, 0.0), (1.0, 0.75)),
+                ((5.237372017527842e-83, 0.75), (1.0, 0.8995591946993741))),
+         ps=0.5, shift=(0.0, 1.0), c=1.5)
+def test_pair_weight_2d_symmetry_translation_scaling(cells, ps, shift, c):
+    a, b = cells
+
+    def moved(cell, f):
+        return tuple(tuple(f(v, d) for d, v in enumerate(corner))
+                     for corner in cell)
+
+    w = pair_weight_2d(a, b, ps)
+    assert pair_weight_2d(b, a, ps) == pytest.approx(w, rel=1e-9)
+    ws = pair_weight_2d(moved(a, lambda v, d: v + shift[d]),
+                        moved(b, lambda v, d: v + shift[d]), ps)
+    assert ws == pytest.approx(w, rel=1e-9)
+    wc = pair_weight_2d(moved(a, lambda v, d: c * v),
+                        moved(b, lambda v, d: c * v), ps)
+    assert wc == pytest.approx(c ** (2.0 - ps) * w, rel=1e-9)
 
 
 def test_assemble_2d_symmetries(kw2d, grid2d):

@@ -218,6 +218,15 @@ def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
     assert np.all(rep.u.values <= big.u.values)
 
 
+def test_mountain_pass_too_few_nodes_raises(grid16, kw16_super, super_params,
+                                            super_branch16):
+    # the segment needs an interior sample between its two ends
+    lam, big = super_branch16
+    with pytest.raises(ValueError, match="nodes must be at least 3, got 2"):
+        mountain_pass(lam, super_params, kw16_super, grid16, big.u,
+                      SolveOptions(), nodes=2)
+
+
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
     # the mountain-pass level lies above both ends of the segment
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
