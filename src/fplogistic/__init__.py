@@ -19,9 +19,8 @@ from .domain import (DomainSpec, Grid, GridError, ParamError, ProblemParams,
 from .eigen import EigenError, EigenOptions, EigenPair, principal_eigenpair
 from .kernel import (KernelError, KernelWeights, assemble, load_weights,
                      save_weights)
-from .logistic import (LogisticParams, TruncKind, TruncatedReaction,
-                       phi_functional, torsion_functional,
-                       truncated_functional)
+from .logistic import (LogisticParams, TruncatedReaction, phi_functional,
+                       torsion_functional, truncated_functional)
 from .operator import (DiscreteFunction, GridMismatchError, apply_operator,
                        gagliardo_energy, lp_norm, signed_power)
 from .solve import (BranchPoint, SolveOptions, SolveReport, SolverError,
@@ -38,7 +37,7 @@ __all__ = [
     "Regime", "build_grid", "classify_regime", "validate_params",
     "EigenError", "EigenOptions", "EigenPair", "principal_eigenpair",
     "KernelError", "KernelWeights", "assemble", "load_weights", "save_weights",
-    "LogisticParams", "TruncKind", "TruncatedReaction", "phi_functional",
+    "LogisticParams", "TruncatedReaction", "phi_functional",
     "torsion_functional", "truncated_functional",
     "DiscreteFunction", "GridMismatchError", "apply_operator",
     "gagliardo_energy", "lp_norm", "signed_power",

@@ -215,8 +215,7 @@ def _run(args) -> int:
             raise SolverError(
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "
                 f"saddle search (status {rep.status.value})")
-        mp = mountain_pass(cfg.lam, params, kw, grid, rep.u, opts,
-                           nodes=cfg.mp_nodes)
+        mp = mountain_pass(cfg.lam, params, kw, grid, rep.u, opts)
         print(f"status = {mp.status.value}  sup_saddle = {mp.u.sup_norm()!r}  "
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")

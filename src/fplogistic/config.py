@@ -60,7 +60,6 @@ class RunConfig:
     eigen_restarts: int = 1
     threshold_bracket_tol: float = 1e-3
     threshold_lambda_high: float | None = None
-    mp_nodes: int = 32
     output_dir: str = "out"
 
 
@@ -113,7 +112,6 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "eigen.restarts": ("eigen_restarts", _parse_int, False),
     "threshold.bracket_tol": ("threshold_bracket_tol", _parse_float, False),
     "threshold.lambda_high": ("threshold_lambda_high", _parse_optional_float, False),
-    "mp.nodes": ("mp_nodes", _parse_int, False),
     "output.dir": ("output_dir", _parse_str, False),
 }
 
@@ -189,10 +187,6 @@ def load_config(path: str | Path | None = None,
         raise ConfigError(
             f"domain.lo/domain.hi must have dim = {cfg.dim} coordinates, got "
             f"{len(cfg.domain_lo)} and {len(cfg.domain_hi)}")
-    if cfg.mp_nodes < 3:
-        raise ConfigError(
-            f"mp.nodes must be at least 3 (both segment ends and one interior "
-            f"sample), got {cfg.mp_nodes}")
     return cfg
 
 

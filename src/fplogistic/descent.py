@@ -2,9 +2,11 @@
 
 Every iterative answer of the package comes from ``descend``: the branch
 minimizers of the logistic energy (``solve.minimize``), the principal
-eigenpair (``eigen``, on the p-sphere through a retraction) and the saddle
-polish of ``solve.mountain_pass`` (on half the squared residual).  Steps are
-measured in the mass inner product of the cell measures.
+eigenpair (``eigen``, on the p-sphere, normalization as the retraction) and
+the mountain-pass saddle (``solve.mountain_pass``, the free energy on the
+energy peaks of rays, the move of a point to the peak of its ray as the
+retraction).  Steps are measured in the mass inner product of the cell
+measures.
 """
 
 from __future__ import annotations

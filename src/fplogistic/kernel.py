@@ -47,7 +47,6 @@ __all__ = [
     "exterior_weight_1d",
     "pair_weight_2d",
     "exterior_weight_2d",
-    "radial_exterior_tail",
     "assemble",
     "save_weights",
     "load_weights",
@@ -139,14 +138,6 @@ def exterior_weight_1d(cell: tuple[float, float], domain: tuple[float, float],
     left = a1(c2 - a) - a1(c1 - a)
     right = a1(b - c1) - a1(b - c2)
     return (left + right) / ps
-
-
-def radial_exterior_tail(radius: float, dim: int, ps: float) -> float:
-    """Integral of |z|^(-(dim+ps)) over the complement of a ball of the given radius."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    sigma = 2.0 if dim == 1 else 2.0 * math.pi
-    return sigma * radius ** (-ps) / ps
 
 
 # ----------------------------------------------------------------------

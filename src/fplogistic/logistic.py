@@ -5,17 +5,15 @@ F(t) = lam * (t+)^q / q - (t+)^r / r.  The free energy of a cell function is
 
     Phi(u) = E(u)/p - sum_i F(u_i) |C_i|,
 
-whose mass-gradient is Lu - f(u).  Two cellwise truncations of f around a
-positive anchor function support branch continuation and the saddle search:
-the lower truncation freezes f below the anchor (minimizers then dominate the
-anchor), the upper truncation caps the growth above the anchor (the truncated
-energy dominates Phi and regains a strict minimum at zero).
+whose mass-gradient is Lu - f(u).  For branch continuation the reaction is
+truncated cellwise around a positive anchor function: frozen at its anchor
+value below the anchor, so that minimizers of the truncated energy dominate
+the anchor.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,14 +23,12 @@ from .operator import DiscreteFunction, _apply, _energy, _check_weights
 
 __all__ = [
     "LogisticParams",
-    "TruncKind",
     "TruncatedReaction",
     "Functional",
     "reaction",
     "reaction_primitive",
     "truncated_reaction",
     "truncated_primitive",
-    "brezis_oswald_applicable",
     "phi_functional",
     "truncated_functional",
     "torsion_functional",
@@ -69,56 +65,40 @@ def reaction_primitive(lp: LogisticParams, t):
     return out if np.ndim(t) else float(out)
 
 
-class TruncKind(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
 @dataclass(eq=False)
 class TruncatedReaction:
-    """Cellwise truncation of the reaction around a strictly positive anchor."""
+    """Reaction frozen at its value on a strictly positive anchor below it."""
 
-    kind: TruncKind
     anchor: DiscreteFunction
     base: LogisticParams
+    # anchor-only terms f(a), F(a) and f(a) a, computed once
+    f_anchor: np.ndarray = field(init=False, repr=False)
+    F_anchor: np.ndarray = field(init=False, repr=False)
+    fa_anchor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not np.all(self.anchor.values > 0.0):
+        a = self.anchor.values
+        if not np.all(a > 0.0):
             raise ValueError("truncation anchor must be strictly positive on all cells")
+        self.f_anchor = reaction(self.base, a)
+        self.F_anchor = reaction_primitive(self.base, a)
+        self.fa_anchor = self.f_anchor * a
 
 
 def truncated_reaction(tr: TruncatedReaction, t) -> np.ndarray:
     """Truncated reaction evaluated cellwise; t broadcasts against the anchor."""
-    lp = tr.base
     a = tr.anchor.values
     t = np.broadcast_to(np.asarray(t, dtype=float), a.shape)
-    below = t <= a
-    if tr.kind is TruncKind.LOWER:
-        return np.where(below, reaction(lp, a), reaction(lp, t))
-    capped = lp.lam * a ** (lp.q - 1.0) - _pos_pow(t, lp.r - 1.0)
-    return np.where(below, reaction(lp, t), capped)
+    return np.where(t <= a, tr.f_anchor, reaction(tr.base, t))
 
 
 def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
     """Cellwise primitive of the truncated reaction, vanishing at t = 0."""
-    lp = tr.base
     a = tr.anchor.values
     t = np.broadcast_to(np.asarray(t, dtype=float), a.shape)
-    below = t <= a
-    if tr.kind is TruncKind.LOWER:
-        fa = reaction(lp, a)
-        low = fa * t
-        high = fa * a + reaction_primitive(lp, t) - reaction_primitive(lp, a)
-        return np.where(below, low, high)
-    cap_slope = lp.lam * a ** (lp.q - 1.0)
-    high = (reaction_primitive(lp, a) + cap_slope * (t - a)
-            - (_pos_pow(t, lp.r) - a ** lp.r) / lp.r)
-    return np.where(below, reaction_primitive(lp, t), high)
-
-
-def brezis_oswald_applicable(params) -> bool:
-    """True when f(t)/t^(p-1) is nonincreasing in t > 0, i.e. q <= p."""
-    return params.q <= params.p
+    low = tr.f_anchor * t
+    high = tr.fa_anchor + reaction_primitive(tr.base, t) - tr.F_anchor
+    return np.where(t <= a, low, high)
 
 
 @dataclass(eq=False)

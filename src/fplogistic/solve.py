@@ -1,11 +1,12 @@
 """Energy minimization, branch continuation, threshold detection, saddle search.
 
 Every solve here runs the package's one descent engine (``descent.descend``):
-``minimize`` on an energy functional, ``mountain_pass`` on half the squared
-residual.  Collapse of an iterate to the zero function is detected by a
-sup-norm threshold and reported as its own status: for the logistic energy
-the zero function is always a critical point, and below the existence
-threshold it is the only one.
+``minimize`` on an energy functional, ``mountain_pass`` on the free energy
+restricted to the energy peaks of rays t * v, the move of a point to the
+peak of its own ray serving as the retraction.  Collapse of an iterate to
+the zero function is detected by a sup-norm threshold and reported as its
+own status: for the logistic energy the zero function is always a critical
+point, and below the existence threshold it is the only one.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .descent import SolverError, Status, descend
 from .domain import Grid
 from .eigen import EigenOptions, EigenPair, principal_eigenpair
 from .kernel import KernelWeights
-from .logistic import (Functional, LogisticParams, TruncKind, TruncatedReaction,
+from .logistic import (Functional, LogisticParams, TruncatedReaction,
                        phi_functional, torsion_functional, truncated_functional)
-from .operator import DiscreteFunction, mass_dot, mass_norm
+from .operator import DiscreteFunction, _energy, mass_norm
 
 __all__ = [
     "SolverError",
@@ -180,7 +181,7 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
         u0 = initial_values(opts.initial, grid, kw, lp, opts, eigen)
         return minimize(func, DiscreteFunction(u0, grid), opts)
 
-    tr = TruncatedReaction(TruncKind.LOWER, anchor=warm, base=lp)
+    tr = TruncatedReaction(anchor=warm, base=lp)
     frozen = truncated_functional(kw, grid, tr)
     rep = minimize(frozen, warm, opts)
     polished = minimize(func, rep.u, opts)
@@ -217,9 +218,48 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
     return lambda1 * t_star ** (p - q) + t_star ** (r - q)
 
 
-def _nontrivial(rep: SolveReport, grid: Grid, opts: SolveOptions) -> bool:
+def _fiber_peak(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
+                measures: np.ndarray) -> float:
+    """Smallest t > 0 at which Phi(t v) stops rising, or nan without a peak.
+
+    Along the ray, Phi(t v) = t^p E/p - lam t^q A/q + t^r B/r with A and B
+    the q- and r-masses of v+, so d/dt Phi(t v) = t^(p-1) g(s) for
+    g(s) = E - lam A s + B s^k, s = t^(q-p), k = (r-p)/(q-p) > 1.  g is
+    convex, so Newton's method from s = 0 climbs monotonically to its first
+    zero; there is none when q <= p or when g stays nonnegative.
+    """
+    p, q, r = lp.p, lp.q, lp.r
+    if q <= p:
+        return float("nan")
+    vp = np.maximum(v, 0.0)
+    a = float((vp ** q * measures).sum())
+    b = float((vp ** r * measures).sum())
+    if b == 0.0:
+        return float("nan")
+    e = _energy(v, kw, p)
+    la = lp.lam * a
+    k = (r - p) / (q - p)
+    s_min = (la / (k * b)) ** (1.0 / (k - 1.0))
+    if e - la * s_min + b * s_min ** k >= 0.0:
+        return float("nan")
+    s = 0.0
+    for _ in range(200):
+        s_next = s + (e - la * s + b * s ** k) / (la - k * b * s ** (k - 1.0))
+        if not s_next > s:
+            break
+        s = s_next
+    return s ** (1.0 / (q - p))
+
+
+def _nontrivial(rep: SolveReport, lam: float, lp_proto, kw: KernelWeights,
+                grid: Grid, opts: SolveOptions) -> bool:
+    # a branch solution lies past the energy peak of its own ray, while a
+    # tiny converged iterate, whose residual is small only because the
+    # gradient scales like u^(p-1), has that peak far beyond t = 1
+    lp = LogisticParams(lam=lam, p=lp_proto.p, q=lp_proto.q, r=lp_proto.r)
     return (rep.status is Status.CONVERGED
-            and rep.u.sup_norm() > _collapse_threshold(grid, opts))
+            and rep.u.sup_norm() > _collapse_threshold(grid, opts)
+            and _fiber_peak(rep.u.values, kw, lp, grid.measures) < 1.0)
 
 
 def _probe(lam: float, u_start: np.ndarray, lp_proto, kw, grid, opts) -> SolveReport:
@@ -259,13 +299,13 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     if lambda_high is not None:
         lam_hi = lambda_high
         rep = cold(lam_hi)
-        if not _nontrivial(rep, grid, opts):
+        if not _nontrivial(rep, lam_hi, lp_proto, kw, grid, opts):
             raise SolverError(
                 f"no solvable starting point: lam_high = {lam_hi:.6g} collapsed")
     else:
         lam_hi = 4.0 * lam0
         rep = cold(lam_hi)
-        while not _nontrivial(rep, grid, opts):
+        while not _nontrivial(rep, lam_hi, lp_proto, kw, grid, opts):
             lam_hi *= 2.0
             if lam_hi > 1024.0 * lam0:
                 raise SolverError(
@@ -279,7 +319,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     for _ in range(400):
         lam = lam * CONTINUATION_FACTOR
         rep = _probe(lam, u_yes, lp_proto, kw, grid, opts)
-        if _nontrivial(rep, grid, opts):
+        if _nontrivial(rep, lam, lp_proto, kw, grid, opts):
             branch.append((lam, rep))
             lam_yes, u_yes = lam, rep.u.values
         else:
@@ -291,7 +331,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     while lam_yes - lam_no > bracket_tol:
         mid = 0.5 * (lam_yes + lam_no)
         rep = _probe(mid, u_yes, lp_proto, kw, grid, opts)
-        if _nontrivial(rep, grid, opts):
+        if _nontrivial(rep, mid, lp_proto, kw, grid, opts):
             branch.append((mid, rep))
             lam_yes, u_yes = mid, rep.u.values
         else:
@@ -315,57 +355,35 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
 
 
 def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
-                  u_lam: DiscreteFunction, opts: SolveOptions | None = None,
-                  *, nodes: int = 32) -> SolveReport:
+                  u_lam: DiscreteFunction,
+                  opts: SolveOptions | None = None) -> SolveReport:
     """Search for the second solution between zero and the branch solution.
 
-    The reaction is capped above the known solution, which makes zero a
-    strict local minimum while keeping every critical point below the known
-    solution.  The truncated energy is sampled at ``nodes`` points t * u_lam
-    of the segment from zero to the solution; when no interior sample rises
-    above both ends there is no barrier and the search reports NOT_FOUND.
-    Otherwise the maximal sample starts a descent on the squared residual,
-    which ends at the saddle; ``iterations`` counts its steps.
+    Along each ray t * v the free energy rises to one peak and then falls
+    when q > p; the mountain-pass solution is the lowest such peak.  The
+    search descends Phi from the peak of the ray through u_lam, moving every
+    trial point to the peak of its own ray, and stops once the residual
+    |grad Phi| is at most ``residual_tol``.  When that first peak is missing
+    or does not lie before u_lam there is no barrier between zero and u_lam,
+    and the search reports NOT_FOUND at once with the zero function.
     """
-    if nodes < 3:
-        raise ValueError(f"nodes must be at least 3, got {nodes}")
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
-    tr = TruncatedReaction(TruncKind.UPPER, anchor=u_lam, base=lp)
-    func = truncated_functional(kw, grid, tr)
+    func = phi_functional(kw, grid, lp)
     meas = grid.measures
 
-    ts = np.linspace(0.0, 1.0, nodes)
-    energies = [func.energy(t * u_lam.values) for t in ts]
-    e_ends = max(energies[0], energies[-1])
-    k = 1 + int(np.argmax(energies[1:-1]))
-    u = ts[k] * u_lam.values
-    if energies[k] <= e_ends + 1e-12 * max(1.0, abs(e_ends)):
-        return SolveReport(u=DiscreteFunction(u, grid), energy=energies[k],
-                           residual=float("nan"), iterations=0,
+    t0 = _fiber_peak(u_lam.values, kw, lp, meas)
+    if not t0 < 1.0:
+        return SolveReport(u=DiscreteFunction(np.zeros(grid.ncells), grid),
+                           energy=0.0, residual=float("nan"), iterations=0,
                            status=Status.NOT_FOUND)
-
-    # polish: descend Psi(u) = 0.5 |grad Phi(u)|^2, whose gradient is the
-    # curvature of Phi acting on grad Phi, taken by a central difference
-    last_grad = [None]
-
-    def psi(v: np.ndarray) -> float:
-        last_grad[0] = func.gradient(v)
-        return 0.5 * mass_dot(last_grad[0], last_grad[0], meas)
-
-    def curvature(v: np.ndarray) -> np.ndarray:
-        # the engine asks for this where it last evaluated Psi
-        g = last_grad[0]
-        eps = 1e-6 * (1.0 + np.abs(v).max()) / max(mass_norm(g, meas), 1e-300)
-        return (func.gradient(v + eps * g) - func.gradient(v - eps * g)) / (2.0 * eps)
-
-    u, _, _, it, _ = descend(psi, curvature, u, meas, opts.residual_tol,
-                             opts.max_iters)
+    u, _, _, it, _ = descend(
+        func.energy, func.gradient, t0 * u_lam.values, meas, opts.residual_tol,
+        opts.max_iters, retract=lambda v: _fiber_peak(v, kw, lp, meas) * v)
 
     v = np.minimum(np.maximum(u, 0.0), u_lam.values)
-    func_plain = phi_functional(kw, grid, lp)
-    res = mass_norm(func_plain.gradient(v), meas)
-    energy = func_plain.energy(v)
+    res = mass_norm(func.gradient(v), meas)
+    energy = func.energy(v)
     status = Status.CONVERGED if res <= opts.residual_tol else Status.MAX_ITERS
     gap_zero = float(np.abs(v).max())
     gap_top = float(np.abs(u_lam.values - v).max())

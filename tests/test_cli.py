@@ -188,12 +188,28 @@ def test_mountain_pass_not_found_in_sub(sub_cfg, tmp_path, capsys):
 @pytest.mark.parametrize("nodes", [2, 1, 0, -1])
 def test_mountain_pass_too_few_nodes_exits_one(super_cfg, tmp_path, capsys,
                                                nodes):
+    # the saddle search no longer samples the segment, so mp.nodes is gone:
+    # a config that still sets it exits 1 on the unknown key, in one line
     code = main(["mountain-pass", "--config", str(super_cfg),
                  "--set", f"mp.nodes={nodes}", "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "mp.nodes" in err
+    assert "unknown key" in err
+
+
+def test_threshold_p3_collapses_past_the_fold(tmp_path, capsys):
+    # past the fold the warm descent stalls at a tiny iterate whose absolute
+    # residual is already below tolerance; it must not count as solvable
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text(SUB_CFG.replace("s = 0.4", "s = 0.3")
+                   .replace("p = 2.0", "p = 3.0").replace("q = 1.5", "q = 4.0")
+                   .replace("r = 3.0", "r = 5.0").replace("n = 16", "n = 32"))
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["results"]["lambda_star_h"] >= doc["results"]["lambda_0"]
 
 
 def test_2d_ps_at_least_one_exits_one(tmp_path, capsys):

@@ -12,8 +12,7 @@ from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
                                assemble, exterior_weight_1d,
                                exterior_weight_2d, load_weights,
-                               pair_weight_1d, pair_weight_2d,
-                               radial_exterior_tail, save_weights)
+                               pair_weight_1d, pair_weight_2d, save_weights)
 
 from oracles import (exit_distance, mc_exterior_2d, oracle_exterior_1d,
                      oracle_exterior_2d, oracle_pair_1d, oracle_pair_2d)
@@ -195,15 +194,6 @@ def test_exterior_weight_2d_separated_matches_importance_mc():
     v = exterior_weight_2d(cell, dom, ps, rel_tol=1e-9)
     est, se = mc_exterior_2d(cell, dom, ps, 400_000, seed=11)
     assert abs(v - est) <= 3.0 * se
-
-
-def test_radial_exterior_tail_matches_quadrature():
-    for dim, sigma in ((1, 2.0), (2, 2.0 * math.pi)):
-        for ps in (0.4, 0.8, 1.3):
-            ref, _ = quad(lambda rr: sigma * rr ** (-1.0 - ps), 0.7, np.inf,
-                          epsabs=1e-13, epsrel=1e-12)
-            assert radial_exterior_tail(0.7, dim, ps) == pytest.approx(
-                ref, rel=1e-10)
 
 
 def test_assemble_2d_matches_direct_weights(params2d):

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fplogistic.logistic import (LogisticParams, TruncKind,
-                                 TruncatedReaction, brezis_oswald_applicable,
+from fplogistic.logistic import (LogisticParams, TruncatedReaction,
                                  phi_functional, reaction, reaction_primitive,
                                  torsion_functional, truncated_functional,
                                  truncated_primitive, truncated_reaction)
@@ -57,7 +56,7 @@ def test_phi_gradient_matches_finite_differences(grid32, kw32, rng, lp):
 
 
 def test_functional_builders_check_the_weights(grid32, kw2d, lp, anchor):
-    tr = TruncatedReaction(TruncKind.UPPER, anchor, lp)
+    tr = TruncatedReaction(anchor, lp)
     for build in (lambda: phi_functional(kw2d, grid32, lp),
                   lambda: truncated_functional(kw2d, grid32, tr),
                   lambda: torsion_functional(kw2d, grid32, 2.0)):
@@ -68,7 +67,7 @@ def test_functional_builders_check_the_weights(grid32, kw2d, lp, anchor):
 def test_truncation_requires_positive_anchor(grid32, lp):
     anchor = DiscreteFunction(np.zeros(grid32.ncells), grid32)
     with pytest.raises(ValueError, match="positive"):
-        TruncatedReaction(TruncKind.LOWER, anchor, lp)
+        TruncatedReaction(anchor, lp)
 
 
 @pytest.fixture()
@@ -77,7 +76,7 @@ def anchor(grid32, rng):
 
 
 def test_lower_truncation_freezes_below_anchor(grid32, anchor, lp):
-    tr = TruncatedReaction(TruncKind.LOWER, anchor, lp)
+    tr = TruncatedReaction(anchor, lp)
     a = anchor.values
     low = truncated_reaction(tr, 0.25 * a)
     assert low == pytest.approx(reaction(lp, a), rel=1e-14)
@@ -87,25 +86,8 @@ def test_lower_truncation_freezes_below_anchor(grid32, anchor, lp):
     assert at == pytest.approx(reaction(lp, a), rel=1e-14)
 
 
-def test_upper_truncation_caps_above_anchor(grid32, anchor, lp):
-    tr = TruncatedReaction(TruncKind.UPPER, anchor, lp)
-    a = anchor.values
-    low = truncated_reaction(tr, 0.25 * a)
-    assert low == pytest.approx(reaction(lp, 0.25 * a), rel=1e-14)
-    t = 2.0 * a
-    high = truncated_reaction(tr, t)
-    cap = lp.lam * a ** (lp.q - 1.0) - t ** (lp.r - 1.0)
-    assert high == pytest.approx(cap, rel=1e-13, abs=1e-13)
-    # the cap never exceeds the untruncated reaction above the anchor
-    assert np.all(high <= reaction(lp, t) + 1e-14)
-    at = truncated_reaction(tr, a)
-    assert at == pytest.approx(reaction(lp, a), rel=1e-13, abs=1e-13)
-
-
-@pytest.mark.parametrize("kind", [TruncKind.LOWER, TruncKind.UPPER])
-def test_truncated_primitive_differentiates_to_reaction(grid32, anchor, lp,
-                                                        kind):
-    tr = TruncatedReaction(kind, anchor, lp)
+def test_truncated_primitive_differentiates_to_reaction(grid32, anchor, lp):
+    tr = TruncatedReaction(anchor, lp)
     eps = 1e-6
     for factor in (0.3, 0.96, 1.04, 1.8):
         t = factor * anchor.values
@@ -115,9 +97,8 @@ def test_truncated_primitive_differentiates_to_reaction(grid32, anchor, lp,
                                    abs=1e-7)
 
 
-@pytest.mark.parametrize("kind", [TruncKind.LOWER, TruncKind.UPPER])
-def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp, kind):
-    tr = TruncatedReaction(kind, anchor, lp)
+def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp):
+    tr = TruncatedReaction(anchor, lp)
     a = anchor.values
     eps = 1e-9
     below = truncated_primitive(tr, a - eps)
@@ -125,20 +106,9 @@ def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp, kind):
     assert above == pytest.approx(below, rel=1e-7, abs=1e-8)
 
 
-def test_upper_truncated_energy_dominates_phi(grid32, kw32, anchor, lp, rng):
-    # capping the growth only lowers the primitive, raising the energy
-    tr = TruncatedReaction(TruncKind.UPPER, anchor, lp)
-    trunc = truncated_functional(kw32, grid32, tr).energy
-    phi = phi_functional(kw32, grid32, lp).energy
-    for _ in range(5):
-        v = rng.uniform(0.0, 2.0, grid32.ncells)
-        assert trunc(v) >= phi(v) - 1e-12
-
-
-@pytest.mark.parametrize("kind", [TruncKind.LOWER, TruncKind.UPPER])
 def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
-                                                       lp, rng, kind):
-    tr = TruncatedReaction(kind, anchor, lp)
+                                                       lp, rng):
+    tr = TruncatedReaction(anchor, lp)
     f = truncated_functional(kw32, grid32, tr)
     v = rng.uniform(0.0, 1.6, grid32.ncells)
     g = f.gradient(v)
@@ -150,12 +120,6 @@ def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
         fd = (f.energy(vp) - f.energy(vm)) / (2.0 * eps)
         assert g[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-4,
                                                           abs=1e-8)
-
-
-def test_brezis_oswald_applicability(sub_params, equi_params, super_params):
-    assert brezis_oswald_applicable(sub_params)
-    assert brezis_oswald_applicable(equi_params)
-    assert not brezis_oswald_applicable(super_params)
 
 
 def test_torsion_functional_gradient(grid32, kw32, rng):

@@ -7,9 +7,10 @@ from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
-from fplogistic.operator import DiscreteFunction, apply_operator, mass_norm
+from fplogistic.operator import (DiscreteFunction, _energy, apply_operator,
+                                 mass_dot, mass_norm)
 from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
-                              detect_threshold, initial_values,
+                              _fiber_peak, detect_threshold, initial_values,
                               lower_bound_lambda0, minimize, mountain_pass,
                               solve_branch_point, torsion_solve)
 
@@ -207,7 +208,7 @@ def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params,
 
 def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
                                      super_branch16):
-    # the polish stops at the cap and hands back its best iterate, clipped
+    # the search stops at the cap and hands back its best iterate, clipped
     lam, big = super_branch16
     opts = SolveOptions(max_iters=5)
     rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u, opts)
@@ -216,15 +217,6 @@ def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
     assert rep.residual > opts.residual_tol
     assert np.all(rep.u.values >= 0.0)
     assert np.all(rep.u.values <= big.u.values)
-
-
-def test_mountain_pass_too_few_nodes_raises(grid16, kw16_super, super_params,
-                                            super_branch16):
-    # the segment needs an interior sample between its two ends
-    lam, big = super_branch16
-    with pytest.raises(ValueError, match="nodes must be at least 3, got 2"):
-        mountain_pass(lam, super_params, kw16_super, grid16, big.u,
-                      SolveOptions(), nodes=2)
 
 
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
@@ -251,8 +243,8 @@ def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
 
 def test_mountain_pass_not_found_without_barrier(grid32, kw32, sub_params,
                                                  eig32):
-    # in the sublinear regime zero is not a separated local minimum, so no
-    # sample of the segment from zero to the solution rises above its ends
+    # in the sublinear regime zero is not a separated local minimum: the
+    # ray through the solution has no energy peak before it
     rep = solve_branch_point(1.0, None, sub_params, kw32, grid32,
                              SolveOptions(), eigen=eig32)
     mp = mountain_pass(1.0, sub_params, kw32, grid32, rep.u, SolveOptions())
@@ -270,3 +262,39 @@ def test_torsion_solve(grid32, kw32):
 def test_torsion_solve_raises_on_cap(grid32, kw32):
     with pytest.raises(SolverError, match="torsion"):
         torsion_solve(kw32, grid32, 2.0, SolveOptions(max_iters=1))
+
+
+def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
+    # kw32 depends on s and p only, so it serves the superlinear reaction
+    lp = LogisticParams(lam=40.0, p=2.0, q=3.0, r=4.0)
+    phi = phi_functional(kw32, grid32, lp)
+    meas = grid32.measures
+    v = rng.uniform(0.1, 1.0, grid32.ncells)
+    t = _fiber_peak(v, kw32, lp, meas)
+    assert 0.0 < t
+    u = t * v
+    assert abs(mass_dot(phi.gradient(u), u, meas)) <= 1e-12 * _energy(u, kw32, 2.0)
+    assert phi.energy(u) >= phi.energy((1.0 + 1e-3) * u)
+    assert phi.energy(u) >= phi.energy((1.0 - 1e-3) * u)
+    # no peak when the reaction does not outgrow the diffusion, or when
+    # the intensity is too weak for the energy to turn down along the ray
+    assert np.isnan(_fiber_peak(v, kw32, LogisticParams(lam=40.0, p=2.0, q=1.5,
+                                                        r=3.0), meas))
+    assert np.isnan(_fiber_peak(v, kw32, LogisticParams(lam=1.0, p=2.0, q=3.0,
+                                                        r=4.0), meas))
+
+
+def test_mountain_pass_barrier_near_zero(grid64):
+    # the barrier lies at t = 0.0072 along the ray through the branch
+    # solution, below any fixed sampling of the segment from zero to it
+    params = validate_params(1, 0.3, 3.0, 4.0, 5.0)
+    kw = assemble(grid64, params)
+    lam = 60.0
+    big = solve_branch_point(lam, None, params, kw, grid64, SolveOptions())
+    assert big.status is Status.CONVERGED
+    rep = mountain_pass(lam, params, kw, grid64, big.u, SolveOptions())
+    assert rep.status is Status.CONVERGED
+    v = rep.u.values
+    assert 0.0 < rep.u.sup_norm() and np.all(v >= 0.0)
+    assert np.all(v <= big.u.values)
+    _assert_mountain_pass_level(rep, big, params, kw, grid64, lam)
