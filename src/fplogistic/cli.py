@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, RunConfig, config_dict, load_config,
-                     to_problem, write_branch_csv, write_report,
-                     write_solution_csv)
+                     positive_float, to_problem, write_branch_csv,
+                     write_report, write_solution_csv)
 from .domain import GridError, ParamError, classify_regime
 from .eigen import EigenError, EigenOptions, principal_eigenpair
 from .kernel import KernelError, assemble, load_weights, save_weights
@@ -86,6 +86,13 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+def _parse_list(raw: str, flag: str, parse) -> list:
+    try:
+        return [parse(part) for part in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: bad value {raw!r} ({exc})") from exc
+
+
 def _get_weights(args, grid, params):
     cache = args.weights_cache
     if cache is not None and cache.exists():
@@ -120,6 +127,9 @@ def _run(args) -> int:
 
     if command == "refine":
         return _run_refine(args, cfg, params, opts, outdir)
+    if command == "threshold" and params.q <= params.p:
+        raise ConfigError(f"threshold needs q > p, got q = {params.q}, "
+                          f"p = {params.p}")
 
     kw = _get_weights(args, grid, params)
 
@@ -167,7 +177,7 @@ def _run(args) -> int:
 
     if command == "sweep":
         if args.lams is not None:
-            lams = sorted(float(part) for part in args.lams.split(","))
+            lams = sorted(_parse_list(args.lams, "--lams", positive_float))
         else:
             lams = sorted(cfg.lam * 2.0 ** (-k) for k in range(7))
         points = []
@@ -298,7 +308,7 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
 
     from .domain import Regime
 
-    ns = [int(part) for part in args.ns.split(",")]
+    ns = _parse_list(args.ns, "--ns", int)
     is_super = classify_regime(params) is Regime.SUPER
     rows = []
     for n in ns:

@@ -25,6 +25,7 @@ __all__ = [
     "RunConfig",
     "SCHEMA_VERSION",
     "load_config",
+    "positive_float",
     "emit_config",
     "config_dict",
     "to_problem",
@@ -63,24 +64,32 @@ class RunConfig:
     output_dir: str = "out"
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw)
+def positive_float(raw: str) -> float:
+    value = float(raw)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw)
+def _parse_optional_positive_float(raw: str) -> float | None:
+    return None if raw == "" else positive_float(raw)
 
 
-def _parse_optional_float(raw: str) -> float | None:
-    return None if raw == "" else float(raw)
+def _parse_seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("must be nonnegative")
+    return value
+
+
+def _parse_initial(raw: str) -> str:
+    if raw not in ("eigen", "random"):
+        raise ValueError("must be eigen or random")
+    return raw
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
-
-
-def _parse_str(raw: str) -> str:
-    return raw
 
 
 def _fmt(value) -> str:
@@ -95,24 +104,25 @@ def _fmt(value) -> str:
 
 # key name in file -> (attribute, parser, required)
 _KEYS: dict[str, tuple[str, object, bool]] = {
-    "dim": ("dim", _parse_int, True),
-    "s": ("s", _parse_float, True),
-    "p": ("p", _parse_float, True),
-    "q": ("q", _parse_float, True),
-    "r": ("r", _parse_float, True),
-    "lam": ("lam", _parse_float, True),
-    "n": ("n", _parse_int, True),
+    "dim": ("dim", int, True),
+    "s": ("s", float, True),
+    "p": ("p", float, True),
+    "q": ("q", float, True),
+    "r": ("r", float, True),
+    "lam": ("lam", positive_float, True),
+    "n": ("n", int, True),
     "domain.lo": ("domain_lo", _parse_floats, True),
     "domain.hi": ("domain_hi", _parse_floats, True),
-    "solver.residual_tol": ("solver_residual_tol", _parse_float, False),
-    "solver.max_iters": ("solver_max_iters", _parse_int, False),
-    "solver.seed": ("solver_seed", _parse_int, False),
-    "solver.initial": ("solver_initial", _parse_str, False),
-    "solver.collapse_tol": ("solver_collapse_tol", _parse_float, False),
-    "eigen.restarts": ("eigen_restarts", _parse_int, False),
-    "threshold.bracket_tol": ("threshold_bracket_tol", _parse_float, False),
-    "threshold.lambda_high": ("threshold_lambda_high", _parse_optional_float, False),
-    "output.dir": ("output_dir", _parse_str, False),
+    "solver.residual_tol": ("solver_residual_tol", float, False),
+    "solver.max_iters": ("solver_max_iters", int, False),
+    "solver.seed": ("solver_seed", _parse_seed, False),
+    "solver.initial": ("solver_initial", _parse_initial, False),
+    "solver.collapse_tol": ("solver_collapse_tol", float, False),
+    "eigen.restarts": ("eigen_restarts", int, False),
+    "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
+    "threshold.lambda_high": ("threshold_lambda_high",
+                              _parse_optional_positive_float, False),
+    "output.dir": ("output_dir", str, False),
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _KEYS.items()}

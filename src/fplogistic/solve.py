@@ -7,6 +7,9 @@ peak of its own ray serving as the retraction.  Collapse of an iterate to
 the zero function is detected by a sup-norm threshold and reported as its
 own status: for the logistic energy the zero function is always a critical
 point, and below the existence threshold it is the only one.
+``detect_threshold`` finds that threshold in one walk down the branch:
+warm-started probes at geometrically falling intensities until the first
+collapse, then bisection of the bracket.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class SolveOptions:
     residual_tol: float = 1e-8
     max_iters: int = 50_000
     seed: int = 0
-    initial: str = "eigen"          # zero | eigen | random
+    initial: str = "eigen"          # eigen | random
     collapse_tol: float = 1e-6      # times the domain diameter
     distinct_tol: float = 1e-6
 
@@ -137,14 +140,14 @@ def torsion_solve(kw: KernelWeights, grid: Grid, p: float,
 def initial_values(kind: str, grid: Grid, kw: KernelWeights,
                    lp: LogisticParams, opts: SolveOptions,
                    eigen: EigenPair | None = None) -> np.ndarray:
-    """Build a starting iterate: zero, seeded random, or a scan along u1.
+    """Build a starting iterate: seeded random, or a scan along u1.
 
     The eigen start evaluates the free energy along tau * u1 over a log grid
-    of amplitudes and returns the best one, which lands the descent in the
-    nontrivial basin whenever the energy dips below zero along that ray.
+    of amplitudes, with Phi(0) = 0 in front, and returns the last sampled
+    local minimum, which lands the descent in the nontrivial basin even
+    where that minimum has positive energy.  Without one it returns the
+    origin, from which the solve collapses cleanly.
     """
-    if kind == "zero":
-        return np.zeros(grid.ncells)
     if kind == "random":
         rng = np.random.default_rng(opts.seed)
         return rng.uniform(0.1, 1.0, size=grid.ncells)
@@ -154,12 +157,11 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
         base = eigen.u1.values
         energy = phi_functional(kw, grid, lp).energy
         taus = np.geomspace(1e-6, 1e4, 101)
-        vals = np.array([energy(t * base) for t in taus])
-        if vals.min() >= 0.0:
-            # no negative dip along the ray: the zero basin is the only
-            # one visible from here, so collapse cleanly from the origin
+        vals = np.array([0.0] + [energy(t * base) for t in taus])
+        dips = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))
+        if dips.size == 0:
             return np.zeros(grid.ncells)
-        return taus[int(np.argmin(vals))] * base
+        return taus[dips[-1]] * base
     raise ValueError(f"unknown initial guess kind: {kind}")
 
 
@@ -251,106 +253,76 @@ def _fiber_peak(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
     return s ** (1.0 / (q - p))
 
 
-def _nontrivial(rep: SolveReport, lam: float, lp_proto, kw: KernelWeights,
-                grid: Grid, opts: SolveOptions) -> bool:
-    # a branch solution lies past the energy peak of its own ray, while a
-    # tiny converged iterate, whose residual is small only because the
-    # gradient scales like u^(p-1), has that peak far beyond t = 1
-    lp = LogisticParams(lam=lam, p=lp_proto.p, q=lp_proto.q, r=lp_proto.r)
-    return (rep.status is Status.CONVERGED
-            and rep.u.sup_norm() > _collapse_threshold(grid, opts)
-            and _fiber_peak(rep.u.values, kw, lp, grid.measures) < 1.0)
-
-
-def _probe(lam: float, u_start: np.ndarray, lp_proto, kw, grid, opts) -> SolveReport:
-    lp = LogisticParams(lam=lam, p=lp_proto.p, q=lp_proto.q, r=lp_proto.r)
-    func = phi_functional(kw, grid, lp)
-    rep = minimize(func, DiscreteFunction(u_start, grid), opts)
-    if rep.status is Status.MAX_ITERS:
-        raise SolverError(
-            f"threshold probe at lam = {lam:.6g} hit the iteration cap "
-            f"(residual {rep.residual:.3e}); raise max_iters")
-    return rep
-
-
 def detect_threshold(params, kw: KernelWeights, grid: Grid,
                      opts: SolveOptions | None = None,
                      bracket_tol: float = 1e-3,
                      lambda_high: float | None = None,
                      eigen: EigenPair | None = None) -> ThresholdReport:
-    """Locate the smallest solvable intensity by continuation plus bisection.
+    """Locate the smallest solvable intensity in one walk down the branch.
 
-    Starting from a solvable high intensity, the branch is continued downward
-    with warm starts until the iterate collapses, then the bracket is
-    bisected.  The result is checked against the analytic lower bound.
+    Each probe descends the free energy from the last solvable solution and
+    is solvable when it converges past the energy peak of its own ray; a
+    tiny converged iterate has that peak far beyond t = 1.  From a solvable
+    high intensity the walk scales lam by ``CONTINUATION_FACTOR`` until the
+    first collapse, then bisects the bracket down to ``bracket_tol``.  A
+    solvable probe below the analytic lower bound raises at once, so the
+    walk ends.
     """
     opts = opts or SolveOptions()
     if eigen is None:
         eigen = principal_eigenpair(kw, grid, params.p, EigenOptions(seed=opts.seed))
     lam0 = lower_bound_lambda0(params, eigen.lambda1)
-    lp_proto = LogisticParams(lam=1.0, p=params.p, q=params.q, r=params.r)
 
-    def cold(lam: float) -> SolveReport:
+    def probe(lam: float, u_start: np.ndarray | None) -> SolveReport | None:
         lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
-        u0 = initial_values("eigen", grid, kw, lp, opts, eigen)
-        return _probe(lam, u0, lp_proto, kw, grid, opts)
-
-    branch: list[tuple[float, SolveReport]] = []
-    if lambda_high is not None:
-        lam_hi = lambda_high
-        rep = cold(lam_hi)
-        if not _nontrivial(rep, lam_hi, lp_proto, kw, grid, opts):
+        if u_start is None:
+            u_start = initial_values("eigen", grid, kw, lp, opts, eigen)
+        rep = minimize(phi_functional(kw, grid, lp),
+                       DiscreteFunction(u_start, grid), opts)
+        if rep.status is Status.MAX_ITERS:
             raise SolverError(
-                f"no solvable starting point: lam_high = {lam_hi:.6g} collapsed")
-    else:
-        lam_hi = 4.0 * lam0
-        rep = cold(lam_hi)
-        while not _nontrivial(rep, lam_hi, lp_proto, kw, grid, opts):
-            lam_hi *= 2.0
-            if lam_hi > 1024.0 * lam0:
-                raise SolverError(
-                    "no solvable starting point found; pass lambda_high explicitly")
-            rep = cold(lam_hi)
-    branch.append((lam_hi, rep))
+                f"threshold probe at lam = {lam:.6g} hit the iteration cap "
+                f"(residual {rep.residual:.3e}); raise max_iters")
+        if not (rep.status is Status.CONVERGED
+                and _fiber_peak(rep.u.values, kw, lp, grid.measures) < 1.0):
+            return None
+        if lam < lam0 * (1.0 - 1e-9):
+            raise SolverError(
+                f"threshold {lam:.6g} fell below the analytic bound {lam0:.6g}")
+        return rep
 
-    lam_yes, u_yes = lam_hi, rep.u.values
+    lam = 4.0 * lam0 if lambda_high is None else lambda_high
+    rep = probe(lam, None)
+    while rep is None:
+        if lambda_high is not None:
+            raise SolverError(
+                f"no solvable starting point: lam_high = {lam:.6g} collapsed")
+        lam *= 2.0
+        if lam > 1024.0 * lam0:
+            raise SolverError(
+                "no solvable starting point found; pass lambda_high explicitly")
+        rep = probe(lam, None)
+
+    walk = [(lam, rep)]  # the solvable probes, lam strictly decreasing
     lam_no = None
-    lam = lam_hi
-    for _ in range(400):
-        lam = lam * CONTINUATION_FACTOR
-        rep = _probe(lam, u_yes, lp_proto, kw, grid, opts)
-        if _nontrivial(rep, lam, lp_proto, kw, grid, opts):
-            branch.append((lam, rep))
-            lam_yes, u_yes = lam, rep.u.values
-        else:
+    while lam_no is None or walk[-1][0] - lam_no > bracket_tol:
+        lam_yes, rep_yes = walk[-1]
+        lam = (CONTINUATION_FACTOR * lam_yes if lam_no is None
+               else 0.5 * (lam_yes + lam_no))
+        rep = probe(lam, rep_yes.u.values)
+        if rep is None:
             lam_no = lam
-            break
-    if lam_no is None:
-        raise SolverError("continuation never collapsed; lower bound violated")
-
-    while lam_yes - lam_no > bracket_tol:
-        mid = 0.5 * (lam_yes + lam_no)
-        rep = _probe(mid, u_yes, lp_proto, kw, grid, opts)
-        if _nontrivial(rep, mid, lp_proto, kw, grid, opts):
-            branch.append((mid, rep))
-            lam_yes, u_yes = mid, rep.u.values
         else:
-            lam_no = mid
+            walk.append((lam, rep))
 
-    if lam_yes < lam0 * (1.0 - 1e-9):
-        raise SolverError(
-            f"threshold {lam_yes:.6g} fell below the analytic bound {lam0:.6g}")
-
-    branch.sort(key=lambda t: t[0])
-    points = [BranchPoint(lam=l, sup_norm=r.u.sup_norm(), energy=r.energy,
-                          status=r.status.value) for l, r in branch]
-    u_star = next(r.u for l, r in branch if l == lam_yes)
+    lam_star, rep_star = walk[-1]
     return ThresholdReport(
-        lambda_star_h=lam_yes,
+        lambda_star_h=lam_star,
         lambda_0=lam0,
-        bracket_width=lam_yes - lam_no,
-        u_star=u_star,
-        branch=points,
+        bracket_width=lam_star - lam_no,
+        u_star=rep_star.u,
+        branch=[BranchPoint(lam=l, sup_norm=r.u.sup_norm(), energy=r.energy,
+                            status=r.status.value) for l, r in reversed(walk)],
     )
 
 

@@ -91,11 +91,11 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
     """Certify absence of solutions at or below the eigenvalue (q = p).
 
     Runs ``trials`` descents from seeded random positive starts; every one
-    must collapse.  Each returned iterate u is also certified through the
-    coercive identity, whose left side
-    (lambda1 - lam) |u|_p^p + |u|_r^r is nonnegative for lam <= lambda1 and
-    bounded by the gradient pairing, so it can vanish only at u = 0.
-    Outside the q = p or lam <= lambda1 range the result is None.
+    must stop, collapsed or converged, before the iteration cap.  Each
+    returned iterate u is certified through the coercive identity, whose
+    left side (lambda1 - lam) |u|_p^p + |u|_r^r is nonnegative for
+    lam <= lambda1 and at most res * |u|, so it also bounds a converged
+    iterate.  Outside the q = p or lam <= lambda1 range the result is None.
     """
     from .solve import SolveOptions, Status, minimize
 
@@ -113,7 +113,7 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
     meas = grid.measures
-    sups, coercives, residuals = [], [], []
+    sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
     for k in range(trials):
         rng = np.random.default_rng(opts.seed + k)
@@ -127,13 +127,15 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
         sups.append(u.sup_norm())
         coercives.append(lhs)
         residuals.append(res)
-        if rep.status is not Status.COLLAPSED or lhs > slack:
+        statuses.append(rep.status.value)
+        if rep.status is Status.MAX_ITERS or lhs > slack:
             all_ok = False
     return CheckResult(
         name="nonexistence_below_eigenvalue",
         passed=bool(all_ok),
         witness={"sup_norms": sups, "coercive_parts": coercives,
-                 "residuals": residuals, "lambda1": lambda1},
+                 "residuals": residuals, "statuses": statuses,
+                 "lambda1": lambda1},
         thresholds={"residual_tol": opts.residual_tol, "trials": trials},
     )
 

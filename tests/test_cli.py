@@ -23,6 +23,10 @@ domain.hi = 1.0
 
 SUPER_CFG = SUB_CFG.replace("q = 1.5", "q = 3.0").replace("r = 3.0", "r = 4.0")
 
+P3_CFG = (SUB_CFG.replace("s = 0.4", "s = 0.3").replace("p = 2.0", "p = 3.0")
+          .replace("q = 1.5", "q = 4.0").replace("r = 3.0", "r = 5.0")
+          .replace("n = 16", "n = 32"))
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -203,13 +207,63 @@ def test_threshold_p3_collapses_past_the_fold(tmp_path, capsys):
     # past the fold the warm descent stalls at a tiny iterate whose absolute
     # residual is already below tolerance; it must not count as solvable
     cfg = tmp_path / "p3.cfg"
-    cfg.write_text(SUB_CFG.replace("s = 0.4", "s = 0.3")
-                   .replace("p = 2.0", "p = 3.0").replace("q = 1.5", "q = 4.0")
-                   .replace("r = 3.0", "r = 5.0").replace("n = 16", "n = 32"))
+    cfg.write_text(P3_CFG)
     out = tmp_path / "out"
     assert main(["threshold", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["results"]["lambda_star_h"] >= doc["results"]["lambda_0"]
+
+
+def test_verify_all_p3_certifies_equi_nonexistence(tmp_path, capsys):
+    # for p = 3 the equi trials stop converged at sup ~1e-4, where the
+    # gradient, which scales like u^(p-1), is already below tolerance; the
+    # coercive certificate bounds them, so the check passes
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text(P3_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--regime", "all",
+                 "--out", str(out)]) == 0
+    assert "equi/nonexistence_below_eigenvalue: PASS" in capsys.readouterr().out
+
+
+def test_solve_between_threshold_and_zero_energy_crossing(tmp_path, capsys):
+    # lambda*_h = 7.543 here; at lam = 8 the free energy along the
+    # eigenfunction ray has a local minimum past its peak, but a positive
+    # one, and the eigen start must still pick it up
+    cfg = tmp_path / "super64.cfg"
+    cfg.write_text(SUPER_CFG.replace("n = 16", "n = 64")
+                   .replace("lam = 1.0", "lam = 8.0"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["results"]["status"] == "converged"
+    assert doc["results"]["sup_norm"] > 1.0
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["threshold"], "q = 1.5, p = 2.0"),
+    (["sweep", "--lams", "abc"], "--lams"),
+    (["sweep", "--lams", "1,,2"], "--lams"),
+    (["sweep", "--lams=-1,2"], "--lams"),
+    (["refine", "--ns", "4,x"], "--ns"),
+    (["solve", "--set", "lam=-1"], "lam"),
+    (["solve", "--set", "solver.initial=bogus"], "solver.initial"),
+    (["solve", "--set", "solver.initial=zero"], "solver.initial"),
+    (["solve", "--set", "solver.seed=-1"], "solver.seed"),
+    (["solve", "--set", "threshold.bracket_tol=0"], "bracket_tol"),
+    (["solve", "--set", "threshold.lambda_high=-1"], "lambda_high"),
+], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
+        "ns_text", "lam_negative", "initial_bogus", "initial_zero",
+        "seed_negative", "bracket_tol_zero", "lambda_high_negative"])
+def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
+                                         needle):
+    code = main([*argv, "--config", str(sub_cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert needle in err
 
 
 def test_2d_ps_at_least_one_exits_one(tmp_path, capsys):

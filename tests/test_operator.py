@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fplogistic.domain import DomainSpec, build_grid
+from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import assemble
 from fplogistic.operator import (DiscreteFunction, GridMismatchError,
                                  apply_operator, gagliardo_energy, lp_norm,
@@ -128,3 +130,29 @@ def test_pairing_identity_2d(grid2d, kw2d, rng):
     lu = apply_operator(u, kw2d, 2.0)
     assert mass_dot(lu.values, u.values, grid2d.measures) == pytest.approx(
         gagliardo_energy(u, kw2d, 2.0), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(2.0, 4.0), data=st.data(), n=st.integers(2, 48),
+       c=st.floats(0.25, 4.0), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_discrete_identities_for_random_1d_parameters(p, data, n, c, flip,
+                                                      seed):
+    # 1D cells need ps < 1, so s is drawn below 1/p
+    s = data.draw(st.floats(0.05, min(0.95, 0.999 / p)), label="s")
+    params = validate_params(1, s, p, 1.5, p)
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    kw = assemble(grid, params)
+    assert np.array_equal(kw.W, kw.W.T)
+    assert kw.W.min() >= 0.0
+    assert np.all(np.diag(kw.W) == 0.0)
+
+    u = DiscreteFunction(np.random.default_rng(seed).uniform(-1.0, 1.0, n),
+                         grid)
+    e = gagliardo_energy(u, kw, p)
+    pairing = mass_dot(apply_operator(u, kw, p).values, u.values,
+                       grid.measures)
+    assert pairing == pytest.approx(e, rel=1e-10)
+    c = -c if flip else c
+    assert gagliardo_energy(c * u, kw, p) == pytest.approx(abs(c) ** p * e,
+                                                           rel=1e-12)

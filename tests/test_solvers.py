@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,6 @@ def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
 def test_initial_values_kinds(grid32, kw32):
     lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
     opts = SolveOptions(seed=5)
-    assert np.all(initial_values("zero", grid32, kw32, lp, opts) == 0.0)
     r1 = initial_values("random", grid32, kw32, lp, opts)
     r2 = initial_values("random", grid32, kw32, lp, SolveOptions(seed=5))
     assert np.array_equal(r1, r2)
@@ -179,6 +180,17 @@ def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,
     with pytest.raises(SolverError, match="collapsed"):
         detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
                          lambda_high=0.5 * lam0, eigen=eig)
+
+
+def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
+                                               super_params):
+    # an inflated lambda1 lifts lambda0 above the true threshold, so the walk
+    # meets a solvable probe below the bound and stops there
+    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    inflated = dataclasses.replace(eig, lambda1=2.0 * eig.lambda1)
+    with pytest.raises(SolverError, match="analytic bound"):
+        detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
+                         bracket_tol=1e-2, eigen=inflated)
 
 
 @pytest.fixture(scope="module")

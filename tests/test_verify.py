@@ -80,14 +80,15 @@ def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
 
 
 def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
-    # an iteration cap leaves the trials in a non-collapsed state, which the
-    # certificate must refuse
+    # an iteration cap leaves the trials unfinished, which the check must
+    # refuse
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, grid32, 2.0, EigenOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
                                   trials=2, opts=SolveOptions(max_iters=2),
                                   lambda1=eig.lambda1)
     assert res.passed is False
+    assert res.witness["statuses"] == ["max_iters", "max_iters"]
 
 
 def test_limit_branch_branches():
