@@ -198,7 +198,8 @@ def _run(args) -> int:
                                   "energy": pt.energy, "status": pt.status}
                                  for pt in points]},
                      __version__)
-        return 0
+        capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
+        return 2 if capped else 0
 
     if command == "threshold":
         thr = detect_threshold(params, kw, grid, opts,

@@ -5,8 +5,10 @@ minimizers of the logistic energy (``solve.minimize``), the principal
 eigenpair (``eigen``, on the p-sphere, normalization as the retraction) and
 the mountain-pass saddle (``solve.mountain_pass``, the free energy on the
 energy peaks of rays, the move of a point to the peak of its ray as the
-retraction).  Steps are measured in the mass inner product of the cell
-measures.
+retraction).  For p = 2 the callers pass ``operator.sobolev_preconditioner``
+and the steps are taken in the metric of K, the Hessian of E/2; for every
+other p they are taken in the mass inner product of the cell measures.  The
+residual is the mass norm of the gradient in both cases.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ def descend(energy: Callable[[np.ndarray], float],
             u0: np.ndarray, measures: np.ndarray, tol: float, max_iters: int,
             *, retract: Callable[[np.ndarray], np.ndarray] | None = None,
             collapse_thr: float = 0.0,
+            precondition: Callable[[np.ndarray], np.ndarray] | None = None,
             ) -> tuple[np.ndarray, float, float, int, Status]:
     """Monotone descent from u0; returns (u, energy, residual, iterations, status).
 
@@ -50,6 +53,11 @@ def descend(energy: Callable[[np.ndarray], float],
     point back onto a constraint set.  ``gradient`` is called once per
     iterate, right after ``energy`` was evaluated at that same point, so a
     caller may carry work from one to the other.
+
+    ``precondition`` maps the mass gradient g to the search direction
+    d = K^-1 (M g) of a symmetric positive definite metric K, M the
+    diagonal of the cell measures; the Armijo test then uses <g, d>_M and
+    the Barzilai-Borwein step is measured in K.  Without it d = g.
     """
     move = retract or (lambda v: v)
     u = np.asarray(u0, dtype=float).copy()
@@ -57,9 +65,10 @@ def descend(energy: Callable[[np.ndarray], float],
     if not np.isfinite(value):
         raise SolverError(f"non-finite energy at the initial point ({value})")
     g = gradient(u)
+    d = g if precondition is None else precondition(g)
     res = mass_norm(g, measures)
 
-    prev_u = prev_g = None
+    prev_u = prev_g = prev_d = None
     step = 1.0
     it = 0
     below = 0
@@ -86,8 +95,15 @@ def descend(energy: Callable[[np.ndarray], float],
             dg = g - prev_g
             denom = mass_dot(du, dg, measures)
             if denom > 0.0:
-                step = min(max(mass_dot(du, du, measures) / denom, 1e-14), 1e8)
-        gg = res * res
+                if precondition is None:
+                    step = mass_dot(du, du, measures) / denom
+                else:
+                    # <du, dd>_K / <dd, dd>_K with dd = d - prev_d = K^-1 M dg,
+                    # so that K itself is never applied
+                    curv = mass_dot(dg, d - prev_d, measures)
+                    step = denom / curv if curv > 0.0 else step
+                step = min(max(step, 1e-14), 1e8)
+        gg = res * res if precondition is None else mass_dot(g, d, measures)
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(value))
         # near a minimum the energy decrease per step drops below the
         # rounding floor of the energy evaluation, whose cancellation noise
@@ -98,7 +114,7 @@ def descend(energy: Callable[[np.ndarray], float],
                 and ARMIJO_C * step * gg < 64.0 * slack:
             free = True
         if free:
-            v = move(u - step * g)
+            v = move(u - step * d)
             ev = energy(v)
             if not np.isfinite(ev) or res > max(1e6 * endgame_res, 1.0):
                 status = Status.MAX_ITERS
@@ -107,7 +123,7 @@ def descend(energy: Callable[[np.ndarray], float],
             t = step
             accepted = False
             for _ in range(60):
-                v = move(u - t * g)
+                v = move(u - t * d)
                 ev = energy(v)
                 if np.isfinite(ev) and ev <= value - ARMIJO_C * t * gg + slack:
                     accepted = True
@@ -119,9 +135,10 @@ def descend(energy: Callable[[np.ndarray], float],
                     continue
                 status = Status.MAX_ITERS
                 break
-        prev_u, prev_g = u, g
+        prev_u, prev_g, prev_d = u, g, d
         u, value = v, ev
         g = gradient(u)
+        d = g if precondition is None else precondition(g)
         res = mass_norm(g, measures)
         if res < best_res:
             best_u, best_res, best_value = u, res, value

@@ -5,7 +5,8 @@ cell functions.  On the sphere ||u||_p = 1 the quotient is E(u) and the
 mass-gradient of E/p there is Lu - R(u) u^(p-1), which vanishes exactly at an
 eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
 the sphere, with normalization as its retraction, from strictly positive
-random seeds.
+random seeds.  For p = 2 it steps in the metric of K, the Hessian of E/2,
+which makes it a preconditioned inverse iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .descent import descend
 from .domain import Grid
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
-                       signed_power)
+                       signed_power, sobolev_preconditioner)
 
 __all__ = ["EigenError", "EigenOptions", "EigenPair", "rayleigh_quotient",
            "principal_eigenpair"]
@@ -68,7 +69,9 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
 
     Runs opts.restarts strictly positive seeds; restarts that converge to a
     sign-changing function are discarded and counted.  The smallest converged
-    eigenvalue wins, ties resolved by restart order.
+    eigenvalue wins, ties resolved by restart order.  For p = 2 the descent
+    is preconditioned with ``operator.sobolev_preconditioner``, so that its
+    iteration count does not grow with the number of cells.
     """
     opts = opts or EigenOptions()
     tol = opts.residual_tol
@@ -76,6 +79,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
         tol = 1e-8 if p == 2.0 else 1e-6
     rng = np.random.default_rng(opts.seed)
     meas = grid.measures
+    precondition = sobolev_preconditioner(kw, p, meas)
     last_quotient = [0.0]
 
     def quotient(v: np.ndarray) -> float:
@@ -93,7 +97,8 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
         u0 = _normalize(rng.uniform(0.5, 1.5, size=grid.ncells), p, meas)
         u, lam, res, it, _ = descend(quotient, gradient, u0, meas, tol,
                                      opts.max_iters,
-                                     retract=lambda v: _normalize(v, p, meas))
+                                     retract=lambda v: _normalize(v, p, meas),
+                                     precondition=precondition)
         last_res = res
         if res > tol:
             continue

@@ -32,6 +32,7 @@ is square.
 
 from __future__ import annotations
 
+import functools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -77,6 +78,18 @@ class KernelWeights:
     @property
     def ps(self) -> float:
         return self.p * self.s
+
+    @functools.cached_property
+    def k_inverse(self) -> np.ndarray:
+        """Inverse of K = 2 (diag(sum_j W_ij + V_i) - W), formed on first use.
+
+        K is the Hessian of E/2 for p = 2.  It is built in one m x m buffer
+        and dropped once inverted, so the table keeps one extra m x m array,
+        and the inverse lives exactly as long as the table.
+        """
+        k = self.W * -2.0
+        k.flat[::self.ncells + 1] = 2.0 * (self.W.sum(axis=1) + self.V)
+        return np.linalg.inv(k)
 
 
 # ----------------------------------------------------------------------

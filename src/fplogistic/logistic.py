@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .kernel import KernelWeights
-from .operator import DiscreteFunction, _apply, _energy, _check_weights
+from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
+                       sobolev_preconditioner)
 
 __all__ = [
     "LogisticParams",
@@ -103,10 +104,16 @@ def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
 
 @dataclass(eq=False)
 class Functional:
-    """Energy/gradient pair consumed by the descent solver (raw value arrays)."""
+    """Energy/gradient pair consumed by the descent solver (raw value arrays).
+
+    ``precondition`` is the Sobolev preconditioner of the energy's diffusion
+    part (``operator.sobolev_preconditioner``) for p = 2, under which the
+    descent steps in the metric of the Hessian of E/2, and None otherwise.
+    """
 
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    precondition: Callable[[np.ndarray], np.ndarray] | None
 
 
 def _functional(kw: KernelWeights, grid, p: float, primitive, rxn) -> Functional:
@@ -116,6 +123,7 @@ def _functional(kw: KernelWeights, grid, p: float, primitive, rxn) -> Functional
     return Functional(
         energy=lambda v: _energy(v, kw, p) / p - float((primitive(v) * m).sum()),
         gradient=lambda v: _apply(v, kw, p, m) - rxn(v),
+        precondition=sobolev_preconditioner(kw, p, m),
     )
 
 

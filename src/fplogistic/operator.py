@@ -9,11 +9,19 @@ which is the exact Gagliardo double integral of the piecewise-constant
 extension.  The operator below is the exact gradient of E/p with respect to
 the mass inner product <u, v> = sum_i u_i v_i |C_i|, so the discrete
 integration-by-parts identity <Lu, u> = E(u) holds to rounding.
+
+For p = 2 the energy is quadratic, E(u) = u^T K u with
+
+    K = 2 (diag(sum_j W_ij + V_i) - W),
+
+symmetric positive definite, and the descent solvers step in its metric
+(``sobolev_preconditioner``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +37,7 @@ __all__ = [
     "lp_norm",
     "mass_dot",
     "mass_norm",
+    "sobolev_preconditioner",
 ]
 
 
@@ -149,3 +158,17 @@ def mass_dot(a: np.ndarray, b: np.ndarray, measures: np.ndarray) -> float:
 
 def mass_norm(a: np.ndarray, measures: np.ndarray) -> float:
     return mass_dot(a, a, measures) ** 0.5
+
+
+def sobolev_preconditioner(kw: KernelWeights, p: float, measures: np.ndarray
+                           ) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The map g -> K^-1 (M g) for p = 2, None for any other p.
+
+    K = 2 (diag(sum_j W_ij + V_i) - W) is the Hessian of E/2 and M the
+    diagonal of the cell measures, so that the map sends the mass gradient
+    of an energy to its gradient in the metric of K (a Sobolev gradient).
+    """
+    if p != 2.0:
+        return None
+    kinv = kw.k_inverse
+    return lambda g: kinv @ (measures * g)

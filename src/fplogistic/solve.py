@@ -101,7 +101,8 @@ def minimize(func: Functional, u0: DiscreteFunction,
     collapse_thr = _collapse_threshold(u0.grid, opts)
     u, energy, res, it, status = descend(
         func.energy, func.gradient, u0.values, meas, opts.residual_tol,
-        opts.max_iters, collapse_thr=collapse_thr)
+        opts.max_iters, collapse_thr=collapse_thr,
+        precondition=func.precondition)
     if status is not Status.COLLAPSED:
         clipped = np.maximum(u, 0.0)
         if not np.array_equal(clipped, u):
@@ -351,7 +352,8 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
                            status=Status.NOT_FOUND)
     u, _, _, it, _ = descend(
         func.energy, func.gradient, t0 * u_lam.values, meas, opts.residual_tol,
-        opts.max_iters, retract=lambda v: _fiber_peak(v, kw, lp, meas) * v)
+        opts.max_iters, retract=lambda v: _fiber_peak(v, kw, lp, meas) * v,
+        precondition=func.precondition)
 
     v = np.minimum(np.maximum(u, 0.0), u_lam.values)
     res = mass_norm(func.gradient(v), meas)

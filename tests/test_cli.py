@@ -100,7 +100,7 @@ def test_solve_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
 
 def test_torsion_cap_exits_two(sub_cfg, tmp_path, capsys):
     code = main(["torsion", "--config", str(sub_cfg),
-                 "--set", "solver.max_iters=1",
+                 "--set", "solver.max_iters=0",
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "torsion" in capsys.readouterr().err
@@ -168,6 +168,18 @@ def test_sweep_rows_sorted(sub_cfg, tmp_path):
     assert sups == sorted(sups)
 
 
+def test_sweep_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
+    # like solve and mountain-pass, a point that ends at the cap exits 2,
+    # after the branch table and the report are written
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(sub_cfg), "--lams", "0.5,1.0",
+                 "--set", "solver.max_iters=0", "--out", str(out)])
+    assert code == 2
+    assert (out / "branch.csv").exists()
+    doc = json.loads((out / "report.json").read_text())
+    assert [pt["status"] for pt in doc["results"]["points"]] == ["max_iters"] * 2
+
+
 def test_threshold_command_super(super_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["threshold", "--config", str(super_cfg),
@@ -212,6 +224,24 @@ def test_threshold_p3_collapses_past_the_fold(tmp_path, capsys):
     assert main(["threshold", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["results"]["lambda_star_h"] >= doc["results"]["lambda_0"]
+
+
+def test_threshold_2d_passes_the_fold(tmp_path, capsys):
+    # the probe just above lambda*_h = 22.39 starts next to the fold, where
+    # mass-metric steps creep until the iteration cap; steps in the metric
+    # of K converge there as fast as at the probes before it
+    cfg = tmp_path / "fold2d.cfg"
+    cfg.write_text(SUB_CFG.replace("dim = 1", "dim = 2")
+                   .replace("q = 1.5", "q = 2.5").replace("r = 3.0", "r = 3.2")
+                   .replace("n = 16", "n = 8")
+                   .replace("domain.lo = 0.0", "domain.lo = 0.0,0.0")
+                   .replace("domain.hi = 1.0", "domain.hi = 1.0,1.0")
+                   + "threshold.bracket_tol = 1e-2\n")
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", str(cfg), "--out", str(out)]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["lambda_star_h"] >= res["lambda_0"]
+    assert abs(res["lambda_star_h"] - 22.388) <= 1e-2
 
 
 def test_verify_all_p3_certifies_equi_nonexistence(tmp_path, capsys):

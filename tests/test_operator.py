@@ -9,7 +9,8 @@ from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import assemble
 from fplogistic.operator import (DiscreteFunction, GridMismatchError,
                                  apply_operator, gagliardo_energy, lp_norm,
-                                 mass_dot, mass_norm, signed_power)
+                                 mass_dot, mass_norm, signed_power,
+                                 sobolev_preconditioner)
 
 
 def _random_function(grid, rng, lo=-1.0, hi=1.0):
@@ -156,3 +157,37 @@ def test_discrete_identities_for_random_1d_parameters(p, data, n, c, flip,
     c = -c if flip else c
     assert gagliardo_energy(c * u, kw, p) == pytest.approx(abs(c) ** p * e,
                                                            rel=1e-12)
+
+
+def _assert_sobolev_identities(kw, grid, seed):
+    # sum_j W_ij + V_i integrates the kernel over the cell against all of
+    # the space outside it, so on a uniform grid translation invariance
+    # makes it the same on every cell and K Toeplitz (block-Toeplitz in 2D)
+    diag = kw.W.sum(axis=1) + kw.V
+    assert np.ptp(diag) <= 1e-12 * diag.max()
+    k = 2.0 * (np.diag(diag) - kw.W)
+    assert np.array_equal(k, k.T)
+    assert np.linalg.eigvalsh(k).min() > 0.0
+    g = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.ncells)
+    assert g @ k @ g == pytest.approx(
+        gagliardo_energy(DiscreteFunction(g, grid), kw, 2.0), rel=1e-10)
+    d = sobolev_preconditioner(kw, 2.0, grid.measures)(g)
+    mg = grid.measures * g
+    assert np.abs(k @ d - mg).max() <= 1e-10 * np.abs(mg).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(0.05, 0.499), n=st.integers(2, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sobolev_metric_identities_1d(s, n, seed):
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    kw = assemble(grid, validate_params(1, s, 2.0, 1.5, 2.0))
+    _assert_sobolev_identities(kw, grid, seed)
+
+
+def test_sobolev_metric_identities_2d(grid2d, kw2d):
+    _assert_sobolev_identities(kw2d, grid2d, 7)
+
+
+def test_sobolev_preconditioner_only_for_p_two(grid32, kw32_p3):
+    assert sobolev_preconditioner(kw32_p3, 3.0, grid32.measures) is None

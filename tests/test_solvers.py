@@ -273,7 +273,29 @@ def test_torsion_solve(grid32, kw32):
 
 def test_torsion_solve_raises_on_cap(grid32, kw32):
     with pytest.raises(SolverError, match="torsion"):
-        torsion_solve(kw32, grid32, 2.0, SolveOptions(max_iters=1))
+        torsion_solve(kw32, grid32, 2.0, SolveOptions(max_iters=0))
+
+
+def test_torsion_solve_p2_is_one_newton_step(grid32, kw32):
+    # L u = 1 is linear for p = 2, so a step in the metric of K solves it
+    rep = torsion_solve(kw32, grid32, 2.0, SolveOptions())
+    assert rep.status is Status.CONVERGED
+    assert rep.iterations <= 2
+
+
+def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
+                                                       sub_params):
+    # steps in the metric of K do not depend on the condition number of
+    # the discrete operator, which grows with n; in the mass metric this
+    # solve takes 129 and 245 iterations
+    iterations = []
+    for n in (64, 256):
+        grid = build_grid(unit_interval, n)
+        rep = solve_branch_point(20.0, None, sub_params,
+                                 assemble(grid, sub_params), grid)
+        assert rep.status is Status.CONVERGED
+        iterations.append(rep.iterations)
+    assert max(iterations) < 1.5 * min(iterations)
 
 
 def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
