@@ -23,11 +23,12 @@ The exterior weight uses the same machinery with
 C(t) = |cell| - |cell ∩ (domain + t)|, whose radial tail gives the analytic
 far-field term |cell| * R^(-ps) / ps.
 
-Assembly on a uniform grid computes each weight once per symmetry class:
-pair weights per cell offset (|di|, |dj|), with table[di, dj] = table[dj, di]
-when the cells are square, and exterior weights per cell position folded by
-the reflections of the rectangle, including the diagonal one when the domain
-is square.
+Assembly on a uniform grid computes each pair weight once per cell offset
+(|di|, |dj|), with table[di, dj] = table[dj, di] when the cells are square.
+The exterior weights follow from the row sums: the integral of the kernel
+over C_i x (R^N minus C_i) is the same number T on every cell, and the domain
+is tiled by the cells, so V_i = T - sum_j W_ij with T one exterior weight of
+a single cell taken as its own domain.
 """
 
 from __future__ import annotations
@@ -389,26 +390,22 @@ def _assemble_1d(grid: Grid, ps: float) -> tuple[np.ndarray, np.ndarray]:
     n = grid.ncells
     beta = 1.0 + ps
     h = grid.spacing[0]
-    a, b = grid.domain.lo[0], grid.domain.hi[0]
 
-    # pair weights depend only on the cell offset on a uniform grid
+    # pair weights depend only on the cell offset k on a uniform grid:
+    # c h^gamma ((k+1)^gamma - 2 k^gamma + (k-1)^gamma), with the second
+    # difference in expm1/log1p form so that it does not cancel for large k
     gamma = 2.0 - beta
     c = 1.0 / ((1.0 - beta) * (2.0 - beta))
-    k = np.arange(1, n + 1, dtype=float)
-    pow_k = (k * h) ** gamma
-    w_off = np.empty(n)
-    w_off[0] = 0.0
+    w_off = np.zeros(n)
     if n > 1:
-        left = np.concatenate(([0.0], pow_k[:-1]))  # ((k-1)h)^gamma with k>=1
-        w_off[1:] = c * (pow_k[1:] - 2.0 * pow_k[:-1] + left[:-1])
+        w_off[1] = c * h ** gamma * (2.0 ** gamma - 2.0)
+        k = np.arange(2, n, dtype=float)
+        w_off[2:] = c * (k * h) ** gamma * (np.expm1(gamma * np.log1p(1.0 / k))
+                                            + np.expm1(gamma * np.log1p(-1.0 / k)))
     offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     W = w_off[offsets]
-    np.fill_diagonal(W, 0.0)
 
-    V = np.array([
-        exterior_weight_1d((grid.lows[i, 0], grid.highs[i, 0]), (a, b), beta)
-        for i in range(n)
-    ])
+    V = exterior_weight_1d((0.0, h), (0.0, h), beta) - W.sum(axis=1)
     return W, V
 
 
@@ -416,7 +413,6 @@ def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.
     n = grid.n
     m = grid.ncells
     hx, hy = grid.spacing
-    dl, dh = grid.domain.lo, grid.domain.hi
 
     # offset table: weight for cell displacement (|di|, |dj|); on square
     # cells the reflection in the diagonal gives table[dj, di] = table[di, dj]
@@ -437,24 +433,8 @@ def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.
     di = np.abs(ix[:, None] - ix[None, :])
     dj = np.abs(iy[:, None] - iy[None, :])
     W = table[di, dj]
-    np.fill_diagonal(W, 0.0)
 
-    # exterior weights by folded cell position (reflection symmetry per
-    # axis, and in the diagonal when the domain is square)
-    square_domain = grid.domain.sides[0] == grid.domain.sides[1]
-    fold = {}
-    V = np.empty(m)
-    for i in range(m):
-        fx = min(ix[i], n - 1 - ix[i])
-        fy = min(iy[i], n - 1 - iy[i])
-        if square_domain and fx > fy:
-            fx, fy = fy, fx
-        key = (fx, fy)
-        if key not in fold:
-            cell = ((dl[0] + fx * hx, dl[1] + fy * hy),
-                    (dl[0] + fx * hx + hx, dl[1] + fy * hy + hy))
-            fold[key] = exterior_weight_2d(cell, (dl, dh), ps, rel_tol)
-        V[i] = fold[key]
+    V = exterior_weight_2d(base, base, ps, rel_tol) - W.sum(axis=1)
     return W, V
 
 

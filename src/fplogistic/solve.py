@@ -14,6 +14,7 @@ collapse, then bisection of the bracket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
 
 # each continuation step of detect_threshold scales the intensity by this
 CONTINUATION_FACTOR = 0.9
+# a saddle within this sup distance of zero or of u_lam is not a second solution
+DISTINCT_TOL = 1e-6
 
 
 @dataclass
@@ -53,7 +56,6 @@ class SolveOptions:
     seed: int = 0
     initial: str = "eigen"          # eigen | random
     collapse_tol: float = 1e-6      # times the domain diameter
-    distinct_tol: float = 1e-6
 
 
 @dataclass(eq=False)
@@ -141,13 +143,13 @@ def torsion_solve(kw: KernelWeights, grid: Grid, p: float,
 def initial_values(kind: str, grid: Grid, kw: KernelWeights,
                    lp: LogisticParams, opts: SolveOptions,
                    eigen: EigenPair | None = None) -> np.ndarray:
-    """Build a starting iterate: seeded random, or a scan along u1.
+    """Build a starting iterate: seeded random, or a point on the ray of u1.
 
-    The eigen start evaluates the free energy along tau * u1 over a log grid
-    of amplitudes, with Phi(0) = 0 in front, and returns the last sampled
-    local minimum, which lands the descent in the nontrivial basin even
-    where that minimum has positive energy.  Without one it returns the
-    origin, from which the solve collapses cleanly.
+    The eigen start returns t * u1 at the valley of the free energy along
+    the ray (``_fiber_extrema``), the last local minimum, which lands the
+    descent in the nontrivial basin even where that minimum has positive
+    energy.  Without one it returns the origin, from which the solve
+    collapses cleanly.
     """
     if kind == "random":
         rng = np.random.default_rng(opts.seed)
@@ -155,14 +157,8 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
     if kind == "eigen":
         if eigen is None:
             eigen = principal_eigenpair(kw, grid, lp.p, EigenOptions(seed=opts.seed))
-        base = eigen.u1.values
-        energy = phi_functional(kw, grid, lp).energy
-        taus = np.geomspace(1e-6, 1e4, 101)
-        vals = np.array([0.0] + [energy(t * base) for t in taus])
-        dips = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))
-        if dips.size == 0:
-            return np.zeros(grid.ncells)
-        return taus[dips[-1]] * base
+        t = _fiber_extrema(eigen.u1.values, kw, lp, grid.measures)[1]
+        return t * eigen.u1.values if t > 0.0 else np.zeros(grid.ncells)
     raise ValueError(f"unknown initial guess kind: {kind}")
 
 
@@ -221,37 +217,51 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
     return lambda1 * t_star ** (p - q) + t_star ** (r - q)
 
 
-def _fiber_peak(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
-                measures: np.ndarray) -> float:
-    """Smallest t > 0 at which Phi(t v) stops rising, or nan without a peak.
+def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
+                   measures: np.ndarray) -> tuple[float, float]:
+    """Peak and valley t > 0 of Phi(t v), where it turns down and back up.
 
     Along the ray, Phi(t v) = t^p E/p - lam t^q A/q + t^r B/r with A and B
-    the q- and r-masses of v+, so d/dt Phi(t v) = t^(p-1) g(s) for
-    g(s) = E - lam A s + B s^k, s = t^(q-p), k = (r-p)/(q-p) > 1.  g is
-    convex, so Newton's method from s = 0 climbs monotonically to its first
-    zero; there is none when q <= p or when g stays nonnegative.
+    the q- and r-masses of v+, so d/dt Phi(t v) = t^(q-1) h(log t) for
+    h(x) = E e^((p-q)x) - lam A + B e^((r-q)x).  A sum of exponentials is
+    convex, so h falls to its infimum (its value at the stationary point
+    when q > p, else its limit as x -> -inf) and rises after it.  When the
+    infimum is negative, the valley is the zero of h after it and, for
+    q > p, the peak the zero before it; the other is nan, and both are nan
+    when the infimum is not negative.  Each zero is reached by Newton's
+    method, monotonically, from the x where one outer term of h alone
+    cancels lam A, which lies on the zero's side of the infimum.
     """
     p, q, r = lp.p, lp.q, lp.r
-    if q <= p:
-        return float("nan")
+    nan = float("nan")
     vp = np.maximum(v, 0.0)
-    a = float((vp ** q * measures).sum())
+    la = lp.lam * float((vp ** q * measures).sum())
     b = float((vp ** r * measures).sum())
     if b == 0.0:
-        return float("nan")
+        return nan, nan
     e = _energy(v, kw, p)
-    la = lp.lam * a
-    k = (r - p) / (q - p)
-    s_min = (la / (k * b)) ** (1.0 / (k - 1.0))
-    if e - la * s_min + b * s_min ** k >= 0.0:
-        return float("nan")
-    s = 0.0
-    for _ in range(200):
-        s_next = s + (e - la * s + b * s ** k) / (la - k * b * s ** (k - 1.0))
-        if not s_next > s:
-            break
-        s = s_next
-    return s ** (1.0 / (q - p))
+
+    def h(x: float) -> tuple[float, float]:
+        low, high = e * math.exp((p - q) * x), b * math.exp((r - q) * x)
+        return low - la + high, (p - q) * low + (r - q) * high
+
+    def zero(x: float, way: float) -> float:
+        for _ in range(200):
+            value, slope = h(x)
+            x_next = x - value / slope
+            if not (x_next - x) * way > 0.0:
+                break
+            x = x_next
+        return math.exp(x)
+
+    if q > p:
+        low = h(math.log((q - p) * e / ((r - q) * b)) / (r - p))[0]
+    else:
+        low = (e if q == p else 0.0) - la
+    if not low < 0.0:
+        return nan, nan
+    peak = zero(math.log(e / la) / (q - p), 1.0) if q > p else nan
+    return peak, zero(math.log(la / b) / (r - q), -1.0)
 
 
 def detect_threshold(params, kw: KernelWeights, grid: Grid,
@@ -285,7 +295,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
                 f"threshold probe at lam = {lam:.6g} hit the iteration cap "
                 f"(residual {rep.residual:.3e}); raise max_iters")
         if not (rep.status is Status.CONVERGED
-                and _fiber_peak(rep.u.values, kw, lp, grid.measures) < 1.0):
+                and _fiber_extrema(rep.u.values, kw, lp, grid.measures)[0] < 1.0):
             return None
         if lam < lam0 * (1.0 - 1e-9):
             raise SolverError(
@@ -345,14 +355,14 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     func = phi_functional(kw, grid, lp)
     meas = grid.measures
 
-    t0 = _fiber_peak(u_lam.values, kw, lp, meas)
+    t0 = _fiber_extrema(u_lam.values, kw, lp, meas)[0]
     if not t0 < 1.0:
         return SolveReport(u=DiscreteFunction(np.zeros(grid.ncells), grid),
                            energy=0.0, residual=float("nan"), iterations=0,
                            status=Status.NOT_FOUND)
     u, _, _, it, _ = descend(
         func.energy, func.gradient, t0 * u_lam.values, meas, opts.residual_tol,
-        opts.max_iters, retract=lambda v: _fiber_peak(v, kw, lp, meas) * v,
+        opts.max_iters, retract=lambda v: _fiber_extrema(v, kw, lp, meas)[0] * v,
         precondition=func.precondition)
 
     v = np.minimum(np.maximum(u, 0.0), u_lam.values)
@@ -361,8 +371,8 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     status = Status.CONVERGED if res <= opts.residual_tol else Status.MAX_ITERS
     gap_zero = float(np.abs(v).max())
     gap_top = float(np.abs(u_lam.values - v).max())
-    if status is Status.CONVERGED and (gap_zero <= opts.distinct_tol
-                                       or gap_top <= opts.distinct_tol):
+    if status is Status.CONVERGED and (gap_zero <= DISTINCT_TOL
+                                       or gap_top <= DISTINCT_TOL):
         status = Status.NOT_FOUND
     return SolveReport(u=DiscreteFunction(v, grid), energy=energy,
                        residual=res, iterations=it, status=status)

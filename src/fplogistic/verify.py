@@ -195,8 +195,8 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
     equidiffusive one; the superdiffusive checks locate their own
     intensities from the detected threshold.
     """
-    from .solve import (SolveOptions, Status, detect_threshold, mountain_pass,
-                        solve_branch_point)
+    from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
+                        mountain_pass, solve_branch_point)
 
     opts = opts or SolveOptions()
     regime = classify_regime(params)
@@ -241,13 +241,13 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
         if mp.status is Status.CONVERGED:
             results.append(check_strict_order(mp.u, rep.u))
             ok = bool(mp.u.values.min() >= 0.0
-                      and mp.u.sup_norm() > opts.distinct_tol)
+                      and mp.u.sup_norm() > DISTINCT_TOL)
             results.append(CheckResult(
                 name="saddle_between_zero_and_branch",
                 passed=ok,
                 witness={"sup_v": mp.u.sup_norm(), "sup_u": rep.u.sup_norm(),
                          "residual": mp.residual},
-                thresholds={"distinct_tol": opts.distinct_tol},
+                thresholds={"distinct_tol": DISTINCT_TOL},
             ))
         else:
             results.append(CheckResult(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -91,14 +92,55 @@ def test_assemble_1d_matches_direct_weights(sub_params):
     for i in range(6):
         ci = (grid.lows[i, 0], grid.highs[i, 0])
         v = exterior_weight_1d(ci, (0.0, 1.0), beta)
-        assert kw.V[i] == pytest.approx(v, rel=1e-12)
+        assert kw.V[i] == pytest.approx(v, rel=1e-12, abs=0.0)
         for j in range(6):
             if i == j:
                 assert kw.W[i, j] == 0.0
                 continue
             cj = (grid.lows[j, 0], grid.highs[j, 0])
             assert kw.W[i, j] == pytest.approx(pair_weight_1d(ci, cj, beta),
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0.0)
+    # the exterior weights come from the row sums of W, which cancel most
+    # of the one-cell weight on interior cells; check them on a fine grid
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 1024)
+    for ps in (0.8, 0.99):
+        kw = assemble(grid, validate_params(1, ps / 2.0, 2.0, 1.5, 2.5))
+        v = [exterior_weight_1d((grid.lows[i, 0], grid.highs[i, 0]),
+                                (0.0, 1.0), 1.0 + ps) for i in range(1024)]
+        assert kw.V == pytest.approx(np.array(v), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("ps", [0.8, 0.99])
+def test_assemble_1d_pair_weights_match_mpmath(ps):
+    # W[0, k] = c h^gamma ((k+1)^gamma - 2 k^gamma + (k-1)^gamma) loses most
+    # of its digits to cancellation for large k unless written with expm1
+    n = 1024
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    kw = assemble(grid, validate_params(1, ps / 2.0, 2.0, 1.5, 2.5))
+    with mpmath.workdps(50):
+        beta = 1 + mpmath.mpf(ps)
+        gamma = 2 - beta
+        c = 1 / ((1 - beta) * (2 - beta))
+        h = mpmath.mpf(1) / n
+        ref = [float(c * h ** gamma
+                     * ((k + 1) ** gamma - 2 * mpmath.mpf(k) ** gamma
+                        + (k - 1) ** gamma)) for k in range(1, n)]
+    assert kw.W[0, 1:] == pytest.approx(np.array(ref), rel=1e-11, abs=0.0)
+
+
+def test_assemble_runs_one_exterior_quadrature(monkeypatch, sub_params,
+                                               params2d):
+    # V_i = T - sum_j W_ij with T the exterior weight of one cell alone
+    import fplogistic.kernel as kernel
+    calls = []
+    for name in ("exterior_weight_1d", "exterior_weight_2d"):
+        original = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, _f=original, **k:
+                            calls.append(a) or _f(*a, **k))
+    assemble(build_grid(DomainSpec.interval(0.0, 1.0), 8), sub_params)
+    assert len(calls) == 1
+    assemble(build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 4), params2d)
+    assert len(calls) == 2
 
 
 def test_assembled_weights_structure(kw64):

@@ -12,7 +12,7 @@ from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, _energy, apply_operator,
                                  mass_dot, mass_norm)
 from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
-                              _fiber_peak, detect_threshold, initial_values,
+                              _fiber_extrema, detect_threshold, initial_values,
                               lower_bound_lambda0, minimize, mountain_pass,
                               solve_branch_point, torsion_solve)
 
@@ -129,6 +129,41 @@ def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     lp = LogisticParams(lam=0.9 * eig.lambda1, p=2.0, q=2.0, r=3.0)
     u0 = initial_values("eigen", grid32, kw, lp, SolveOptions(), eigen=eig)
     assert np.all(u0 == 0.0)
+
+
+def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
+                                                  eig32):
+    # kw32 depends on s and p only, so it serves every reaction with p = 2
+    import fplogistic.logistic as logistic
+    import fplogistic.solve as solve
+    meas = grid32.measures
+    u1 = eig32.u1.values
+    energy_calls = []
+    for mod in (logistic, solve):
+        monkeypatch.setattr(mod, "_energy", lambda *a: energy_calls.append(a)
+                            or _energy(*a))
+    lam1 = eig32.lambda1
+    for lp in (LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0),
+               LogisticParams(lam=1.5 * lam1, p=2.0, q=2.0, r=3.0),
+               LogisticParams(lam=8.0, p=2.0, q=3.0, r=4.0),
+               LogisticParams(lam=40.0, p=2.0, q=3.0, r=4.0)):
+        energy_calls.clear()
+        u0 = initial_values("eigen", grid32, kw32, lp, SolveOptions(),
+                            eigen=eig32)
+        assert len(energy_calls) <= 1
+        t = u0.max() / u1.max()
+        assert t > 0.0
+        assert u0 == pytest.approx(t * u1, rel=1e-14, abs=0.0)
+        phi = phi_functional(kw32, grid32, lp)
+
+        def slope(tau):
+            # d/dtau Phi(tau u1), and the size of its largest term
+            scale = tau * _energy(u1, kw32, 2.0) + lp.lam * tau ** (lp.q - 1.0)
+            return mass_dot(phi.gradient(tau * u1), u1, meas), scale
+
+        d, scale = slope(t)
+        assert abs(d) <= 1e-12 * scale
+        assert slope((1.0 - 1e-4) * t)[0] < 0.0 < slope((1.0 + 1e-4) * t)[0]
 
 
 def test_lower_bound_closed_form(super_params):
@@ -304,7 +339,7 @@ def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
     phi = phi_functional(kw32, grid32, lp)
     meas = grid32.measures
     v = rng.uniform(0.1, 1.0, grid32.ncells)
-    t = _fiber_peak(v, kw32, lp, meas)
+    t = _fiber_extrema(v, kw32, lp, meas)[0]
     assert 0.0 < t
     u = t * v
     assert abs(mass_dot(phi.gradient(u), u, meas)) <= 1e-12 * _energy(u, kw32, 2.0)
@@ -312,10 +347,10 @@ def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
     assert phi.energy(u) >= phi.energy((1.0 - 1e-3) * u)
     # no peak when the reaction does not outgrow the diffusion, or when
     # the intensity is too weak for the energy to turn down along the ray
-    assert np.isnan(_fiber_peak(v, kw32, LogisticParams(lam=40.0, p=2.0, q=1.5,
-                                                        r=3.0), meas))
-    assert np.isnan(_fiber_peak(v, kw32, LogisticParams(lam=1.0, p=2.0, q=3.0,
-                                                        r=4.0), meas))
+    assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
+        lam=40.0, p=2.0, q=1.5, r=3.0), meas)[0])
+    assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
+        lam=1.0, p=2.0, q=3.0, r=4.0), meas)[0])
 
 
 def test_mountain_pass_barrier_near_zero(grid64):
