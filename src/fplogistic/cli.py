@@ -109,7 +109,6 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
         max_iters=cfg.solver_max_iters,
         seed=cfg.solver_seed,
         initial=cfg.solver_initial,
-        collapse_tol=cfg.solver_collapse_tol,
     )
 
 

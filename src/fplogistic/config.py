@@ -26,7 +26,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "load_config",
     "positive_float",
-    "emit_config",
     "config_dict",
     "to_problem",
     "write_report",
@@ -57,7 +56,6 @@ class RunConfig:
     solver_max_iters: int = 50_000
     solver_seed: int = 0
     solver_initial: str = "eigen"
-    solver_collapse_tol: float = 1e-6
     eigen_restarts: int = 1
     threshold_bracket_tol: float = 1e-3
     threshold_lambda_high: float | None = None
@@ -66,8 +64,8 @@ class RunConfig:
 
 def positive_float(raw: str) -> float:
     value = float(raw)
-    if not value > 0.0:
-        raise ValueError("must be positive")
+    if not 0.0 < value < float("inf"):
+        raise ValueError("must be positive and finite")
     return value
 
 
@@ -75,7 +73,7 @@ def _parse_optional_positive_float(raw: str) -> float | None:
     return None if raw == "" else positive_float(raw)
 
 
-def _parse_seed(raw: str) -> int:
+def _nonnegative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
         raise ValueError("must be nonnegative")
@@ -92,16 +90,6 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return ",".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # key name in file -> (attribute, parser, required)
 _KEYS: dict[str, tuple[str, object, bool]] = {
     "dim": ("dim", int, True),
@@ -113,11 +101,10 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "n": ("n", int, True),
     "domain.lo": ("domain_lo", _parse_floats, True),
     "domain.hi": ("domain_hi", _parse_floats, True),
-    "solver.residual_tol": ("solver_residual_tol", float, False),
-    "solver.max_iters": ("solver_max_iters", int, False),
-    "solver.seed": ("solver_seed", _parse_seed, False),
+    "solver.residual_tol": ("solver_residual_tol", positive_float, False),
+    "solver.max_iters": ("solver_max_iters", _nonnegative_int, False),
+    "solver.seed": ("solver_seed", _nonnegative_int, False),
     "solver.initial": ("solver_initial", _parse_initial, False),
-    "solver.collapse_tol": ("solver_collapse_tol", float, False),
     "eigen.restarts": ("eigen_restarts", int, False),
     "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
     "threshold.lambda_high": ("threshold_lambda_high",
@@ -198,15 +185,6 @@ def load_config(path: str | Path | None = None,
             f"domain.lo/domain.hi must have dim = {cfg.dim} coordinates, got "
             f"{len(cfg.domain_lo)} and {len(cfg.domain_hi)}")
     return cfg
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Render a config as key=value text that load_config parses back."""
-    lines = []
-    for f in fields(RunConfig):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_fmt(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
 
 
 def config_dict(cfg: RunConfig) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +67,21 @@ def validate_params(dim: int, s: float, p: float, q: float, r: float) -> Problem
         raise ParamError(f"dim must be 1 or 2, got {dim}")
     if not 0.0 < s < 1.0:
         raise ParamError(f"s not in (0,1): s = {s}")
-    if p < 2.0:
+    if not p >= 2.0:
         raise ParamError(f"p < 2: p = {p}")
     ps = p * s
-    if ps >= dim:
+    if not ps < dim:
         raise ParamError(f"ps >= N: p*s = {ps}, N = {dim}")
-    if dim == 2 and ps >= 1.0:
+    if dim == 2 and not ps < 1.0:
         raise ParamError(
             f"ps >= 1 in 2D: p*s = {ps}; piecewise-constant cells have "
             "infinite W^{s,p} energy there")
     p_star = dim * p / (dim - ps)
-    if q <= 1.0:
+    if not q > 1.0:
         raise ParamError(f"q <= 1: q = {q}")
-    if r <= q:
+    if not r > q:
         raise ParamError(f"r <= q: r = {r}, q = {q}")
-    if r >= p_star:
+    if not r < p_star:
         raise ParamError(f"r >= p_star: r = {r}, p_star = {p_star}")
     return ProblemParams(dim=dim, s=s, p=p, q=q, r=r, p_star=p_star)
 
@@ -109,8 +110,8 @@ class DomainSpec:
         if len(lo) != len(hi) or len(lo) not in (1, 2):
             raise GridError(f"domain must have 1 or 2 axes, got lo={lo}, hi={hi}")
         for a, b in zip(lo, hi):
-            if not b > a:
-                raise GridError(f"empty domain interior: [{a}, {b}]")
+            if not (b > a and math.isfinite(b - a)):
+                raise GridError(f"domain side not finite and positive: [{a}, {b}]")
 
     @classmethod
     def interval(cls, a: float, b: float) -> "DomainSpec":

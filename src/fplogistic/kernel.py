@@ -23,12 +23,11 @@ The exterior weight uses the same machinery with
 C(t) = |cell| - |cell ∩ (domain + t)|, whose radial tail gives the analytic
 far-field term |cell| * R^(-ps) / ps.
 
-Assembly on a uniform grid computes each pair weight once per cell offset
-(|di|, |dj|), with table[di, dj] = table[dj, di] when the cells are square.
-The exterior weights follow from the row sums: the integral of the kernel
-over C_i x (R^N minus C_i) is the same number T on every cell, and the domain
-is tiled by the cells, so V_i = T - sum_j W_ij with T one exterior weight of
-a single cell taken as its own domain.
+On a uniform grid W_ij depends only on the cell offset, so the kernel is
+stored as its offset table (Toeplitz in 1D, block-Toeplitz in 2D), one pair
+weight per offset (|di|, |dj|), and T: the integral of the kernel over
+C_i x (R^N minus C_i), the same number on every cell.  The cells tile the
+domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use.
 """
 
 from __future__ import annotations
@@ -54,8 +53,10 @@ __all__ = [
     "load_weights",
 ]
 
-# Dense storage cap: ncells**2 weights at 8 bytes each (4096 cells = 128 MiB).
+# Cap on the dense view W: ncells**2 weights at 8 bytes each (4096 cells = 128 MiB).
 MAX_DENSE_CELLS = 4096
+# Relative accuracy of the 2D angular quadrature during assembly.
+ASSEMBLY_REL_TOL = 1e-7
 
 
 class KernelError(RuntimeError):
@@ -64,29 +65,40 @@ class KernelError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class KernelWeights:
-    """Assembled pair and exterior weights with a parameter snapshot."""
+    """The kernel as its offset table and T, with a parameter snapshot."""
 
-    W: np.ndarray  # (m, m) symmetric, zero diagonal
-    V: np.ndarray  # (m,)
+    table: np.ndarray  # (n,) or (n, n): weight per cell offset, 0 at offset 0
+    T: float           # kernel over one cell against its complement
     dim: int
     s: float
     p: float
 
     @property
     def ncells(self) -> int:
-        return self.V.shape[0]
+        return self.table.size
 
     @property
     def ps(self) -> float:
         return self.p * self.s
 
     @functools.cached_property
+    def W(self) -> np.ndarray:
+        """(m, m) pair weights W_ij = table[|i - j| per axis]."""
+        idx = np.indices(self.table.shape).reshape(self.dim, -1)
+        return self.table[tuple(np.abs(a[:, None] - a[None, :]) for a in idx)]
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """(m,) exterior weights V_i = T - sum_j W_ij."""
+        return self.T - self.W.sum(axis=1)
+
+    @functools.cached_property
     def k_inverse(self) -> np.ndarray:
         """Inverse of K = 2 (diag(sum_j W_ij + V_i) - W), formed on first use.
 
         K is the Hessian of E/2 for p = 2.  It is built in one m x m buffer
-        and dropped once inverted, so the table keeps one extra m x m array,
-        and the inverse lives exactly as long as the table.
+        and dropped once inverted, so the weights keep one extra m x m
+        array, and the inverse lives exactly as long as they do.
         """
         k = self.W * -2.0
         k.flat[::self.ncells + 1] = 2.0 * (self.W.sum(axis=1) + self.V)
@@ -386,7 +398,7 @@ def exterior_weight_2d(cell, domain, ps: float, rel_tol: float = 1e-7) -> float:
 # assembly
 # ----------------------------------------------------------------------
 
-def _assemble_1d(grid: Grid, ps: float) -> tuple[np.ndarray, np.ndarray]:
+def _assemble_1d(grid: Grid, ps: float) -> tuple[np.ndarray, float]:
     n = grid.ncells
     beta = 1.0 + ps
     h = grid.spacing[0]
@@ -396,22 +408,17 @@ def _assemble_1d(grid: Grid, ps: float) -> tuple[np.ndarray, np.ndarray]:
     # difference in expm1/log1p form so that it does not cancel for large k
     gamma = 2.0 - beta
     c = 1.0 / ((1.0 - beta) * (2.0 - beta))
-    w_off = np.zeros(n)
+    table = np.zeros(n)
     if n > 1:
-        w_off[1] = c * h ** gamma * (2.0 ** gamma - 2.0)
+        table[1] = c * h ** gamma * (2.0 ** gamma - 2.0)
         k = np.arange(2, n, dtype=float)
-        w_off[2:] = c * (k * h) ** gamma * (np.expm1(gamma * np.log1p(1.0 / k))
+        table[2:] = c * (k * h) ** gamma * (np.expm1(gamma * np.log1p(1.0 / k))
                                             + np.expm1(gamma * np.log1p(-1.0 / k)))
-    offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    W = w_off[offsets]
-
-    V = exterior_weight_1d((0.0, h), (0.0, h), beta) - W.sum(axis=1)
-    return W, V
+    return table, exterior_weight_1d((0.0, h), (0.0, h), beta)
 
 
-def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _assemble_2d(grid: Grid, ps: float) -> tuple[np.ndarray, float]:
     n = grid.n
-    m = grid.ncells
     hx, hy = grid.spacing
 
     # offset table: weight for cell displacement (|di|, |dj|); on square
@@ -424,22 +431,14 @@ def _assemble_2d(grid: Grid, ps: float, rel_tol: float) -> tuple[np.ndarray, np.
             if di == 0 and dj == 0:
                 continue
             other = ((di * hx, dj * hy), (di * hx + hx, dj * hy + hy))
-            table[di, dj] = pair_weight_2d(base, other, ps, rel_tol)
+            table[di, dj] = pair_weight_2d(base, other, ps, ASSEMBLY_REL_TOL)
     if square_cells:
         table += np.triu(table, 1).T
-
-    ix = np.arange(m) // n
-    iy = np.arange(m) % n
-    di = np.abs(ix[:, None] - ix[None, :])
-    dj = np.abs(iy[:, None] - iy[None, :])
-    W = table[di, dj]
-
-    V = exterior_weight_2d(base, base, ps, rel_tol) - W.sum(axis=1)
-    return W, V
+    return table, exterior_weight_2d(base, base, ps, ASSEMBLY_REL_TOL)
 
 
-def assemble(grid: Grid, params, rel_tol: float = 1e-7) -> KernelWeights:
-    """Assemble all pair and exterior weights for a grid.
+def assemble(grid: Grid, params) -> KernelWeights:
+    """Assemble the offset table and T for a grid.
 
     params supplies s and p (ProblemParams or anything with .s and .p).
     Deterministic: repeated assembly yields bit-identical arrays.
@@ -451,18 +450,18 @@ def assemble(grid: Grid, params, rel_tol: float = 1e-7) -> KernelWeights:
             f"grid has {grid.ncells} cells; dense weights capped at "
             f"{MAX_DENSE_CELLS} cells")
     if grid.dim == 1:
-        W, V = _assemble_1d(grid, ps)
+        table, T = _assemble_1d(grid, ps)
     else:
-        W, V = _assemble_2d(grid, ps, rel_tol)
-    return KernelWeights(W=W, V=V, dim=grid.dim, s=s, p=p)
+        table, T = _assemble_2d(grid, ps)
+    return KernelWeights(table=table, T=T, dim=grid.dim, s=s, p=p)
 
 
 def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
-    """Dump assembled weights with their identifying key."""
+    """Dump the offset table and T with their identifying key."""
     np.savez(
         path,
-        W=kw.W,
-        V=kw.V,
+        table=kw.table,
+        T=kw.T,
         key=np.array([float(kw.dim), kw.s, kw.p, float(grid.n)]),
         dom_lo=np.asarray(grid.domain.lo),
         dom_hi=np.asarray(grid.domain.hi),
@@ -470,23 +469,25 @@ def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
 
 
 def load_weights(path, grid: Grid, params) -> KernelWeights:
-    """Load cached weights, checking the (dim, s, p, domain, n) key and shapes.
+    """Load cached weights, checking the (dim, s, p, domain, n) key and arrays.
 
     A file that cannot be read as a weights archive raises KernelError
     naming the file, like a cache built for another problem.
     """
     try:
         with np.load(path) as data:
-            key, lo, hi, W, V = (data[k] for k in ("key", "dom_lo", "dom_hi", "W", "V"))
+            key, lo, hi, table, T = (data[k] for k in
+                                     ("key", "dom_lo", "dom_hi", "table", "T"))
     # TypeError: np.load returned a bare array, which is no archive
     except (OSError, EOFError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:
         raise KernelError(f"weight cache {path} cannot be read: {exc}") from exc
     want = np.array([float(grid.dim), float(params.s), float(params.p), float(grid.n)])
-    m = grid.ncells
     if (key.shape != want.shape or not np.array_equal(key, want)
             or not np.array_equal(lo, np.asarray(grid.domain.lo))
             or not np.array_equal(hi, np.asarray(grid.domain.hi))
-            or W.shape != (m, m) or V.shape != (m,)):
+            or table.shape != (grid.n,) * grid.dim or T.shape != ()
+            or table.dtype != float or T.dtype != float):
         raise KernelError(f"weight cache {path} does not match the requested problem")
-    return KernelWeights(W=W, V=V, dim=grid.dim, s=float(params.s), p=float(params.p))
+    return KernelWeights(table=table, T=float(T), dim=grid.dim,
+                         s=float(params.s), p=float(params.p))

@@ -42,7 +42,7 @@ __all__ = [
 
 
 class GridMismatchError(ValueError):
-    """Operands live on different grids or do not match the weight table."""
+    """Cell values do not match their grid or the weight table."""
 
 
 @dataclass(eq=False)
@@ -59,29 +59,6 @@ class DiscreteFunction:
                 f"expected {self.grid.ncells} cell values, got shape "
                 f"{self.values.shape}")
 
-    def _check(self, other: "DiscreteFunction") -> None:
-        if self.grid is not other.grid:
-            raise GridMismatchError("operands live on different grids")
-
-    def __add__(self, other: "DiscreteFunction") -> "DiscreteFunction":
-        self._check(other)
-        return DiscreteFunction(self.values + other.values, self.grid)
-
-    def __sub__(self, other: "DiscreteFunction") -> "DiscreteFunction":
-        self._check(other)
-        return DiscreteFunction(self.values - other.values, self.grid)
-
-    def __mul__(self, scalar: float) -> "DiscreteFunction":
-        return DiscreteFunction(self.values * float(scalar), self.grid)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DiscreteFunction":
-        return DiscreteFunction(-self.values, self.grid)
-
-    def copy(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.values.copy(), self.grid)
-
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -94,9 +71,9 @@ def signed_power(a, nu: float):
 
 
 def _check_weights(values: np.ndarray, kw: KernelWeights) -> None:
-    if kw.W.shape != (values.shape[0], values.shape[0]):
+    if kw.ncells != values.shape[0]:
         raise GridMismatchError(
-            f"weight table for {kw.W.shape[0]} cells, function has "
+            f"weight table for {kw.ncells} cells, function has "
             f"{values.shape[0]}")
 
 

@@ -47,6 +47,8 @@ __all__ = [
 CONTINUATION_FACTOR = 0.9
 # a saddle within this sup distance of zero or of u_lam is not a second solution
 DISTINCT_TOL = 1e-6
+# an iterate of sup norm below this times the domain diameter has collapsed
+COLLAPSE_TOL = 1e-6
 
 
 @dataclass
@@ -55,7 +57,6 @@ class SolveOptions:
     max_iters: int = 50_000
     seed: int = 0
     initial: str = "eigen"          # eigen | random
-    collapse_tol: float = 1e-6      # times the domain diameter
 
 
 @dataclass(eq=False)
@@ -84,10 +85,6 @@ class ThresholdReport:
     branch: list[BranchPoint] = field(default_factory=list)
 
 
-def _collapse_threshold(grid: Grid, opts: SolveOptions) -> float:
-    return opts.collapse_tol * grid.domain.diameter
-
-
 def minimize(func: Functional, u0: DiscreteFunction,
              opts: SolveOptions | None = None) -> SolveReport:
     """Descend an energy functional from u0 to a nonnegative critical point.
@@ -100,7 +97,7 @@ def minimize(func: Functional, u0: DiscreteFunction,
     """
     opts = opts or SolveOptions()
     meas = u0.grid.measures
-    collapse_thr = _collapse_threshold(u0.grid, opts)
+    collapse_thr = COLLAPSE_TOL * u0.grid.domain.diameter
     u, energy, res, it, status = descend(
         func.energy, func.gradient, u0.values, meas, opts.residual_tol,
         opts.max_iters, collapse_thr=collapse_thr,

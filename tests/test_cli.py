@@ -125,6 +125,19 @@ def _write_npz_without_key(path):
     np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16))
 
 
+_SUB_KEY = dict(key=np.array([1.0, 0.4, 2.0, 16.0]), dom_lo=np.array([0.0]),
+                dom_hi=np.array([1.0]))
+
+
+def _write_dense_format(path):
+    # the archive layout that stored the dense W and V instead of the table
+    np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16), **_SUB_KEY)
+
+
+def _write_text_table(path):
+    np.savez(path, table=np.array(["0.5"] * 16), T=np.array(1.0), **_SUB_KEY)
+
+
 def _write_truncated_npz(path):
     _write_npz_without_key(path)
     data = path.read_bytes()
@@ -135,7 +148,10 @@ def _write_truncated_npz(path):
     lambda path: path.write_text("not an archive\n"),
     _write_truncated_npz,
     _write_npz_without_key,
-], ids=["not_zip", "truncated_zip", "missing_key"])
+    _write_dense_format,
+    _write_text_table,
+], ids=["not_zip", "truncated_zip", "missing_key", "dense_format",
+        "text_table"])
 def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
     cache = tmp_path / "weights.npz"
     write(cache)
@@ -282,9 +298,24 @@ def test_solve_between_threshold_and_zero_energy_crossing(tmp_path, capsys):
     (["solve", "--set", "solver.seed=-1"], "solver.seed"),
     (["solve", "--set", "threshold.bracket_tol=0"], "bracket_tol"),
     (["solve", "--set", "threshold.lambda_high=-1"], "lambda_high"),
+    (["solve", "--set", "p=nan"], "p = nan"),
+    (["solve", "--set", "q=nan"], "q = nan"),
+    (["solve", "--set", "r=nan"], "r = nan"),
+    (["solve", "--set", "lam=inf"], "lam"),
+    (["solve", "--set", "solver.residual_tol=nan"], "residual_tol"),
+    (["torsion", "--set", "solver.residual_tol=nan"], "residual_tol"),
+    (["solve", "--set", "solver.residual_tol=0"], "residual_tol"),
+    (["solve", "--set", "solver.residual_tol=-1"], "residual_tol"),
+    (["solve", "--set", "solver.max_iters=-1"], "max_iters"),
+    (["solve", "--set", "solver.collapse_tol=1e-6"], "unknown key"),
+    (["solve", "--set", "domain.hi=inf"], "domain side"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
         "ns_text", "lam_negative", "initial_bogus", "initial_zero",
-        "seed_negative", "bracket_tol_zero", "lambda_high_negative"])
+        "seed_negative", "bracket_tol_zero", "lambda_high_negative",
+        "p_nan", "q_nan", "r_nan", "lam_inf", "residual_tol_nan",
+        "torsion_residual_tol_nan", "residual_tol_zero",
+        "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
+        "domain_hi_inf"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),

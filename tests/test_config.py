@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fplogistic.config import (ConfigError, RunConfig, SCHEMA_VERSION,
-                               config_dict, emit_config, load_config,
+                               config_dict, load_config,
                                to_problem, write_branch_csv, write_report,
                                write_solution_csv)
 from fplogistic.domain import Regime, classify_regime
@@ -41,15 +41,6 @@ def test_minimal_config_loads(tmp_path):
     params, grid = to_problem(cfg)
     assert classify_regime(params) is Regime.SUB
     assert grid.ncells == 64
-
-
-def test_round_trip_through_emit(tmp_path):
-    cfg = load_config(_write(tmp_path, MINIMAL))
-    cfg.solver_seed = 7
-    cfg.threshold_lambda_high = 12.5
-    text = emit_config(cfg)
-    back = load_config(_write(tmp_path, text, "echo.cfg"))
-    assert back == cfg
 
 
 def test_unknown_key_reports_line(tmp_path):

@@ -64,7 +64,7 @@ def test_rayleigh_quotient_rejects_zero(grid32, kw32):
 def test_eigenfunction_scaling_invariance(kw32, grid32):
     pair = principal_eigenpair(kw32, grid32, 2.0, EigenOptions(seed=0))
     for c in (0.5, 3.0, -2.0):
-        scaled = c * pair.u1
+        scaled = DiscreteFunction(c * pair.u1.values, grid32)
         assert rayleigh_quotient(scaled, kw32, 2.0) == pytest.approx(
             pair.lambda1, rel=1e-12)
 

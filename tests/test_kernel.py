@@ -323,6 +323,19 @@ def test_save_load_round_trip(tmp_path, kw32, grid32, sub_params):
     assert np.array_equal(back.V, kw32.V)
 
 
+def test_2d_cache_stores_the_offset_table(tmp_path, unit_square, params2d):
+    # the cache holds O(m) numbers: 2D n=16 is 256 cells, whose dense W alone
+    # would take 512 KiB
+    grid = build_grid(unit_square, 16)
+    kw = assemble(grid, params2d)
+    path = tmp_path / "weights.npz"
+    save_weights(path, kw, grid)
+    assert path.stat().st_size < 16 * 1024
+    back = load_weights(path, grid, params2d)
+    assert np.array_equal(back.W, kw.W)
+    assert np.array_equal(back.V, kw.V)
+
+
 def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
     path = tmp_path / "weights.npz"
     save_weights(path, kw32, grid32)
@@ -332,7 +345,7 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
     with pytest.raises(KernelError):
         load_weights(path, grid32, p3_params)
     # a key that matches the grid over tables of the wrong size
-    short = KernelWeights(W=kw32.W[:16, :16], V=kw32.V[:16], dim=1,
+    short = KernelWeights(table=kw32.table[:16], T=kw32.T, dim=1,
                           s=kw32.s, p=kw32.p)
     save_weights(path, short, grid32)
     with pytest.raises(KernelError, match="does not match"):
