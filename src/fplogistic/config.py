@@ -80,6 +80,13 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be positive")
+    return value
+
+
 def _parse_initial(raw: str) -> str:
     if raw not in ("eigen", "random"):
         raise ValueError("must be eigen or random")
@@ -105,7 +112,7 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "solver.max_iters": ("solver_max_iters", _nonnegative_int, False),
     "solver.seed": ("solver_seed", _nonnegative_int, False),
     "solver.initial": ("solver_initial", _parse_initial, False),
-    "eigen.restarts": ("eigen_restarts", int, False),
+    "eigen.restarts": ("eigen_restarts", _positive_int, False),
     "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
     "threshold.lambda_high": ("threshold_lambda_high",
                               _parse_optional_positive_float, False),

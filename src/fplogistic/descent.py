@@ -23,6 +23,8 @@ from .operator import mass_dot, mass_norm
 # Armijo sufficient-decrease constant and backtracking factor of descend
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+# unit roundoff of the energy evaluation, scaled into the Armijo slack
+_EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
@@ -104,7 +106,7 @@ def descend(energy: Callable[[np.ndarray], float],
                     step = denom / curv if curv > 0.0 else step
                 step = min(max(step, 1e-14), 1e8)
         gg = res * res if precondition is None else mass_dot(g, d, measures)
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(value))
+        slack = 8.0 * _EPS * max(1.0, abs(value))
         # near a minimum the energy decrease per step drops below the
         # rounding floor of the energy evaluation, whose cancellation noise
         # swamps the sufficient-decrease test; once the residual is small,

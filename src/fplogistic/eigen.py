@@ -74,6 +74,8 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
     iteration count does not grow with the number of cells.
     """
     opts = opts or EigenOptions()
+    if opts.restarts < 1:
+        raise ValueError(f"restarts must be positive, got {opts.restarts}")
     tol = opts.residual_tol
     if tol is None:
         tol = 1e-8 if p == 2.0 else 1e-6
@@ -93,7 +95,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
     accepted: list[tuple[float, np.ndarray, float, int]] = []
     discarded = 0
     last_res = None
-    for _ in range(max(opts.restarts, 1)):
+    for _ in range(opts.restarts):
         u0 = _normalize(rng.uniform(0.5, 1.5, size=grid.ncells), p, meas)
         u, lam, res, it, _ = descend(quotient, gradient, u0, meas, tol,
                                      opts.max_iters,

@@ -94,14 +94,16 @@ class KernelWeights:
 
     @functools.cached_property
     def k_inverse(self) -> np.ndarray:
-        """Inverse of K = 2 (diag(sum_j W_ij + V_i) - W), formed on first use.
+        """Inverse of K = 2 (T I - W), formed on first use.
 
-        K is the Hessian of E/2 for p = 2.  It is built in one m x m buffer
-        and dropped once inverted, so the weights keep one extra m x m
-        array, and the inverse lives exactly as long as they do.
+        K is the Hessian of E/2 for p = 2, the same K the p = 2 operator
+        applies (its diagonal 2 (sum_j W_ij + V_i) is 2T by construction).
+        It is built in one m x m buffer and dropped once inverted, so the
+        weights keep one extra m x m array, and the inverse lives exactly
+        as long as they do.
         """
         k = self.W * -2.0
-        k.flat[::self.ncells + 1] = 2.0 * (self.W.sum(axis=1) + self.V)
+        k.flat[::self.ncells + 1] = 2.0 * self.T
         return np.linalg.inv(k)
 
 

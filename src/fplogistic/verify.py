@@ -57,7 +57,11 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
     mask = grid.boundary_adjacent()
     rmin = float(ratios.min())
     bmin = float(ratios[mask].min())
-    med = float(np.median(ratios))
+    # not np.median, whose first call imports numpy.ma; imported here so that
+    # commands that never check do not pay for importing statistics
+    import statistics
+
+    med = float(statistics.median(ratios.tolist()))
     ok = rmin > 0.0 and med > 0.0 and bmin >= hopf_frac * med
     return CheckResult(
         name="hopf_boundary_growth",

@@ -309,13 +309,15 @@ def test_solve_between_threshold_and_zero_energy_crossing(tmp_path, capsys):
     (["solve", "--set", "solver.max_iters=-1"], "max_iters"),
     (["solve", "--set", "solver.collapse_tol=1e-6"], "unknown key"),
     (["solve", "--set", "domain.hi=inf"], "domain side"),
+    (["solve", "--set", "eigen.restarts=0"], "eigen.restarts"),
+    (["solve", "--set", "eigen.restarts=-1"], "eigen.restarts"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
         "ns_text", "lam_negative", "initial_bogus", "initial_zero",
         "seed_negative", "bracket_tol_zero", "lambda_high_negative",
         "p_nan", "q_nan", "r_nan", "lam_inf", "residual_tol_nan",
         "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
-        "domain_hi_inf"])
+        "domain_hi_inf", "restarts_zero", "restarts_negative"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),

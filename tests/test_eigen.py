@@ -88,6 +88,12 @@ def test_eigen_error_when_iterations_exhausted(kw32, grid32):
                             EigenOptions(max_iters=2, restarts=2, seed=0))
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_eigen_rejects_restarts_below_one(kw32, grid32, restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        principal_eigenpair(kw32, grid32, 2.0, EigenOptions(restarts=restarts))
+
+
 def test_refinement_monotonicity(sub_params):
     # halving the cells enlarges the trial space, so lambda1 decreases
     lams = []
