@@ -16,12 +16,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import (ConfigError, RunConfig, config_dict, load_config,
-                     positive_float, to_problem, write_branch_csv,
-                     write_report, write_solution_csv)
+from .config import (ConfigError, RunConfig, load_config, positive_float,
+                     to_problem, write_branch_csv, write_report,
+                     write_solution_csv)
 from .domain import GridError, ParamError, classify_regime
 from .eigen import EigenError, EigenOptions, principal_eigenpair
 from .kernel import KernelError, assemble, load_weights, save_weights
@@ -112,15 +110,11 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
-def _outdir(args, cfg: RunConfig) -> Path:
-    return args.out if args.out is not None else Path(cfg.output_dir)
-
-
 def _run(args) -> int:
     cfg = load_config(args.config, env=dict(os.environ),
                       flags=_parse_overrides(args.set))
     params, grid = to_problem(cfg)
-    outdir = _outdir(args, cfg)
+    outdir = args.out if args.out is not None else Path(cfg.output_dir)
     opts = _solve_options(cfg)
     command = args.command
 
@@ -183,7 +177,7 @@ def _run(args) -> int:
         warm = None
         for lam in lams:
             rep = solve_branch_point(lam, warm, params, kw, grid, opts)
-            if rep.status is Status.CONVERGED and rep.u.sup_norm() > 0.0:
+            if rep.status is Status.CONVERGED:
                 warm = rep.u
             points.append(BranchPoint(lam=lam, sup_norm=rep.u.sup_norm(),
                                       energy=rep.energy,
@@ -275,20 +269,22 @@ def _write_witness_csv(path: Path, check) -> None:
 
 
 def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path) -> int:
+    # the canonical regimes move only q and r, so kw and its eigenpair
+    # serve every bundle
     if args.regime is None:
-        bundles = [(classify_regime(params).value, params, kw, cfg.lam)]
+        bundles = [(classify_regime(params).value, params, cfg.lam)]
     else:
         regimes = ["sub", "equi", "super"] if args.regime == "all" else [args.regime]
-        bundles = []
-        for regime in regimes:
-            rp = _canonical_regime_params(params, regime)
-            rkw = kw if (rp.s, rp.p) == (params.s, params.p) else assemble(grid, rp)
-            bundles.append((regime, rp, rkw, None))
+        bundles = [(regime, _canonical_regime_params(params, regime), None)
+                   for regime in regimes]
+    ep = principal_eigenpair(kw, grid, params.p,
+                             EigenOptions(seed=cfg.solver_seed,
+                                          restarts=cfg.eigen_restarts))
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     failed = False
-    for regime, rp, rkw, lam in bundles:
-        results = run_suite(rp, grid, rkw, lam, opts)
+    for regime, rp, lam in bundles:
+        results = run_suite(rp, grid, kw, lam, opts, eigen=ep)
         for res in results:
             line = f"{regime}/{res.name}: {res.verdict}"
             if res.notes:
@@ -321,9 +317,11 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
                "sup_norm": None, "status": ""}
         if is_super:
             thr = detect_threshold(params, kwn, gn, opts,
-                                   bracket_tol=cfg.threshold_bracket_tol)
+                                   bracket_tol=cfg.threshold_bracket_tol,
+                                   eigen=ep)
             row["lambda_star_h"] = thr.lambda_star_h
-        rep = solve_branch_point(cfg.lam, None, params, kwn, gn, opts)
+        rep = solve_branch_point(cfg.lam, None, params, kwn, gn, opts,
+                                 eigen=ep)
         row["sup_norm"] = rep.u.sup_norm()
         row["status"] = rep.status.value
         rows.append(row)

@@ -42,16 +42,15 @@ def descend(energy: Callable[[np.ndarray], float],
             gradient: Callable[[np.ndarray], np.ndarray],
             u0: np.ndarray, measures: np.ndarray, tol: float, max_iters: int,
             *, retract: Callable[[np.ndarray], np.ndarray] | None = None,
-            collapse_thr: float = 0.0,
             precondition: Callable[[np.ndarray], np.ndarray] | None = None,
             ) -> tuple[np.ndarray, float, float, int, Status]:
     """Monotone descent from u0; returns (u, energy, residual, iterations, status).
 
     Stops with CONVERGED once the mass norm of the gradient is at most tol,
-    with COLLAPSED after three consecutive iterates of sup norm below
-    collapse_thr (0 never collapses), and with MAX_ITERS at the iteration cap
-    or when the line search fails far from a minimum; at MAX_ITERS the
-    iterate of smallest residual is returned.  ``retract`` maps every trial
+    and with MAX_ITERS at the iteration cap or when the line search fails
+    far from a minimum; at MAX_ITERS the iterate of smallest residual is
+    returned.  Whether a converged point is the zero solution is the
+    caller's question (``solve.minimize``).  ``retract`` maps every trial
     point back onto a constraint set.  ``gradient`` is called once per
     iterate, right after ``energy`` was evaluated at that same point, so a
     caller may carry work from one to the other.
@@ -73,22 +72,11 @@ def descend(energy: Callable[[np.ndarray], float],
     prev_u = prev_g = prev_d = None
     step = 1.0
     it = 0
-    below = 0
     free = False
     endgame_res = 1e3 * tol
     best_u, best_res, best_value = u, res, value
     status = Status.CONVERGED
     while res > tol:
-        # a genuine collapse decays through the threshold and stays there;
-        # require consecutive hits so a solution sitting just above the
-        # threshold is not misclassified by a transient dip
-        if np.abs(u).max() < collapse_thr:
-            below += 1
-            if below >= 3:
-                status = Status.COLLAPSED
-                break
-        else:
-            below = 0
         if it >= max_iters:
             status = Status.MAX_ITERS
             break

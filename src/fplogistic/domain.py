@@ -129,17 +129,6 @@ class DomainSpec:
     def sides(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    @property
-    def measure(self) -> float:
-        out = 1.0
-        for w in self.sides:
-            out *= w
-        return out
-
-    @property
-    def diameter(self) -> float:
-        return float(np.hypot(*self.sides)) if self.dim == 2 else self.sides[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:

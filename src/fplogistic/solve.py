@@ -3,18 +3,17 @@
 Every solve here runs the package's one descent engine (``descent.descend``):
 ``minimize`` on an energy functional, ``mountain_pass`` on the free energy
 restricted to the energy peaks of rays t * v, the move of a point to the
-peak of its own ray serving as the retraction.  Collapse of an iterate to
-the zero function is detected by a sup-norm threshold and reported as its
-own status: for the logistic energy the zero function is always a critical
-point, and below the existence threshold it is the only one.
-``detect_threshold`` finds that threshold in one walk down the branch:
-warm-started probes at geometrically falling intensities until the first
-collapse, then bisection of the bracket.
+peak of its own ray serving as the retraction.  For the logistic energy the
+zero function is always a critical point, and below the existence threshold
+it is the only one; a converged minimization that lies in the zero basin of
+its own ray t * u (the ``collapsed`` test of ``logistic.phi_functional``,
+free of any absolute scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
+in one walk down the branch: warm-started probes at geometrically falling
+intensities until the first collapse, then bisection of the bracket.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,9 @@ from .domain import Grid
 from .eigen import EigenOptions, EigenPair, principal_eigenpair
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, TruncatedReaction,
-                       phi_functional, torsion_functional, truncated_functional)
-from .operator import DiscreteFunction, _energy, mass_norm
+                       _fiber_extrema, phi_functional, torsion_functional,
+                       truncated_functional)
+from .operator import DiscreteFunction, mass_norm
 
 __all__ = [
     "SolverError",
@@ -47,8 +47,6 @@ __all__ = [
 CONTINUATION_FACTOR = 0.9
 # a saddle within this sup distance of zero or of u_lam is not a second solution
 DISTINCT_TOL = 1e-6
-# an iterate of sup norm below this times the domain diameter has collapsed
-COLLAPSE_TOL = 1e-6
 
 
 @dataclass
@@ -91,26 +89,25 @@ def minimize(func: Functional, u0: DiscreteFunction,
 
     The energy sequence is nonincreasing up to the rounding floor of the
     energy evaluation.  An exact critical point returns immediately with
-    zero iterations.  Unless the iterate collapsed, the result is clipped to
-    be nonnegative and its energy and residual are those of the clipped
-    function.
+    zero iterations.  The result is clipped to be nonnegative, and its
+    energy and residual are those of the clipped function.  A converged
+    result is COLLAPSED when the functional's ``collapsed`` test finds it in
+    the zero basin of its own ray.
     """
     opts = opts or SolveOptions()
     meas = u0.grid.measures
-    collapse_thr = COLLAPSE_TOL * u0.grid.domain.diameter
     u, energy, res, it, status = descend(
         func.energy, func.gradient, u0.values, meas, opts.residual_tol,
-        opts.max_iters, collapse_thr=collapse_thr,
-        precondition=func.precondition)
-    if status is not Status.COLLAPSED:
-        clipped = np.maximum(u, 0.0)
-        if not np.array_equal(clipped, u):
-            u = clipped
-            energy = func.energy(u)
-            res = mass_norm(func.gradient(u), meas)
+        opts.max_iters, precondition=func.precondition)
+    clipped = np.maximum(u, 0.0)
+    if not np.array_equal(clipped, u):
+        u = clipped
+        energy = func.energy(u)
+        res = mass_norm(func.gradient(u), meas)
     if status is Status.CONVERGED and res > opts.residual_tol:
         status = Status.MAX_ITERS
-    if np.abs(u).max() < collapse_thr:
+    if status is Status.CONVERGED and func.collapsed is not None \
+            and func.collapsed(u):
         status = Status.COLLAPSED
     return SolveReport(
         u=DiscreteFunction(u, u0.grid),
@@ -210,55 +207,12 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
         raise ValueError(f"lower bound requires q > p, got q = {q}, p = {p}")
     if lambda1 <= 0.0:
         raise ValueError(f"lambda1 must be positive, got {lambda1}")
-    t_star = (lambda1 * (q - p) / (r - q)) ** (1.0 / (r - p))
+    try:
+        t_star = (lambda1 * (q - p) / (r - q)) ** (1.0 / (r - p))
+    except OverflowError:
+        raise SolverError(f"the minimizer t* of the threshold lower bound "
+                          f"overflows float64 (q = {q!r}, r = {r!r})") from None
     return lambda1 * t_star ** (p - q) + t_star ** (r - q)
-
-
-def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
-                   measures: np.ndarray) -> tuple[float, float]:
-    """Peak and valley t > 0 of Phi(t v), where it turns down and back up.
-
-    Along the ray, Phi(t v) = t^p E/p - lam t^q A/q + t^r B/r with A and B
-    the q- and r-masses of v+, so d/dt Phi(t v) = t^(q-1) h(log t) for
-    h(x) = E e^((p-q)x) - lam A + B e^((r-q)x).  A sum of exponentials is
-    convex, so h falls to its infimum (its value at the stationary point
-    when q > p, else its limit as x -> -inf) and rises after it.  When the
-    infimum is negative, the valley is the zero of h after it and, for
-    q > p, the peak the zero before it; the other is nan, and both are nan
-    when the infimum is not negative.  Each zero is reached by Newton's
-    method, monotonically, from the x where one outer term of h alone
-    cancels lam A, which lies on the zero's side of the infimum.
-    """
-    p, q, r = lp.p, lp.q, lp.r
-    nan = float("nan")
-    vp = np.maximum(v, 0.0)
-    la = lp.lam * float((vp ** q * measures).sum())
-    b = float((vp ** r * measures).sum())
-    if b == 0.0:
-        return nan, nan
-    e = _energy(v, kw, p)
-
-    def h(x: float) -> tuple[float, float]:
-        low, high = e * math.exp((p - q) * x), b * math.exp((r - q) * x)
-        return low - la + high, (p - q) * low + (r - q) * high
-
-    def zero(x: float, way: float) -> float:
-        for _ in range(200):
-            value, slope = h(x)
-            x_next = x - value / slope
-            if not (x_next - x) * way > 0.0:
-                break
-            x = x_next
-        return math.exp(x)
-
-    if q > p:
-        low = h(math.log((q - p) * e / ((r - q) * b)) / (r - p))[0]
-    else:
-        low = (e if q == p else 0.0) - la
-    if not low < 0.0:
-        return nan, nan
-    peak = zero(math.log(e / la) / (q - p), 1.0) if q > p else nan
-    return peak, zero(math.log(la / b) / (r - q), -1.0)
 
 
 def detect_threshold(params, kw: KernelWeights, grid: Grid,
@@ -269,12 +223,12 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     """Locate the smallest solvable intensity in one walk down the branch.
 
     Each probe descends the free energy from the last solvable solution and
-    is solvable when it converges past the energy peak of its own ray; a
-    tiny converged iterate has that peak far beyond t = 1.  From a solvable
-    high intensity the walk scales lam by ``CONTINUATION_FACTOR`` until the
-    first collapse, then bisects the bracket down to ``bracket_tol``.  A
-    solvable probe below the analytic lower bound raises at once, so the
-    walk ends.
+    is solvable when ``minimize`` reports it converged rather than collapsed,
+    that is past the energy peak of its own ray; a tiny iterate has that
+    peak far beyond t = 1.  From a solvable high intensity the walk scales
+    lam by ``CONTINUATION_FACTOR`` until the first collapse, then bisects
+    the bracket down to ``bracket_tol``.  A solvable probe below the
+    analytic lower bound raises at once, so the walk ends.
     """
     opts = opts or SolveOptions()
     if eigen is None:
@@ -291,8 +245,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
             raise SolverError(
                 f"threshold probe at lam = {lam:.6g} hit the iteration cap "
                 f"(residual {rep.residual:.3e}); raise max_iters")
-        if not (rep.status is Status.CONVERGED
-                and _fiber_extrema(rep.u.values, kw, lp, grid.measures)[0] < 1.0):
+        if rep.status is Status.COLLAPSED:
             return None
         if lam < lam0 * (1.0 - 1e-9):
             raise SolverError(

@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Grid, Regime, classify_regime
-from .eigen import EigenOptions, principal_eigenpair
+from .eigen import EigenOptions, EigenPair, principal_eigenpair
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
-from .operator import DiscreteFunction, lp_norm, mass_dot, mass_norm
+from .operator import DiscreteFunction, lp_norm, mass_norm
 
 __all__ = [
     "CheckResult",
@@ -116,7 +116,6 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
                                  f"lambda1 = {lambda1:.6g}")
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
-    meas = grid.measures
     sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
     for k in range(trials):
@@ -124,13 +123,13 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
         u0 = DiscreteFunction(rng.uniform(0.1, 1.0, size=grid.ncells), grid)
         rep = minimize(func, u0, opts)
         u = rep.u
-        res = mass_norm(func.gradient(u.values), meas)
         lhs = ((lambda1 - lam) * lp_norm(u, params.p) ** params.p
                + lp_norm(u, params.r) ** params.r)
-        slack = max(res, opts.residual_tol) * max(mass_norm(u.values, meas), 1.0)
+        slack = (max(rep.residual, opts.residual_tol)
+                 * max(mass_norm(u.values, grid.measures), 1.0))
         sups.append(u.sup_norm())
         coercives.append(lhs)
-        residuals.append(res)
+        residuals.append(rep.residual)
         statuses.append(rep.status.value)
         if rep.status is Status.MAX_ITERS or lhs > slack:
             all_ok = False
@@ -191,20 +190,22 @@ def refinement_study(ns: Sequence[int], values: Sequence[float],
 
 
 def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
-              opts=None) -> list[CheckResult]:
+              opts=None, eigen: EigenPair | None = None) -> list[CheckResult]:
     """Run the checks appropriate to the regime of the given parameters.
 
     With lam = None a regime-appropriate default intensity is chosen: 1 in
     the subdiffusive regime and 0.9 times the eigenvalue in the
     equidiffusive one; the superdiffusive checks locate their own
-    intensities from the detected threshold.
+    intensities from the detected threshold.  ``eigen``, the principal
+    eigenpair of kw, is solved here when not given.
     """
     from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
                         mountain_pass, solve_branch_point)
 
     opts = opts or SolveOptions()
     regime = classify_regime(params)
-    ep = principal_eigenpair(kw, grid, params.p, EigenOptions(seed=opts.seed))
+    ep = eigen if eigen is not None else principal_eigenpair(
+        kw, grid, params.p, EigenOptions(seed=opts.seed))
     results: list[CheckResult] = []
 
     if regime is Regime.SUB:
@@ -214,8 +215,8 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
         rep_hi = solve_branch_point(2.0 * lam, rep_lo.u, params, kw, grid, opts)
         results.append(check_strict_order(rep_lo.u, rep_hi.u))
         results.append(check_hopf(rep_hi.u, params.s))
-        branch = []
-        for k in range(5):
+        branch = [(lam, rep_lo.u.sup_norm())]
+        for k in range(1, 5):
             lk = lam * 2.0 ** (-k)
             rk = solve_branch_point(lk, None, params, kw, grid, opts, eigen=ep)
             branch.append((lk, rk.u.sup_norm()))

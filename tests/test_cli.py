@@ -261,15 +261,18 @@ def test_threshold_2d_passes_the_fold(tmp_path, capsys):
 
 
 def test_verify_all_p3_certifies_equi_nonexistence(tmp_path, capsys):
-    # for p = 3 the equi trials stop converged at sup ~1e-4, where the
-    # gradient, which scales like u^(p-1), is already below tolerance; the
-    # coercive certificate bounds them, so the check passes
+    # for p = 3 the equi trials reach the residual tolerance at sup ~1e-4,
+    # where the gradient, which scales like u^(p-1), is already that small;
+    # the energy only rises along their rays, so they are reported
+    # collapsed, and the coercive certificate bounds them
     cfg = tmp_path / "p3.cfg"
     cfg.write_text(P3_CFG)
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--regime", "all",
                  "--out", str(out)]) == 0
     assert "equi/nonexistence_below_eigenvalue: PASS" in capsys.readouterr().out
+    witness = (out / "verify_equi_nonexistence_below_eigenvalue.csv").read_text()
+    assert witness.count('""collapsed""') == 5
 
 
 def test_solve_between_threshold_and_zero_energy_crossing(tmp_path, capsys):
@@ -284,6 +287,76 @@ def test_solve_between_threshold_and_zero_energy_crossing(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert doc["results"]["status"] == "converged"
     assert doc["results"]["sup_norm"] > 1.0
+
+
+# the benchmark's verify_1d configuration: q < p, so every lam > 0 has a
+# positive solution, of sup norm below 1e-6 once lam <= 0.01
+V1D_CFG = SUB_CFG.replace("n = 16", "n = 64")
+
+
+def _report(tmp_path, cfg_text, argv):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["results"]
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.003, 0.001])
+def test_tiny_sublinear_solution_is_converged(tmp_path, capsys, lam):
+    res = _report(tmp_path, V1D_CFG, ["solve", "--set", f"lam={lam}"])
+    assert res["status"] == "converged"
+    assert 0.0 < res["sup_norm"] < 1e-6
+
+
+def test_sublinear_sweep_down_to_tiny_intensities_converges(tmp_path, capsys):
+    res = _report(tmp_path, V1D_CFG,
+                  ["sweep", "--lams", "0.0005,0.001,0.002,0.004,0.01,0.03"])
+    points = res["points"]
+    assert [pt["status"] for pt in points] == ["converged"] * 6
+    sups = [pt["sup_norm"] for pt in points]
+    assert 0.0 < sups[0] and all(a < b for a, b in zip(sups, sups[1:]))
+
+
+def test_2d_tiny_sublinear_solution_reaches_the_residual_tolerance(tmp_path,
+                                                                   capsys):
+    cfg = (V1D_CFG.replace("dim = 1", "dim = 2").replace("n = 64", "n = 16")
+           .replace("domain.lo = 0.0", "domain.lo = 0.0,0.0")
+           .replace("domain.hi = 1.0", "domain.hi = 1.0,1.0"))
+    res = _report(tmp_path, cfg, ["solve", "--set", "lam=0.03"])
+    assert res["status"] == "converged"
+    assert res["residual"] <= 1e-8
+    assert res["sup_norm"] > 0.0
+
+
+@pytest.mark.parametrize("lam", [3.0, 5.0])
+def test_linear_reaction_below_eigenvalue_collapses(tmp_path, capsys, lam):
+    # q = p = 3: no positive solution below lambda1 = 11.48; the random start
+    # reaches the residual tolerance at sup ~4e-5, where the gradient
+    # (of order u^(p-1)) is already that small, and must not count as one
+    cfg = (P3_CFG.replace("q = 4.0", "q = 3.0").replace("r = 5.0", "r = 4.0")
+           + "solver.initial = random\n")
+    res = _report(tmp_path, cfg, ["solve", "--set", f"lam={lam}"])
+    assert res["status"] == "collapsed"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["solve", "--set", "q=1.0000000001", "--set", "r=1.0000000002"],
+     "extrema t of Phi along a ray"),
+    (["threshold", "--set", "q=2.001", "--set", "r=2.002"],
+     "threshold lower bound"),
+], ids=["solve_ray_extrema", "threshold_lower_bound"])
+def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
+                                                       needle):
+    # the solution scale lam^(1/(r - q)) lies beyond float64
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(SUB_CFG.replace("lam = 1.0", "lam = 12.0"))
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "overflow" in err
+    assert needle in err
 
 
 @pytest.mark.parametrize("argv, needle", [

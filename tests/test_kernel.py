@@ -311,6 +311,41 @@ def test_assemble_2d_symmetries(kw2d, grid2d):
     assert v == pytest.approx(v.T, rel=1e-9)
 
 
+def _self_similarity_gap(kw) -> float:
+    """Relative distance of T from 2^ps/(2^ps - 1) * sum of the unit offsets.
+
+    Split one cell into its 2^N half-size cells: each ordered pair of them
+    at offset delta in {0,1}^N minus 0 occurs 2^N times, and T and every
+    pair weight scale as h^(N - ps), so that
+    T = 2^ps/(2^ps - 1) * sum over those delta of table[delta].
+    """
+    unit = kw.table[1] if kw.dim == 1 else kw.table[:2, :2].sum()
+    scale = 2.0 ** kw.ps
+    return abs(scale / (scale - 1.0) * unit - kw.T) / kw.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(0.01, 0.49), n=st.integers(2, 1024))
+@example(s=0.4, n=2)
+@example(s=0.49, n=1024)
+def test_1d_exterior_weight_is_self_similar_to_the_pair_weights(unit_interval,
+                                                               s, n):
+    params = validate_params(1, s, 2.0, 1.5, 2.0)
+    kw = assemble(build_grid(unit_interval, n), params)
+    assert _self_similarity_gap(kw) <= 1e-12
+
+
+@pytest.mark.parametrize("hi", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)],
+                         ids=["square", "rect_2x1", "rect_1x3"])
+def test_2d_exterior_quadrature_is_self_similar_to_the_pair_quadrature(hi):
+    # T comes from the exterior quadrature and the table from the pair
+    # quadrature, so the identity ties the two together
+    domain = DomainSpec((0.0, 0.0), hi)
+    for s in (0.05, 0.2, 0.35, 0.49):
+        kw = assemble(build_grid(domain, 2), validate_params(2, s, 2.0, 1.5, 2.0))
+        assert _self_similarity_gap(kw) <= 1e-12
+
+
 # ---------------------------------------------------------------------
 # persistence and guards
 # ---------------------------------------------------------------------

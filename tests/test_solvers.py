@@ -134,14 +134,13 @@ def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
 def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
                                                   eig32):
     # kw32 depends on s and p only, so it serves every reaction with p = 2
+    # _fiber_extrema, which the eigen start calls, lives in logistic
     import fplogistic.logistic as logistic
-    import fplogistic.solve as solve
     meas = grid32.measures
     u1 = eig32.u1.values
     energy_calls = []
-    for mod in (logistic, solve):
-        monkeypatch.setattr(mod, "_energy", lambda *a: energy_calls.append(a)
-                            or _energy(*a))
+    monkeypatch.setattr(logistic, "_energy", lambda *a: energy_calls.append(a)
+                        or _energy(*a))
     lam1 = eig32.lambda1
     for lp in (LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0),
                LogisticParams(lam=1.5 * lam1, p=2.0, q=2.0, r=3.0),
