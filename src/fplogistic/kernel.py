@@ -28,6 +28,14 @@ stored as its offset table (Toeplitz in 1D, block-Toeplitz in 2D), one pair
 weight per offset (|di|, |dj|), and T: the integral of the kernel over
 C_i x (R^N minus C_i), the same number on every cell.  The cells tile the
 domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use.
+
+In 2D the profiles of equal cells are hats of width 2h centred at the
+offset, and the kernel is smooth on their support unless the cells touch.
+Assembly therefore evaluates the whole table by one tensor Gauss rule on
+the hats (two panels per axis, split at the kink), at the two orders the
+angular rule compares.  Entries where the orders disagree, and the offsets
+whose cells touch (|di|, |dj| <= 1), take the angular quadrature; T comes
+from one exterior quadrature of a single cell.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ __all__ = [
 
 # Cap on the dense view W: ncells**2 weights at 8 bytes each (4096 cells = 128 MiB).
 MAX_DENSE_CELLS = 4096
-# Relative accuracy of the 2D angular quadrature during assembly.
+# Relative agreement of two Gauss orders required by both 2D assembly rules.
 ASSEMBLY_REL_TOL = 1e-7
 
 
@@ -277,6 +285,8 @@ def _ray_integrals(prof1, prof2, dx: np.ndarray, dy: np.ndarray, ps: float,
     return total
 
 
+# Gauss orders compared by the angular rule and by the tensor rule of assembly
+_GAUSS_ORDERS = (12, 20)
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -318,8 +328,7 @@ def _angular_integral(prof1, prof2, ps: float, area: float | None,
 
     bounds = np.asarray(panels)
     for _ in range(7):
-        coarse = sweep(bounds, 12)
-        fine = sweep(bounds, 20)
+        coarse, fine = (sweep(bounds, order) for order in _GAUSS_ORDERS)
         scale = max(abs(fine), abs(coarse), 1e-300)
         if abs(fine - coarse) <= rel_tol * scale:
             return fine
@@ -419,23 +428,52 @@ def _assemble_1d(grid: Grid, ps: float) -> tuple[np.ndarray, float]:
     return table, exterior_weight_1d((0.0, h), (0.0, h), beta)
 
 
+def _hat_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for int_{-1}^{1} f(a) (1 - |a|) da, split at the kink."""
+    nodes, wts = _gauss(order)
+    a = np.concatenate((0.5 * (nodes - 1.0), 0.5 * (nodes + 1.0)))
+    return a, 0.5 * np.concatenate((wts, wts)) * (1.0 - np.abs(a))
+
+
+def _tensor_table(n: int, ratio: float, ps: float, order: int) -> np.ndarray:
+    """Tensor Gauss rule on the hat profiles for every offset (di, dj).
+
+    With t = ((di + a) hx, (dj + b) hy) the pair weight of offset (di, dj)
+    is hx^(-ps) hy^2 times
+
+        int int (1 - |a|) (1 - |b|) |(di + a, (dj + b) hy/hx)|^(-(2+ps)) da db
+
+    over a, b in [-1, 1], which is what this returns (ratio = hy/hx).
+    Rows over di keep every temporary at n x (2 order)^2.
+    """
+    a, w = _hat_rule(order)
+    y2 = ((np.arange(n)[:, None] + a) * ratio) ** 2  # (dj, b)
+    table = np.empty((n, n))
+    for di in range(n):
+        k = (di + a)[:, None] ** 2 + y2[:, None, :]  # (dj, a, b)
+        np.power(k, -(1.0 + 0.5 * ps), out=k)
+        table[di] = (k @ w) @ w
+    return table
+
+
 def _assemble_2d(grid: Grid, ps: float) -> tuple[np.ndarray, float]:
     n = grid.n
     hx, hy = grid.spacing
 
-    # offset table: weight for cell displacement (|di|, |dj|); on square
-    # cells the reflection in the diagonal gives table[dj, di] = table[di, dj]
-    square_cells = hx == hy
+    # offset table: weight for cell displacement (|di|, |dj|).  Away from
+    # the origin the integrand is smooth, and the tensor rule is accepted
+    # wherever its two orders agree; offsets whose cells touch (|di|, |dj|
+    # <= 1) and those where the orders disagree take the angular quadrature
+    coarse, fine = (_tensor_table(n, hy / hx, ps, order) for order in _GAUSS_ORDERS)
+    redo = np.abs(fine - coarse) > ASSEMBLY_REL_TOL * fine
+    redo[:2, :2] = True
+    redo[0, 0] = False
+    table = hx ** (-ps) * hy ** 2 * fine
+    table[0, 0] = 0.0
     base = ((0.0, 0.0), (hx, hy))
-    table = np.zeros((n, n))
-    for di in range(n):
-        for dj in range(di if square_cells else 0, n):
-            if di == 0 and dj == 0:
-                continue
-            other = ((di * hx, dj * hy), (di * hx + hx, dj * hy + hy))
-            table[di, dj] = pair_weight_2d(base, other, ps, ASSEMBLY_REL_TOL)
-    if square_cells:
-        table += np.triu(table, 1).T
+    for di, dj in np.argwhere(redo).tolist():
+        other = ((di * hx, dj * hy), (di * hx + hx, dj * hy + hy))
+        table[di, dj] = pair_weight_2d(base, other, ps, ASSEMBLY_REL_TOL)
     return table, exterior_weight_2d(base, base, ps, ASSEMBLY_REL_TOL)
 
 

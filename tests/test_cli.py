@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fplogistic
 from fplogistic import __version__
 from fplogistic.cli import main
 
@@ -51,6 +55,16 @@ def super_cfg(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # python -m fplogistic with only the source tree on the path
+    src = str(Path(fplogistic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "fplogistic", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
 
 
 def test_usage_errors_exit_one(capsys):

@@ -239,8 +239,9 @@ def test_exterior_weight_2d_separated_matches_importance_mc():
 
 
 def test_assemble_2d_matches_direct_weights(params2d):
-    # the unit square takes the diagonal-symmetry shortcuts; the 2 x 1
-    # rectangle (hx != hy) must compute every entry
+    # every table entry, from the tensor rule or the angular quadrature,
+    # against the angular quadrature of the cell pair itself, on square
+    # cells (unit square) and on cells with hx != hy (2 x 1 rectangle)
     ps = params2d.ps
     for dom in (((0.0, 0.0), (1.0, 1.0)), ((0.0, 0.0), (2.0, 1.0))):
         grid = build_grid(DomainSpec(*dom), 3)
@@ -253,6 +254,64 @@ def test_assemble_2d_matches_direct_weights(params2d):
                 cj = (tuple(grid.lows[j]), tuple(grid.highs[j]))
                 assert kw.W[i, j] == pytest.approx(
                     pair_weight_2d(ci, cj, ps, rel_tol=1e-7), rel=1e-6)
+
+
+def _angular_offsets(monkeypatch, grid, params):
+    """Assemble, returning the offsets that went to pair_weight_2d."""
+    import fplogistic.kernel as kernel
+    hx, hy = grid.spacing
+    offsets = []
+    original = kernel.pair_weight_2d
+
+    def spy(a, b, *args, **kwargs):
+        offsets.append((round(b[0][0] / hx), round(b[0][1] / hy)))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "pair_weight_2d", spy)
+    kw = assemble(grid, params)
+    monkeypatch.undo()
+    return kw, sorted(offsets)
+
+
+def test_assemble_2d_angular_quadrature_only_where_the_tensor_rule_fails(
+        monkeypatch, unit_square, params2d):
+    # on the unit square only the touching offsets are singular
+    _, offsets = _angular_offsets(monkeypatch, build_grid(unit_square, 16),
+                                  params2d)
+    assert offsets == [(0, 1), (1, 0), (1, 1)]
+    # on cells ten times taller than wide the integrand at offsets (2, 0)
+    # and (2, 1) varies too fast along y for the 12/20 check
+    dom = DomainSpec((0.0, 0.0), (1.0, 10.0))
+    grid = build_grid(dom, 8)
+    kw, offsets = _angular_offsets(monkeypatch, grid, params2d)
+    assert offsets == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    hx, hy = grid.spacing
+    for di in range(8):
+        for dj in range(8):
+            if di == dj == 0:
+                continue
+            other = ((di * hx, dj * hy), ((di + 1) * hx, (dj + 1) * hy))
+            assert kw.table[di, dj] == pytest.approx(
+                pair_weight_2d(((0.0, 0.0), (hx, hy)), other, params2d.ps,
+                               rel_tol=1e-7), rel=1e-6)
+
+
+def test_assemble_2d_far_offsets_match_mpmath(unit_square):
+    # W(di, dj) = h^(2-ps) int int (1-|a|)(1-|b|) |(di+a, dj+b)|^(-(2+ps))
+    # over a, b in [-1, 1]: the hat profiles of the cell overlap
+    n, s = 64, 0.4
+    kw = assemble(build_grid(unit_square, n), validate_params(2, s, 2.0, 1.5, 2.0))
+    with mpmath.workdps(30):
+        ps = 2 * mpmath.mpf(s)
+        h = mpmath.mpf(1) / n
+        for di, dj in ((2, 0), (3, 2), (20, 7), (40, 63), (63, 63)):
+            def f(a, b):
+                return ((1 - abs(a)) * (1 - abs(b))
+                        * ((di + a) ** 2 + (dj + b) ** 2) ** (-1 - ps / 2))
+            ref = h ** (2 - ps) * mpmath.quad(f, [-1, 0, 1], [-1, 0, 1],
+                                              method="gauss-legendre")
+            assert kw.table[di, dj] == pytest.approx(float(ref), rel=1e-13,
+                                                     abs=0.0), (di, dj)
 
 
 @st.composite

@@ -173,6 +173,24 @@ def test_p2_operator_allocates_no_dense_temporary(sub_params, rng):
     assert peak < 2 ** 20
 
 
+def _assert_discrete_identities(kw, grid, p, c, seed):
+    """W symmetric, nonnegative and 0 on the diagonal, <Lu, u> = E(u) and
+    E(c u) = |c|^p E(u)."""
+    assert np.array_equal(kw.W, kw.W.T)
+    assert kw.W.min() >= 0.0
+    assert np.all(np.diag(kw.W) == 0.0)
+
+    u = DiscreteFunction(
+        np.random.default_rng(seed).uniform(-1.0, 1.0, grid.ncells), grid)
+    e = gagliardo_energy(u, kw, p)
+    pairing = mass_dot(apply_operator(u, kw, p).values, u.values,
+                       grid.measures)
+    assert pairing == pytest.approx(e, rel=1e-10)
+    scaled = DiscreteFunction(c * u.values, grid)
+    assert gagliardo_energy(scaled, kw, p) == pytest.approx(abs(c) ** p * e,
+                                                            rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(2.0, 4.0), data=st.data(), n=st.integers(2, 48),
        c=st.floats(0.25, 4.0), flip=st.booleans(),
@@ -184,20 +202,21 @@ def test_discrete_identities_for_random_1d_parameters(p, data, n, c, flip,
     params = validate_params(1, s, p, 1.5, p)
     grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
     kw = assemble(grid, params)
-    assert np.array_equal(kw.W, kw.W.T)
-    assert kw.W.min() >= 0.0
-    assert np.all(np.diag(kw.W) == 0.0)
+    _assert_discrete_identities(kw, grid, p, -c if flip else c, seed)
 
-    u = DiscreteFunction(np.random.default_rng(seed).uniform(-1.0, 1.0, n),
-                         grid)
-    e = gagliardo_energy(u, kw, p)
-    pairing = mass_dot(apply_operator(u, kw, p).values, u.values,
-                       grid.measures)
-    assert pairing == pytest.approx(e, rel=1e-10)
-    c = -c if flip else c
-    scaled = DiscreteFunction(c * u.values, grid)
-    assert gagliardo_energy(scaled, kw, p) == pytest.approx(abs(c) ** p * e,
-                                                            rel=1e-12)
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(2.0, 4.0), data=st.data(), n=st.integers(2, 10),
+       wide=st.booleans(), c=st.floats(0.25, 4.0), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_discrete_identities_for_random_2d_parameters(p, data, n, wide, c,
+                                                      flip, seed):
+    # 2D cells that share an edge need ps < 1, so s is drawn below 1/p
+    s = data.draw(st.floats(0.05, 0.999 / p), label="s")
+    params = validate_params(2, s, p, 1.5, p)
+    grid = build_grid(DomainSpec((0.0, 0.0), (2.0 if wide else 1.0, 1.0)), n)
+    kw = assemble(grid, params)
+    _assert_discrete_identities(kw, grid, p, -c if flip else c, seed)
 
 
 def _assert_sobolev_identities(kw, grid, seed):
