@@ -14,11 +14,12 @@ residual is the mass norm of the gradient in both cases.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable
 
 import numpy as np
 
-from .operator import mass_dot, mass_norm
+from .operator import mass_dot
 
 # Armijo sufficient-decrease constant and backtracking factor of descend
 ARMIJO_C = 1e-4
@@ -58,18 +59,20 @@ def descend(energy: Callable[[np.ndarray], float],
     ``precondition`` maps the mass gradient g to the search direction
     d = K^-1 (M g) of a symmetric positive definite metric K, M the
     diagonal of the cell measures; the Armijo test then uses <g, d>_M and
-    the Barzilai-Borwein step is measured in K.  Without it d = g.
+    the Barzilai-Borwein step is measured in K.  Without it d = g.  Each
+    mass pairing is one dot against M g, formed once per iterate.
     """
     move = retract or (lambda v: v)
     u = np.asarray(u0, dtype=float).copy()
     value = energy(u)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SolverError(f"non-finite energy at the initial point ({value})")
     g = gradient(u)
+    mg = measures * g
     d = g if precondition is None else precondition(g)
-    res = mass_norm(g, measures)
+    res = float(g @ mg) ** 0.5
 
-    prev_u = prev_g = prev_d = None
+    prev_u = prev_mg = prev_d = None
     step = 1.0
     it = 0
     free = False
@@ -82,18 +85,18 @@ def descend(energy: Callable[[np.ndarray], float],
             break
         if prev_u is not None:
             du = u - prev_u
-            dg = g - prev_g
-            denom = mass_dot(du, dg, measures)
+            dmg = mg - prev_mg
+            denom = float(du @ dmg)
             if denom > 0.0:
                 if precondition is None:
                     step = mass_dot(du, du, measures) / denom
                 else:
                     # <du, dd>_K / <dd, dd>_K with dd = d - prev_d = K^-1 M dg,
                     # so that K itself is never applied
-                    curv = mass_dot(dg, d - prev_d, measures)
+                    curv = float((d - prev_d) @ dmg)
                     step = denom / curv if curv > 0.0 else step
                 step = min(max(step, 1e-14), 1e8)
-        gg = res * res if precondition is None else mass_dot(g, d, measures)
+        gg = res * res if precondition is None else float(d @ mg)
         slack = 8.0 * _EPS * max(1.0, abs(value))
         # near a minimum the energy decrease per step drops below the
         # rounding floor of the energy evaluation, whose cancellation noise
@@ -106,7 +109,7 @@ def descend(energy: Callable[[np.ndarray], float],
         if free:
             v = move(u - step * d)
             ev = energy(v)
-            if not np.isfinite(ev) or res > max(1e6 * endgame_res, 1.0):
+            if not math.isfinite(ev) or res > max(1e6 * endgame_res, 1.0):
                 status = Status.MAX_ITERS
                 break
         else:
@@ -115,7 +118,7 @@ def descend(energy: Callable[[np.ndarray], float],
             for _ in range(60):
                 v = move(u - t * d)
                 ev = energy(v)
-                if np.isfinite(ev) and ev <= value - ARMIJO_C * t * gg + slack:
+                if math.isfinite(ev) and ev <= value - ARMIJO_C * t * gg + slack:
                     accepted = True
                     break
                 t *= ARMIJO_SHRINK
@@ -125,11 +128,12 @@ def descend(energy: Callable[[np.ndarray], float],
                     continue
                 status = Status.MAX_ITERS
                 break
-        prev_u, prev_g, prev_d = u, g, d
+        prev_u, prev_mg, prev_d = u, mg, d
         u, value = v, ev
         g = gradient(u)
+        mg = measures * g
         d = g if precondition is None else precondition(g)
-        res = mass_norm(g, measures)
+        res = float(g @ mg) ** 0.5
         if res < best_res:
             best_u, best_res, best_value = u, res, value
         it += 1

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .descent import SolverError
+from .descent import _EPS, SolverError
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
                        sobolev_preconditioner)
@@ -52,19 +52,23 @@ class LogisticParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def _pos_pow(t, expo: float):
-    return np.maximum(np.asarray(t, dtype=float), 0.0) ** expo
+def _reaction_pair(lp: LogisticParams, v: np.ndarray):
+    """(F(v), f(v)) from one max(v, 0) and its (q-1)- and (r-1)-powers."""
+    vp = np.maximum(v, 0.0)
+    a, b = vp ** (lp.q - 1.0), vp ** (lp.r - 1.0)
+    return vp * (lp.lam / lp.q * a - b / lp.r), lp.lam * a - b
 
 
 def reaction(lp: LogisticParams, t):
     """f(t); vanishes identically for t <= 0."""
-    out = lp.lam * _pos_pow(t, lp.q - 1.0) - _pos_pow(t, lp.r - 1.0)
+    out = _reaction_pair(lp, np.asarray(t, dtype=float))[1]
     return out if np.ndim(t) else float(out)
 
 
 def reaction_primitive(lp: LogisticParams, t):
     """F(t) = int_0^t f; bounded above since r > q."""
-    out = lp.lam * _pos_pow(t, lp.q) / lp.q - _pos_pow(t, lp.r) / lp.r
+    tp = np.maximum(np.asarray(t, dtype=float), 0.0)
+    out = lp.lam * tp ** lp.q / lp.q - tp ** lp.r / lp.r
     return out if np.ndim(t) else float(out)
 
 
@@ -83,25 +87,26 @@ class TruncatedReaction:
         a = self.anchor.values
         if not np.all(a > 0.0):
             raise ValueError("truncation anchor must be strictly positive on all cells")
-        self.f_anchor = reaction(self.base, a)
-        self.F_anchor = reaction_primitive(self.base, a)
+        self.F_anchor, self.f_anchor = _reaction_pair(self.base, a)
         self.fa_anchor = self.f_anchor * a
+
+
+def _truncated_pair(tr: TruncatedReaction, v: np.ndarray):
+    """(truncated primitive, truncated reaction) from one _reaction_pair."""
+    F, f = _reaction_pair(tr.base, v)
+    low = v <= tr.anchor.values
+    return (np.where(low, tr.f_anchor * v, tr.fa_anchor + F - tr.F_anchor),
+            np.where(low, tr.f_anchor, f))
 
 
 def truncated_reaction(tr: TruncatedReaction, t) -> np.ndarray:
     """Truncated reaction evaluated cellwise; t broadcasts against the anchor."""
-    a = tr.anchor.values
-    t = np.broadcast_to(np.asarray(t, dtype=float), a.shape)
-    return np.where(t <= a, tr.f_anchor, reaction(tr.base, t))
+    return _truncated_pair(tr, np.asarray(t, dtype=float))[1]
 
 
 def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
     """Cellwise primitive of the truncated reaction, vanishing at t = 0."""
-    a = tr.anchor.values
-    t = np.broadcast_to(np.asarray(t, dtype=float), a.shape)
-    low = tr.f_anchor * t
-    high = tr.fa_anchor + reaction_primitive(tr.base, t) - tr.F_anchor
-    return np.where(t <= a, low, high)
+    return _truncated_pair(tr, np.asarray(t, dtype=float))[0]
 
 
 @dataclass(eq=False)
@@ -121,17 +126,26 @@ class Functional:
     collapsed: Callable[[np.ndarray], bool] | None = None
 
 
-def _functional(kw: KernelWeights, grid, p: float, primitive, rxn,
+def _functional(kw: KernelWeights, grid, p: float, pair,
                 collapsed=None) -> Functional:
-    """E(u)/p - sum_i primitive(u)_i |C_i|, whose mass-gradient is Lu - rxn(u)."""
+    """E(u)/p - sum_i F(u)_i |C_i|, mass-gradient Lu - f(u), (F, f) = pair(u).
+
+    ``energy(v)`` keeps f(v) for ``gradient`` on the same array (``is``).
+    """
     _check_weights(grid.measures, kw)
     m = grid.measures
-    return Functional(
-        energy=lambda v: _energy(v, kw, p) / p - float((primitive(v) * m).sum()),
-        gradient=lambda v: _apply(v, kw, p, m) - rxn(v),
-        precondition=sobolev_preconditioner(kw, p, m),
-        collapsed=collapsed,
-    )
+    last = [None, None]  # the array of the last energy call and its f
+
+    def energy(v: np.ndarray) -> float:
+        F, last[1] = pair(v)
+        last[0] = v
+        return _energy(v, kw, p) / p - float(m @ F)
+
+    def gradient(v: np.ndarray) -> np.ndarray:
+        return _apply(v, kw, p, m) - (last[1] if v is last[0] else pair(v)[1])
+
+    return Functional(energy, gradient, sobolev_preconditioner(kw, p, m),
+                      collapsed)
 
 
 def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
@@ -177,7 +191,8 @@ def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
             low = h(math.log((q - p) * e / ((r - q) * b)) / (r - p))[0]
         else:
             low = (e if q == p else 0.0) - la
-        if not low < 0.0:
+        # zero to rounding (q = p, lam = lambda1, v = u1) is not negative
+        if not low < -16.0 * _EPS * (e + la):
             return nan, nan
         peak = zero(math.log(e / la) / (q - p), 1.0) if q > p else nan
         return peak, zero(math.log(la / b) / (r - q), -1.0)
@@ -197,16 +212,15 @@ def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
         peak, valley = _fiber_extrema(v, kw, lp, grid.measures)
         return math.isnan(valley) or peak >= 1.0
 
-    return _functional(kw, grid, lp.p, lambda v: reaction_primitive(lp, v),
-                       lambda v: reaction(lp, v), collapsed)
+    return _functional(kw, grid, lp.p, lambda v: _reaction_pair(lp, v),
+                       collapsed)
 
 
 def truncated_functional(kw: KernelWeights, grid, tr: TruncatedReaction) -> Functional:
     """Phi with the reaction replaced by its truncation around the anchor."""
-    return _functional(kw, grid, tr.base.p, lambda v: truncated_primitive(tr, v),
-                       lambda v: truncated_reaction(tr, v))
+    return _functional(kw, grid, tr.base.p, lambda v: _truncated_pair(tr, v))
 
 
 def torsion_functional(kw: KernelWeights, grid, p: float) -> Functional:
     """Energy E(u)/p - sum_i u_i |C_i| whose critical point solves L u = 1."""
-    return _functional(kw, grid, p, lambda v: v, lambda v: 1.0)
+    return _functional(kw, grid, p, lambda v: (v, 1.0))

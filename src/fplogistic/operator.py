@@ -22,6 +22,8 @@ temporary.  Its rounding is about eps T |u| per cell, far below the
 solvers' residual tolerances.  The p = 2 energy stays the pairwise sum:
 u^T K u would subtract 2 T |u|^2 down to E(u), about two digits smaller,
 and that cancellation noise exceeds the Armijo slack of the descent engine.
+Each energy term is one dot: the m x m difference buffer against W, and
+|u|^p against V.
 """
 
 from __future__ import annotations
@@ -94,10 +96,8 @@ def _energy(values: np.ndarray, kw: KernelWeights, p: float) -> float:
     else:
         np.abs(diff, out=diff)
         diff **= p
-    diff *= kw.W
-    pair = float(diff.sum())
-    ext = 2.0 * float((kw.V * np.abs(values) ** p).sum())
-    return pair + ext
+    power = values * values if p == 2.0 else np.abs(values) ** p
+    return float(diff.ravel() @ kw.W.ravel() + 2.0 * (kw.V @ power))
 
 
 def _apply(values: np.ndarray, kw: KernelWeights, p: float,
@@ -142,7 +142,7 @@ def lp_norm(u: DiscreteFunction, nu: float) -> float:
 
 def mass_dot(a: np.ndarray, b: np.ndarray, measures: np.ndarray) -> float:
     """L^2 pairing sum_i a_i b_i |C_i| on raw value arrays."""
-    return float((a * b * measures).sum())
+    return float((a * b) @ measures)
 
 
 def mass_norm(a: np.ndarray, measures: np.ndarray) -> float:

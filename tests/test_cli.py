@@ -67,6 +67,19 @@ def test_module_entry_point_runs_from_a_checkout():
     assert "verify" in done.stdout
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # every command pays for what importing the CLI loads
+    src = str(Path(fplogistic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    heavy = ("numpy.random", "numpy.polynomial", "scipy", "statistics")
+    code = ("import sys, fplogistic.cli; print(' '.join(sorted(m for m in "
+            f"sys.modules if m.split('.')[0] == 'scipy' or m in {heavy!r})))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

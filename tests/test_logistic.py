@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fplogistic.logistic as logistic
 from fplogistic.logistic import (LogisticParams, TruncatedReaction,
+                                 _reaction_pair,
                                  phi_functional, reaction, reaction_primitive,
                                  torsion_functional, truncated_functional,
                                  truncated_primitive, truncated_reaction)
-from fplogistic.operator import DiscreteFunction, GridMismatchError
+from fplogistic.operator import DiscreteFunction, GridMismatchError, _apply
 
 
 @pytest.fixture()
@@ -134,3 +138,75 @@ def test_torsion_functional_gradient(grid32, kw32, rng):
         fd = (f.energy(vp) - f.energy(vm)) / (2.0 * eps)
         assert g[i] * grid32.measures[i] == pytest.approx(fd, rel=1e-5,
                                                           abs=1e-9)
+
+
+def _functional_and_reaction(kind, kw, grid, lp, anchor):
+    if kind == "phi":
+        return phi_functional(kw, grid, lp), lambda v: reaction(lp, v)
+    if kind == "truncated":
+        tr = TruncatedReaction(anchor, lp)
+        return (truncated_functional(kw, grid, tr),
+                lambda v: truncated_reaction(tr, v))
+    return torsion_functional(kw, grid, 2.0), lambda v: 1.0
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "replaced"])
+@pytest.mark.parametrize("kind", ["phi", "truncated", "torsion"])
+def test_gradient_reuses_the_reaction_of_the_energy_call(monkeypatch, grid32,
+                                                         kw32, lp, anchor,
+                                                         rng, kind, wrapped):
+    func, rxn = _functional_and_reaction(kind, kw32, grid32, lp, anchor)
+    if wrapped:
+        # the wrapper a tracer puts around every evaluation
+        energy, gradient = func.energy, func.gradient
+        func = dataclasses.replace(func, energy=lambda v: energy(v),
+                                   gradient=lambda v: gradient(v))
+    calls = []
+    pair = logistic._reaction_pair
+    monkeypatch.setattr(logistic, "_reaction_pair",
+                        lambda lp_, v: calls.append(1) or pair(lp_, v))
+
+    def evaluations(call, v):
+        # the call's result and how many reaction evaluations it made
+        before = len(calls)
+        out = call(v)
+        return out, len(calls) - before
+
+    def expected(v):
+        return _apply(v, kw32, 2.0, grid32.measures) - rxn(v)
+
+    a = rng.uniform(-0.5, 1.6, grid32.ncells)
+    b = rng.uniform(-0.5, 1.6, grid32.ncells)
+    once = 0 if kind == "torsion" else 1
+    assert evaluations(func.energy, a)[1] == once
+    g, evals = evaluations(func.gradient, a)
+    assert evals == 0
+    assert np.array_equal(g, expected(a))
+    # another array after energy(a) gets its own powers, not a's
+    g, evals = evaluations(func.gradient, b)
+    assert evals == once
+    assert np.array_equal(g, expected(b))
+    assert np.array_equal(func.gradient(a.copy()), expected(a))
+
+
+@pytest.mark.parametrize("q, r, lam", [(1.5, 3.0, 2.0), (3.0, 4.0, 8.0),
+                                       (1.01, 4.9, 0.001), (2.7, 2.71, 900.0)])
+def test_shared_primitive_is_within_four_ulps(grid32, anchor, rng, q, r, lam):
+    # ulps of the size of the terms, which may cancel in F
+    lp = LogisticParams(lam=lam, p=2.0, q=q, r=r)
+    tr = TruncatedReaction(anchor, lp)
+    a = anchor.values
+    for v in (rng.uniform(-1.0, 4.0, grid32.ncells),
+              10.0 ** rng.uniform(-8.0, 2.0, grid32.ncells)):
+        vp = np.maximum(v, 0.0)
+        size = lam * vp ** q / q + vp ** r / r
+        F, f = _reaction_pair(lp, v)
+        assert np.array_equal(f, reaction(lp, v))
+        assert np.all(np.abs(F - reaction_primitive(lp, v))
+                      <= 4.0 * np.spacing(size))
+        # the truncation adds f(a) a - F(a) above the anchor
+        oracle = np.where(v <= a, tr.f_anchor * v, tr.f_anchor * a
+                          + reaction_primitive(lp, v) - reaction_primitive(lp, a))
+        size += np.abs(tr.fa_anchor) + np.abs(tr.F_anchor)
+        assert np.all(np.abs(truncated_primitive(tr, v) - oracle)
+                      <= 4.0 * np.spacing(size))

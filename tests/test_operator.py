@@ -173,6 +173,29 @@ def test_p2_operator_allocates_no_dense_temporary(sub_params, rng):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_energy_allocates_one_dense_buffer(rng, p):
+    # the pair term is one m x m difference buffer reduced by a dot against
+    # W; at n = 1024 that buffer is 8 MiB, and nothing else may come close
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 1024)
+    kw = assemble(grid, validate_params(1, 0.3, p, 1.5, p + 0.5))
+    u = _random_function(grid, rng)
+    gagliardo_energy(u, kw, p)  # derive W and V before tracing
+    tracemalloc.start()
+    try:
+        gagliardo_energy(u, kw, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * grid.ncells ** 2
+    # the dots sum m^2 nonnegative terms in another order than a plain sum
+    v = u.values
+    oracle = ((np.abs(np.subtract.outer(v, v)) ** p * kw.W).sum()
+              + 2.0 * (kw.V * np.abs(v) ** p).sum())
+    assert gagliardo_energy(u, kw, p) == pytest.approx(
+        oracle, rel=grid.ncells ** 2 * np.finfo(float).eps, abs=0.0)
+
+
 def _assert_discrete_identities(kw, grid, p, c, seed):
     """W symmetric, nonnegative and 0 on the diagonal, <Lu, u> = E(u) and
     E(c u) = |c|^p E(u)."""

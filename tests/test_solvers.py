@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
@@ -131,6 +133,23 @@ def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     assert np.all(u0 == 0.0)
 
 
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_eigen_start_at_the_eigenvalue_is_zero_to_rounding(grid64, kw64,
+                                                           eig64, k):
+    # at q = p and lam = lambda1 the infimum E(u) - lam ||u||_p^p along the
+    # ray of u1 is zero up to rounding, so no valley may be found however
+    # u1 is rounded; slightly above lambda1 the dip is real
+    eps = np.finfo(float).eps
+    eig = dataclasses.replace(eig64, u1=DiscreteFunction(
+        eig64.u1.values * (1.0 + k * eps), grid64))
+    lam1 = eig64.lambda1
+    for lam, dip in ((lam1, False), ((1.0 + 1e-9) * lam1, True)):
+        lp = LogisticParams(lam=lam, p=2.0, q=2.0, r=3.0)
+        u0 = initial_values("eigen", grid64, kw64, lp, SolveOptions(),
+                            eigen=eig)
+        assert bool(u0.any()) is dip
+
+
 def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
                                                   eig32):
     # kw32 depends on s and p only, so it serves every reaction with p = 2
@@ -192,6 +211,30 @@ def test_detect_threshold_invariants(grid16, kw16_super, super_params):
     assert all(b < a for a, b in zip(sups[::-1], sups[::-1][1:]))
     assert report.u_star.values.min() > 0.0
     assert report.branch[0].lam == pytest.approx(report.lambda_star_h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=st.floats(0.25, 0.45), data=st.data(), n=st.integers(8, 16))
+def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
+    # p = 2 < q < r < p* = 2 / (1 - 2s), so every draw is superdiffusive.
+    # The draws leave out two regions where the walk is known to stop
+    # early: q close to p, where the probes next to a flat fold may take
+    # more than max_iters, and large q or r - q < 1, where the reaction at
+    # the solutions, about lam^((r-1)/(r-q)), is so large that its rounding
+    # exceeds the absolute residual tolerance
+    p_star = 2.0 / (1.0 - 2.0 * s)
+    q = data.draw(st.floats(2.25, min(p_star - 1.5, 4.0)), label="q")
+    r = data.draw(st.floats(q + 1.0, min(q + 3.0, p_star - 0.05)), label="r")
+    params = validate_params(1, s, 2.0, q, r)
+    grid = build_grid(unit_interval, n)
+    rep = detect_threshold(params, assemble(grid, params), grid,
+                           SolveOptions(), bracket_tol=1e-2)
+    assert rep.lambda_star_h >= rep.lambda_0
+    lams = [b.lam for b in rep.branch]
+    sups = [b.sup_norm for b in rep.branch]
+    assert lams[0] == rep.lambda_star_h
+    assert all(a < b for a, b in zip(lams, lams[1:]))
+    assert all(a < b for a, b in zip(sups, sups[1:]))
 
 
 def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
