@@ -236,13 +236,12 @@ def write_solution_csv(path: str | Path, grid: Grid, values: np.ndarray,
     d = grid.boundary_dist
     ratio = values / d ** s
     coord_cols = ["x"] if grid.dim == 1 else ["x", "y"]
+    table = np.column_stack([grid.centers, values, d, ratio])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell_index", *coord_cols, "value", "d", "ratio"])
-        for i in range(grid.ncells):
-            coords = [repr(float(c)) for c in np.atleast_1d(grid.centers[i])]
-            writer.writerow([i, *coords, repr(float(values[i])),
-                             repr(float(d[i])), repr(float(ratio[i]))])
+        writer.writerows([i, *map(repr, row.tolist())]
+                         for i, row in enumerate(table))
     return path
 
 

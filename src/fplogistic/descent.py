@@ -5,10 +5,12 @@ minimizers of the logistic energy (``solve.minimize``), the principal
 eigenpair (``eigen``, on the p-sphere, normalization as the retraction) and
 the mountain-pass saddle (``solve.mountain_pass``, the free energy on the
 energy peaks of rays, the move of a point to the peak of its ray as the
-retraction).  For p = 2 the callers pass ``operator.sobolev_preconditioner``
-and the steps are taken in the metric of K, the Hessian of E/2; for every
-other p they are taken in the mass inner product of the cell measures.  The
-residual is the mass norm of the gradient in both cases.
+retraction).  For p = 2 the steps are taken in a metric built on K, the
+Hessian of E/2: on the free energy with q >= 2 the full Hessian at the
+iterate (inexact Newton steps, ``operator.newton_direction``), elsewhere K
+itself (``operator.sobolev_preconditioner``).  For every other p they are
+taken in the mass inner product of the cell measures.  The residual is the
+mass norm of the gradient in every case.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def descend(energy: Callable[[np.ndarray], float],
             u0: np.ndarray, measures: np.ndarray, tol: float, max_iters: int,
             *, retract: Callable[[np.ndarray], np.ndarray] | None = None,
             precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+            newton: bool = False,
             ) -> tuple[np.ndarray, float, float, int, Status]:
     """Monotone descent from u0; returns (u, energy, residual, iterations, status).
 
@@ -57,10 +60,16 @@ def descend(energy: Callable[[np.ndarray], float],
     caller may carry work from one to the other.
 
     ``precondition`` maps the mass gradient g to the search direction
-    d = K^-1 (M g) of a symmetric positive definite metric K, M the
-    diagonal of the cell measures; the Armijo test then uses <g, d>_M and
-    the Barzilai-Borwein step is measured in K.  Without it d = g.  Each
-    mass pairing is one dot against M g, formed once per iterate.
+    d = P^-1 (M g) of a symmetric positive definite metric P, which may
+    depend on the iterate, M the diagonal of the cell measures; it is
+    called right after ``gradient``, at the same iterate.  The Armijo test
+    then uses <g, d>_M.  For a fixed metric the Barzilai-Borwein step is
+    measured in P.  With ``newton`` the metric is the Hessian at the
+    iterate, or stands in for it where that is not positive definite, so it
+    changes from step to step and no Barzilai-Borwein pairing applies;
+    every line search then starts from the unit step.  Without
+    ``precondition``, d = g.  Each mass pairing is one dot against M g,
+    formed once per iterate.
     """
     move = retract or (lambda v: v)
     u = np.asarray(u0, dtype=float).copy()
@@ -83,7 +92,7 @@ def descend(energy: Callable[[np.ndarray], float],
         if it >= max_iters:
             status = Status.MAX_ITERS
             break
-        if prev_u is not None:
+        if prev_u is not None and not newton:
             du = u - prev_u
             dmg = mg - prev_mg
             denom = float(du @ dmg)
@@ -91,8 +100,8 @@ def descend(energy: Callable[[np.ndarray], float],
                 if precondition is None:
                     step = mass_dot(du, du, measures) / denom
                 else:
-                    # <du, dd>_K / <dd, dd>_K with dd = d - prev_d = K^-1 M dg,
-                    # so that K itself is never applied
+                    # <du, dd>_P / <dd, dd>_P with dd = d - prev_d = P^-1 M dg,
+                    # so that P itself is never applied
                     curv = float((d - prev_d) @ dmg)
                     step = denom / curv if curv > 0.0 else step
                 step = min(max(step, 1e-14), 1e8)

@@ -22,7 +22,7 @@ import numpy as np
 from .descent import _EPS, SolverError
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
-                       sobolev_preconditioner)
+                       newton_direction, sobolev_preconditioner)
 
 __all__ = [
     "LogisticParams",
@@ -57,6 +57,13 @@ def _reaction_pair(lp: LogisticParams, v: np.ndarray):
     vp = np.maximum(v, 0.0)
     a, b = vp ** (lp.q - 1.0), vp ** (lp.r - 1.0)
     return vp * (lp.lam / lp.q * a - b / lp.r), lp.lam * a - b
+
+
+def _reaction_slope(lp: LogisticParams, v: np.ndarray) -> np.ndarray:
+    """f'(v), bounded for q >= 2; at q = 2 it takes lam on v <= 0."""
+    vp = np.maximum(v, 0.0)
+    return (lp.lam * (lp.q - 1.0)) * vp ** (lp.q - 2.0) \
+        - (lp.r - 1.0) * vp ** (lp.r - 2.0)
 
 
 def reaction(lp: LogisticParams, t):
@@ -113,28 +120,35 @@ def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
 class Functional:
     """Energy/gradient pair consumed by the descent solver (raw value arrays).
 
-    ``precondition`` is the Sobolev preconditioner of the energy's diffusion
-    part (``operator.sobolev_preconditioner``) for p = 2, under which the
-    descent steps in the metric of the Hessian of E/2, and None otherwise.
-    ``collapsed`` tells whether a critical point lies in the zero basin of
-    its own ray; only Phi has one, and None means never.
+    ``precondition`` maps the mass gradient g to a descent direction for
+    p = 2 and is None otherwise.  With ``newton`` it is the inexact Newton
+    direction of ``operator.newton_direction``, in the metric of the
+    Hessian at the array of the last ``gradient`` call, so it must follow
+    that call; without it is the Sobolev preconditioner of the diffusion
+    part (``operator.sobolev_preconditioner``), the fixed metric of the
+    Hessian K of E/2.  ``collapsed`` tells whether a critical point lies in
+    the zero basin of its own ray; only Phi has one, and None means never.
     """
 
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     precondition: Callable[[np.ndarray], np.ndarray] | None
     collapsed: Callable[[np.ndarray], bool] | None = None
+    newton: bool = False
 
 
 def _functional(kw: KernelWeights, grid, p: float, pair,
-                collapsed=None) -> Functional:
+                collapsed=None, slope=None) -> Functional:
     """E(u)/p - sum_i F(u)_i |C_i|, mass-gradient Lu - f(u), (F, f) = pair(u).
 
     ``energy(v)`` keeps f(v) for ``gradient`` on the same array (``is``).
+    With ``slope`` (f', for p = 2) the precondition is the Newton direction
+    at the array of the last ``gradient`` call.
     """
     _check_weights(grid.measures, kw)
     m = grid.measures
-    last = [None, None]  # the array of the last energy call and its f
+    # the array of the last energy call, its f, the last gradient's array
+    last = [None, None, None]
 
     def energy(v: np.ndarray) -> float:
         F, last[1] = pair(v)
@@ -142,10 +156,17 @@ def _functional(kw: KernelWeights, grid, p: float, pair,
         return _energy(v, kw, p) / p - float(m @ F)
 
     def gradient(v: np.ndarray) -> np.ndarray:
+        last[2] = v
         return _apply(v, kw, p, m) - (last[1] if v is last[0] else pair(v)[1])
 
-    return Functional(energy, gradient, sobolev_preconditioner(kw, p, m),
-                      collapsed)
+    if slope is None:
+        return Functional(energy, gradient, sobolev_preconditioner(kw, p, m),
+                          collapsed)
+
+    def precondition(g: np.ndarray) -> np.ndarray:
+        return newton_direction(kw, m * slope(last[2]), m * g)
+
+    return Functional(energy, gradient, precondition, collapsed, newton=True)
 
 
 def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
@@ -207,13 +228,19 @@ def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
     A critical point u is collapsed when Phi(t u) has no valley, or (q > p)
     when t = 1 lies before its peak.  The test has no absolute scale: a tiny
     solution of a sublinear reaction sits at the valley of its ray.
+
+    For p = 2 and q >= 2 the descent takes inexact Newton steps on the full
+    Hessian K - M f'(u) (``Functional.newton``).  For q < 2, f'(t) grows
+    like t^(q-2) as t -> 0+, so there it keeps the fixed metric K.
     """
     def collapsed(v: np.ndarray) -> bool:
         peak, valley = _fiber_extrema(v, kw, lp, grid.measures)
         return math.isnan(valley) or peak >= 1.0
 
+    newton = lp.p == 2.0 and lp.q >= 2.0
     return _functional(kw, grid, lp.p, lambda v: _reaction_pair(lp, v),
-                       collapsed)
+                       collapsed,
+                       (lambda v: _reaction_slope(lp, v)) if newton else None)
 
 
 def truncated_functional(kw: KernelWeights, grid, tr: TruncatedReaction) -> Functional:

@@ -15,7 +15,9 @@ For p = 2 the energy is quadratic, E(u) = u^T K u with
     K = 2 (diag(sum_j W_ij + V_i) - W) = 2 (T I - W),
 
 symmetric positive definite, and the descent solvers step in its metric
-(``sobolev_preconditioner``).  The diagonal is the constant 2T by
+(``sobolev_preconditioner``), or in that of K - diag(c), the Hessian of a
+free energy whose reaction contributes the curvature c
+(``newton_direction``).  The diagonal is the constant 2T by
 construction (V_i = T - sum_j W_ij), so the p = 2 operator is applied as
 one matrix-vector product, |C| Lu = 2 (T u - W u), with no m x m
 temporary.  Its rounding is about eps T |u| per cell, far below the
@@ -46,7 +48,11 @@ __all__ = [
     "mass_dot",
     "mass_norm",
     "sobolev_preconditioner",
+    "newton_direction",
 ]
+
+# relative residual, in the K^-1 norm, at which newton_direction stops
+NEWTON_FORCING = 0.01
 
 
 class GridMismatchError(ValueError):
@@ -161,3 +167,42 @@ def sobolev_preconditioner(kw: KernelWeights, p: float, measures: np.ndarray
         return None
     kinv = kw.k_inverse
     return lambda g: kinv @ (measures * g)
+
+
+def newton_direction(kw: KernelWeights, shift: np.ndarray, b: np.ndarray
+                     ) -> np.ndarray:
+    """Inexact solve of H d = b, H = K - diag(shift), by truncated CG.
+
+    With shift = M f'(u) and b = M g, H is the Hessian of the p = 2 free
+    energy at u and d its inexact Newton direction (Dembo, Eisenstat &
+    Steihaug 1982).  CG preconditioned by K^-1 starts at d = 0 and stops
+    once the residual r = b - H d has |r|_{K^-1} <= NEWTON_FORCING |b|_{K^-1}.
+    Each step multiplies by K^-1 once and needs no product with W: K p
+    follows from p = z + beta p and K z = r.  Nothing is factorized.  A
+    search direction p with p^T H p <= 0 shows that H is not positive
+    definite there; the solve is then truncated (Steihaug 1983) and returns
+    the iterate so far, or K^-1 b at the first step.  Every CG iterate from
+    0 and K^-1 b itself have <d, b> > 0, so d is always a descent direction.
+    """
+    kinv = kw.k_inverse
+    z = kinv @ b
+    rz = float(b @ z)
+    stop = NEWTON_FORCING * NEWTON_FORCING * rz
+    r, p, kp, d = b, z, b, None  # kp = K p
+    for _ in range(b.size):
+        hp = kp - shift * p
+        curv = float(p @ hp)
+        if not curv > 0.0:
+            break
+        alpha = rz / curv
+        d = alpha * p if d is None else d + alpha * p
+        r = r - alpha * hp
+        z = kinv @ r
+        rz_next = float(r @ z)
+        if rz_next <= stop:
+            break
+        beta = rz_next / rz
+        p = z + beta * p
+        kp = r + beta * kp
+        rz = rz_next
+    return z if d is None else d

@@ -98,7 +98,7 @@ def minimize(func: Functional, u0: DiscreteFunction,
     meas = u0.grid.measures
     u, energy, res, it, status = descend(
         func.energy, func.gradient, u0.values, meas, opts.residual_tol,
-        opts.max_iters, precondition=func.precondition)
+        opts.max_iters, precondition=func.precondition, newton=func.newton)
     clipped = np.maximum(u, 0.0)
     if not np.array_equal(clipped, u):
         u = clipped
@@ -241,6 +241,11 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
             u_start = initial_values("eigen", grid, kw, lp, opts, eigen)
         rep = minimize(phi_functional(kw, grid, lp),
                        DiscreteFunction(u_start, grid), opts)
+        if rep.status is Status.MAX_ITERS and rep.iterations < opts.max_iters:
+            raise SolverError(
+                f"threshold probe at lam = {lam:.6g} stopped after "
+                f"{rep.iterations} of {opts.max_iters} iterations "
+                f"(residual {rep.residual:.3e})")
         if rep.status is Status.MAX_ITERS:
             raise SolverError(
                 f"threshold probe at lam = {lam:.6g} hit the iteration cap "
@@ -313,7 +318,7 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     u, _, _, it, _ = descend(
         func.energy, func.gradient, t0 * u_lam.values, meas, opts.residual_tol,
         opts.max_iters, retract=lambda v: _fiber_extrema(v, kw, lp, meas)[0] * v,
-        precondition=func.precondition)
+        precondition=func.precondition, newton=func.newton)
 
     v = np.minimum(np.maximum(u, 0.0), u_lam.values)
     res = mass_norm(func.gradient(v), meas)

@@ -57,11 +57,11 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
     mask = grid.boundary_adjacent()
     rmin = float(ratios.min())
     bmin = float(ratios[mask].min())
-    # not np.median, whose first call imports numpy.ma; imported here so that
-    # commands that never check do not pay for importing statistics
-    import statistics
-
-    med = float(statistics.median(ratios.tolist()))
+    # statistics.median's formula, without np.median, whose first call
+    # imports numpy.ma, or statistics, which imports decimal and fractions
+    srt = sorted(ratios.tolist())
+    mid = len(srt) // 2
+    med = srt[mid] if len(srt) % 2 else (srt[mid - 1] + srt[mid]) / 2
     ok = rmin > 0.0 and med > 0.0 and bmin >= hopf_frac * med
     return CheckResult(
         name="hopf_boundary_growth",

@@ -272,7 +272,8 @@ def test_threshold_p3_collapses_past_the_fold(tmp_path, capsys):
 def test_threshold_2d_passes_the_fold(tmp_path, capsys):
     # the probe just above lambda*_h = 22.39 starts next to the fold, where
     # mass-metric steps creep until the iteration cap; steps in the metric
-    # of K converge there as fast as at the probes before it
+    # of K, and Newton steps on the full Hessian, converge there as fast as
+    # at the probes before it
     cfg = tmp_path / "fold2d.cfg"
     cfg.write_text(SUB_CFG.replace("dim = 1", "dim = 2")
                    .replace("q = 1.5", "q = 2.5").replace("r = 3.0", "r = 3.2")

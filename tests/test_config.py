@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -144,6 +145,32 @@ def test_solution_csv_2d_columns(tmp_path, grid2d):
     values = np.ones(grid2d.ncells)
     path = write_solution_csv(tmp_path / "c.csv", grid2d, values, 0.4)
     assert path.read_text().splitlines()[0] == "cell_index,x,y,value,d,ratio"
+
+
+def _per_cell_solution_csv(path, grid, values, s):
+    # one cell at a time, every number through float and repr
+    d = grid.boundary_dist
+    ratio = values / d ** s
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell_index", *["x", "y"][:grid.dim], "value", "d",
+                         "ratio"])
+        for i in range(grid.ncells):
+            coords = [repr(float(c)) for c in np.atleast_1d(grid.centers[i])]
+            writer.writerow([i, *coords, repr(float(values[i])),
+                             repr(float(d[i])), repr(float(ratio[i]))])
+    return path
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solution_csv_bytes_match_a_per_cell_writer(tmp_path, grid32, grid2d,
+                                                    dim):
+    grid = grid32 if dim == 1 else grid2d
+    values = np.random.default_rng(dim).uniform(-1e-300, 1e3, grid.ncells)
+    values[:3] = [0.0, 1e-17, 1.0 / 3.0]
+    ours = write_solution_csv(tmp_path / "a.csv", grid, values, 0.4)
+    ref = _per_cell_solution_csv(tmp_path / "b.csv", grid, values, 0.4)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_branch_csv_layout(tmp_path):

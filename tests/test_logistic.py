@@ -11,7 +11,10 @@ from fplogistic.logistic import (LogisticParams, TruncatedReaction,
                                  phi_functional, reaction, reaction_primitive,
                                  torsion_functional, truncated_functional,
                                  truncated_primitive, truncated_reaction)
-from fplogistic.operator import DiscreteFunction, GridMismatchError, _apply
+from fplogistic.domain import build_grid
+from fplogistic.kernel import assemble
+from fplogistic.operator import (NEWTON_FORCING, DiscreteFunction,
+                                 GridMismatchError, _apply)
 
 
 @pytest.fixture()
@@ -210,3 +213,66 @@ def test_shared_primitive_is_within_four_ulps(grid32, anchor, rng, q, r, lam):
         size += np.abs(tr.fa_anchor) + np.abs(tr.F_anchor)
         assert np.all(np.abs(truncated_primitive(tr, v) - oracle)
                       <= 4.0 * np.spacing(size))
+
+
+def _hessian(kw, grid, lp, u):
+    # K - diag(M f'(u)) from the dense weights and f' in closed form
+    k = 2.0 * (kw.T * np.eye(grid.ncells) - kw.W)
+    slope = lp.lam * (lp.q - 1.0) * u ** (lp.q - 2.0) \
+        - (lp.r - 1.0) * u ** (lp.r - 2.0)
+    return k, k - np.diag(grid.measures * slope)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("case", ["1d-16", "1d-64", "2d-8"])
+def test_newton_direction_descends_and_meets_the_forcing_term(
+        unit_interval, kw64, grid64, kw2d, grid2d, sub_params, case, q):
+    if case == "1d-16":
+        grid = build_grid(unit_interval, 16)
+        kw = assemble(grid, sub_params)
+    else:
+        kw, grid = (kw64, grid64) if case == "1d-64" else (kw2d, grid2d)
+    lp = LogisticParams(lam=200.0, p=2.0, q=q, r=q + 1.0)
+    func = phi_functional(kw, grid, lp)
+    assert func.newton
+    m = grid.measures
+    rng = np.random.default_rng(sum(map(ord, case)) + int(q))
+    definite = indefinite = 0
+    for scale in (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3):
+        for _ in range(4):
+            u = scale * rng.uniform(0.1, 1.0, grid.ncells)
+            g = func.gradient(u)
+            d = func.precondition(g)
+            b = m * g
+            assert d @ b > 0.0
+            k, h = _hessian(kw, grid, lp, u)
+            if np.linalg.eigvalsh(h).min() <= 0.0:
+                indefinite += 1
+                continue
+            definite += 1
+            r = h @ d - b
+            eta = NEWTON_FORCING * (1.0 + 1e-9)
+            assert r @ np.linalg.solve(k, r) <= \
+                eta * eta * (b @ np.linalg.solve(k, b))
+    # both branches of the truncated solve were exercised
+    assert definite and indefinite
+
+
+def test_newton_metric_only_for_phi_at_p_two_and_q_at_least_two(
+        grid32, kw32, kw32_p3, anchor):
+    def newton(q, p=2.0):
+        kw = kw32 if p == 2.0 else kw32_p3
+        return phi_functional(kw, grid32,
+                              LogisticParams(lam=2.0, p=p, q=q, r=4.0)).newton
+
+    assert newton(2.0) and newton(3.0)
+    assert not newton(1.5) and not newton(3.0, p=3.0)
+    lp3 = LogisticParams(lam=2.0, p=2.0, q=3.0, r=4.0)
+    assert not truncated_functional(kw32, grid32,
+                                    TruncatedReaction(anchor, lp3)).newton
+    assert not torsion_functional(kw32, grid32, 2.0).newton
+    # below q = 2 the metric is the fixed K of the diffusion part
+    g = np.linspace(-1.0, 1.0, grid32.ncells)
+    d = phi_functional(kw32, grid32, LogisticParams(
+        lam=2.0, p=2.0, q=1.5, r=4.0)).precondition(g)
+    assert np.array_equal(d, kw32.k_inverse @ (grid32.measures * g))

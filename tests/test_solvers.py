@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fplogistic.solve as solve_module
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble
@@ -217,13 +218,13 @@ def test_detect_threshold_invariants(grid16, kw16_super, super_params):
 @given(s=st.floats(0.25, 0.45), data=st.data(), n=st.integers(8, 16))
 def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     # p = 2 < q < r < p* = 2 / (1 - 2s), so every draw is superdiffusive.
-    # The draws leave out two regions where the walk is known to stop
-    # early: q close to p, where the probes next to a flat fold may take
-    # more than max_iters, and large q or r - q < 1, where the reaction at
-    # the solutions, about lam^((r-1)/(r-q)), is so large that its rounding
-    # exceeds the absolute residual tolerance
+    # q down to 2.05 reaches the flat folds next to q = p, where steps in
+    # the fixed metric K stalled or left the basin.  The draws leave out
+    # large q or r - q < 1, where the reaction at the solutions, about
+    # lam^((r-1)/(r-q)), is so large that its rounding exceeds the absolute
+    # residual tolerance
     p_star = 2.0 / (1.0 - 2.0 * s)
-    q = data.draw(st.floats(2.25, min(p_star - 1.5, 4.0)), label="q")
+    q = data.draw(st.floats(2.05, min(p_star - 1.5, 4.0)), label="q")
     r = data.draw(st.floats(q + 1.0, min(q + 3.0, p_star - 0.05)), label="r")
     params = validate_params(1, s, 2.0, q, r)
     grid = build_grid(unit_interval, n)
@@ -244,6 +245,50 @@ def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
         detect_threshold(super_params, kw16_super, grid16,
                          SolveOptions(max_iters=3), bracket_tol=1e-2,
                          eigen=eig)
+
+
+@pytest.mark.parametrize("iterations, message", [
+    (633, r"stopped after 633 of 50000 iterations \(residual 3\.790e\+02\)"),
+    (50_000,
+     r"hit the iteration cap \(residual 3\.790e\+02\); raise max_iters"),
+])
+def test_threshold_probe_failure_names_where_it_stopped(
+        monkeypatch, grid16, kw16_super, super_params, iterations, message):
+    # a descent that gives up early is not one that ran out of iterations
+    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+
+    def stopped(func, u0, opts=None):
+        return SolveReport(u=u0, energy=0.0, residual=379.0,
+                           iterations=iterations, status=Status.MAX_ITERS)
+
+    monkeypatch.setattr(solve_module, "minimize", stopped)
+    with pytest.raises(SolverError, match=message):
+        detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
+                         bracket_tol=1e-2, eigen=eig)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
+                                           super_params, n):
+    # inexact Newton steps on the full Hessian take about 6.5 iterations per
+    # converging probe here at both n, and at most 20 on a collapsing one,
+    # where the Hessian is indefinite; steps in the fixed metric K take 50
+    # per converging probe, and up to 145
+    probes = []
+
+    def recorded(func, u0, opts=None):
+        rep = minimize(func, u0, opts)
+        probes.append(rep)
+        return rep
+
+    monkeypatch.setattr(solve_module, "minimize", recorded)
+    grid = build_grid(unit_interval, n)
+    detect_threshold(super_params, assemble(grid, super_params), grid,
+                     SolveOptions(), bracket_tol=1e-2)
+    converged = [r.iterations for r in probes if r.status is Status.CONVERGED]
+    assert converged
+    assert sum(converged) / len(converged) <= 12.0
+    assert max(r.iterations for r in probes) <= 30
 
 
 def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def test_hopf_fails_on_flattened_profile(grid64, sub_params):
     assert res.passed is False
     assert res.witness["boundary_min_ratio"] < res.thresholds["hopf_frac"] * \
         res.witness["median_ratio"]
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_hopf_median_is_the_statistics_median(unit_interval, sub_params, n):
+    # odd and even cell counts: the middle ratio, or the mean of the two
+    grid = build_grid(unit_interval, n)
+    vals = np.random.default_rng(n).uniform(0.1, 2.0, n)
+    res = check_hopf(DiscreteFunction(vals, grid), sub_params.s)
+    ratios = vals / grid.boundary_dist ** sub_params.s
+    assert res.witness["median_ratio"] == statistics.median(ratios.tolist())
 
 
 def test_hopf_fails_on_sign_change(grid64, sub_params):
