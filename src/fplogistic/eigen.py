@@ -5,12 +5,14 @@ cell functions.  On the sphere ||u||_p = 1 the quotient is E(u) and the
 mass-gradient of E/p there is Lu - R(u) u^(p-1), which vanishes exactly at an
 eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
 the sphere, with normalization as its retraction, from strictly positive
-random seeds.  For p = 2 it steps in the metric of K, the Hessian of E/2,
-which makes it a preconditioned inverse iteration.
+starts that ``seeded_uniform`` draws with the standard library's ``random``.
+For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
+preconditioned inverse iteration.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
                        signed_power, sobolev_preconditioner)
 
 __all__ = ["EigenError", "EigenOptions", "EigenPair", "rayleigh_quotient",
-           "principal_eigenpair"]
+           "principal_eigenpair", "seeded_uniform"]
 
 
 class EigenError(RuntimeError):
@@ -34,7 +36,7 @@ class EigenOptions:
     residual_tol: float | None = None   # default 1e-8 for p = 2, else 1e-6
     max_iters: int = 50_000
     restarts: int = 1
-    seed: int = 0
+    seed: int = 0   # random.Random seed of the restart starts (seeded_uniform)
 
 
 @dataclass(eq=False)
@@ -45,6 +47,15 @@ class EigenPair:
     iterations: int
     restarts_agreement: float
     discarded_restarts: int = 0
+
+
+def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
+    """size draws from [lo, hi) by random.Random(seed).
+
+    Python keeps the stream of random() fixed for integer seeds.
+    """
+    draw = random.Random(seed).random
+    return lo + (hi - lo) * np.array([draw() for _ in range(size)])
 
 
 def rayleigh_quotient(u: DiscreteFunction, kw: KernelWeights, p: float) -> float:
@@ -79,7 +90,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
     tol = opts.residual_tol
     if tol is None:
         tol = 1e-8 if p == 2.0 else 1e-6
-    rng = np.random.default_rng(opts.seed)
+    starts = seeded_uniform(opts.seed, 0.5, 1.5, opts.restarts * grid.ncells)
     meas = grid.measures
     precondition = sobolev_preconditioner(kw, p, meas)
     last_quotient = [0.0]
@@ -95,8 +106,8 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
     accepted: list[tuple[float, np.ndarray, float, int]] = []
     discarded = 0
     last_res = None
-    for _ in range(opts.restarts):
-        u0 = _normalize(rng.uniform(0.5, 1.5, size=grid.ncells), p, meas)
+    for start in starts.reshape(opts.restarts, -1):
+        u0 = _normalize(start, p, meas)
         u, lam, res, it, _ = descend(quotient, gradient, u0, meas, tol,
                                      opts.max_iters,
                                      retract=lambda v: _normalize(v, p, meas),

@@ -92,8 +92,10 @@ class KernelWeights:
     @functools.cached_property
     def W(self) -> np.ndarray:
         """(m, m) pair weights W_ij = table[|i - j| per axis]."""
-        idx = np.indices(self.table.shape).reshape(self.dim, -1)
-        return self.table[tuple(np.abs(a[:, None] - a[None, :]) for a in idx)]
+        n = self.table.shape[0]
+        d = np.abs(np.arange(n)[:, None] - np.arange(n))
+        idx = (d,) if self.dim == 1 else (d[:, None, :, None], d[None, :, None, :])
+        return self.table[idx].reshape(self.ncells, -1)
 
     @functools.cached_property
     def V(self) -> np.ndarray:
@@ -291,8 +293,11 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1] by Golub-Welsch, without numpy.polynomial."""
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        k = np.arange(1.0, order)
+        nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+        _GAUSS_CACHE[order] = nodes, 2.0 * vecs[0] ** 2
     return _GAUSS_CACHE[order]
 
 

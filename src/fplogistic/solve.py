@@ -20,7 +20,7 @@ import numpy as np
 
 from .descent import SolverError, Status, descend
 from .domain import Grid
-from .eigen import EigenOptions, EigenPair, principal_eigenpair
+from .eigen import EigenOptions, EigenPair, principal_eigenpair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, TruncatedReaction,
                        _fiber_extrema, phi_functional, torsion_functional,
@@ -146,8 +146,7 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
     collapses cleanly.
     """
     if kind == "random":
-        rng = np.random.default_rng(opts.seed)
-        return rng.uniform(0.1, 1.0, size=grid.ncells)
+        return seeded_uniform(opts.seed, 0.1, 1.0, grid.ncells)
     if kind == "eigen":
         if eigen is None:
             eigen = principal_eigenpair(kw, grid, lp.p, EigenOptions(seed=opts.seed))

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Grid, Regime, classify_regime
-from .eigen import EigenOptions, EigenPair, principal_eigenpair
+from .eigen import EigenOptions, EigenPair, principal_eigenpair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, lp_norm, mass_norm
@@ -119,8 +119,8 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
     sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
     for k in range(trials):
-        rng = np.random.default_rng(opts.seed + k)
-        u0 = DiscreteFunction(rng.uniform(0.1, 1.0, size=grid.ncells), grid)
+        u0 = DiscreteFunction(seeded_uniform(opts.seed + k, 0.1, 1.0, grid.ncells),
+                              grid)
         rep = minimize(func, u0, opts)
         u = rep.u
         lhs = ((lambda1 - lam) * lp_norm(u, params.p) ** params.p

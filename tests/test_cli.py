@@ -80,6 +80,45 @@ def test_cli_import_loads_no_heavy_modules():
     assert done.stdout.split() == []
 
 
+def test_commands_import_no_numpy_submodules(tmp_path):
+    # numpy imports numpy.random and numpy.polynomial lazily, on first use,
+    # so a command that touched either would pay for the import in its run
+    cfg1, cfg2 = tmp_path / "one.cfg", tmp_path / "two.cfg"
+    cfg1.write_text(SUB_CFG)
+    cfg2.write_text(SUB_CFG.replace("dim = 1", "dim = 2").replace("n = 16", "n = 4")
+                    .replace("domain.lo = 0.0", "domain.lo = 0.0,0.0")
+                    .replace("domain.hi = 1.0", "domain.hi = 1.0,1.0"))
+    supers = {cfg1: ["--set", "q=3.0", "--set", "r=4.0"],
+              cfg2: ["--set", "q=2.5", "--set", "r=3.2"]}
+    argvs = []
+    for i, cfg in enumerate((cfg1, cfg2)):
+        common = ["--config", str(cfg), "--out", str(tmp_path / f"out{i}")]
+        cache = ["--weights-cache", str(tmp_path / f"weights{i}.npz")]
+        argvs += [["eigen", *common, *cache],
+                  ["solve", *common, *cache, "--set", "solver.initial=random"],
+                  ["torsion", *common],
+                  ["threshold", *common, *supers[cfg],
+                   "--set", "threshold.bracket_tol=0.05"]]
+    argvs += [["verify", "--config", str(cfg1), "--out", str(tmp_path / "v1"),
+               "--regime", "all"],
+              ["verify", "--config", str(cfg2), "--out", str(tmp_path / "v2")]]
+    code = ("import contextlib, io, json, sys\n"
+            "from fplogistic.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in set(sys.modules) - before\n"
+            "                                if m.split('.')[0] == 'numpy')]))\n")
+    src = str(Path(fplogistic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, imported = json.loads(done.stdout)
+    assert codes == [0] * len(argvs)
+    assert imported == []
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

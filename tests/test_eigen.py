@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fplogistic import eigen
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import (EigenError, EigenOptions, EigenPair,
-                              principal_eigenpair, rayleigh_quotient)
+                              principal_eigenpair, rayleigh_quotient,
+                              seeded_uniform)
 from fplogistic.kernel import assemble
 from fplogistic.operator import DiscreteFunction, lp_norm
 
@@ -92,6 +94,31 @@ def test_eigen_error_when_iterations_exhausted(kw32, grid32):
 def test_eigen_rejects_restarts_below_one(kw32, grid32, restarts):
     with pytest.raises(ValueError, match="restarts"):
         principal_eigenpair(kw32, grid32, 2.0, EigenOptions(restarts=restarts))
+
+
+@pytest.mark.parametrize("lo,hi,size", [(0.5, 1.5, 64), (0.1, 1.0, 1000)])
+def test_seeded_uniform_repeats_per_seed_and_stays_in_range(lo, hi, size):
+    a, b = seeded_uniform(3, lo, hi, size), seeded_uniform(3, lo, hi, size)
+    assert a.shape == (size,)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, seeded_uniform(4, lo, hi, size))
+    assert lo <= a.min() and a.max() < hi
+
+
+def test_restarts_descend_from_distinct_starts(kw32, grid32, monkeypatch):
+    starts = []
+
+    def recording(quotient, gradient, u0, *args, **kwargs):
+        starts.append(u0.copy())
+        return descend(quotient, gradient, u0, *args, **kwargs)
+
+    descend = eigen.descend
+    monkeypatch.setattr(eigen, "descend", recording)
+    principal_eigenpair(kw32, grid32, 2.0, EigenOptions(restarts=3, seed=5))
+    assert len(starts) == 3
+    assert all(not np.array_equal(a, b)
+               for i, a in enumerate(starts) for b in starts[i + 1:])
+    assert all(u.min() > 0.0 for u in starts)
 
 
 def test_refinement_monotonicity(sub_params):

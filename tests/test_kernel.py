@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
-                               assemble, exterior_weight_1d,
+                               _gauss, assemble, exterior_weight_1d,
                                exterior_weight_2d, load_weights,
                                pair_weight_1d, pair_weight_2d, save_weights)
 
@@ -149,6 +149,26 @@ def test_assembled_weights_structure(kw64):
     off = kw64.W[~np.eye(kw64.ncells, dtype=bool)]
     assert off.min() > 0.0
     assert kw64.V.min() > 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 5)])
+def test_dense_view_matches_the_index_formula(dim, n):
+    table = np.random.default_rng(n).uniform(1.0, 2.0, size=(n,) * dim)
+    kw = KernelWeights(table=table, T=1.0, dim=dim, s=0.4, p=2.0)
+    idx = np.indices(table.shape).reshape(dim, -1)
+    ref = table[tuple(np.abs(a[:, None] - a[None, :]) for a in idx)]
+    assert np.array_equal(kw.W, ref)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12, 20])
+def test_gauss_rule_matches_leggauss_and_is_exact(order):
+    nodes, weights = _gauss(order)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    assert np.allclose(nodes, ref_nodes, rtol=0.0, atol=1e-14)
+    assert np.allclose(weights, ref_weights, rtol=0.0, atol=1e-14)
+    for k in range(2 * order):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** k - exact) <= 1e-14
 
 
 # ---------------------------------------------------------------------
