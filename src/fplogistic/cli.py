@@ -241,7 +241,14 @@ def _run(args) -> int:
 
 
 def _canonical_regime_params(base, regime: str):
-    """Shift q and r relative to p to force the requested regime."""
+    """Shift q and r relative to p to force the requested regime.
+
+    The super r = p + 2 reaches p_star = N p / (N - p s) whenever
+    p s <= 2N / (p + 2), which in 2D holds for every valid p = 2 problem.
+    There q and r split (p, p_star) into thirds instead: with q = p + 1
+    kept, r - q < p_star - p - 1 is so small that the threshold solutions
+    grow like lam^(1/(r - q)), past where the residual tolerance is reached.
+    """
     from .domain import validate_params
 
     p = base.p
@@ -249,8 +256,11 @@ def _canonical_regime_params(base, regime: str):
         q, r = (1.0 + p) / 2.0, p + 1.0
     elif regime == "equi":
         q, r = p, p + 1.0
-    else:
+    elif p + 2.0 < base.p_star:
         q, r = p + 1.0, p + 2.0
+    else:
+        third = (base.p_star - p) / 3.0
+        q, r = p + third, p + 2.0 * third
     return validate_params(base.dim, base.s, p, q, r)
 
 

@@ -17,7 +17,7 @@ import pytest
 from fplogistic.cli import main as cli_main
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
-from fplogistic.kernel import assemble, exterior_weight_1d, pair_weight_1d
+from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, apply_operator,
                                  gagliardo_energy, mass_dot, signed_power)
@@ -25,8 +25,9 @@ from fplogistic.solve import (SolveOptions, Status, detect_threshold,
                               mountain_pass, solve_branch_point, torsion_solve)
 from fplogistic.verify import check_hopf
 
-from oracles import (dense_reference_lambda1, mc_exterior_2d, mc_pair_2d,
-                     oracle_exterior_1d, oracle_pair_1d)
+from oracles import (dense_reference_lambda1, exterior_weight_1d,
+                     mc_exterior_2d, mc_pair_2d, oracle_exterior_1d,
+                     oracle_pair_1d, pair_weight_1d)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::scipy.integrate.IntegrationWarning")
@@ -96,7 +97,9 @@ def test_c01_kernel_weights_match_oracles(criterion, unit_square):
             worst = max(worst, abs(w / ref - 1.0))
         checks["hundred_1d_weights_within_1e8"] = worst <= 1e-8
 
+        # the 2D weights the solver uses: the assembled W and V of a 5 x 5 grid
         grid = build_grid(unit_square, 5)
+        kw = assemble(grid, validate_params(2, ps / 2.0, 2.0, 1.5, 3.0))
         dom = ((0.0, 0.0), (1.0, 1.0))
         worst_z = 0.0
         drawn = 0
@@ -107,20 +110,16 @@ def test_c01_kernel_weights_match_oracles(criterion, unit_square):
                 continue
             cell_i = (tuple(grid.lows[i]), tuple(grid.highs[i]))
             cell_j = (tuple(grid.lows[j]), tuple(grid.highs[j]))
-            from fplogistic.kernel import pair_weight_2d
-            w = pair_weight_2d(cell_i, cell_j, ps, rel_tol=1e-9)
             est, se = mc_pair_2d(cell_i, cell_j, ps, 150_000,
                                  seed=1000 + drawn)
-            worst_z = max(worst_z, abs(w - est) / se)
+            worst_z = max(worst_z, abs(kw.W[i, j] - est) / se)
             drawn += 1
         interior = [i for i in range(grid.ncells)
                     if 1 <= i // 5 <= 3 and 1 <= i % 5 <= 3]
         for k, i in enumerate(rng.choice(interior, size=8, replace=False)):
             cell = (tuple(grid.lows[i]), tuple(grid.highs[i]))
-            from fplogistic.kernel import exterior_weight_2d
-            v = exterior_weight_2d(cell, dom, ps, rel_tol=1e-9)
             est, se = mc_exterior_2d(cell, dom, ps, 150_000, seed=2000 + k)
-            worst_z = max(worst_z, abs(v - est) / se)
+            worst_z = max(worst_z, abs(kw.V[i] - est) / se)
         checks["twenty_2d_weights_within_3_sigma"] = worst_z <= 3.0
 
 

@@ -484,6 +484,38 @@ def test_2d_ps_at_least_one_exits_one(tmp_path, capsys):
     assert "infinite W^{s,p} energy" in err
 
 
+SQUARE_CFG = (SUB_CFG.replace("dim = 1", "dim = 2").replace("n = 16", "n = 4")
+              .replace("domain.lo = 0.0", "domain.lo = 0.0,0.0")
+              .replace("domain.hi = 1.0", "domain.hi = 1.0,1.0"))
+
+
+def test_verify_all_2d_p2_runs_every_bundle(tmp_path, capsys):
+    # the canonical super r = p + 2 = 4 lies above p_star = 10/3 here, so
+    # the bundle's q and r split (p, p_star) = (2, 10/3) into thirds
+    cfg = tmp_path / "square.cfg"
+    cfg.write_text(SQUARE_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--regime", "all",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    for regime in ("sub", "equi", "super"):
+        assert f"{regime}/" in text
+    assert "FAIL" not in text
+
+
+def test_kernel_order_disagreement_exits_two_in_one_line(monkeypatch, tmp_path,
+                                                         capsys):
+    import fplogistic.kernel as kernel
+    monkeypatch.setattr(kernel, "_GAUSS_ORDERS", (2, 20))
+    cfg = tmp_path / "square.cfg"
+    cfg.write_text(SQUARE_CFG)
+    code = main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "disagree" in err
+
+
 def test_verify_sub_bundle(sub_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify", "--config", str(sub_cfg), "--regime", "sub",

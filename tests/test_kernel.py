@@ -11,12 +11,12 @@ from scipy.integrate import quad
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
-                               _gauss, assemble, exterior_weight_1d,
-                               exterior_weight_2d, load_weights,
-                               pair_weight_1d, pair_weight_2d, save_weights)
+                               _gauss, assemble, load_weights, save_weights)
 
-from oracles import (exit_distance, mc_exterior_2d, oracle_exterior_1d,
-                     oracle_exterior_2d, oracle_pair_1d, oracle_pair_2d)
+from oracles import (exit_distance, exterior_weight_1d, exterior_weight_2d,
+                     mc_exterior_2d, oracle_exterior_1d, oracle_exterior_2d,
+                     oracle_pair_1d, oracle_pair_2d, pair_weight_1d,
+                     pair_weight_2d)
 
 # the reference quadratures push scipy's subdivision limits near the kernel
 # singularities; the returned values are still well within test tolerance
@@ -89,6 +89,9 @@ def test_assemble_1d_matches_direct_weights(sub_params):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 6)
     kw = assemble(grid, sub_params)
     beta = 1.0 + sub_params.ps
+    # T is the closed form of one cell against its complement, to the bit
+    assert kw.T == exterior_weight_1d((0.0, grid.spacing[0]),
+                                      (0.0, grid.spacing[0]), beta)
     for i in range(6):
         ci = (grid.lows[i, 0], grid.highs[i, 0])
         v = exterior_weight_1d(ci, (0.0, 1.0), beta)
@@ -126,21 +129,6 @@ def test_assemble_1d_pair_weights_match_mpmath(ps):
                      * ((k + 1) ** gamma - 2 * mpmath.mpf(k) ** gamma
                         + (k - 1) ** gamma)) for k in range(1, n)]
     assert kw.W[0, 1:] == pytest.approx(np.array(ref), rel=1e-11, abs=0.0)
-
-
-def test_assemble_runs_one_exterior_quadrature(monkeypatch, sub_params,
-                                               params2d):
-    # V_i = T - sum_j W_ij with T the exterior weight of one cell alone
-    import fplogistic.kernel as kernel
-    calls = []
-    for name in ("exterior_weight_1d", "exterior_weight_2d"):
-        original = getattr(kernel, name)
-        monkeypatch.setattr(kernel, name, lambda *a, _f=original, **k:
-                            calls.append(a) or _f(*a, **k))
-    assemble(build_grid(DomainSpec.interval(0.0, 1.0), 8), sub_params)
-    assert len(calls) == 1
-    assemble(build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 4), params2d)
-    assert len(calls) == 2
 
 
 def test_assembled_weights_structure(kw64):
@@ -276,35 +264,13 @@ def test_assemble_2d_matches_direct_weights(params2d):
                     pair_weight_2d(ci, cj, ps, rel_tol=1e-7), rel=1e-6)
 
 
-def _angular_offsets(monkeypatch, grid, params):
-    """Assemble, returning the offsets that went to pair_weight_2d."""
-    import fplogistic.kernel as kernel
-    hx, hy = grid.spacing
-    offsets = []
-    original = kernel.pair_weight_2d
-
-    def spy(a, b, *args, **kwargs):
-        offsets.append((round(b[0][0] / hx), round(b[0][1] / hy)))
-        return original(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(kernel, "pair_weight_2d", spy)
-    kw = assemble(grid, params)
-    monkeypatch.undo()
-    return kw, sorted(offsets)
-
-
-def test_assemble_2d_angular_quadrature_only_where_the_tensor_rule_fails(
-        monkeypatch, unit_square, params2d):
-    # on the unit square only the touching offsets are singular
-    _, offsets = _angular_offsets(monkeypatch, build_grid(unit_square, 16),
-                                  params2d)
-    assert offsets == [(0, 1), (1, 0), (1, 1)]
+def test_assemble_2d_tall_cells_match_the_angular_reference(params2d):
     # on cells ten times taller than wide the integrand at offsets (2, 0)
-    # and (2, 1) varies too fast along y for the 12/20 check
+    # and (2, 1) varies fast along y; the tensor rule takes ten panels per
+    # hat half along y on the columns dj <= 1
     dom = DomainSpec((0.0, 0.0), (1.0, 10.0))
     grid = build_grid(dom, 8)
-    kw, offsets = _angular_offsets(monkeypatch, grid, params2d)
-    assert offsets == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    kw = assemble(grid, params2d)
     hx, hy = grid.spacing
     for di in range(8):
         for dj in range(8):
@@ -314,6 +280,36 @@ def test_assemble_2d_angular_quadrature_only_where_the_tensor_rule_fails(
             assert kw.table[di, dj] == pytest.approx(
                 pair_weight_2d(((0.0, 0.0), (hx, hy)), other, params2d.ps,
                                rel_tol=1e-7), rel=1e-6)
+
+
+@pytest.mark.parametrize("aspect", [0.1, 1.0 / 3.0, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("ps", [0.1, 0.5, 0.98])
+def test_touching_weights_and_T_match_the_angular_reference(ps, aspect):
+    # the touching weights come from the self-similar 3 x 3 solve and T
+    # from the identity; both against the angular quadrature of the cells
+    domain = DomainSpec((0.0, 0.0), (1.0, aspect))
+    params = validate_params(2, ps / 2.0, 2.0, 1.2, 1.5)
+    for n in (1, 2, 3, 16):
+        grid = build_grid(domain, n)
+        kw = assemble(grid, params)
+        hx, hy = grid.spacing
+        base = ((0.0, 0.0), (hx, hy))
+        assert kw.T == pytest.approx(
+            exterior_weight_2d(base, base, ps, rel_tol=1e-12), rel=1e-12), n
+        for di, dj in ((0, 1), (1, 0), (1, 1)) if n > 1 else ():
+            other = ((di * hx, dj * hy), ((di + 1) * hx, (dj + 1) * hy))
+            assert kw.table[di, dj] == pytest.approx(
+                pair_weight_2d(base, other, ps, rel_tol=1e-12),
+                rel=1e-12), (n, di, dj)
+
+
+def test_tensor_rule_order_disagreement_raises(monkeypatch, unit_square,
+                                               params2d):
+    # a 2-point rule cannot meet the 20-point one on the near offsets
+    import fplogistic.kernel as kernel
+    monkeypatch.setattr(kernel, "_GAUSS_ORDERS", (2, 20))
+    with pytest.raises(KernelError, match="disagree"):
+        assemble(build_grid(unit_square, 4), params2d)
 
 
 def test_assemble_2d_far_offsets_match_mpmath(unit_square):
@@ -390,17 +386,16 @@ def test_assemble_2d_symmetries(kw2d, grid2d):
     assert v == pytest.approx(v.T, rel=1e-9)
 
 
-def _self_similarity_gap(kw) -> float:
-    """Relative distance of T from 2^ps/(2^ps - 1) * sum of the unit offsets.
+def _self_similarity_gap(T: float, unit: float, ps: float) -> float:
+    """Relative distance of T from 2^ps/(2^ps - 1) * unit.
 
     Split one cell into its 2^N half-size cells: each ordered pair of them
     at offset delta in {0,1}^N minus 0 occurs 2^N times, and T and every
-    pair weight scale as h^(N - ps), so that
-    T = 2^ps/(2^ps - 1) * sum over those delta of table[delta].
+    pair weight scale as h^(N - ps), so that T = 2^ps/(2^ps - 1) * unit,
+    unit being the sum of the pair weights of those offsets delta.
     """
-    unit = kw.table[1] if kw.dim == 1 else kw.table[:2, :2].sum()
-    scale = 2.0 ** kw.ps
-    return abs(scale / (scale - 1.0) * unit - kw.T) / kw.T
+    scale = 2.0 ** ps
+    return abs(scale / (scale - 1.0) * unit - T) / T
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,18 +406,29 @@ def test_1d_exterior_weight_is_self_similar_to_the_pair_weights(unit_interval,
                                                                s, n):
     params = validate_params(1, s, 2.0, 1.5, 2.0)
     kw = assemble(build_grid(unit_interval, n), params)
-    assert _self_similarity_gap(kw) <= 1e-12
+    assert _self_similarity_gap(kw.T, kw.table[1], kw.ps) <= 1e-12
 
 
 @pytest.mark.parametrize("hi", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)],
                          ids=["square", "rect_2x1", "rect_1x3"])
 def test_2d_exterior_quadrature_is_self_similar_to_the_pair_quadrature(hi):
-    # T comes from the exterior quadrature and the table from the pair
-    # quadrature, so the identity ties the two together
+    # assembly takes T from the touching weights by this identity; the
+    # reference quadratures compute T and those weights independently, so
+    # the identity ties the two together, and the assembled T meets both
     domain = DomainSpec((0.0, 0.0), hi)
     for s in (0.05, 0.2, 0.35, 0.49):
-        kw = assemble(build_grid(domain, 2), validate_params(2, s, 2.0, 1.5, 2.0))
-        assert _self_similarity_gap(kw) <= 1e-12
+        ps = 2.0 * s
+        grid = build_grid(domain, 2)
+        kw = assemble(grid, validate_params(2, s, 2.0, 1.5, 2.0))
+        hx, hy = grid.spacing
+        base = ((0.0, 0.0), (hx, hy))
+        ref = exterior_weight_2d(base, base, ps, rel_tol=1e-12)
+        unit = sum(pair_weight_2d(base, ((di * hx, dj * hy),
+                                         ((di + 1) * hx, (dj + 1) * hy)),
+                                  ps, rel_tol=1e-12)
+                   for di, dj in ((1, 0), (0, 1), (1, 1)))
+        assert _self_similarity_gap(ref, unit, ps) <= 1e-12
+        assert kw.T == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------
