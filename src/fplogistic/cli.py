@@ -110,6 +110,10 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
+def _eigen_options(cfg: RunConfig) -> EigenOptions:
+    return EigenOptions(seed=cfg.solver_seed, restarts=cfg.eigen_restarts)
+
+
 def _run(args) -> int:
     cfg = load_config(args.config, env=dict(os.environ),
                       flags=_parse_overrides(args.set))
@@ -125,11 +129,14 @@ def _run(args) -> int:
                           f"p = {params.p}")
 
     kw = _get_weights(args, grid, params)
+    # one eigenpair, solved with the configured options, serves the command:
+    # the eigen start of every solve that starts cold and the threshold walk
+    ep = None
+    if command in ("eigen", "threshold", "verify") or (
+            command != "torsion" and opts.initial == "eigen"):
+        ep = principal_eigenpair(kw, grid, params.p, _eigen_options(cfg))
 
     if command == "eigen":
-        ep = principal_eigenpair(kw, grid, params.p,
-                                 EigenOptions(seed=cfg.solver_seed,
-                                              restarts=cfg.eigen_restarts))
         print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
               f"iterations = {ep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
@@ -138,8 +145,7 @@ def _run(args) -> int:
                      {"lambda1": ep.lambda1, "residual": ep.residual,
                       "iterations": ep.iterations,
                       "restarts_agreement": ep.restarts_agreement,
-                      "discarded_restarts": ep.discarded_restarts},
-                     __version__)
+                      "discarded_restarts": ep.discarded_restarts})
         return 0
 
     if command == "torsion":
@@ -151,12 +157,12 @@ def _run(args) -> int:
         write_report(outdir, cfg, command,
                      {"sup_norm": rep.u.sup_norm(), "energy": rep.energy,
                       "residual": rep.residual, "iterations": rep.iterations,
-                      "status": rep.status.value},
-                     __version__)
+                      "status": rep.status.value})
         return 0
 
     if command == "solve":
-        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts)
+        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
+                                 eigen=ep)
         print(f"status = {rep.status.value}  sup = {rep.u.sup_norm()!r}  "
               f"residual = {rep.residual:.3e}  iterations = {rep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
@@ -164,8 +170,7 @@ def _run(args) -> int:
         write_report(outdir, cfg, command,
                      {"lam": cfg.lam, "status": rep.status.value,
                       "sup_norm": rep.u.sup_norm(), "energy": rep.energy,
-                      "residual": rep.residual, "iterations": rep.iterations},
-                     __version__)
+                      "residual": rep.residual, "iterations": rep.iterations})
         return 0 if rep.status is not Status.MAX_ITERS else 2
 
     if command == "sweep":
@@ -176,7 +181,8 @@ def _run(args) -> int:
         points = []
         warm = None
         for lam in lams:
-            rep = solve_branch_point(lam, warm, params, kw, grid, opts)
+            rep = solve_branch_point(lam, warm, params, kw, grid, opts,
+                                     eigen=ep)
             if rep.status is Status.CONVERGED:
                 warm = rep.u
             points.append(BranchPoint(lam=lam, sup_norm=rep.u.sup_norm(),
@@ -189,15 +195,15 @@ def _run(args) -> int:
         write_report(outdir, cfg, command,
                      {"points": [{"lambda": pt.lam, "sup_norm": pt.sup_norm,
                                   "energy": pt.energy, "status": pt.status}
-                                 for pt in points]},
-                     __version__)
+                                 for pt in points]})
         capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
         return 2 if capped else 0
 
     if command == "threshold":
         thr = detect_threshold(params, kw, grid, opts,
                                bracket_tol=cfg.threshold_bracket_tol,
-                               lambda_high=cfg.threshold_lambda_high)
+                               lambda_high=cfg.threshold_lambda_high,
+                               eigen=ep)
         print(f"lambda_star_h = {thr.lambda_star_h!r}  "
               f"lambda_0 = {thr.lambda_0!r}  "
               f"bracket_width = {thr.bracket_width!r}")
@@ -209,12 +215,12 @@ def _run(args) -> int:
                      {"lambda_star_h": thr.lambda_star_h,
                       "lambda_0": thr.lambda_0,
                       "bracket_width": thr.bracket_width,
-                      "sup_norm": thr.u_star.sup_norm()},
-                     __version__)
+                      "sup_norm": thr.u_star.sup_norm()})
         return 0
 
     if command == "mountain-pass":
-        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts)
+        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
+                                 eigen=ep)
         if rep.status is not Status.CONVERGED:
             raise SolverError(
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "
@@ -230,12 +236,11 @@ def _run(args) -> int:
                      {"lam": cfg.lam, "status": mp.status.value,
                       "sup_branch": rep.u.sup_norm(),
                       "sup_saddle": mp.u.sup_norm(),
-                      "residual": mp.residual, "iterations": mp.iterations},
-                     __version__)
+                      "residual": mp.residual, "iterations": mp.iterations})
         return 0 if mp.status is not Status.MAX_ITERS else 2
 
     if command == "verify":
-        return _run_verify(args, cfg, params, grid, kw, opts, outdir)
+        return _run_verify(args, cfg, params, grid, kw, opts, outdir, ep)
 
     raise ConfigError(f"unknown command {command!r}")
 
@@ -278,8 +283,8 @@ def _write_witness_csv(path: Path, check) -> None:
             writer.writerow(["notes", check.notes])
 
 
-def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path) -> int:
-    # the canonical regimes move only q and r, so kw and its eigenpair
+def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path, ep) -> int:
+    # the canonical regimes move only q and r, so kw and its eigenpair ep
     # serve every bundle
     if args.regime is None:
         bundles = [(classify_regime(params).value, params, cfg.lam)]
@@ -287,9 +292,6 @@ def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path) -> int:
         regimes = ["sub", "equi", "super"] if args.regime == "all" else [args.regime]
         bundles = [(regime, _canonical_regime_params(params, regime), None)
                    for regime in regimes]
-    ep = principal_eigenpair(kw, grid, params.p,
-                             EigenOptions(seed=cfg.solver_seed,
-                                          restarts=cfg.eigen_restarts))
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     failed = False
@@ -305,7 +307,7 @@ def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path) -> int:
                             "verdict": res.verdict, "witness": res.witness,
                             "thresholds": res.thresholds, "notes": res.notes})
             failed = failed or res.passed is False
-    write_report(outdir, cfg, "verify", {"checks": entries}, __version__)
+    write_report(outdir, cfg, "verify", {"checks": entries})
     return 3 if failed else 0
 
 
@@ -315,14 +317,14 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
     from .domain import Regime
 
     ns = _parse_list(args.ns, "--ns", int)
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"--ns must be strictly increasing, got {args.ns!r}")
     is_super = classify_regime(params) is Regime.SUPER
     rows = []
     for n in ns:
         _, gn = to_problem(RunConfig(**{**cfg.__dict__, "n": n}))
         kwn = assemble(gn, params)
-        ep = principal_eigenpair(kwn, gn, params.p,
-                                 EigenOptions(seed=cfg.solver_seed,
-                                              restarts=cfg.eigen_restarts))
+        ep = principal_eigenpair(kwn, gn, params.p, _eigen_options(cfg))
         row = {"n": n, "lambda1": ep.lambda1, "lambda_star_h": None,
                "sup_norm": None, "status": ""}
         if is_super:
@@ -357,8 +359,7 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
     write_report(outdir, cfg, "refine",
                  {"rows": rows,
                   "checks": [{"name": c.name, "verdict": c.verdict,
-                              "witness": c.witness} for c in checks]},
-                 __version__)
+                              "witness": c.witness} for c in checks]})
     return 3 if any(c.passed is False for c in checks) else 0
 
 

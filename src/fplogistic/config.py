@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .domain import DomainSpec, Grid, ProblemParams, build_grid, validate_params
 
 __all__ = [
@@ -212,13 +213,13 @@ def to_problem(cfg: RunConfig) -> tuple[ProblemParams, Grid]:
 
 
 def write_report(outdir: str | Path, cfg: RunConfig, command: str,
-                 results: dict, version: str) -> Path:
+                 results: dict) -> Path:
     """Write report.json; the timestamp lives only here, never in the CSVs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "version": version,
+        "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "config": config_dict(cfg),

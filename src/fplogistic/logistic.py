@@ -5,10 +5,14 @@ F(t) = lam * (t+)^q / q - (t+)^r / r.  The free energy of a cell function is
 
     Phi(u) = E(u)/p - sum_i F(u_i) |C_i|,
 
-whose mass-gradient is Lu - f(u).  For branch continuation the reaction is
-truncated cellwise around a positive anchor function: frozen at its anchor
-value below the anchor, so that minimizers of the truncated energy dominate
-the anchor.
+whose mass-gradient is Lu - f(u).
+
+The truncation freezes the reaction cellwise at its value on a positive
+anchor function, below the anchor.  No solver uses it: the branch is
+continued by descending Phi from the warm profile
+(``solve.solve_branch_point``).  It stays because the benchmark's tracer
+(``perfbench/tracing.py``) wraps ``truncated_functional`` by name; it can
+be deleted together with that entry.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ from .descent import SolverError, Status, descend
 from .domain import Grid
 from .eigen import EigenOptions, EigenPair, principal_eigenpair, seeded_uniform
 from .kernel import KernelWeights
-from .logistic import (Functional, LogisticParams, TruncatedReaction,
-                       _fiber_extrema, phi_functional, torsion_functional,
-                       truncated_functional)
+from .logistic import (Functional, LogisticParams, _fiber_extrema,
+                       phi_functional, torsion_functional)
 from .operator import DiscreteFunction, mass_norm
 
 __all__ = [
@@ -161,10 +160,11 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
                        eigen: EigenPair | None = None) -> SolveReport:
     """Solve the logistic problem at one intensity.
 
-    With a warm start from a converged solution at a smaller intensity, the
-    reaction is frozen below the warm profile; minimizers of the frozen
-    energy dominate the warm profile, which propagates the ordering of the
-    branch.  A final polish on the untruncated energy confirms the residual.
+    Without a warm start the descent of Phi begins at ``initial_values``.
+    A warm start is a converged solution at a smaller intensity, and the
+    descent begins at it.  The branch is ordered, so the solution lies above
+    the warm profile; one that ends below it by more than 1e-6 of the sup
+    norm has left the branch, and SolverError is raised.
     """
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
@@ -173,25 +173,12 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
         u0 = initial_values(opts.initial, grid, kw, lp, opts, eigen)
         return minimize(func, DiscreteFunction(u0, grid), opts)
 
-    tr = TruncatedReaction(anchor=warm, base=lp)
-    frozen = truncated_functional(kw, grid, tr)
-    rep = minimize(frozen, warm, opts)
-    polished = minimize(func, rep.u, opts)
-    gap = float((warm.values - polished.u.values).max())
-    sup = max(polished.u.sup_norm(), warm.sup_norm())
-    if gap > 1e-6 * sup:
+    rep = minimize(func, warm, opts)
+    gap = float((warm.values - rep.u.values).max())
+    if gap > 1e-6 * max(rep.u.sup_norm(), warm.sup_norm()):
         raise SolverError(
             f"warm-started solve lost the branch ordering (max violation {gap:.3e})")
-    ordered = np.maximum(polished.u.values, warm.values)
-    if not np.array_equal(ordered, polished.u.values):
-        polished = SolveReport(
-            u=DiscreteFunction(ordered, grid),
-            energy=func.energy(ordered),
-            residual=mass_norm(func.gradient(ordered), grid.measures),
-            iterations=polished.iterations,
-            status=polished.status,
-        )
-    return polished
+    return rep
 
 
 def lower_bound_lambda0(params, lambda1: float) -> float:

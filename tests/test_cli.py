@@ -262,6 +262,57 @@ def test_sweep_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
     assert [pt["status"] for pt in doc["results"]["points"]] == ["max_iters"] * 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_from_random_starts_with_zero_cells_exits_zero(sub_cfg, tmp_path,
+                                                             capsys, seed):
+    # the random start descends to a profile with zero cells at the smallest
+    # intensity, and that profile warm-starts the next point; the values are
+    # not pinned, since the chain stops at sup ~1e-19 below the absolute
+    # residual_tol
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(sub_cfg),
+                 "--set", "solver.initial=random", "--set", f"solver.seed={seed}",
+                 "--lams", "0.0625,0.125,0.25,0.5,1", "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len((out / "branch.csv").read_text().splitlines()) == 6
+
+
+@pytest.fixture()
+def eigen_restarts(monkeypatch):
+    """The restarts option of every principal_eigenpair call, in order."""
+    import fplogistic.cli
+    import fplogistic.solve
+    import fplogistic.verify
+    from fplogistic.eigen import principal_eigenpair
+
+    seen = []
+
+    def spy(kw, grid, p, opts=None):
+        seen.append(opts.restarts if opts is not None else 1)
+        return principal_eigenpair(kw, grid, p, opts)
+
+    for module in (fplogistic.cli, fplogistic.solve, fplogistic.verify):
+        monkeypatch.setattr(module, "principal_eigenpair", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["solve"], 1),
+    (["sweep", "--lams", "1,2,3,4,5,6,8"], 1),
+    (["sweep", "--lams", "1,2,8", "--set", "solver.initial=random"], 0),
+    (["threshold"], 1),
+    (["mountain-pass", "--set", "lam=10"], 1),
+], ids=["solve", "sweep", "sweep_random", "threshold", "mountain_pass"])
+def test_one_eigenpair_per_command_with_the_configured_restarts(
+        super_cfg, tmp_path, capsys, eigen_restarts, argv, solves):
+    # below lambda*_h every sweep point collapses and the next starts cold
+    code = main([*argv, "--config", str(super_cfg), "--set", "eigen.restarts=4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert eigen_restarts == [4] * solves
+
+
 def test_threshold_command_super(super_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["threshold", "--config", str(super_cfg),
@@ -432,6 +483,8 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["sweep", "--lams", "1,,2"], "--lams"),
     (["sweep", "--lams=-1,2"], "--lams"),
     (["refine", "--ns", "4,x"], "--ns"),
+    (["refine", "--ns", "64,32,16"], "--ns"),
+    (["refine", "--ns", "16,16,32"], "--ns"),
     (["solve", "--set", "lam=-1"], "lam"),
     (["solve", "--set", "solver.initial=bogus"], "solver.initial"),
     (["solve", "--set", "solver.initial=zero"], "solver.initial"),
@@ -452,10 +505,10 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "eigen.restarts=0"], "eigen.restarts"),
     (["solve", "--set", "eigen.restarts=-1"], "eigen.restarts"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
-        "ns_text", "lam_negative", "initial_bogus", "initial_zero",
-        "seed_negative", "bracket_tol_zero", "lambda_high_negative",
-        "p_nan", "q_nan", "r_nan", "lam_inf", "residual_tol_nan",
-        "torsion_residual_tol_nan", "residual_tol_zero",
+        "ns_text", "ns_decreasing", "ns_repeated", "lam_negative",
+        "initial_bogus", "initial_zero", "seed_negative", "bracket_tol_zero",
+        "lambda_high_negative", "p_nan", "q_nan", "r_nan", "lam_inf",
+        "residual_tol_nan", "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
         "domain_hi_inf", "restarts_zero", "restarts_negative"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,

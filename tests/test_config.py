@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fplogistic import __version__
 from fplogistic.config import (ConfigError, RunConfig, SCHEMA_VERSION,
                                config_dict, load_config,
                                to_problem, write_branch_csv, write_report,
@@ -120,9 +121,10 @@ def test_config_dict_uses_file_keys(tmp_path):
 
 def test_report_json_holds_timestamp_and_schema(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
-    path = write_report(tmp_path / "out", cfg, "solve", {"sup": 1.25}, "0.1.0")
+    path = write_report(tmp_path / "out", cfg, "solve", {"sup": 1.25})
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == SCHEMA_VERSION
+    assert doc["version"] == __version__
     assert doc["results"] == {"sup": 1.25}
     assert doc["command"] == "solve"
     assert "created" in doc

@@ -96,6 +96,49 @@ def test_warm_start_preserves_ordering(grid32, kw32, sub_params, eig32):
     assert high.u.sup_norm() > low.u.sup_norm()
 
 
+# (dim, n, q, r, intensities): 1D just above lambda*_h = 7.543, and the 2D
+# fold config just above lambda*_h = 22.39; q >= 2 takes Newton steps
+NEWTON_BRANCHES = {
+    "1d_n64": (1, 64, 3.0, 4.0, [7.55, 7.6, 8.0, 12.0, 24.0]),
+    "2d_n8": (2, 8, 2.5, 3.2, [22.4, 22.5, 25.0, 40.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_BRANCHES))
+def test_warm_start_on_the_newton_branches(monkeypatch, case):
+    dim, n, q, r, lams = NEWTON_BRANCHES[case]
+    domain = (DomainSpec.interval(0.0, 1.0) if dim == 1
+              else DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0))
+    grid = build_grid(domain, n)
+    params = validate_params(dim, 0.4, 2.0, q, r)
+    kw = assemble(grid, params)
+    eig = principal_eigenpair(kw, grid, 2.0, EigenOptions(seed=0))
+    opts = SolveOptions()
+    # the benchmark's sup gate: two solutions within residual_tol of the
+    # exact one in the mass norm, each cell of measure h
+    gate = 2.0 * opts.residual_tol / np.sqrt(grid.measures.min())
+    calls = []
+    minimize_ = solve_module.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize_(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "minimize", counting)
+    warm = solve_branch_point(lams[0], None, params, kw, grid, opts, eigen=eig)
+    assert warm.status is Status.CONVERGED
+    for lam in lams[1:]:
+        cold = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eig)
+        assert cold.status is Status.CONVERGED
+        before = len(calls)
+        rep = solve_branch_point(lam, warm.u, params, kw, grid, opts, eigen=eig)
+        assert len(calls) - before == 1
+        assert rep.status is Status.CONVERGED
+        assert np.all(rep.u.values >= warm.u.values)
+        assert np.abs(rep.u.values - cold.u.values).max() <= gate
+        warm = rep
+
+
 def test_warm_start_ordering_violation_raises(grid32, kw32, sub_params, eig32):
     huge = DiscreteFunction(np.full(32, 50.0), grid32)
     with pytest.raises(SolverError, match="ordering"):
