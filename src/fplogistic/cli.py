@@ -4,9 +4,9 @@ Subcommands cover the eigenvalue, torsion, single solves, branch sweeps,
 threshold detection, the saddle search, verification bundles, and
 refinement studies.  Configuration comes from a key=value file overridden
 by FPLOG_ environment variables and then by flags.  Exit codes: 0 success
-or all checks passing, 1 validation error (bad usage, configuration, or
-parameters), 2 solver non-convergence or an unusable weights cache,
-3 verification failure.
+or all checks passing, 1 validation error (bad usage, configuration,
+parameters, or an output path that cannot be written), 2 solver
+non-convergence or an unusable weights cache, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _run(args) -> int:
     ep = None
     if command in ("eigen", "threshold", "verify") or (
             command != "torsion" and opts.initial == "eigen"):
-        ep = principal_eigenpair(kw, grid, params.p, _eigen_options(cfg))
+        ep = principal_eigenpair(kw, grid, _eigen_options(cfg))
 
     if command == "eigen":
         print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
@@ -149,7 +149,7 @@ def _run(args) -> int:
         return 0
 
     if command == "torsion":
-        rep = torsion_solve(kw, grid, params.p, opts)
+        rep = torsion_solve(kw, grid, opts)
         print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
               f"iterations = {rep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
@@ -324,7 +324,7 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
     for n in ns:
         _, gn = to_problem(RunConfig(**{**cfg.__dict__, "n": n}))
         kwn = assemble(gn, params)
-        ep = principal_eigenpair(kwn, gn, params.p, _eigen_options(cfg))
+        ep = principal_eigenpair(kwn, gn, _eigen_options(cfg))
         row = {"n": n, "lambda1": ep.lambda1, "lambda_star_h": None,
                "sup_norm": None, "status": ""}
         if is_super:
@@ -368,11 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 1 if code not in (0,) else 0
+        return 1 if isinstance(exc.code, int) and exc.code != 0 else 0
     try:
         return _run(args)
-    except (ConfigError, ParamError, GridError) as exc:
+    except (ConfigError, ParamError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, EigenError, KernelError) as exc:

@@ -7,7 +7,7 @@ eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
 the sphere, with normalization as its retraction, from strictly positive
 starts that ``seeded_uniform`` draws with the standard library's ``random``.
 For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
-preconditioned inverse iteration.
+preconditioned inverse iteration.  Callers pass the pair to the solvers.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
     return lo + (hi - lo) * np.array([draw() for _ in range(size)])
 
 
-def rayleigh_quotient(u: DiscreteFunction, kw: KernelWeights, p: float) -> float:
-    """E(u) / ||u||_p^p; rejects the zero function."""
+def rayleigh_quotient(u: DiscreteFunction, kw: KernelWeights) -> float:
+    """E(u) / ||u||_p^p with p = kw.p; rejects the zero function."""
     _check_weights(u.values, kw)
-    denom = float((np.abs(u.values) ** p * u.grid.measures).sum())
+    denom = float((np.abs(u.values) ** kw.p * u.grid.measures).sum())
     if denom == 0.0:
         raise ValueError("Rayleigh quotient of the zero function")
-    return _energy(u.values, kw, p) / denom
+    return _energy(u.values, kw) / denom
 
 
 def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
@@ -74,9 +74,9 @@ def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
+def principal_eigenpair(kw: KernelWeights, grid: Grid,
                         opts: EigenOptions | None = None) -> EigenPair:
-    """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1.
+    """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1, p = kw.p.
 
     Runs opts.restarts strictly positive seeds; restarts that converge to a
     sign-changing function are discarded and counted.  The smallest converged
@@ -85,6 +85,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
     iteration count does not grow with the number of cells.
     """
     opts = opts or EigenOptions()
+    p = kw.p
     if opts.restarts < 1:
         raise ValueError(f"restarts must be positive, got {opts.restarts}")
     tol = opts.residual_tol
@@ -92,16 +93,16 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid, p: float,
         tol = 1e-8 if p == 2.0 else 1e-6
     starts = seeded_uniform(opts.seed, 0.5, 1.5, opts.restarts * grid.ncells)
     meas = grid.measures
-    precondition = sobolev_preconditioner(kw, p, meas)
+    precondition = sobolev_preconditioner(kw, meas)
     last_quotient = [0.0]
 
     def quotient(v: np.ndarray) -> float:
-        last_quotient[0] = _energy(v, kw, p)
+        last_quotient[0] = _energy(v, kw)
         return last_quotient[0]
 
     def gradient(v: np.ndarray) -> np.ndarray:
         # the engine asks for the gradient where it last evaluated the quotient
-        return _apply(v, kw, p, meas) - last_quotient[0] * signed_power(v, p - 1.0)
+        return _apply(v, kw, meas) - last_quotient[0] * signed_power(v, p - 1.0)
 
     accepted: list[tuple[float, np.ndarray, float, int]] = []
     discarded = 0

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid
+from .domain import Grid, GridError
 
 __all__ = [
     "KernelError",
@@ -247,7 +247,7 @@ def assemble(grid: Grid, params) -> KernelWeights:
     s, p = float(params.s), float(params.p)
     ps = p * s
     if grid.ncells > MAX_DENSE_CELLS:
-        raise KernelError(
+        raise GridError(
             f"grid has {grid.ncells} cells; dense weights capped at "
             f"{MAX_DENSE_CELLS} cells")
     if grid.dim == 1:
@@ -272,8 +272,9 @@ def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
 def load_weights(path, grid: Grid, params) -> KernelWeights:
     """Load cached weights, checking the (dim, s, p, domain, n) key and arrays.
 
-    A file that cannot be read as a weights archive raises KernelError
-    naming the file, like a cache built for another problem.
+    The table must be finite, nonnegative and 0 at offset 0, and T finite
+    and positive.  A file that cannot be read as a weights archive raises
+    KernelError naming the file, like a cache built for another problem.
     """
     try:
         with np.load(path) as data:
@@ -288,7 +289,9 @@ def load_weights(path, grid: Grid, params) -> KernelWeights:
             or not np.array_equal(lo, np.asarray(grid.domain.lo))
             or not np.array_equal(hi, np.asarray(grid.domain.hi))
             or table.shape != (grid.n,) * grid.dim or T.shape != ()
-            or table.dtype != float or T.dtype != float):
+            or table.dtype != float or T.dtype != float
+            or not (np.isfinite(table).all() and table.min() >= 0.0
+                    and table.flat[0] == 0.0 and 0.0 < T < np.inf)):
         raise KernelError(f"weight cache {path} does not match the requested problem")
     return KernelWeights(table=table, T=float(T), dim=grid.dim,
                          s=float(params.s), p=float(params.p))

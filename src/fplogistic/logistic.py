@@ -5,7 +5,7 @@ F(t) = lam * (t+)^q / q - (t+)^r / r.  The free energy of a cell function is
 
     Phi(u) = E(u)/p - sum_i F(u_i) |C_i|,
 
-whose mass-gradient is Lu - f(u).
+whose mass-gradient is Lu - f(u), p the exponent of the kernel weights.
 
 The truncation freezes the reaction cellwise at its value on a positive
 anchor function, below the anchor.  No solver uses it: the branch is
@@ -47,7 +47,6 @@ class LogisticParams:
     """Reaction exponents and intensity: f(t) = lam (t+)^{q-1} - (t+)^{r-1}."""
 
     lam: float
-    p: float
     q: float
     r: float
 
@@ -141,7 +140,7 @@ class Functional:
     newton: bool = False
 
 
-def _functional(kw: KernelWeights, grid, p: float, pair,
+def _functional(kw: KernelWeights, grid, pair,
                 collapsed=None, slope=None) -> Functional:
     """E(u)/p - sum_i F(u)_i |C_i|, mass-gradient Lu - f(u), (F, f) = pair(u).
 
@@ -150,21 +149,21 @@ def _functional(kw: KernelWeights, grid, p: float, pair,
     at the array of the last ``gradient`` call.
     """
     _check_weights(grid.measures, kw)
-    m = grid.measures
+    m, p = grid.measures, kw.p
     # the array of the last energy call, its f, the last gradient's array
     last = [None, None, None]
 
     def energy(v: np.ndarray) -> float:
         F, last[1] = pair(v)
         last[0] = v
-        return _energy(v, kw, p) / p - float(m @ F)
+        return _energy(v, kw) / p - float(m @ F)
 
     def gradient(v: np.ndarray) -> np.ndarray:
         last[2] = v
-        return _apply(v, kw, p, m) - (last[1] if v is last[0] else pair(v)[1])
+        return _apply(v, kw, m) - (last[1] if v is last[0] else pair(v)[1])
 
     if slope is None:
-        return Functional(energy, gradient, sobolev_preconditioner(kw, p, m),
+        return Functional(energy, gradient, sobolev_preconditioner(kw, m),
                           collapsed)
 
     def precondition(g: np.ndarray) -> np.ndarray:
@@ -189,14 +188,14 @@ def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
     cancels lam A, which lies on the zero's side of the infimum.  An
     extremum beyond the float64 range raises SolverError.
     """
-    p, q, r = lp.p, lp.q, lp.r
+    p, q, r = kw.p, lp.q, lp.r
     nan = float("nan")
     vp = np.maximum(v, 0.0)
     la = lp.lam * float((vp ** q * measures).sum())
     b = float((vp ** r * measures).sum())
     if b == 0.0:
         return nan, nan
-    e = _energy(v, kw, p)
+    e = _energy(v, kw)
 
     def h(x: float) -> tuple[float, float]:
         low, high = e * math.exp((p - q) * x), b * math.exp((r - q) * x)
@@ -241,17 +240,17 @@ def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
         peak, valley = _fiber_extrema(v, kw, lp, grid.measures)
         return math.isnan(valley) or peak >= 1.0
 
-    newton = lp.p == 2.0 and lp.q >= 2.0
-    return _functional(kw, grid, lp.p, lambda v: _reaction_pair(lp, v),
+    newton = kw.p == 2.0 and lp.q >= 2.0
+    return _functional(kw, grid, lambda v: _reaction_pair(lp, v),
                        collapsed,
                        (lambda v: _reaction_slope(lp, v)) if newton else None)
 
 
 def truncated_functional(kw: KernelWeights, grid, tr: TruncatedReaction) -> Functional:
     """Phi with the reaction replaced by its truncation around the anchor."""
-    return _functional(kw, grid, tr.base.p, lambda v: _truncated_pair(tr, v))
+    return _functional(kw, grid, lambda v: _truncated_pair(tr, v))
 
 
-def torsion_functional(kw: KernelWeights, grid, p: float) -> Functional:
+def torsion_functional(kw: KernelWeights, grid) -> Functional:
     """Energy E(u)/p - sum_i u_i |C_i| whose critical point solves L u = 1."""
-    return _functional(kw, grid, p, lambda v: (v, 1.0))
+    return _functional(kw, grid, lambda v: (v, 1.0))

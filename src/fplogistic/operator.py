@@ -1,7 +1,7 @@
 """Discrete functions, the nonlocal energy, and the cell-averaged operator.
 
 A discrete function is piecewise constant on the grid cells and extended by
-zero outside the domain.  Its nonlocal energy is
+zero outside the domain.  Its nonlocal energy, for the p of the weights, is
 
     E(u) = sum_{i != j} W_ij |u_i - u_j|^p  +  2 sum_i V_i |u_i|^p,
 
@@ -95,35 +95,37 @@ def _check_weights(values: np.ndarray, kw: KernelWeights) -> None:
 # operator call allocates no further m x m temporaries; the p = 2 operator
 # needs none.
 
-def _energy(values: np.ndarray, kw: KernelWeights, p: float) -> float:
+def _energy(values: np.ndarray, kw: KernelWeights) -> float:
     diff = np.subtract.outer(values, values)
-    if p == 2.0:
+    if kw.p == 2.0:
         diff *= diff
     else:
         np.abs(diff, out=diff)
-        diff **= p
-    power = values * values if p == 2.0 else np.abs(values) ** p
+        diff **= kw.p
+    power = values * values if kw.p == 2.0 else np.abs(values) ** kw.p
     return float(diff.ravel() @ kw.W.ravel() + 2.0 * (kw.V @ power))
 
 
-def _apply(values: np.ndarray, kw: KernelWeights, p: float,
+def _apply(values: np.ndarray, kw: KernelWeights,
            measures: np.ndarray) -> np.ndarray:
-    if p == 2.0:
+    if kw.p == 2.0:
         return 2.0 * (kw.T * values - kw.W @ values) / measures
     diff = np.subtract.outer(values, values)
     mag = np.abs(diff)
-    mag **= p - 1.0
+    mag **= kw.p - 1.0
     np.copysign(mag, diff, out=mag)
     mag *= kw.W
     row = 2.0 * mag.sum(axis=1)
-    row += 2.0 * kw.V * signed_power(values, p - 1.0)
+    row += 2.0 * kw.V * signed_power(values, kw.p - 1.0)
     return row / measures
 
 
 def gagliardo_energy(u: DiscreteFunction, kw: KernelWeights, p: float) -> float:
-    """Exact nonlocal p-energy of the zero-extended piecewise-constant function."""
+    """Exact nonlocal energy of the zero-extended function; p must be kw.p."""
     _check_weights(u.values, kw)
-    return _energy(u.values, kw, p)
+    if p != kw.p:
+        raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
+    return _energy(u.values, kw)
 
 
 def apply_operator(u: DiscreteFunction, kw: KernelWeights, p: float) -> DiscreteFunction:
@@ -131,10 +133,12 @@ def apply_operator(u: DiscreteFunction, kw: KernelWeights, p: float) -> Discrete
 
     (Lu)_i = [2 sum_j W_ij (u_i - u_j)^(p-1) + 2 V_i u_i^(p-1)] / |C_i|
     with signed powers, so that |C_i| (Lu)_i is the partial derivative of
-    E(u)/p in u_i.
+    E(u)/p in u_i.  p must be kw.p (GridMismatchError otherwise).
     """
     _check_weights(u.values, kw)
-    return DiscreteFunction(_apply(u.values, kw, p, u.grid.measures), u.grid)
+    if p != kw.p:
+        raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
+    return DiscreteFunction(_apply(u.values, kw, u.grid.measures), u.grid)
 
 
 def lp_norm(u: DiscreteFunction, nu: float) -> float:
@@ -155,15 +159,15 @@ def mass_norm(a: np.ndarray, measures: np.ndarray) -> float:
     return mass_dot(a, a, measures) ** 0.5
 
 
-def sobolev_preconditioner(kw: KernelWeights, p: float, measures: np.ndarray
+def sobolev_preconditioner(kw: KernelWeights, measures: np.ndarray
                            ) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The map g -> K^-1 (M g) for p = 2, None for any other p.
+    """The map g -> K^-1 (M g) when kw.p = 2, None for any other p.
 
     K = 2 (T I - W) is the Hessian of E/2 and M the diagonal of the cell
     measures, so that the map sends the mass gradient of an energy to its
     gradient in the metric of K (a Sobolev gradient).
     """
-    if p != 2.0:
+    if kw.p != 2.0:
         return None
     kinv = kw.k_inverse
     return lambda g: kinv @ (measures * g)

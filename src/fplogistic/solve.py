@@ -9,7 +9,8 @@ it is the only one; a converged minimization that lies in the zero basin of
 its own ray t * u (the ``collapsed`` test of ``logistic.phi_functional``,
 free of any absolute scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
-intensities until the first collapse, then bisection of the bracket.
+intensities until the first collapse, then bisection of the bracket.  p
+comes with the kernel weights, and the principal eigenpair from the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .descent import SolverError, Status, descend
 from .domain import Grid
-from .eigen import EigenOptions, EigenPair, principal_eigenpair, seeded_uniform
+from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, _fiber_extrema,
                        phi_functional, torsion_functional)
@@ -117,12 +118,12 @@ def minimize(func: Functional, u0: DiscreteFunction,
     )
 
 
-def torsion_solve(kw: KernelWeights, grid: Grid, p: float,
+def torsion_solve(kw: KernelWeights, grid: Grid,
                   opts: SolveOptions | None = None,
                   u0: DiscreteFunction | None = None) -> SolveReport:
     """Solve L u = 1: the positive barrier whose profile matches d(x)^s."""
     opts = opts or SolveOptions()
-    func = torsion_functional(kw, grid, p)
+    func = torsion_functional(kw, grid)
     if u0 is None:
         u0 = DiscreteFunction(np.full(grid.ncells, 0.1), grid)
     rep = minimize(func, u0, opts)
@@ -138,17 +139,17 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
                    eigen: EigenPair | None = None) -> np.ndarray:
     """Build a starting iterate: seeded random, or a point on the ray of u1.
 
-    The eigen start returns t * u1 at the valley of the free energy along
-    the ray (``_fiber_extrema``), the last local minimum, which lands the
-    descent in the nontrivial basin even where that minimum has positive
-    energy.  Without one it returns the origin, from which the solve
-    collapses cleanly.
+    The eigen start needs ``eigen`` and returns t * u1 at the valley of the
+    free energy along the ray (``_fiber_extrema``), the last local minimum,
+    which lands the descent in the nontrivial basin even where that minimum
+    has positive energy.  Without a valley it returns the origin, from
+    which the solve collapses cleanly.
     """
     if kind == "random":
         return seeded_uniform(opts.seed, 0.1, 1.0, grid.ncells)
     if kind == "eigen":
         if eigen is None:
-            eigen = principal_eigenpair(kw, grid, lp.p, EigenOptions(seed=opts.seed))
+            raise ValueError("the eigen start needs the principal eigenpair")
         t = _fiber_extrema(eigen.u1.values, kw, lp, grid.measures)[1]
         return t * eigen.u1.values if t > 0.0 else np.zeros(grid.ncells)
     raise ValueError(f"unknown initial guess kind: {kind}")
@@ -167,7 +168,7 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     norm has left the branch, and SolverError is raised.
     """
     opts = opts or SolveOptions()
-    lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+    lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
     if warm is None:
         u0 = initial_values(opts.initial, grid, kw, lp, opts, eigen)
@@ -204,8 +205,8 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
 def detect_threshold(params, kw: KernelWeights, grid: Grid,
                      opts: SolveOptions | None = None,
                      bracket_tol: float = 1e-3,
-                     lambda_high: float | None = None,
-                     eigen: EigenPair | None = None) -> ThresholdReport:
+                     lambda_high: float | None = None, *,
+                     eigen: EigenPair) -> ThresholdReport:
     """Locate the smallest solvable intensity in one walk down the branch.
 
     Each probe descends the free energy from the last solvable solution and
@@ -217,12 +218,10 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     analytic lower bound raises at once, so the walk ends.
     """
     opts = opts or SolveOptions()
-    if eigen is None:
-        eigen = principal_eigenpair(kw, grid, params.p, EigenOptions(seed=opts.seed))
     lam0 = lower_bound_lambda0(params, eigen.lambda1)
 
     def probe(lam: float, u_start: np.ndarray | None) -> SolveReport | None:
-        lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+        lp = LogisticParams(lam=lam, q=params.q, r=params.r)
         if u_start is None:
             u_start = initial_values("eigen", grid, kw, lp, opts, eigen)
         rep = minimize(phi_functional(kw, grid, lp),
@@ -292,7 +291,7 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     and the search reports NOT_FOUND at once with the zero function.
     """
     opts = opts or SolveOptions()
-    lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+    lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
     meas = grid.measures
 

@@ -3,7 +3,8 @@
 Each check returns a CheckResult whose ``passed`` field is True, False, or
 None; None means the check's precondition does not hold for the supplied
 data, which is reported rather than silently skipped.  Witnesses carry the
-numbers behind every verdict so a failure can be inspected directly.
+numbers behind every verdict so a failure can be inspected directly.  The
+principal eigenpair of the weights comes from the caller (``eigen=``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Grid, Regime, classify_regime
-from .eigen import EigenOptions, EigenPair, principal_eigenpair, seeded_uniform
+from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, lp_norm, mass_norm
@@ -90,8 +91,8 @@ def check_strict_order(u_low: DiscreteFunction,
 
 
 def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
-                            grid: Grid, trials: int = 5, opts=None,
-                            lambda1: float | None = None) -> CheckResult:
+                            grid: Grid, trials: int = 5, opts=None, *,
+                            lambda1: float) -> CheckResult:
     """Certify absence of solutions at or below the eigenvalue (q = p).
 
     Runs ``trials`` descents from seeded random positive starts; every one
@@ -107,14 +108,11 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
                            notes=f"requires q = p, got q = {params.q}, p = {params.p}")
     opts = opts or SolveOptions()
-    if lambda1 is None:
-        lambda1 = principal_eigenpair(kw, grid, params.p,
-                                      EigenOptions(seed=opts.seed)).lambda1
     if lam > lambda1:
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
                            notes=f"requires lam <= lambda1, got lam = {lam:.6g}, "
                                  f"lambda1 = {lambda1:.6g}")
-    lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+    lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
     sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
@@ -190,47 +188,44 @@ def refinement_study(ns: Sequence[int], values: Sequence[float],
 
 
 def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
-              opts=None, eigen: EigenPair | None = None) -> list[CheckResult]:
+              opts=None, *, eigen: EigenPair) -> list[CheckResult]:
     """Run the checks appropriate to the regime of the given parameters.
 
     With lam = None a regime-appropriate default intensity is chosen: 1 in
     the subdiffusive regime and 0.9 times the eigenvalue in the
     equidiffusive one; the superdiffusive checks locate their own
-    intensities from the detected threshold.  ``eigen``, the principal
-    eigenpair of kw, is solved here when not given.
+    intensities from the detected threshold.
     """
     from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
                         mountain_pass, solve_branch_point)
 
     opts = opts or SolveOptions()
     regime = classify_regime(params)
-    ep = eigen if eigen is not None else principal_eigenpair(
-        kw, grid, params.p, EigenOptions(seed=opts.seed))
     results: list[CheckResult] = []
 
     if regime is Regime.SUB:
         if lam is None:
             lam = 1.0
-        rep_lo = solve_branch_point(lam, None, params, kw, grid, opts, eigen=ep)
+        rep_lo = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eigen)
         rep_hi = solve_branch_point(2.0 * lam, rep_lo.u, params, kw, grid, opts)
         results.append(check_strict_order(rep_lo.u, rep_hi.u))
         results.append(check_hopf(rep_hi.u, params.s))
         branch = [(lam, rep_lo.u.sup_norm())]
         for k in range(1, 5):
             lk = lam * 2.0 ** (-k)
-            rk = solve_branch_point(lk, None, params, kw, grid, opts, eigen=ep)
+            rk = solve_branch_point(lk, None, params, kw, grid, opts, eigen=eigen)
             branch.append((lk, rk.u.sup_norm()))
         results.append(check_limit_branch(branch, 0.0, tol=branch[0][1]))
     elif regime is Regime.EQUI:
         if lam is None:
-            lam = 0.9 * ep.lambda1
-        results.append(check_nonexistence_equi(params, lam, kw, grid,
-                                               opts=opts, lambda1=ep.lambda1))
-        if lam > ep.lambda1:
-            rep = solve_branch_point(lam, None, params, kw, grid, opts, eigen=ep)
+            lam = 0.9 * eigen.lambda1
+        results.append(check_nonexistence_equi(
+            params, lam, kw, grid, opts=opts, lambda1=eigen.lambda1))
+        if lam > eigen.lambda1:
+            rep = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eigen)
             results.append(check_hopf(rep.u, params.s))
     else:
-        thr = detect_threshold(params, kw, grid, opts, bracket_tol=1e-2, eigen=ep)
+        thr = detect_threshold(params, kw, grid, opts, bracket_tol=1e-2, eigen=eigen)
         results.append(CheckResult(
             name="threshold_above_lower_bound",
             passed=bool(thr.lambda_star_h >= thr.lambda_0),
@@ -241,7 +236,7 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
         ))
         results.append(check_hopf(thr.u_star, params.s))
         lam_mp = 1.5 * thr.lambda_star_h
-        rep = solve_branch_point(lam_mp, None, params, kw, grid, opts, eigen=ep)
+        rep = solve_branch_point(lam_mp, None, params, kw, grid, opts, eigen=eigen)
         mp = mountain_pass(lam_mp, params, kw, grid, rep.u, opts)
         if mp.status is Status.CONVERGED:
             results.append(check_strict_order(mp.u, rep.u))

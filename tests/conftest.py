@@ -71,7 +71,7 @@ def kw32_p3(grid32, p3_params):
 
 @pytest.fixture(scope="session")
 def eig64(kw64, grid64):
-    return principal_eigenpair(kw64, grid64, 2.0, EigenOptions(seed=0))
+    return principal_eigenpair(kw64, grid64, EigenOptions(seed=0))
 
 
 @pytest.fixture(scope="session")

@@ -64,14 +64,14 @@ def clean_env(monkeypatch):
 @pytest.fixture(scope="module")
 def equi64(grid64, equi_params):
     kw = assemble(grid64, equi_params)
-    eig = principal_eigenpair(kw, grid64, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid64, EigenOptions(seed=0))
     return kw, eig
 
 
 @pytest.fixture(scope="module")
 def super64(grid64, super_params):
     kw = assemble(grid64, super_params)
-    eig = principal_eigenpair(kw, grid64, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid64, EigenOptions(seed=0))
     return kw, eig
 
 
@@ -129,7 +129,7 @@ def test_c02_operator_consistency(criterion, grid64, kw64, kw64_p3):
         worst_pair = 0.0
         worst_fd = 0.0
         for p, kw, (q, r) in ((2.0, kw64, (1.5, 3.0)), (3.0, kw64_p3, (2.0, 4.0))):
-            phi = phi_functional(kw, grid64, LogisticParams(lam=1.0, p=p, q=q, r=r))
+            phi = phi_functional(kw, grid64, LogisticParams(lam=1.0, q=q, r=r))
             for _ in range(10):
                 u = DiscreteFunction(rng.uniform(-1.0, 1.0, 64), grid64)
                 lu = apply_operator(u, kw, p)
@@ -207,14 +207,14 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
             ps = p * s
             g1 = build_grid(DomainSpec.interval(0.0, 1.0), 1)
             prm = validate_params(1, s, p, (1.0 + p) / 2.0, p + 1.0)
-            pair = principal_eigenpair(assemble(g1, prm), g1, p,
+            pair = principal_eigenpair(assemble(g1, prm), g1,
                                        EigenOptions(seed=0))
             exact = 4.0 / (ps * (1.0 - ps))
             if abs(pair.lambda1 / exact - 1.0) > 1e-13:
                 closed_ok = False
         checks["single_cell_closed_form"] = closed_ok
 
-        pair = principal_eigenpair(kw64_p3, grid64, 3.0,
+        pair = principal_eigenpair(kw64_p3, grid64,
                                    EigenOptions(restarts=5, seed=2,
                                                 residual_tol=1e-6))
         checks["p3_all_restarts_positive"] = pair.discarded_restarts == 0
@@ -342,8 +342,8 @@ def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
 
 def test_c08_torsion_and_hopf(criterion, grid64, kw64, sub_params):
     with criterion(8) as checks:
-        rep_a = torsion_solve(kw64, grid64, 2.0, SolveOptions())
-        rep_b = torsion_solve(kw64, grid64, 2.0, SolveOptions(),
+        rep_a = torsion_solve(kw64, grid64, SolveOptions())
+        rep_b = torsion_solve(kw64, grid64, SolveOptions(),
                               u0=DiscreteFunction(np.full(64, 1.0), grid64))
         diff = np.abs(rep_a.u.values - rep_b.u.values).max()
         checks["two_starts_agree_1e6"] = diff <= 1e-6 * rep_a.u.sup_norm()
@@ -360,7 +360,7 @@ def test_c09_refinement_and_scaling(criterion, super_params):
         for n in (32, 64, 128):
             g = build_grid(DomainSpec.interval(0.0, 1.0), n)
             kw = assemble(g, super_params)
-            eig = principal_eigenpair(kw, g, 2.0, EigenOptions(seed=0))
+            eig = principal_eigenpair(kw, g, EigenOptions(seed=0))
             thr = detect_threshold(super_params, kw, g, SolveOptions(),
                                    bracket_tol=1e-3, eigen=eig)
             lam1s.append(eig.lambda1)
@@ -372,7 +372,7 @@ def test_c09_refinement_and_scaling(criterion, super_params):
 
         g2 = build_grid(DomainSpec.interval(0.0, 2.0), 64)
         kw2 = assemble(g2, super_params)
-        lam_wide = principal_eigenpair(kw2, g2, 2.0,
+        lam_wide = principal_eigenpair(kw2, g2,
                                        EigenOptions(seed=0)).lambda1
         ratio = lam1s[1] / lam_wide
         expected = 2.0 ** super_params.ps

@@ -210,14 +210,34 @@ def _write_truncated_npz(path):
     path.write_bytes(data[:len(data) // 2])
 
 
+def _write_sub_weights(path, table=lambda t: t, T=lambda t: t):
+    # the right weights of SUB_CFG, with the table and T passed through edits
+    kw = fplogistic.assemble(
+        fplogistic.build_grid(fplogistic.DomainSpec.interval(0.0, 1.0), 16),
+        fplogistic.validate_params(1, 0.4, 2.0, 1.5, 3.0))
+    np.savez(path, table=table(kw.table.copy()), T=np.array(T(kw.T)),
+             **_SUB_KEY)
+
+
+def _offset_zero_weighted(table):
+    table[0] = table[1]
+    return table
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_text("not an archive\n"),
     _write_truncated_npz,
     _write_npz_without_key,
     _write_dense_format,
     _write_text_table,
+    lambda path: _write_sub_weights(path, T=lambda t: float("nan")),
+    lambda path: _write_sub_weights(path, table=np.negative),
+    lambda path: _write_sub_weights(path, T=lambda t: 0.0),
+    lambda path: _write_sub_weights(path, T=lambda t: float("inf")),
+    lambda path: _write_sub_weights(path, table=_offset_zero_weighted),
 ], ids=["not_zip", "truncated_zip", "missing_key", "dense_format",
-        "text_table"])
+        "text_table", "nan_T", "negative_table", "zero_T", "inf_T",
+        "offset_zero_weighted"])
 def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
     cache = tmp_path / "weights.npz"
     write(cache)
@@ -226,6 +246,24 @@ def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
     err = capsys.readouterr().err
     assert err.startswith(f"error: weight cache {cache}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, target", [
+    ("--out", "taken"),
+    ("--weights-cache", "taken/weights.npz"),
+], ids=["out_is_a_file", "cache_below_a_file"])
+def test_unwritable_output_path_exits_one_in_one_line(sub_cfg, tmp_path,
+                                                      capsys, flag, target):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    # of two --out flags the last one counts
+    argv = ["eigen", "--config", str(sub_cfg), "--out", str(tmp_path / "out"),
+            flag, str(tmp_path / target)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "taken" in err
 
 
 def test_env_override_reaches_report(sub_cfg, tmp_path, monkeypatch):
@@ -282,18 +320,15 @@ def test_sweep_from_random_starts_with_zero_cells_exits_zero(sub_cfg, tmp_path,
 def eigen_restarts(monkeypatch):
     """The restarts option of every principal_eigenpair call, in order."""
     import fplogistic.cli
-    import fplogistic.solve
-    import fplogistic.verify
     from fplogistic.eigen import principal_eigenpair
 
     seen = []
 
-    def spy(kw, grid, p, opts=None):
+    def spy(kw, grid, opts=None):
         seen.append(opts.restarts if opts is not None else 1)
-        return principal_eigenpair(kw, grid, p, opts)
+        return principal_eigenpair(kw, grid, opts)
 
-    for module in (fplogistic.cli, fplogistic.solve, fplogistic.verify):
-        monkeypatch.setattr(module, "principal_eigenpair", spy)
+    monkeypatch.setattr(fplogistic.cli, "principal_eigenpair", spy)
     return seen
 
 
@@ -504,13 +539,14 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "domain.hi=inf"], "domain side"),
     (["solve", "--set", "eigen.restarts=0"], "eigen.restarts"),
     (["solve", "--set", "eigen.restarts=-1"], "eigen.restarts"),
+    (["eigen", "--set", "n=4097"], "4096"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
         "ns_text", "ns_decreasing", "ns_repeated", "lam_negative",
         "initial_bogus", "initial_zero", "seed_negative", "bracket_tol_zero",
         "lambda_high_negative", "p_nan", "q_nan", "r_nan", "lam_inf",
         "residual_tol_nan", "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
-        "domain_hi_inf", "restarts_zero", "restarts_negative"])
+        "domain_hi_inf", "restarts_zero", "restarts_negative", "dense_cap"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fplogistic.domain import DomainSpec, build_grid, validate_params
+from fplogistic.domain import DomainSpec, GridError, build_grid, validate_params
 from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
                                _gauss, assemble, load_weights, save_weights)
 
@@ -474,5 +474,5 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
 
 def test_dense_cap_enforced(sub_params):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), MAX_DENSE_CELLS + 1)
-    with pytest.raises(KernelError, match=str(MAX_DENSE_CELLS)):
+    with pytest.raises(GridError, match=str(MAX_DENSE_CELLS)):
         assemble(grid, sub_params)

@@ -19,12 +19,12 @@ from fplogistic.operator import (NEWTON_FORCING, DiscreteFunction,
 
 @pytest.fixture()
 def lp():
-    return LogisticParams(lam=2.0, p=2.0, q=1.5, r=3.0)
+    return LogisticParams(lam=2.0, q=1.5, r=3.0)
 
 
 def test_logistic_params_guard():
     with pytest.raises(ValueError, match="lam"):
-        LogisticParams(lam=0.0, p=2.0, q=1.5, r=3.0)
+        LogisticParams(lam=0.0, q=1.5, r=3.0)
 
 
 def test_reaction_vanishes_on_nonpositive(lp):
@@ -66,7 +66,7 @@ def test_functional_builders_check_the_weights(grid32, kw2d, lp, anchor):
     tr = TruncatedReaction(anchor, lp)
     for build in (lambda: phi_functional(kw2d, grid32, lp),
                   lambda: truncated_functional(kw2d, grid32, tr),
-                  lambda: torsion_functional(kw2d, grid32, 2.0)):
+                  lambda: torsion_functional(kw2d, grid32)):
         with pytest.raises(GridMismatchError, match="weight table"):
             build()
 
@@ -130,7 +130,7 @@ def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
 
 
 def test_torsion_functional_gradient(grid32, kw32, rng):
-    f = torsion_functional(kw32, grid32, 2.0)
+    f = torsion_functional(kw32, grid32)
     v = rng.uniform(0.0, 0.1, grid32.ncells)
     eps = 1e-7
     g = f.gradient(v)
@@ -150,7 +150,7 @@ def _functional_and_reaction(kind, kw, grid, lp, anchor):
         tr = TruncatedReaction(anchor, lp)
         return (truncated_functional(kw, grid, tr),
                 lambda v: truncated_reaction(tr, v))
-    return torsion_functional(kw, grid, 2.0), lambda v: 1.0
+    return torsion_functional(kw, grid), lambda v: 1.0
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "replaced"])
@@ -176,7 +176,7 @@ def test_gradient_reuses_the_reaction_of_the_energy_call(monkeypatch, grid32,
         return out, len(calls) - before
 
     def expected(v):
-        return _apply(v, kw32, 2.0, grid32.measures) - rxn(v)
+        return _apply(v, kw32, grid32.measures) - rxn(v)
 
     a = rng.uniform(-0.5, 1.6, grid32.ncells)
     b = rng.uniform(-0.5, 1.6, grid32.ncells)
@@ -196,7 +196,7 @@ def test_gradient_reuses_the_reaction_of_the_energy_call(monkeypatch, grid32,
                                        (1.01, 4.9, 0.001), (2.7, 2.71, 900.0)])
 def test_shared_primitive_is_within_four_ulps(grid32, anchor, rng, q, r, lam):
     # ulps of the size of the terms, which may cancel in F
-    lp = LogisticParams(lam=lam, p=2.0, q=q, r=r)
+    lp = LogisticParams(lam=lam, q=q, r=r)
     tr = TruncatedReaction(anchor, lp)
     a = anchor.values
     for v in (rng.uniform(-1.0, 4.0, grid32.ncells),
@@ -232,7 +232,7 @@ def test_newton_direction_descends_and_meets_the_forcing_term(
         kw = assemble(grid, sub_params)
     else:
         kw, grid = (kw64, grid64) if case == "1d-64" else (kw2d, grid2d)
-    lp = LogisticParams(lam=200.0, p=2.0, q=q, r=q + 1.0)
+    lp = LogisticParams(lam=200.0, q=q, r=q + 1.0)
     func = phi_functional(kw, grid, lp)
     assert func.newton
     m = grid.measures
@@ -263,16 +263,16 @@ def test_newton_metric_only_for_phi_at_p_two_and_q_at_least_two(
     def newton(q, p=2.0):
         kw = kw32 if p == 2.0 else kw32_p3
         return phi_functional(kw, grid32,
-                              LogisticParams(lam=2.0, p=p, q=q, r=4.0)).newton
+                              LogisticParams(lam=2.0, q=q, r=4.0)).newton
 
     assert newton(2.0) and newton(3.0)
     assert not newton(1.5) and not newton(3.0, p=3.0)
-    lp3 = LogisticParams(lam=2.0, p=2.0, q=3.0, r=4.0)
+    lp3 = LogisticParams(lam=2.0, q=3.0, r=4.0)
     assert not truncated_functional(kw32, grid32,
                                     TruncatedReaction(anchor, lp3)).newton
-    assert not torsion_functional(kw32, grid32, 2.0).newton
+    assert not torsion_functional(kw32, grid32).newton
     # below q = 2 the metric is the fixed K of the diffusion part
     g = np.linspace(-1.0, 1.0, grid32.ncells)
     d = phi_functional(kw32, grid32, LogisticParams(
-        lam=2.0, p=2.0, q=1.5, r=4.0)).precondition(g)
+        lam=2.0, q=1.5, r=4.0)).precondition(g)
     assert np.array_equal(d, kw32.k_inverse @ (grid32.measures * g))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fplogistic
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.kernel import assemble
 from fplogistic.operator import (DiscreteFunction, GridMismatchError,
@@ -50,6 +52,42 @@ def test_apply_operator_rejects_foreign_weights(grid64, kw32, rng):
     u = _random_function(grid64, rng)
     with pytest.raises(GridMismatchError):
         apply_operator(u, kw32, 2.0)
+
+
+@pytest.mark.parametrize("evaluate", [gagliardo_energy, apply_operator])
+def test_exponent_must_be_that_of_the_weights(grid32, kw32, kw32_p3, rng,
+                                              evaluate):
+    # the weights describe one p; another p would give a silently wrong answer
+    u = _random_function(grid32, rng)
+    with pytest.raises(GridMismatchError, match="assembled for p = 3.0"):
+        evaluate(u, kw32_p3, 2.0)
+    with pytest.raises(GridMismatchError, match="got p = 3.0"):
+        evaluate(u, kw32, 3.0)
+
+
+def test_no_function_takes_p_beside_the_weights():
+    # p comes with the kernel weights; only the two public evaluators still
+    # take it, and they reject any other value
+    allowed = {"gagliardo_energy", "apply_operator"}
+    offenders = []
+    for name in ("cli", "config", "descent", "domain", "eigen", "kernel",
+                 "logistic", "operator", "solve", "verify"):
+        module = getattr(fplogistic, name)
+        for attr, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__:
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            takes_weights = any("KernelWeights" in str(prm.annotation)
+                                for prm in params.values())
+            if takes_weights and "p" in params and attr not in allowed:
+                offenders.append(f"{name}.{attr}")
+    assert offenders == []
+    assert set(inspect.signature(fplogistic.LogisticParams).parameters) \
+        == {"lam", "q", "r"}
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -254,7 +292,7 @@ def _assert_sobolev_identities(kw, grid, seed):
     g = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.ncells)
     assert g @ k @ g == pytest.approx(
         gagliardo_energy(DiscreteFunction(g, grid), kw, 2.0), rel=1e-10)
-    d = sobolev_preconditioner(kw, 2.0, grid.measures)(g)
+    d = sobolev_preconditioner(kw, grid.measures)(g)
     mg = grid.measures * g
     assert np.abs(k @ d - mg).max() <= 1e-10 * np.abs(mg).max()
 
@@ -273,4 +311,4 @@ def test_sobolev_metric_identities_2d(grid2d, kw2d):
 
 
 def test_sobolev_preconditioner_only_for_p_two(grid32, kw32_p3):
-    assert sobolev_preconditioner(kw32_p3, 3.0, grid32.measures) is None
+    assert sobolev_preconditioner(kw32_p3, grid32.measures) is None

@@ -32,7 +32,7 @@ def kw16_super(grid16, super_params):
 
 @pytest.fixture(scope="module")
 def eig32(kw32, grid32):
-    return principal_eigenpair(kw32, grid32, 2.0, EigenOptions(seed=0))
+    return principal_eigenpair(kw32, grid32, EigenOptions(seed=0))
 
 
 def test_status_labels():
@@ -43,7 +43,7 @@ def test_status_labels():
 
 
 def test_zero_start_is_exact_critical_point(grid32, kw32):
-    lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     func = phi_functional(kw32, grid32, lp)
     rep = minimize(func, DiscreteFunction(np.zeros(32), grid32))
     assert rep.iterations == 0
@@ -52,7 +52,7 @@ def test_zero_start_is_exact_critical_point(grid32, kw32):
 
 
 def test_max_iters_status(grid32, kw32, rng):
-    lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     func = phi_functional(kw32, grid32, lp)
     u0 = DiscreteFunction(rng.uniform(0.1, 1.0, 32), grid32)
     rep = minimize(func, u0, SolveOptions(max_iters=1))
@@ -78,7 +78,7 @@ def test_restart_from_solution_is_immediate(grid32, kw32, sub_params, eig32):
                              SolveOptions(), eigen=eig32)
     again = solve_branch_point(1.0, None, sub_params, kw32, grid32,
                                SolveOptions(initial="eigen"), eigen=eig32)
-    lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     func = phi_functional(kw32, grid32, lp)
     refined = minimize(func, rep.u, SolveOptions())
     assert refined.iterations == 0
@@ -112,7 +112,7 @@ def test_warm_start_on_the_newton_branches(monkeypatch, case):
     grid = build_grid(domain, n)
     params = validate_params(dim, 0.4, 2.0, q, r)
     kw = assemble(grid, params)
-    eig = principal_eigenpair(kw, grid, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid, EigenOptions(seed=0))
     opts = SolveOptions()
     # the benchmark's sup gate: two solutions within residual_tol of the
     # exact one in the mass norm, each cell of measure h
@@ -148,7 +148,7 @@ def test_warm_start_ordering_violation_raises(grid32, kw32, sub_params, eig32):
 
 def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
     lam = 0.5 * eig.lambda1
     rep = solve_branch_point(lam, None, equi_params, kw, grid32,
                              SolveOptions(initial="random", seed=3), eigen=eig)
@@ -157,7 +157,7 @@ def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
 
 
 def test_initial_values_kinds(grid32, kw32):
-    lp = LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0)
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     opts = SolveOptions(seed=5)
     r1 = initial_values("random", grid32, kw32, lp, opts)
     r2 = initial_values("random", grid32, kw32, lp, SolveOptions(seed=5))
@@ -167,12 +167,21 @@ def test_initial_values_kinds(grid32, kw32):
         initial_values("best", grid32, kw32, lp, opts)
 
 
+def test_eigen_start_needs_the_eigenpair(grid32, kw32, sub_params):
+    # the eigenpair is solved by the caller, once, never inside a solve
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
+    with pytest.raises(ValueError, match="eigenpair"):
+        initial_values("eigen", grid32, kw32, lp, SolveOptions())
+    with pytest.raises(ValueError, match="eigenpair"):
+        solve_branch_point(1.0, None, sub_params, kw32, grid32, SolveOptions())
+
+
 def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     # below the linear threshold the energy is positive along the whole ray,
     # so the scan hands back the origin and the solve collapses cleanly
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, 2.0, EigenOptions(seed=0))
-    lp = LogisticParams(lam=0.9 * eig.lambda1, p=2.0, q=2.0, r=3.0)
+    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    lp = LogisticParams(lam=0.9 * eig.lambda1, q=2.0, r=3.0)
     u0 = initial_values("eigen", grid32, kw, lp, SolveOptions(), eigen=eig)
     assert np.all(u0 == 0.0)
 
@@ -188,7 +197,7 @@ def test_eigen_start_at_the_eigenvalue_is_zero_to_rounding(grid64, kw64,
         eig64.u1.values * (1.0 + k * eps), grid64))
     lam1 = eig64.lambda1
     for lam, dip in ((lam1, False), ((1.0 + 1e-9) * lam1, True)):
-        lp = LogisticParams(lam=lam, p=2.0, q=2.0, r=3.0)
+        lp = LogisticParams(lam=lam, q=2.0, r=3.0)
         u0 = initial_values("eigen", grid64, kw64, lp, SolveOptions(),
                             eigen=eig)
         assert bool(u0.any()) is dip
@@ -205,10 +214,10 @@ def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
     monkeypatch.setattr(logistic, "_energy", lambda *a: energy_calls.append(a)
                         or _energy(*a))
     lam1 = eig32.lambda1
-    for lp in (LogisticParams(lam=1.0, p=2.0, q=1.5, r=3.0),
-               LogisticParams(lam=1.5 * lam1, p=2.0, q=2.0, r=3.0),
-               LogisticParams(lam=8.0, p=2.0, q=3.0, r=4.0),
-               LogisticParams(lam=40.0, p=2.0, q=3.0, r=4.0)):
+    for lp in (LogisticParams(lam=1.0, q=1.5, r=3.0),
+               LogisticParams(lam=1.5 * lam1, q=2.0, r=3.0),
+               LogisticParams(lam=8.0, q=3.0, r=4.0),
+               LogisticParams(lam=40.0, q=3.0, r=4.0)):
         energy_calls.clear()
         u0 = initial_values("eigen", grid32, kw32, lp, SolveOptions(),
                             eigen=eig32)
@@ -220,7 +229,7 @@ def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
 
         def slope(tau):
             # d/dtau Phi(tau u1), and the size of its largest term
-            scale = tau * _energy(u1, kw32, 2.0) + lp.lam * tau ** (lp.q - 1.0)
+            scale = tau * _energy(u1, kw32) + lp.lam * tau ** (lp.q - 1.0)
             return mass_dot(phi.gradient(tau * u1), u1, meas), scale
 
         d, scale = slope(t)
@@ -244,8 +253,9 @@ def test_lower_bound_rejects_bad_inputs(sub_params, super_params):
 
 
 def test_detect_threshold_invariants(grid16, kw16_super, super_params):
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
     report = detect_threshold(super_params, kw16_super, grid16,
-                              SolveOptions(), bracket_tol=1e-2)
+                              SolveOptions(), bracket_tol=1e-2, eigen=eig)
     assert report.lambda_star_h >= report.lambda_0
     assert 0.0 < report.bracket_width <= 1e-2
     lams = [pt.lam for pt in report.branch]
@@ -271,8 +281,10 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     r = data.draw(st.floats(q + 1.0, min(q + 3.0, p_star - 0.05)), label="r")
     params = validate_params(1, s, 2.0, q, r)
     grid = build_grid(unit_interval, n)
-    rep = detect_threshold(params, assemble(grid, params), grid,
-                           SolveOptions(), bracket_tol=1e-2)
+    kw = assemble(grid, params)
+    rep = detect_threshold(params, kw, grid, SolveOptions(), bracket_tol=1e-2,
+                           eigen=principal_eigenpair(kw, grid,
+                                                     EigenOptions(seed=0)))
     assert rep.lambda_star_h >= rep.lambda_0
     lams = [b.lam for b in rep.branch]
     sups = [b.sup_norm for b in rep.branch]
@@ -283,7 +295,7 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
 
 def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
                                               super_params):
-    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
     with pytest.raises(SolverError, match="max_iters"):
         detect_threshold(super_params, kw16_super, grid16,
                          SolveOptions(max_iters=3), bracket_tol=1e-2,
@@ -298,7 +310,7 @@ def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
 def test_threshold_probe_failure_names_where_it_stopped(
         monkeypatch, grid16, kw16_super, super_params, iterations, message):
     # a descent that gives up early is not one that ran out of iterations
-    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
 
     def stopped(func, u0, opts=None):
         return SolveReport(u=u0, energy=0.0, residual=379.0,
@@ -326,8 +338,9 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
 
     monkeypatch.setattr(solve_module, "minimize", recorded)
     grid = build_grid(unit_interval, n)
-    detect_threshold(super_params, assemble(grid, super_params), grid,
-                     SolveOptions(), bracket_tol=1e-2)
+    kw = assemble(grid, super_params)
+    detect_threshold(super_params, kw, grid, SolveOptions(), bracket_tol=1e-2,
+                     eigen=principal_eigenpair(kw, grid, EigenOptions(seed=0)))
     converged = [r.iterations for r in probes if r.status is Status.CONVERGED]
     assert converged
     assert sum(converged) / len(converged) <= 12.0
@@ -336,7 +349,7 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
 
 def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,
                                                  super_params):
-    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
     lam0 = lower_bound_lambda0(super_params, eig.lambda1)
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=5e-2,
@@ -351,7 +364,7 @@ def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
                                                super_params):
     # an inflated lambda1 lifts lambda0 above the true threshold, so the walk
     # meets a solvable probe below the bound and stops there
-    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
     inflated = dataclasses.replace(eig, lambda1=2.0 * eig.lambda1)
     with pytest.raises(SolverError, match="analytic bound"):
         detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
@@ -361,7 +374,7 @@ def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
 @pytest.fixture(scope="module")
 def super_branch16(grid16, kw16_super, super_params):
     """Intensity 1.5 lambda*_h and the branch solution there, on grid16."""
-    eig = principal_eigenpair(kw16_super, grid16, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     lam = 1.5 * report.lambda_star_h
@@ -398,7 +411,7 @@ def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
 
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
     # the mountain-pass level lies above both ends of the segment
-    lp = LogisticParams(lam=lam, p=params.p, q=params.q, r=params.r)
+    lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     phi = phi_functional(kw, grid, lp).energy
     assert rep.energy == pytest.approx(phi(rep.u.values), rel=1e-14)
     assert rep.energy > max(phi(np.zeros(grid.ncells)), phi(big.u.values))
@@ -408,7 +421,9 @@ def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
     # weights depend on s and p only, so the sublinear kw2d serves here
     params = validate_params(2, 0.4, 2.0, 2.5, 3.2)
     lam = 40.0
-    big = solve_branch_point(lam, None, params, kw2d, grid2d, SolveOptions())
+    big = solve_branch_point(lam, None, params, kw2d, grid2d, SolveOptions(),
+                             eigen=principal_eigenpair(kw2d, grid2d,
+                                                       EigenOptions(seed=0)))
     assert big.status is Status.CONVERGED
     rep = mountain_pass(lam, params, kw2d, grid2d, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED
@@ -429,7 +444,7 @@ def test_mountain_pass_not_found_without_barrier(grid32, kw32, sub_params,
 
 
 def test_torsion_solve(grid32, kw32):
-    rep = torsion_solve(kw32, grid32, 2.0, SolveOptions())
+    rep = torsion_solve(kw32, grid32, SolveOptions())
     assert rep.status is Status.CONVERGED
     assert rep.u.values.min() > 0.0
     lu = apply_operator(rep.u, kw32, 2.0)
@@ -438,12 +453,12 @@ def test_torsion_solve(grid32, kw32):
 
 def test_torsion_solve_raises_on_cap(grid32, kw32):
     with pytest.raises(SolverError, match="torsion"):
-        torsion_solve(kw32, grid32, 2.0, SolveOptions(max_iters=0))
+        torsion_solve(kw32, grid32, SolveOptions(max_iters=0))
 
 
 def test_torsion_solve_p2_is_one_newton_step(grid32, kw32):
     # L u = 1 is linear for p = 2, so a step in the metric of K solves it
-    rep = torsion_solve(kw32, grid32, 2.0, SolveOptions())
+    rep = torsion_solve(kw32, grid32, SolveOptions())
     assert rep.status is Status.CONVERGED
     assert rep.iterations <= 2
 
@@ -456,8 +471,10 @@ def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
     iterations = []
     for n in (64, 256):
         grid = build_grid(unit_interval, n)
-        rep = solve_branch_point(20.0, None, sub_params,
-                                 assemble(grid, sub_params), grid)
+        kw = assemble(grid, sub_params)
+        rep = solve_branch_point(20.0, None, sub_params, kw, grid,
+                                 eigen=principal_eigenpair(
+                                     kw, grid, EigenOptions(seed=0)))
         assert rep.status is Status.CONVERGED
         iterations.append(rep.iterations)
     assert max(iterations) < 1.5 * min(iterations)
@@ -465,22 +482,22 @@ def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
 
 def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
     # kw32 depends on s and p only, so it serves the superlinear reaction
-    lp = LogisticParams(lam=40.0, p=2.0, q=3.0, r=4.0)
+    lp = LogisticParams(lam=40.0, q=3.0, r=4.0)
     phi = phi_functional(kw32, grid32, lp)
     meas = grid32.measures
     v = rng.uniform(0.1, 1.0, grid32.ncells)
     t = _fiber_extrema(v, kw32, lp, meas)[0]
     assert 0.0 < t
     u = t * v
-    assert abs(mass_dot(phi.gradient(u), u, meas)) <= 1e-12 * _energy(u, kw32, 2.0)
+    assert abs(mass_dot(phi.gradient(u), u, meas)) <= 1e-12 * _energy(u, kw32)
     assert phi.energy(u) >= phi.energy((1.0 + 1e-3) * u)
     assert phi.energy(u) >= phi.energy((1.0 - 1e-3) * u)
     # no peak when the reaction does not outgrow the diffusion, or when
     # the intensity is too weak for the energy to turn down along the ray
     assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
-        lam=40.0, p=2.0, q=1.5, r=3.0), meas)[0])
+        lam=40.0, q=1.5, r=3.0), meas)[0])
     assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
-        lam=1.0, p=2.0, q=3.0, r=4.0), meas)[0])
+        lam=1.0, q=3.0, r=4.0), meas)[0])
 
 
 def test_mountain_pass_barrier_near_zero(grid64):
@@ -489,7 +506,9 @@ def test_mountain_pass_barrier_near_zero(grid64):
     params = validate_params(1, 0.3, 3.0, 4.0, 5.0)
     kw = assemble(grid64, params)
     lam = 60.0
-    big = solve_branch_point(lam, None, params, kw, grid64, SolveOptions())
+    big = solve_branch_point(lam, None, params, kw, grid64, SolveOptions(),
+                             eigen=principal_eigenpair(kw, grid64,
+                                                       EigenOptions(seed=0)))
     assert big.status is Status.CONVERGED
     rep = mountain_pass(lam, params, kw, grid64, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED

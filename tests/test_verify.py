@@ -69,12 +69,13 @@ def test_strict_order_branches(grid32, rng):
 
 def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
                                           equi_params):
-    res = check_nonexistence_equi(sub_params, 1.0, kw32, grid32)
+    lam1 = principal_eigenpair(kw32, grid32, EigenOptions(seed=0)).lambda1
+    res = check_nonexistence_equi(sub_params, 1.0, kw32, grid32, lambda1=lam1)
     assert res.passed is None
     assert "q = p" in res.notes
 
     kw_eq = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw_eq, grid32, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw_eq, grid32, EigenOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 2.0 * eig.lambda1, kw_eq,
                                   grid32, lambda1=eig.lambda1)
     assert res.passed is None
@@ -83,7 +84,7 @@ def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
 
 def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
                                   trials=3, lambda1=eig.lambda1)
     assert res.passed
@@ -95,7 +96,7 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
     # an iteration cap leaves the trials unfinished, which the check must
     # refuse
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, 2.0, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
                                   trials=2, opts=SolveOptions(max_iters=2),
                                   lambda1=eig.lambda1)
@@ -126,7 +127,8 @@ def test_refinement_study_branches():
 
 
 def test_run_suite_sub(grid32, kw32, sub_params):
-    results = run_suite(sub_params, grid32, kw32)
+    results = run_suite(sub_params, grid32, kw32, eigen=principal_eigenpair(
+        kw32, grid32, EigenOptions(seed=0)))
     names = [r.name for r in results]
     assert names == ["strict_order", "hopf_boundary_growth", "limit_branch"]
     assert all(r.passed for r in results)
@@ -134,7 +136,8 @@ def test_run_suite_sub(grid32, kw32, sub_params):
 
 def test_run_suite_equi(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    results = run_suite(equi_params, grid32, kw)
+    results = run_suite(equi_params, grid32, kw, eigen=principal_eigenpair(
+        kw, grid32, EigenOptions(seed=0)))
     assert [r.name for r in results] == ["nonexistence_below_eigenvalue"]
     assert results[0].passed
 
@@ -142,7 +145,8 @@ def test_run_suite_equi(grid32, equi_params):
 def test_run_suite_super(super_params, unit_interval):
     grid = build_grid(unit_interval, 16)
     kw = assemble(grid, super_params)
-    results = run_suite(super_params, grid, kw)
+    results = run_suite(super_params, grid, kw, eigen=principal_eigenpair(
+        kw, grid, EigenOptions(seed=0)))
     names = [r.name for r in results]
     assert names[0] == "threshold_above_lower_bound"
     assert "hopf_boundary_growth" in names
