@@ -13,6 +13,9 @@ stored as its offset table (Toeplitz in 1D, block-Toeplitz in 2D), one pair
 weight per offset (|di|, |dj|), and T: the integral of the kernel over
 C_i x (R^N minus C_i), the same number on every cell.  The cells tile the
 domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use.
+So is K^-1, the inverse of the p = 2 Hessian K = 2 (T I - W): W_ij depends
+on |i - j| per axis, so K splits into 2^dim blocks of about m / 2^dim cells
+under the flips of the axes, read off the table and inverted one by one.
 
 In 1D the table and T are closed forms: twice-iterated antiderivatives of
 the kernel.
@@ -41,6 +44,7 @@ weights).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -100,17 +104,86 @@ class KernelWeights:
 
     @functools.cached_property
     def k_inverse(self) -> np.ndarray:
-        """Inverse of K = 2 (T I - W), formed on first use.
+        """Inverse of K = 2 (T I - W), formed on first use from the table.
 
         K is the Hessian of E/2 for p = 2, the same K the p = 2 operator
         applies (its diagonal 2 (sum_j W_ij + V_i) is 2T by construction).
-        It is built in one m x m buffer and dropped once inverted, so the
-        weights keep one extra m x m array, and the inverse lives exactly
-        as long as they do.
+        W_ij depends on |i - j| along each axis, so K commutes with the flip
+        J: i -> n-1-i of every axis.  It maps the functions that are even or
+        odd under each flip to functions of the same parity (Cantoni &
+        Butler 1976), so inverting K takes 2^dim inversions of its parity
+        blocks, of about m / 2^dim cells each, which ``_parity_block`` reads
+        off the table.  Neither K nor W is formed.
+
+        The block inverses give the rows of K^-1 on the first half of every
+        axis, written into one m x m output.  Per axis, block column c < n/2
+        is column c of K^-1 and, times the block's sign, its mirror column
+        n-1-c, with weight 1/2; the middle column of an odd n is its own
+        mirror and has weight 1.  The other rows follow from
+        K^-1[J a, J c] = K^-1[a, c], one axis at a time.  The inverse lives
+        exactly as long as the weights.
         """
-        k = self.W * -2.0
-        k.flat[::self.ncells + 1] = 2.0 * self.T
-        return np.linalg.inv(k)
+        n, dim = self.table.shape[0], self.dim
+        h, k = (n + 1) // 2, n // 2  # half-axis cells of even, odd functions
+        out = np.zeros((n,) * (2 * dim))
+        for signs in itertools.product((1.0, -1.0), repeat=dim):
+            sizes = tuple(h if sign > 0 else k for sign in signs)
+            if not all(sizes):
+                continue  # one cell per axis: no function is odd
+            inv = np.linalg.inv(_parity_block(self.table, self.T, signs))
+            inv = inv.reshape(sizes * 2)
+            # per axis: (block columns, columns of K^-1, weight)
+            halves = [((slice(k), slice(k), 0.5),
+                       (slice(k), slice(n - 1, h - 1, -1), 0.5 * sign))
+                      + (((slice(k, h), slice(k, h), 1.0),) if size > k else ())
+                      for size, sign in zip(sizes, signs)]
+            rows = out[tuple(slice(size) for size in sizes)]
+            for pieces in itertools.product(*halves):
+                src, dst, weight = zip(*pieces)
+                rows[(Ellipsis,) + dst] += math.prod(weight) * inv[(Ellipsis,) + src]
+            del inv  # before the next block is built
+        # rows n-1-a from rows a, last axis first: each copy then reads rows
+        # already filled, and its source and target occupy disjoint ranges
+        # of memory, so numpy copies without a temporary
+        flip = ((slice(None, None, -1),) + (slice(None),) * (dim - 1)
+                + (slice(None, None, -1),))
+        for axis in reversed(range(dim)):
+            for lead in np.ndindex(*(h,) * axis):
+                rows = out[lead]
+                rows[h:] = rows[:k][flip]
+        return out.reshape(self.ncells, self.ncells)
+
+
+def _parity_block(table: np.ndarray, T: float,
+                  signs: tuple[float, ...]) -> np.ndarray:
+    """K on the functions with the given parity (+1 even, -1 odd) per axis.
+
+    Such a function is fixed by its values on the first half of every axis,
+    ceil(n/2) cells for +1 and floor(n/2) for -1, and K maps it to one with
+    the same parity.  Per axis the coupling of cells a and b of the half is
+    table[|a - b|] + sign table[n-1-a-b], the second term the mirror image
+    of b, except that an odd n's middle cell is its own mirror and counts
+    once.  In 2D the per-axis terms multiply out over the (x, y) offsets.
+    Returns 2 T I - 2 (those couplings), indexed by the cells of the half.
+    """
+    n = table.shape[0]
+    block = table
+    for axis, sign in enumerate(signs):
+        # block axes so far: (row, column) per folded axis, then the rest
+        i = np.arange((n + 1) // 2 if sign > 0 else n // 2)
+        mirror = np.take(block, n - 1 - i[:, None] - i, axis=2 * axis)
+        mirror *= sign
+        # an odd n's middle column is its own mirror image: count it once
+        mirror[(slice(None),) * (2 * axis + 1) + (slice(n // 2, None),)] = 0.0
+        mirror += np.take(block, np.abs(i[:, None] - i), axis=2 * axis)
+        block = mirror
+    dim = len(signs)
+    size = math.prod(block.shape[::2])
+    k = block.transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    k = k.reshape(size, size)
+    k *= -2.0
+    k.flat[::size + 1] += 2.0 * T
+    return k
 
 
 # ----------------------------------------------------------------------

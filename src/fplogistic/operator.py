@@ -91,6 +91,13 @@ def _check_weights(values: np.ndarray, kw: KernelWeights) -> None:
             f"{values.shape[0]}")
 
 
+def _check_params(params, kw: KernelWeights) -> None:
+    """params (anything with .p) must describe the p of the weights."""
+    if params.p != kw.p:
+        raise GridMismatchError(
+            f"weights assembled for p = {kw.p}, got p = {params.p}")
+
+
 # The m x m pair terms are built in place in one or two buffers, so that an
 # operator call allocates no further m x m temporaries; the p = 2 operator
 # needs none.

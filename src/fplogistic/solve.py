@@ -10,7 +10,8 @@ its own ray t * u (the ``collapsed`` test of ``logistic.phi_functional``,
 free of any absolute scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
 intensities until the first collapse, then bisection of the bracket.  p
-comes with the kernel weights, and the principal eigenpair from the caller.
+comes with the kernel weights, and the principal eigenpair from the caller;
+parameters whose p is not that of the weights raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (Functional, LogisticParams, _fiber_extrema,
                        phi_functional, torsion_functional)
-from .operator import DiscreteFunction, mass_norm
+from .operator import DiscreteFunction, _check_params, mass_norm
 
 __all__ = [
     "SolverError",
@@ -167,6 +168,7 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     the warm profile; one that ends below it by more than 1e-6 of the sup
     norm has left the branch, and SolverError is raised.
     """
+    _check_params(params, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)
@@ -217,6 +219,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     the bracket down to ``bracket_tol``.  A solvable probe below the
     analytic lower bound raises at once, so the walk ends.
     """
+    _check_params(params, kw)
     opts = opts or SolveOptions()
     lam0 = lower_bound_lambda0(params, eigen.lambda1)
 
@@ -290,6 +293,7 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     or does not lie before u_lam there is no barrier between zero and u_lam,
     and the search reports NOT_FOUND at once with the zero function.
     """
+    _check_params(params, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, grid, lp)

@@ -4,7 +4,8 @@ Each check returns a CheckResult whose ``passed`` field is True, False, or
 None; None means the check's precondition does not hold for the supplied
 data, which is reported rather than silently skipped.  Witnesses carry the
 numbers behind every verdict so a failure can be inspected directly.  The
-principal eigenpair of the weights comes from the caller (``eigen=``).
+principal eigenpair of the weights comes from the caller (``eigen=``), and
+parameters whose p is not that of the weights raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .domain import Grid, Regime, classify_regime
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
-from .operator import DiscreteFunction, lp_norm, mass_norm
+from .operator import DiscreteFunction, _check_params, lp_norm, mass_norm
 
 __all__ = [
     "CheckResult",
@@ -104,6 +105,7 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
     """
     from .solve import SolveOptions, Status, minimize
 
+    _check_params(params, kw)
     if params.q != params.p:
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
                            notes=f"requires q = p, got q = {params.q}, p = {params.p}")
@@ -199,6 +201,7 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
     from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
                         mountain_pass, solve_branch_point)
 
+    _check_params(params, kw)
     opts = opts or SolveOptions()
     regime = classify_regime(params)
     results: list[CheckResult] = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -476,3 +477,71 @@ def test_dense_cap_enforced(sub_params):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), MAX_DENSE_CELLS + 1)
     with pytest.raises(GridError, match=str(MAX_DENSE_CELLS)):
         assemble(grid, sub_params)
+
+
+# ---------------------------------------------------------------------
+# the p = 2 metric K^-1
+# ---------------------------------------------------------------------
+
+def _weights(dim, hi, n, ps):
+    grid = build_grid(DomainSpec((0.0,) * dim, hi), n)
+    return assemble(grid, validate_params(dim, ps / 2.0, 2.0, 1.5, 2.0))
+
+
+def _dense_k(kw):
+    k = -2.0 * kw.W
+    k.flat[::kw.ncells + 1] = 2.0 * kw.T
+    return k
+
+
+# odd n have a middle cell that is its own mirror image
+@pytest.mark.parametrize("ps", [0.1, 0.8, 0.98])
+@pytest.mark.parametrize("dim, hi, n", [(1, (1.0,), n) for n in (1, 2, 3, 63, 64)]
+                         + [(2, hi, n)
+                            for hi in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0))
+                            for n in (1, 2, 3, 15, 16)])
+def test_k_inverse_matches_the_dense_inverse(dim, hi, n, ps):
+    kw = _weights(dim, hi, n, ps)
+    kinv = kw.k_inverse
+    k = _dense_k(kw)
+    assert np.abs(k @ kinv - np.eye(kw.ncells)).max() <= 1e-12
+    ref = np.linalg.inv(k)
+    assert np.abs(kinv - ref).max() <= 1e-12 * np.abs(ref).max()
+    scale = np.abs(kinv).max()
+    assert np.abs(kinv - kinv.T).max() <= 1e-14 * scale
+    # K commutes with the flip i -> n-1-i of each axis, so K^-1 does too
+    cells = kinv.reshape((n,) * (2 * dim))
+    for axis in range(dim):
+        flipped = np.flip(cells, (axis, dim + axis))
+        assert np.abs(flipped - cells).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dim, n", [(1, 63), (1, 64), (2, 15), (2, 16)])
+def test_k_inverse_inverts_only_half_size_blocks(monkeypatch, dim, n):
+    kw = _weights(dim, (1.0,) * dim, n, 0.8)
+    rows = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        rows.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    kw.k_inverse
+    assert len(rows) == 2 ** dim
+    assert max(rows) <= math.ceil(n / 2) ** dim
+    assert "W" not in vars(kw)  # the dense view is not formed either
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 32)])
+def test_k_inverse_allocates_at_most_two_dense_arrays(dim, n):
+    # the output is the only m x m array; one dense inverse of K held K and
+    # its inverse, 2 * 8 m^2 bytes
+    kw = _weights(dim, (1.0,) * dim, n, 0.8)
+    tracemalloc.start()
+    try:
+        kw.k_inverse
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * kw.ncells ** 2

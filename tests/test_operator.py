@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fplogistic
@@ -308,6 +308,19 @@ def test_sobolev_metric_identities_1d(s, n, seed):
 
 def test_sobolev_metric_identities_2d(grid2d, kw2d):
     _assert_sobolev_identities(kw2d, grid2d, 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.floats(0.05, 0.499), n=st.integers(1, 12), wide=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(s=0.4, n=1, wide=False, seed=0)
+@example(s=0.4, n=11, wide=True, seed=0)
+def test_sobolev_metric_identities_for_random_2d_grids(s, n, wide, seed):
+    # K^-1 is formed by parity blocks, whose middle index (odd n) and
+    # aspect ratio (the 2 x 1 rectangle) need their own cases
+    grid = build_grid(DomainSpec((0.0, 0.0), (2.0 if wide else 1.0, 1.0)), n)
+    kw = assemble(grid, validate_params(2, s, 2.0, 1.5, 2.0))
+    _assert_sobolev_identities(kw, grid, seed)
 
 
 def test_sobolev_preconditioner_only_for_p_two(grid32, kw32_p3):

@@ -12,8 +12,8 @@ from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
-from fplogistic.operator import (DiscreteFunction, _energy, apply_operator,
-                                 mass_dot, mass_norm)
+from fplogistic.operator import (DiscreteFunction, GridMismatchError, _energy,
+                                 apply_operator, mass_dot, mass_norm)
 from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
                               _fiber_extrema, detect_threshold, initial_values,
                               lower_bound_lambda0, minimize, mountain_pass,
@@ -33,6 +33,28 @@ def kw16_super(grid16, super_params):
 @pytest.fixture(scope="module")
 def eig32(kw32, grid32):
     return principal_eigenpair(kw32, grid32, EigenOptions(seed=0))
+
+
+@pytest.mark.parametrize("solver", ["solve_branch_point", "detect_threshold",
+                                    "mountain_pass"])
+def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
+    # p = 3 parameters on p = 2 weights: the threshold walk used to end in
+    # "threshold 9.73202 fell below the analytic bound 10.6353", an error
+    # about the answer, and the other two solved the p = 2 problem
+    kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.5, 4.5))
+    eigen = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    params = validate_params(1, 0.3, 3.0, 3.5, 4.5)
+    run = {
+        "solve_branch_point": lambda: solve_branch_point(
+            20.0, None, params, kw, grid32, eigen=eigen),
+        "detect_threshold": lambda: detect_threshold(params, kw, grid32,
+                                                     eigen=eigen),
+        "mountain_pass": lambda: mountain_pass(20.0, params, kw, grid32,
+                                               eigen.u1),
+    }[solver]
+    with pytest.raises(GridMismatchError,
+                       match="assembled for p = 2.0, got p = 3.0"):
+        run()
 
 
 def test_status_labels():

@@ -5,10 +5,10 @@ import statistics
 import numpy as np
 import pytest
 
-from fplogistic.domain import build_grid
+from fplogistic.domain import build_grid, validate_params
 from fplogistic.eigen import EigenOptions, principal_eigenpair
 from fplogistic.kernel import assemble
-from fplogistic.operator import DiscreteFunction
+from fplogistic.operator import DiscreteFunction, GridMismatchError
 from fplogistic.solve import SolveOptions
 from fplogistic.verify import (CheckResult, check_hopf, check_limit_branch,
                                check_nonexistence_equi, check_strict_order,
@@ -102,6 +102,23 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
                                   lambda1=eig.lambda1)
     assert res.passed is False
     assert res.witness["statuses"] == ["max_iters", "max_iters"]
+
+
+@pytest.mark.parametrize("check", ["check_nonexistence_equi", "run_suite"])
+def test_parameters_must_have_the_exponent_of_the_weights(grid32, check):
+    # an equidiffusive p = q = 3 problem on p = 2 weights used to be
+    # certified: the p = 2 problem it actually solved is superdiffusive
+    kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.0, 4.0))
+    eigen = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    params = validate_params(1, 0.3, 3.0, 3.0, 4.0)
+    run = {
+        "check_nonexistence_equi": lambda: check_nonexistence_equi(
+            params, 0.9 * eigen.lambda1, kw, grid32, lambda1=eigen.lambda1),
+        "run_suite": lambda: run_suite(params, grid32, kw, eigen=eigen),
+    }[check]
+    with pytest.raises(GridMismatchError,
+                       match="assembled for p = 2.0, got p = 3.0"):
+        run()
 
 
 def test_limit_branch_branches():
