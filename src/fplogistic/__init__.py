@@ -3,7 +3,8 @@
 The package discretizes the degenerate nonlocal p-Laplacian with exterior
 zero condition on interval and rectangle domains by piecewise-constant cell
 functions, for which the singular double integral has closed-form and
-adaptively reduced weights.  On top of the assembled weights it provides
+adaptively reduced weights, which ``fold`` restricts to the mirror-even
+functions.  On top of the full or folded weights it provides
 the principal eigenpair, descent solvers for the logistic energy in the
 subdiffusive, equidiffusive, and superdiffusive regimes, detection of the
 existence threshold, a saddle search for the second solution, and
@@ -17,8 +18,8 @@ __version__ = "0.1.0"
 from .domain import (DomainSpec, Grid, GridError, ParamError, ProblemParams,
                      Regime, build_grid, classify_regime, validate_params)
 from .eigen import EigenError, EigenOptions, EigenPair, principal_eigenpair
-from .kernel import (KernelError, KernelWeights, assemble, load_weights,
-                     save_weights)
+from .kernel import (FoldedWeights, KernelError, KernelWeights, assemble, fold,
+                     load_weights, save_weights)
 from .logistic import (LogisticParams, TruncatedReaction, phi_functional,
                        torsion_functional, truncated_functional)
 from .operator import (DiscreteFunction, GridMismatchError, apply_operator,
@@ -36,7 +37,8 @@ __all__ = [
     "DomainSpec", "Grid", "GridError", "ParamError", "ProblemParams",
     "Regime", "build_grid", "classify_regime", "validate_params",
     "EigenError", "EigenOptions", "EigenPair", "principal_eigenpair",
-    "KernelError", "KernelWeights", "assemble", "load_weights", "save_weights",
+    "FoldedWeights", "KernelError", "KernelWeights", "assemble", "fold",
+    "load_weights", "save_weights",
     "LogisticParams", "TruncatedReaction", "phi_functional",
     "torsion_functional", "truncated_functional",
     "DiscreteFunction", "GridMismatchError", "apply_operator",

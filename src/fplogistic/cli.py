@@ -2,11 +2,14 @@
 
 Subcommands cover the eigenvalue, torsion, single solves, branch sweeps,
 threshold detection, the saddle search, verification bundles, and
-refinement studies.  Configuration comes from a key=value file overridden
-by FPLOG_ environment variables and then by flags.  Exit codes: 0 success
-or all checks passing, 1 validation error (bad usage, configuration,
-parameters, or an output path that cannot be written), 2 solver
-non-convergence or an unusable weights cache, 3 verification failure.
+refinement studies.  Every command solves the problem folded onto the
+mirror-even functions (``kernel.fold``) and writes its functions unfolded,
+one row per cell of the grid.  Configuration comes from a key=value file
+overridden by FPLOG_ environment variables and then by flags.  Exit codes:
+0 success or all checks passing, 1 validation error (bad usage,
+configuration, parameters, or an output path that cannot be written), 2
+solver non-convergence or an unusable weights cache, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .config import (ConfigError, RunConfig, load_config, positive_float,
                      write_solution_csv)
 from .domain import GridError, ParamError, classify_regime
 from .eigen import EigenError, EigenOptions, principal_eigenpair
-from .kernel import KernelError, assemble, load_weights, save_weights
+from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
                     detect_threshold, mountain_pass, solve_branch_point,
                     torsion_solve)
@@ -101,6 +104,11 @@ def _get_weights(args, grid, params):
     return kw
 
 
+def _write_solution(path: Path, u, s: float) -> None:
+    full = u.unfold()
+    write_solution_csv(path, full.grid, full.values, s)
+
+
 def _solve_options(cfg: RunConfig) -> SolveOptions:
     return SolveOptions(
         residual_tol=cfg.solver_residual_tol,
@@ -117,7 +125,7 @@ def _eigen_options(cfg: RunConfig) -> EigenOptions:
 def _run(args) -> int:
     cfg = load_config(args.config, env=dict(os.environ),
                       flags=_parse_overrides(args.set))
-    params, grid = to_problem(cfg)
+    params, full = to_problem(cfg)
     outdir = args.out if args.out is not None else Path(cfg.output_dir)
     opts = _solve_options(cfg)
     command = args.command
@@ -128,7 +136,7 @@ def _run(args) -> int:
         raise ConfigError(f"threshold needs q > p, got q = {params.q}, "
                           f"p = {params.p}")
 
-    kw = _get_weights(args, grid, params)
+    kw, grid = fold(_get_weights(args, full, params), full)
     # one eigenpair, solved with the configured options, serves the command:
     # the eigen start of every solve that starts cold and the threshold walk
     ep = None
@@ -140,7 +148,7 @@ def _run(args) -> int:
         print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
               f"iterations = {ep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
-        write_solution_csv(outdir / "eigen.csv", grid, ep.u1.values, params.s)
+        _write_solution(outdir / "eigen.csv", ep.u1, params.s)
         write_report(outdir, cfg, command,
                      {"lambda1": ep.lambda1, "residual": ep.residual,
                       "iterations": ep.iterations,
@@ -153,7 +161,7 @@ def _run(args) -> int:
         print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
               f"iterations = {rep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
-        write_solution_csv(outdir / "solution.csv", grid, rep.u.values, params.s)
+        _write_solution(outdir / "solution.csv", rep.u, params.s)
         write_report(outdir, cfg, command,
                      {"sup_norm": rep.u.sup_norm(), "energy": rep.energy,
                       "residual": rep.residual, "iterations": rep.iterations,
@@ -166,7 +174,7 @@ def _run(args) -> int:
         print(f"status = {rep.status.value}  sup = {rep.u.sup_norm()!r}  "
               f"residual = {rep.residual:.3e}  iterations = {rep.iterations}")
         outdir.mkdir(parents=True, exist_ok=True)
-        write_solution_csv(outdir / "solution.csv", grid, rep.u.values, params.s)
+        _write_solution(outdir / "solution.csv", rep.u, params.s)
         write_report(outdir, cfg, command,
                      {"lam": cfg.lam, "status": rep.status.value,
                       "sup_norm": rep.u.sup_norm(), "energy": rep.energy,
@@ -209,8 +217,7 @@ def _run(args) -> int:
               f"bracket_width = {thr.bracket_width!r}")
         outdir.mkdir(parents=True, exist_ok=True)
         write_branch_csv(outdir / "branch.csv", thr.branch)
-        write_solution_csv(outdir / "solution.csv", grid, thr.u_star.values,
-                           params.s)
+        _write_solution(outdir / "solution.csv", thr.u_star, params.s)
         write_report(outdir, cfg, command,
                      {"lambda_star_h": thr.lambda_star_h,
                       "lambda_0": thr.lambda_0,
@@ -230,8 +237,8 @@ def _run(args) -> int:
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")
         outdir.mkdir(parents=True, exist_ok=True)
-        write_solution_csv(outdir / "solution.csv", grid, rep.u.values, params.s)
-        write_solution_csv(outdir / "saddle.csv", grid, mp.u.values, params.s)
+        _write_solution(outdir / "solution.csv", rep.u, params.s)
+        _write_solution(outdir / "saddle.csv", mp.u, params.s)
         write_report(outdir, cfg, command,
                      {"lam": cfg.lam, "status": mp.status.value,
                       "sup_branch": rep.u.sup_norm(),
@@ -323,7 +330,7 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
     rows = []
     for n in ns:
         _, gn = to_problem(RunConfig(**{**cfg.__dict__, "n": n}))
-        kwn = assemble(gn, params)
+        kwn, gn = fold(assemble(gn, params), gn)
         ep = principal_eigenpair(kwn, gn, _eigen_options(cfg))
         row = {"n": n, "lambda1": ep.lambda1, "lambda_star_h": None,
                "sup_norm": None, "status": ""}

@@ -20,6 +20,10 @@ __all__ = [
     "build_grid",
 ]
 
+# Cap on the dense weights of the folded problem (kernel.fold): its cell
+# count squared, at 8 bytes each (4096 cells = 128 MiB per m x m array).
+MAX_DENSE_CELLS = 4096
+
 
 class ParamError(ValueError):
     """An exponent tuple violates one of the validity constraints."""
@@ -136,7 +140,10 @@ class Grid:
 
     Cells are ordered lexicographically by axis (x-major in 2D).  Cell edges
     coincide exactly with the domain boundary, and shared edges between
-    neighbouring cells are identical floats.
+    neighbouring cells are identical floats.  The grid of a folded problem
+    (``kernel.fold``) holds one cell per mirror orbit of ``full``, measured
+    by the orbit's total measure; ``full_index`` gives, for each cell of
+    ``full``, its orbit's cell here.
     """
 
     domain: DomainSpec
@@ -146,6 +153,8 @@ class Grid:
     highs: np.ndarray          # (ncells, dim) cell upper corners
     measures: np.ndarray       # (ncells,)
     boundary_dist: np.ndarray  # (ncells,) distance of each center to the exterior
+    full: Grid | None = None              # the grid folded into this one
+    full_index: np.ndarray | None = None  # (full.ncells,) cell here of each
 
     @property
     def dim(self) -> int:
@@ -167,10 +176,20 @@ class Grid:
 
 
 def build_grid(domain: DomainSpec, n: int) -> Grid:
-    """Build the uniform grid with n cells per axis."""
+    """Build the uniform grid with n cells per axis.
+
+    The command line solves on the mirror-even functions, one cell per
+    mirror orbit (``kernel.fold``), so the cap MAX_DENSE_CELLS applies to
+    the ceil(n/2)^dim orbits.
+    """
     if int(n) != n or n < 1:
         raise GridError(f"n must be a positive integer, got {n}")
     n = int(n)
+    orbits = ((n + 1) // 2) ** domain.dim
+    if orbits > MAX_DENSE_CELLS:
+        raise GridError(
+            f"grid of {n} cells per axis folds to {orbits} mirror orbits; "
+            f"dense weights capped at {MAX_DENSE_CELLS}")
     axis_edges = [np.linspace(a, b, n + 1) for a, b in zip(domain.lo, domain.hi)]
     axis_lows = [e[:-1] for e in axis_edges]
     axis_highs = [e[1:] for e in axis_edges]

@@ -12,10 +12,10 @@ On a uniform grid W_ij depends only on the cell offset, so the kernel is
 stored as its offset table (Toeplitz in 1D, block-Toeplitz in 2D), one pair
 weight per offset (|di|, |dj|), and T: the integral of the kernel over
 C_i x (R^N minus C_i), the same number on every cell.  The cells tile the
-domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use.
-So is K^-1, the inverse of the p = 2 Hessian K = 2 (T I - W): W_ij depends
-on |i - j| per axis, so K splits into 2^dim blocks of about m / 2^dim cells
-under the flips of the axes, read off the table and inverted one by one.
+domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use,
+and so is K^-1, the inverse of the p = 2 Hessian K = 2 (T I - W).  ``fold``
+restricts the weights to the mirror-even functions, about m / 2^dim cells,
+where the command line solves; the full weights stay the reference.
 
 In 1D the table and T are closed forms: twice-iterated antiderivatives of
 the kernel.
@@ -43,26 +43,26 @@ weights).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import itertools
 import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, GridError
+from .domain import Grid
 
 __all__ = [
     "KernelError",
     "KernelWeights",
+    "FoldedWeights",
     "assemble",
+    "fold",
     "save_weights",
     "load_weights",
 ]
 
-# Cap on the dense view W: ncells**2 weights at 8 bytes each (4096 cells = 128 MiB).
-MAX_DENSE_CELLS = 4096
 # Relative agreement of two Gauss orders required of the 2D tensor rule.
 ASSEMBLY_REL_TOL = 1e-7
 
@@ -71,8 +71,29 @@ class KernelError(RuntimeError):
     """The kernel weights could not be assembled to tolerance or loaded."""
 
 
+class _Dense:
+    """V and K^-1 from the dense pair weights W and T of a subclass."""
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """(m,) exterior weights V_i = T_i - sum_j W_ij."""
+        return self.T - self.W.sum(axis=1)
+
+    @functools.cached_property
+    def k_inverse(self) -> np.ndarray:
+        """Inverse of K = 2 (T I - W), formed on first use, one dense inverse.
+
+        K is the Hessian of E/2 for p = 2, the matrix the p = 2 operator
+        applies as 2 (T u - W u), since T_i = sum_j W_ij + V_i by
+        construction.  The inverse lives exactly as long as the weights.
+        """
+        k = -2.0 * self.W
+        k.flat[::self.ncells + 1] += 2.0 * self.T
+        return np.linalg.inv(k)
+
+
 @dataclass(frozen=True, eq=False)
-class KernelWeights:
+class KernelWeights(_Dense):
     """The kernel as its offset table and T, with a parameter snapshot."""
 
     table: np.ndarray  # (n,) or (n, n): weight per cell offset, 0 at offset 0
@@ -97,93 +118,76 @@ class KernelWeights:
         idx = (d,) if self.dim == 1 else (d[:, None, :, None], d[None, :, None, :])
         return self.table[idx].reshape(self.ncells, -1)
 
-    @functools.cached_property
-    def V(self) -> np.ndarray:
-        """(m,) exterior weights V_i = T - sum_j W_ij."""
-        return self.T - self.W.sum(axis=1)
 
-    @functools.cached_property
-    def k_inverse(self) -> np.ndarray:
-        """Inverse of K = 2 (T I - W), formed on first use from the table.
+@dataclass(frozen=True, eq=False)
+class FoldedWeights(_Dense):
+    """The weights of the mirror-even functions, one cell per orbit (``fold``)."""
 
-        K is the Hessian of E/2 for p = 2, the same K the p = 2 operator
-        applies (its diagonal 2 (sum_j W_ij + V_i) is 2T by construction).
-        W_ij depends on |i - j| along each axis, so K commutes with the flip
-        J: i -> n-1-i of every axis.  It maps the functions that are even or
-        odd under each flip to functions of the same parity (Cantoni &
-        Butler 1976), so inverting K takes 2^dim inversions of its parity
-        blocks, of about m / 2^dim cells each, which ``_parity_block`` reads
-        off the table.  Neither K nor W is formed.
+    W: np.ndarray  # (m, m) pair weights summed over both orbits, symmetric
+    T: np.ndarray  # (m,) T times the orbit size
+    p: float
 
-        The block inverses give the rows of K^-1 on the first half of every
-        axis, written into one m x m output.  Per axis, block column c < n/2
-        is column c of K^-1 and, times the block's sign, its mirror column
-        n-1-c, with weight 1/2; the middle column of an odd n is its own
-        mirror and has weight 1.  The other rows follow from
-        K^-1[J a, J c] = K^-1[a, c], one axis at a time.  The inverse lives
-        exactly as long as the weights.
-        """
-        n, dim = self.table.shape[0], self.dim
-        h, k = (n + 1) // 2, n // 2  # half-axis cells of even, odd functions
-        out = np.zeros((n,) * (2 * dim))
-        for signs in itertools.product((1.0, -1.0), repeat=dim):
-            sizes = tuple(h if sign > 0 else k for sign in signs)
-            if not all(sizes):
-                continue  # one cell per axis: no function is odd
-            inv = np.linalg.inv(_parity_block(self.table, self.T, signs))
-            inv = inv.reshape(sizes * 2)
-            # per axis: (block columns, columns of K^-1, weight)
-            halves = [((slice(k), slice(k), 0.5),
-                       (slice(k), slice(n - 1, h - 1, -1), 0.5 * sign))
-                      + (((slice(k, h), slice(k, h), 1.0),) if size > k else ())
-                      for size, sign in zip(sizes, signs)]
-            rows = out[tuple(slice(size) for size in sizes)]
-            for pieces in itertools.product(*halves):
-                src, dst, weight = zip(*pieces)
-                rows[(Ellipsis,) + dst] += math.prod(weight) * inv[(Ellipsis,) + src]
-            del inv  # before the next block is built
-        # rows n-1-a from rows a, last axis first: each copy then reads rows
-        # already filled, and its source and target occupy disjoint ranges
-        # of memory, so numpy copies without a temporary
-        flip = ((slice(None, None, -1),) + (slice(None),) * (dim - 1)
-                + (slice(None, None, -1),))
-        for axis in reversed(range(dim)):
-            for lead in np.ndindex(*(h,) * axis):
-                rows = out[lead]
-                rows[h:] = rows[:k][flip]
-        return out.reshape(self.ncells, self.ncells)
+    @property
+    def ncells(self) -> int:
+        return self.T.size
 
 
-def _parity_block(table: np.ndarray, T: float,
-                  signs: tuple[float, ...]) -> np.ndarray:
-    """K on the functions with the given parity (+1 even, -1 odd) per axis.
+def _even_couplings(table: np.ndarray) -> np.ndarray:
+    """Pair weights of cell a against the mirror orbit of cell b.
 
-    Such a function is fixed by its values on the first half of every axis,
-    ceil(n/2) cells for +1 and floor(n/2) for -1, and K maps it to one with
-    the same parity.  Per axis the coupling of cells a and b of the half is
-    table[|a - b|] + sign table[n-1-a-b], the second term the mirror image
-    of b, except that an odd n's middle cell is its own mirror and counts
-    once.  In 2D the per-axis terms multiply out over the (x, y) offsets.
-    Returns 2 T I - 2 (those couplings), indexed by the cells of the half.
+    A mirror-even function is fixed by its values on the first half of
+    every axis, ceil(n/2) cells.  Per axis the coupling of cells a and b of
+    the half is table[|a - b|] + table[n-1-a-b], the second term the mirror
+    image of b, except that an odd n's middle cell is its own mirror and
+    counts once.  In 2D the per-axis terms multiply out over the (x, y)
+    offsets.  Indexed by the cells of the half.
     """
-    n = table.shape[0]
+    n, dim = table.shape[0], table.ndim
+    i = np.arange((n + 1) // 2)
     block = table
-    for axis, sign in enumerate(signs):
+    for axis in range(dim):
         # block axes so far: (row, column) per folded axis, then the rest
-        i = np.arange((n + 1) // 2 if sign > 0 else n // 2)
         mirror = np.take(block, n - 1 - i[:, None] - i, axis=2 * axis)
-        mirror *= sign
         # an odd n's middle column is its own mirror image: count it once
         mirror[(slice(None),) * (2 * axis + 1) + (slice(n // 2, None),)] = 0.0
         mirror += np.take(block, np.abs(i[:, None] - i), axis=2 * axis)
         block = mirror
-    dim = len(signs)
-    size = math.prod(block.shape[::2])
-    k = block.transpose(*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
-    k = k.reshape(size, size)
-    k *= -2.0
-    k.flat[::size + 1] += 2.0 * T
-    return k
+    size = i.size ** dim
+    return block.transpose(*range(0, 2 * dim, 2),
+                           *range(1, 2 * dim, 2)).reshape(size, size)
+
+
+def fold(kw: KernelWeights, grid: Grid) -> tuple[FoldedWeights, Grid]:
+    """The problem on the mirror-even functions: one cell per mirror orbit.
+
+    W_ij depends only on |i - j| along each axis, so the energy, the
+    reaction and the mass commute with the flip i -> n-1-i of every axis
+    (Cantoni & Butler 1976 for the centrosymmetric K): the principal
+    eigenfunction and, for q <= p, the one positive solution are
+    mirror-even, and a descent from a mirror-even point stays so.  Such a
+    function is fixed by its values v on the first half of every axis.
+    With U the unfold and mu_a the size of cell a's orbit (2^dim, less in
+    the middle row or cell of an odd n), the folded pair weights are mu_a
+    times ``_even_couplings`` (symmetric), T is mu T and the measures are
+    mu |C|.  Then E_f(v) = E(U v), |v|_{M_f} = |U v|_M and L_f v is L(U v)
+    on the cells of the half, so energies, residuals and eigenvalues are
+    those of the full problem, and the solvers run on the folded pair
+    unchanged.  ``DiscreteFunction.unfold`` maps back to ``grid``.
+    """
+    n, h = grid.n, (grid.n + 1) // 2
+    index = np.minimum(np.arange(n), np.arange(n)[::-1])  # per axis
+    cells = np.arange(h)
+    if grid.dim == 2:
+        index = (index[:, None] * h + index).ravel()
+        cells = (cells[:, None] * n + cells).ravel()
+    orbit = np.bincount(index)
+    half = {name: getattr(grid, name)[cells]
+            for name in ("centers", "lows", "highs", "boundary_dist")}
+    folded = dataclasses.replace(grid, **half, measures=orbit * grid.measures[cells],
+                                 full=grid, full_index=index)
+    w = _even_couplings(kw.table)
+    w *= orbit[:, None]
+    return FoldedWeights(W=w, T=orbit * kw.T, p=kw.p), folded
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +323,6 @@ def assemble(grid: Grid, params) -> KernelWeights:
     """
     s, p = float(params.s), float(params.p)
     ps = p * s
-    if grid.ncells > MAX_DENSE_CELLS:
-        raise GridError(
-            f"grid has {grid.ncells} cells; dense weights capped at "
-            f"{MAX_DENSE_CELLS} cells")
     if grid.dim == 1:
         table, T = _assemble_1d(grid, ps)
     else:

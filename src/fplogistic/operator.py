@@ -26,6 +26,12 @@ u^T K u would subtract 2 T |u|^2 down to E(u), about two digits smaller,
 and that cancellation noise exceeds the Armijo slack of the descent engine.
 Each energy term is one dot: the m x m difference buffer against W, and
 |u|^p against V.
+
+Everything here also runs on the weights and grid of ``kernel.fold``, the
+problem on the mirror-even functions: there W carries its orbit sums on the
+diagonal (a zero difference meets them), T is a vector, and the measures
+are those of the orbits, so energies and mass norms are those of the full
+problem.  ``DiscreteFunction.unfold`` gives the function on every cell.
 """
 
 from __future__ import annotations
@@ -75,6 +81,13 @@ class DiscreteFunction:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
+
+    def unfold(self) -> DiscreteFunction:
+        """The function on every cell of the grid its grid folds; else itself."""
+        grid = self.grid
+        if grid.full is None:
+            return self
+        return DiscreteFunction(self.values[grid.full_index], grid.full)
 
 
 def signed_power(a, nu: float):

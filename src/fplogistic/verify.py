@@ -6,6 +6,9 @@ data, which is reported rather than silently skipped.  Witnesses carry the
 numbers behind every verdict so a failure can be inspected directly.  The
 principal eigenpair of the weights comes from the caller (``eigen=``), and
 parameters whose p is not that of the weights raise GridMismatchError.
+The checks run on full or folded weights (``kernel.fold``) alike; the
+witnesses that name cells unfold the functions first, so they index the
+cells of the full grid either way.
 """
 
 from __future__ import annotations
@@ -53,7 +56,10 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
     Verifies that the ratio u_i / d_i^s is strictly positive on every cell
     and that its minimum over boundary-adjacent cells is at least hopf_frac
     times the median ratio, so the profile does not flatten at the boundary.
+    A folded function is judged on every cell (``DiscreteFunction.unfold``),
+    so the median counts each cell and ``argmin_cell`` is a full-grid cell.
     """
+    u = u.unfold()
     grid = u.grid
     ratios = u.values / grid.boundary_dist ** s
     mask = grid.boundary_adjacent()
@@ -80,8 +86,11 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
 
 def check_strict_order(u_low: DiscreteFunction,
                        u_high: DiscreteFunction) -> CheckResult:
-    """Strict componentwise ordering u_high > u_low on every cell."""
-    gap = u_high.values - u_low.values
+    """Strict componentwise ordering u_high > u_low on every cell.
+
+    ``argmin_cell`` is a cell of the full grid, also for folded functions.
+    """
+    gap = u_high.unfold().values - u_low.unfold().values
     gmin = float(gap.min())
     return CheckResult(
         name="strict_order",

@@ -539,7 +539,7 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "domain.hi=inf"], "domain side"),
     (["solve", "--set", "eigen.restarts=0"], "eigen.restarts"),
     (["solve", "--set", "eigen.restarts=-1"], "eigen.restarts"),
-    (["eigen", "--set", "n=4097"], "4096"),
+    (["eigen", "--set", "n=8193"], "4096"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
         "ns_text", "ns_decreasing", "ns_repeated", "lam_negative",
         "initial_bogus", "initial_zero", "seed_negative", "bracket_tol_zero",

@@ -10,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fplogistic.domain import DomainSpec, GridError, build_grid, validate_params
-from fplogistic.kernel import (KernelError, KernelWeights, MAX_DENSE_CELLS,
-                               _gauss, assemble, load_weights, save_weights)
+from fplogistic.cli import main
+from fplogistic.domain import (MAX_DENSE_CELLS, DomainSpec, GridError,
+                               build_grid, validate_params)
+from fplogistic.kernel import (KernelError, KernelWeights, _gauss, assemble,
+                               fold, load_weights, save_weights)
+from fplogistic.operator import DiscreteFunction
 
 from oracles import (exit_distance, exterior_weight_1d, exterior_weight_2d,
                      mc_exterior_2d, oracle_exterior_1d, oracle_exterior_2d,
@@ -473,10 +476,14 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
         load_weights(path, grid32, sub_params)
 
 
-def test_dense_cap_enforced(sub_params):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), MAX_DENSE_CELLS + 1)
-    with pytest.raises(GridError, match=str(MAX_DENSE_CELLS)):
-        assemble(grid, sub_params)
+def test_dense_cap_enforced():
+    # the cap counts the ceil(n/2)^dim mirror orbits the solvers run on,
+    # and the grid is checked before anything is assembled
+    for dim, n in ((1, 2 * MAX_DENSE_CELLS), (2, 128)):
+        domain = DomainSpec((0.0,) * dim, (1.0,) * dim)
+        assert build_grid(domain, n).ncells == n ** dim
+        with pytest.raises(GridError, match=str(MAX_DENSE_CELLS)):
+            build_grid(domain, n + 1)
 
 
 # ---------------------------------------------------------------------
@@ -514,12 +521,23 @@ def test_k_inverse_matches_the_dense_inverse(dim, hi, n, ps):
     for axis in range(dim):
         flipped = np.flip(cells, (axis, dim + axis))
         assert np.abs(flipped - cells).max() <= 1e-14 * scale
+    # the folded K_f = diag(orbit) K on mirror-even functions, so
+    # U K_f^-1 w = K^-1 U (w / orbit), U the unfold
+    fkw, fgrid = fold(kw, build_grid(DomainSpec((0.0,) * dim, hi), n))
+    finv = fkw.k_inverse
+    assert np.abs(finv - finv.T).max() <= 1e-14 * np.abs(finv).max()
+    orbit = fgrid.measures / fgrid.full.measures[0]
+    for w in np.eye(fkw.ncells):
+        got = DiscreteFunction(finv @ w, fgrid).unfold().values
+        want = ref @ DiscreteFunction(w / orbit, fgrid).unfold().values
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("dim, n", [(1, 63), (1, 64), (2, 15), (2, 16)])
-def test_k_inverse_inverts_only_half_size_blocks(monkeypatch, dim, n):
-    kw = _weights(dim, (1.0,) * dim, n, 0.8)
-    rows = []
+def test_k_inverse_inverts_only_half_size_blocks(monkeypatch, tmp_path, dim, n):
+    # a command inverts the folded K alone, once, with ceil(n/2)^dim rows,
+    # and never forms the dense W of every cell
+    rows, full_w = [], []
     inv = np.linalg.inv
 
     def spy(a):
@@ -527,21 +545,30 @@ def test_k_inverse_inverts_only_half_size_blocks(monkeypatch, dim, n):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", spy)
-    kw.k_inverse
-    assert len(rows) == 2 ** dim
-    assert max(rows) <= math.ceil(n / 2) ** dim
-    assert "W" not in vars(kw)  # the dense view is not formed either
+    monkeypatch.setattr(KernelWeights, "W",
+                        property(lambda kw: full_w.append(kw) or None))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dim = {dim}\ns = 0.4\np = 2.0\nq = 1.5\nr = 3.0\n"
+                   f"lam = 1.0\nn = {n}\ndomain.lo = {','.join(['0.0'] * dim)}\n"
+                   f"domain.hi = {','.join(['1.0'] * dim)}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert rows == [math.ceil(n / 2) ** dim]
+    assert full_w == []
 
 
 @pytest.mark.parametrize("dim, n", [(1, 1024), (2, 32)])
 def test_k_inverse_allocates_at_most_two_dense_arrays(dim, n):
-    # the output is the only m x m array; one dense inverse of K held K and
-    # its inverse, 2 * 8 m^2 bytes
-    kw = _weights(dim, (1.0,) * dim, n, 0.8)
+    # the folded K_f and its inverse are the only dense arrays, each a
+    # quarter (1D) or a sixteenth (2D) of one m x m array; the rest is a
+    # few small numpy objects
+    fkw, _ = fold(_weights(dim, (1.0,) * dim, n, 0.8),
+                  build_grid(DomainSpec((0.0,) * dim, (1.0,) * dim), n))
+    size = 8 * fkw.ncells ** 2
     tracemalloc.start()
     try:
-        kw.k_inverse
+        fkw.k_inverse
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * kw.ncells ** 2
+    assert fkw.ncells == math.ceil(n / 2) ** dim
+    assert peak <= 2 * size + 4096
