@@ -4,17 +4,22 @@ Subcommands cover the eigenvalue, torsion, single solves, branch sweeps,
 threshold detection, the saddle search, verification bundles, and
 refinement studies.  Every command solves the problem folded onto the
 mirror-even functions (``kernel.fold``) and writes its functions unfolded,
-one row per cell of the grid.  Configuration comes from a key=value file
-overridden by FPLOG_ environment variables and then by flags.  Exit codes:
-0 success or all checks passing, 1 validation error (bad usage,
-configuration, parameters, or an output path that cannot be written), 2
-solver non-convergence or an unusable weights cache, 3 verification
-failure.
+one row per cell of the grid.  The output directory is made once the inputs
+are valid, before any assembly.  Each command prints as it goes and ends
+with its files, report results and exit code, which ``_run`` writes in one
+place, so a command that ends in an error writes no file.  Configuration
+comes from a key=value file overridden by FPLOG_ environment variables and
+then by flags.  Exit codes: 0 success or all checks passing, 1 validation
+error (bad usage, configuration, parameters, or an output path that cannot
+be written), 2 solver non-convergence or an unusable weights cache, 3
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +28,8 @@ from . import __version__
 from .config import (ConfigError, RunConfig, load_config, positive_float,
                      to_problem, write_branch_csv, write_report,
                      write_solution_csv)
-from .domain import GridError, ParamError, classify_regime
+from .domain import (GridError, ParamError, Regime, build_grid,
+                     classify_regime, validate_params)
 from .eigen import EigenError, EigenOptions, principal_eigenpair
 from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
@@ -94,30 +100,6 @@ def _parse_list(raw: str, flag: str, parse) -> list:
         raise ConfigError(f"{flag}: bad value {raw!r} ({exc})") from exc
 
 
-def _get_weights(args, grid, params):
-    cache = args.weights_cache
-    if cache is not None and cache.exists():
-        return load_weights(cache, grid, params)
-    kw = assemble(grid, params)
-    if cache is not None:
-        save_weights(cache, kw, grid)
-    return kw
-
-
-def _write_solution(path: Path, u, s: float) -> None:
-    full = u.unfold()
-    write_solution_csv(path, full.grid, full.values, s)
-
-
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(
-        residual_tol=cfg.solver_residual_tol,
-        max_iters=cfg.solver_max_iters,
-        seed=cfg.solver_seed,
-        initial=cfg.solver_initial,
-    )
-
-
 def _eigen_options(cfg: RunConfig) -> EigenOptions:
     return EigenOptions(seed=cfg.solver_seed, restarts=cfg.eigen_restarts)
 
@@ -127,65 +109,79 @@ def _run(args) -> int:
                       flags=_parse_overrides(args.set))
     params, full = to_problem(cfg)
     outdir = args.out if args.out is not None else Path(cfg.output_dir)
-    opts = _solve_options(cfg)
+    opts = SolveOptions(residual_tol=cfg.solver_residual_tol,
+                        max_iters=cfg.solver_max_iters, seed=cfg.solver_seed,
+                        initial=cfg.solver_initial)
     command = args.command
-
+    cache = args.weights_cache
     if command == "refine":
-        return _run_refine(args, cfg, params, opts, outdir)
-    if command == "threshold" and params.q <= params.p:
-        raise ConfigError(f"threshold needs q > p, got q = {params.q}, "
-                          f"p = {params.p}")
-
-    kw, grid = fold(_get_weights(args, full, params), full)
-    # one eigenpair, solved with the configured options, serves the command:
-    # the eigen start of every solve that starts cold and the threshold walk
-    ep = None
-    if command in ("eigen", "threshold", "verify") or (
-            command != "torsion" and opts.initial == "eigen"):
-        ep = principal_eigenpair(kw, grid, _eigen_options(cfg))
-
-    if command == "eigen":
-        print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
-              f"iterations = {ep.iterations}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_solution(outdir / "eigen.csv", ep.u1, params.s)
-        write_report(outdir, cfg, command,
-                     {"lambda1": ep.lambda1, "residual": ep.residual,
-                      "iterations": ep.iterations,
-                      "restarts_agreement": ep.restarts_agreement,
-                      "discarded_restarts": ep.discarded_restarts})
-        return 0
-
-    if command == "torsion":
-        rep = torsion_solve(kw, grid, opts)
-        print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
-              f"iterations = {rep.iterations}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_solution(outdir / "solution.csv", rep.u, params.s)
-        write_report(outdir, cfg, command,
-                     {"sup_norm": rep.u.sup_norm(), "energy": rep.energy,
-                      "residual": rep.residual, "iterations": rep.iterations,
-                      "status": rep.status.value})
-        return 0
-
-    if command == "solve":
-        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
-                                 eigen=ep)
-        print(f"status = {rep.status.value}  sup = {rep.u.sup_norm()!r}  "
-              f"residual = {rep.residual:.3e}  iterations = {rep.iterations}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_solution(outdir / "solution.csv", rep.u, params.s)
-        write_report(outdir, cfg, command,
-                     {"lam": cfg.lam, "status": rep.status.value,
-                      "sup_norm": rep.u.sup_norm(), "energy": rep.energy,
-                      "residual": rep.residual, "iterations": rep.iterations})
-        return 0 if rep.status is not Status.MAX_ITERS else 2
-
+        if cache is not None:
+            raise ConfigError("refine assembles one grid per n and takes no "
+                              "--weights-cache")
+        ns = _parse_list(args.ns, "--ns", int)
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ConfigError(f"--ns must be strictly increasing, got {args.ns!r}")
+        grids = [build_grid(full.domain, n) for n in ns]
     if command == "sweep":
         if args.lams is not None:
             lams = sorted(_parse_list(args.lams, "--lams", positive_float))
         else:
             lams = sorted(cfg.lam * 2.0 ** (-k) for k in range(7))
+    if command == "threshold" and params.q <= params.p:
+        raise ConfigError(f"threshold needs q > p, got q = {params.q}, "
+                          f"p = {params.p}")
+    # every input is valid: an unwritable --out fails before any assembly
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    if command != "refine":
+        if cache is not None and cache.exists():
+            kw = load_weights(cache, full, params)
+        else:
+            kw = assemble(full, params)
+            if cache is not None:
+                save_weights(cache, kw, full)
+        kw, grid = fold(kw, full)
+    # one eigenpair, solved with the configured options, serves the command:
+    # the eigen start of every solve that starts cold and the threshold walk
+    ep = None
+    if command in ("eigen", "threshold", "verify") or (
+            command not in ("torsion", "refine") and opts.initial == "eigen"):
+        ep = principal_eigenpair(kw, grid, _eigen_options(cfg))
+
+    # each command prints as it goes and leaves its files (by name: a folded
+    # function, branch points or a (header, rows) table), results and code
+    code = 0
+    if command == "refine":
+        files, results, code = _run_refine(cfg, params, grids, opts)
+    elif command == "verify":
+        files, results, code = _run_verify(args, cfg, params, grid, kw, opts, ep)
+    elif command == "eigen":
+        print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
+              f"iterations = {ep.iterations}")
+        files = {"eigen.csv": ep.u1}
+        results = {"lambda1": ep.lambda1, "residual": ep.residual,
+                   "iterations": ep.iterations,
+                   "restarts_agreement": ep.restarts_agreement,
+                   "discarded_restarts": ep.discarded_restarts}
+    elif command == "torsion":
+        rep = torsion_solve(kw, grid, opts)
+        print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
+              f"iterations = {rep.iterations}")
+        files = {"solution.csv": rep.u}
+        results = {"sup_norm": rep.u.sup_norm(), "energy": rep.energy,
+                   "residual": rep.residual, "iterations": rep.iterations,
+                   "status": rep.status.value}
+    elif command == "solve":
+        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
+                                 eigen=ep)
+        print(f"status = {rep.status.value}  sup = {rep.u.sup_norm()!r}  "
+              f"residual = {rep.residual:.3e}  iterations = {rep.iterations}")
+        files = {"solution.csv": rep.u}
+        results = {"lam": cfg.lam, "status": rep.status.value,
+                   "sup_norm": rep.u.sup_norm(), "energy": rep.energy,
+                   "residual": rep.residual, "iterations": rep.iterations}
+        code = 0 if rep.status is not Status.MAX_ITERS else 2
+    elif command == "sweep":
         points = []
         warm = None
         for lam in lams:
@@ -198,16 +194,13 @@ def _run(args) -> int:
                                       status=rep.status.value))
             print(f"lam={lam!r} sup={rep.u.sup_norm()!r} "
                   f"status={rep.status.value}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_branch_csv(outdir / "branch.csv", points)
-        write_report(outdir, cfg, command,
-                     {"points": [{"lambda": pt.lam, "sup_norm": pt.sup_norm,
-                                  "energy": pt.energy, "status": pt.status}
-                                 for pt in points]})
+        files = {"branch.csv": points}
+        results = {"points": [{"lambda": pt.lam, "sup_norm": pt.sup_norm,
+                               "energy": pt.energy, "status": pt.status}
+                              for pt in points]}
         capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
-        return 2 if capped else 0
-
-    if command == "threshold":
+        code = 2 if capped else 0
+    elif command == "threshold":
         thr = detect_threshold(params, kw, grid, opts,
                                bracket_tol=cfg.threshold_bracket_tol,
                                lambda_high=cfg.threshold_lambda_high,
@@ -215,17 +208,12 @@ def _run(args) -> int:
         print(f"lambda_star_h = {thr.lambda_star_h!r}  "
               f"lambda_0 = {thr.lambda_0!r}  "
               f"bracket_width = {thr.bracket_width!r}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_branch_csv(outdir / "branch.csv", thr.branch)
-        _write_solution(outdir / "solution.csv", thr.u_star, params.s)
-        write_report(outdir, cfg, command,
-                     {"lambda_star_h": thr.lambda_star_h,
-                      "lambda_0": thr.lambda_0,
-                      "bracket_width": thr.bracket_width,
-                      "sup_norm": thr.u_star.sup_norm()})
-        return 0
-
-    if command == "mountain-pass":
+        files = {"branch.csv": thr.branch, "solution.csv": thr.u_star}
+        results = {"lambda_star_h": thr.lambda_star_h,
+                   "lambda_0": thr.lambda_0,
+                   "bracket_width": thr.bracket_width,
+                   "sup_norm": thr.u_star.sup_norm()}
+    elif command == "mountain-pass":
         rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
                                  eigen=ep)
         if rep.status is not Status.CONVERGED:
@@ -236,20 +224,27 @@ def _run(args) -> int:
         print(f"status = {mp.status.value}  sup_saddle = {mp.u.sup_norm()!r}  "
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_solution(outdir / "solution.csv", rep.u, params.s)
-        _write_solution(outdir / "saddle.csv", mp.u, params.s)
-        write_report(outdir, cfg, command,
-                     {"lam": cfg.lam, "status": mp.status.value,
-                      "sup_branch": rep.u.sup_norm(),
-                      "sup_saddle": mp.u.sup_norm(),
-                      "residual": mp.residual, "iterations": mp.iterations})
-        return 0 if mp.status is not Status.MAX_ITERS else 2
+        files = {"solution.csv": rep.u, "saddle.csv": mp.u}
+        results = {"lam": cfg.lam, "status": mp.status.value,
+                   "sup_branch": rep.u.sup_norm(),
+                   "sup_saddle": mp.u.sup_norm(),
+                   "residual": mp.residual, "iterations": mp.iterations}
+        code = 0 if mp.status is not Status.MAX_ITERS else 2
 
-    if command == "verify":
-        return _run_verify(args, cfg, params, grid, kw, opts, outdir, ep)
-
-    raise ConfigError(f"unknown command {command!r}")
+    # a command that raised has written nothing; one that returned writes
+    # every file and the report, whatever its exit code
+    for name, data in files.items():
+        if isinstance(data, tuple):
+            header, rows = data
+            with (outdir / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        elif isinstance(data, list):
+            write_branch_csv(outdir / name, data)
+        else:
+            data = data.unfold()
+            write_solution_csv(outdir / name, data.grid, data.values, params.s)
+    write_report(outdir, cfg, command, results)
+    return code
 
 
 def _canonical_regime_params(base, regime: str):
@@ -261,8 +256,6 @@ def _canonical_regime_params(base, regime: str):
     kept, r - q < p_star - p - 1 is so small that the threshold solutions
     grow like lam^(1/(r - q)), past where the residual tolerance is reached.
     """
-    from .domain import validate_params
-
     p = base.p
     if regime == "sub":
         q, r = (1.0 + p) / 2.0, p + 1.0
@@ -276,21 +269,7 @@ def _canonical_regime_params(base, regime: str):
     return validate_params(base.dim, base.s, p, q, r)
 
 
-def _write_witness_csv(path: Path, check) -> None:
-    import csv
-    import json as jsonlib
-
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["verdict", check.verdict])
-        for key, value in {**check.witness, **check.thresholds}.items():
-            writer.writerow([key, jsonlib.dumps(value)])
-        if check.notes:
-            writer.writerow(["notes", check.notes])
-
-
-def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path, ep) -> int:
+def _run_verify(args, cfg, params, grid, kw, opts, ep):
     # the canonical regimes move only q and r, so kw and its eigenpair ep
     # serve every bundle
     if args.regime is None:
@@ -299,54 +278,47 @@ def _run_verify(args, cfg, params, grid, kw, opts, outdir: Path, ep) -> int:
         regimes = ["sub", "equi", "super"] if args.regime == "all" else [args.regime]
         bundles = [(regime, _canonical_regime_params(params, regime), None)
                    for regime in regimes]
-    outdir.mkdir(parents=True, exist_ok=True)
+    files = {}
     entries = []
     failed = False
     for regime, rp, lam in bundles:
         results = run_suite(rp, grid, kw, lam, opts, eigen=ep)
         for res in results:
-            line = f"{regime}/{res.name}: {res.verdict}"
+            notes = f"  ({res.notes})" if res.notes else ""
+            print(f"{regime}/{res.name}: {res.verdict}{notes}")
+            rows = [["verdict", res.verdict]]
+            rows += [[key, json.dumps(value)]
+                     for key, value in {**res.witness, **res.thresholds}.items()]
             if res.notes:
-                line += f"  ({res.notes})"
-            print(line)
-            _write_witness_csv(outdir / f"verify_{regime}_{res.name}.csv", res)
+                rows.append(["notes", res.notes])
+            files[f"verify_{regime}_{res.name}.csv"] = (["key", "value"], rows)
             entries.append({"regime": regime, "name": res.name,
                             "verdict": res.verdict, "witness": res.witness,
                             "thresholds": res.thresholds, "notes": res.notes})
             failed = failed or res.passed is False
-    write_report(outdir, cfg, "verify", {"checks": entries})
-    return 3 if failed else 0
+    return files, {"checks": entries}, 3 if failed else 0
 
 
-def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
-    import csv
-
-    from .domain import Regime
-
-    ns = _parse_list(args.ns, "--ns", int)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"--ns must be strictly increasing, got {args.ns!r}")
+def _run_refine(cfg, params, grids, opts):
     is_super = classify_regime(params) is Regime.SUPER
     rows = []
-    for n in ns:
-        _, gn = to_problem(RunConfig(**{**cfg.__dict__, "n": n}))
+    for gn in grids:
         kwn, gn = fold(assemble(gn, params), gn)
         ep = principal_eigenpair(kwn, gn, _eigen_options(cfg))
-        row = {"n": n, "lambda1": ep.lambda1, "lambda_star_h": None,
-               "sup_norm": None, "status": ""}
+        lambda_star_h = None
         if is_super:
-            thr = detect_threshold(params, kwn, gn, opts,
-                                   bracket_tol=cfg.threshold_bracket_tol,
-                                   eigen=ep)
-            row["lambda_star_h"] = thr.lambda_star_h
+            lambda_star_h = detect_threshold(
+                params, kwn, gn, opts, bracket_tol=cfg.threshold_bracket_tol,
+                eigen=ep).lambda_star_h
         rep = solve_branch_point(cfg.lam, None, params, kwn, gn, opts,
                                  eigen=ep)
-        row["sup_norm"] = rep.u.sup_norm()
-        row["status"] = rep.status.value
-        rows.append(row)
-        print(f"n={n} lambda1={ep.lambda1!r}"
-              + (f" lambda_star_h={row['lambda_star_h']!r}" if is_super else "")
-              + f" sup={row['sup_norm']!r} ({row['status']})")
+        rows.append({"n": gn.n, "lambda1": ep.lambda1,
+                     "lambda_star_h": lambda_star_h,
+                     "sup_norm": rep.u.sup_norm(), "status": rep.status.value})
+        print(f"n={gn.n} lambda1={ep.lambda1!r}"
+              + (f" lambda_star_h={lambda_star_h!r}" if is_super else "")
+              + f" sup={rep.u.sup_norm()!r} ({rep.status.value})")
+    ns = [row["n"] for row in rows]
     checks = [refinement_study(ns, [row["lambda1"] for row in rows],
                                name="eigenvalue_refinement")]
     if is_super:
@@ -354,20 +326,14 @@ def _run_refine(args, cfg, params, opts, outdir: Path) -> int:
                                        name="threshold_refinement"))
     for check in checks:
         print(f"{check.name}: {check.verdict}")
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "refine.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda1", "lambda_star_h", "sup_norm", "status"])
-        for row in rows:
-            writer.writerow([row["n"], repr(row["lambda1"]),
-                             "" if row["lambda_star_h"] is None
-                             else repr(row["lambda_star_h"]),
-                             repr(row["sup_norm"]), row["status"]])
-    write_report(outdir, cfg, "refine",
-                 {"rows": rows,
-                  "checks": [{"name": c.name, "verdict": c.verdict,
-                              "witness": c.witness} for c in checks]})
-    return 3 if any(c.passed is False for c in checks) else 0
+    # csv writes floats as their repr and None as an empty field
+    header = ["n", "lambda1", "lambda_star_h", "sup_norm", "status"]
+    table = (header, [[row[key] for key in header] for row in rows])
+    results = {"rows": rows,
+               "checks": [{"name": c.name, "verdict": c.verdict,
+                           "witness": c.witness} for c in checks]}
+    return ({"refine.csv": table}, results,
+            3 if any(c.passed is False for c in checks) else 0)
 
 
 def main(argv: list[str] | None = None) -> int:

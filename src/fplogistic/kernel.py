@@ -132,29 +132,43 @@ class FoldedWeights(_Dense):
         return self.T.size
 
 
+def _hankel(line: np.ndarray, h: int, axis: int) -> np.ndarray:
+    """View of line[a + b] for a, b < h: a in place of ``axis``, b last.
+
+    ``axis`` has at least 2h - 1 entries, so every a + b is inside ``line``.
+    """
+    shape = line.shape[:axis] + (h,) + line.shape[axis + 1:] + (h,)
+    strides = line.strides + (line.strides[axis],)
+    return np.lib.stride_tricks.as_strided(line, shape, strides, writeable=False)
+
+
 def _even_couplings(table: np.ndarray) -> np.ndarray:
     """Pair weights of cell a against the mirror orbit of cell b.
 
     A mirror-even function is fixed by its values on the first half of
-    every axis, ceil(n/2) cells.  Per axis the coupling of cells a and b of
-    the half is table[|a - b|] + table[n-1-a-b], the second term the mirror
-    image of b, except that an odd n's middle cell is its own mirror and
-    counts once.  In 2D the per-axis terms multiply out over the (x, y)
-    offsets.  Indexed by the cells of the half.
+    every axis, h = ceil(n/2) cells.  Per axis the coupling of cells a and b
+    of the half is table[|a - b|] + table[n-1-a-b], the second term the
+    mirror image of b, except that an odd n's middle cell is its own mirror
+    and counts once.  In 2D the per-axis terms multiply out over the (x, y)
+    offsets.  Indexed by the cells of the half.  Both terms are read through
+    Hankel views of the table, so the result is the one array of its size.
     """
     n, dim = table.shape[0], table.ndim
-    i = np.arange((n + 1) // 2)
+    h = (n + 1) // 2
     block = table
     for axis in range(dim):
-        # block axes so far: (row, column) per folded axis, then the rest
-        mirror = np.take(block, n - 1 - i[:, None] - i, axis=2 * axis)
+        # block axes: a row per folded axis, the table axes still to fold,
+        # then a column per folded axis
+        lead = (slice(None),) * axis
+        # line[j] = block[|j - (h-1)|]: its Hankel read bottom-up is block[|a - b|]
+        line = np.concatenate([np.flip(block[lead + (slice(h),)], axis),
+                               block[lead + (slice(1, h),)]], axis=axis)
+        mirror = _hankel(np.flip(block, axis), h, axis).copy()
         # an odd n's middle column is its own mirror image: count it once
-        mirror[(slice(None),) * (2 * axis + 1) + (slice(n // 2, None),)] = 0.0
-        mirror += np.take(block, np.abs(i[:, None] - i), axis=2 * axis)
+        mirror[..., n // 2:] = 0.0
+        mirror += np.flip(_hankel(line, h, axis), axis)
         block = mirror
-    size = i.size ** dim
-    return block.transpose(*range(0, 2 * dim, 2),
-                           *range(1, 2 * dim, 2)).reshape(size, size)
+    return block.reshape(h ** dim, h ** dim)
 
 
 def fold(kw: KernelWeights, grid: Grid) -> tuple[FoldedWeights, Grid]:

@@ -556,6 +556,8 @@ def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert needle in err
+    # inputs are checked before the output directory is made
+    assert not (tmp_path / "out").exists()
 
 
 def test_2d_ps_at_least_one_exits_one(tmp_path, capsys):
@@ -628,3 +630,107 @@ def test_refine_study(sub_cfg, tmp_path, capsys):
     lines = (out / "refine.csv").read_text().splitlines()
     assert lines[0] == "n,lambda1,lambda_star_h,sup_norm,status"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv, files, keys", [
+    (["eigen"], ["eigen.csv"],
+     ["discarded_restarts", "iterations", "lambda1", "residual",
+      "restarts_agreement"]),
+    (["torsion"], ["solution.csv"],
+     ["energy", "iterations", "residual", "status", "sup_norm"]),
+    (["solve"], ["solution.csv"],
+     ["energy", "iterations", "lam", "residual", "status", "sup_norm"]),
+    (["sweep", "--lams", "0.5,1"], ["branch.csv"], ["points"]),
+    (["threshold", "--set", "q=3.0", "--set", "r=4.0",
+      "--set", "threshold.bracket_tol=0.05"], ["branch.csv", "solution.csv"],
+     ["bracket_width", "lambda_0", "lambda_star_h", "sup_norm"]),
+    (["mountain-pass"], ["saddle.csv", "solution.csv"],
+     ["iterations", "lam", "residual", "status", "sup_branch", "sup_saddle"]),
+    (["verify"], ["verify_sub_hopf_boundary_growth.csv",
+                  "verify_sub_limit_branch.csv", "verify_sub_strict_order.csv"],
+     ["checks"]),
+    (["refine", "--ns", "8,16"], ["refine.csv"], ["checks", "rows"]),
+], ids=["eigen", "torsion", "solve", "sweep", "threshold", "mountain_pass",
+        "verify", "refine"])
+def test_each_command_writes_its_files_and_report(sub_cfg, tmp_path, capsys,
+                                                  argv, files, keys):
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(sub_cfg), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        [*files, "report.json"])
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["command"] == argv[0]
+    assert sorted(doc["results"]) == keys
+
+
+def test_error_exit_writes_no_file(tmp_path, capsys):
+    # the super bundle's threshold walk hits the iteration cap after the
+    # sub and equi bundles have printed their verdicts
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text(P3_CFG.replace("s = 0.3", "s = 0.1").replace("n = 32", "n = 6")
+                   .replace("q = 4.0", "q = 2.0").replace("r = 5.0", "r = 4.0")
+                   + "solver.max_iters = 50\n")
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(cfg), "--regime", "all",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "equi/nonexistence_below_eigenvalue: PASS" in captured.out
+    assert captured.err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eigen", "solve", "verify", "refine"])
+def test_out_that_is_a_file_exits_one_before_assembly(sub_cfg, tmp_path, capsys,
+                                                      monkeypatch, command):
+    import fplogistic.cli
+    from fplogistic.kernel import assemble
+
+    assembled = []
+    monkeypatch.setattr(fplogistic.cli, "assemble",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    code = main([command, "--config", str(sub_cfg), "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert assembled == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_returned_exit_two_still_writes_the_outputs(sub_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(sub_cfg),
+                 "--set", "solver.initial=random", "--set", "solver.max_iters=1",
+                 "--out", str(out)])
+    assert code == 2
+    assert sorted(path.name for path in out.iterdir()) == ["report.json",
+                                                           "solution.csv"]
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["results"]["status"] == "max_iters"
+
+
+def test_refine_checks_every_grid_before_solving(sub_cfg, tmp_path, capsys):
+    # n = 9000 folds past the dense cap; no smaller n is solved first
+    out = tmp_path / "out"
+    code = main(["refine", "--config", str(sub_cfg), "--ns", "8,16,9000",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "4096" in captured.err
+    assert not out.exists()
+
+
+def test_refine_rejects_a_weights_cache(sub_cfg, tmp_path, capsys):
+    cache = tmp_path / "weights.npz"
+    code = main(["refine", "--config", str(sub_cfg), "--ns", "8,16",
+                 "--weights-cache", str(cache), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: refine assembles one grid per n")
+    assert captured.err.count("\n") == 1
+    assert not cache.exists()

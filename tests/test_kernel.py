@@ -572,3 +572,19 @@ def test_k_inverse_allocates_at_most_two_dense_arrays(dim, n):
         tracemalloc.stop()
     assert fkw.ncells == math.ceil(n / 2) ** dim
     assert peak <= 2 * size + 4096
+
+
+@pytest.mark.parametrize("dim, n, arrays", [(1, 2048, 1.1), (2, 32, 1.5)])
+def test_fold_allocates_about_one_folded_array(dim, n, arrays):
+    # the folded W is read through views of the offset table; in 2D the
+    # block of the first axis and numpy's iteration buffers add 0.44 of it
+    # at n = 32, a share that falls as n grows
+    kw = _weights(dim, (1.0,) * dim, n, 0.8)
+    grid = build_grid(DomainSpec((0.0,) * dim, (1.0,) * dim), n)
+    tracemalloc.start()
+    try:
+        fkw, _ = fold(kw, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * fkw.ncells ** 2
