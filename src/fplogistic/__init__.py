@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from .domain import (DomainSpec, Grid, GridError, ParamError, ProblemParams,
                      Regime, build_grid, classify_regime, validate_params)
-from .eigen import EigenError, EigenOptions, EigenPair, principal_eigenpair
+from .eigen import EigenError, EigenPair, principal_eigenpair
 from .kernel import (FoldedWeights, KernelError, KernelWeights, assemble, fold,
                      load_weights, save_weights)
 from .logistic import (LogisticParams, TruncatedReaction, phi_functional,
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "DomainSpec", "Grid", "GridError", "ParamError", "ProblemParams",
     "Regime", "build_grid", "classify_regime", "validate_params",
-    "EigenError", "EigenOptions", "EigenPair", "principal_eigenpair",
+    "EigenError", "EigenPair", "principal_eigenpair",
     "FoldedWeights", "KernelError", "KernelWeights", "assemble", "fold",
     "load_weights", "save_weights",
     "LogisticParams", "TruncatedReaction", "phi_functional",

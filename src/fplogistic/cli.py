@@ -25,12 +25,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import (ConfigError, RunConfig, load_config, positive_float,
-                     to_problem, write_branch_csv, write_report,
-                     write_solution_csv)
+from .config import (ConfigError, load_config, positive_float, to_problem,
+                     write_branch_csv, write_report, write_solution_csv)
 from .domain import (GridError, ParamError, Regime, build_grid,
                      classify_regime, validate_params)
-from .eigen import EigenError, EigenOptions, principal_eigenpair
+from .eigen import EigenError, principal_eigenpair
 from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
                     detect_threshold, mountain_pass, solve_branch_point,
@@ -100,10 +99,6 @@ def _parse_list(raw: str, flag: str, parse) -> list:
         raise ConfigError(f"{flag}: bad value {raw!r} ({exc})") from exc
 
 
-def _eigen_options(cfg: RunConfig) -> EigenOptions:
-    return EigenOptions(seed=cfg.solver_seed, restarts=cfg.eigen_restarts)
-
-
 def _run(args) -> int:
     cfg = load_config(args.config, env=dict(os.environ),
                       flags=_parse_overrides(args.set))
@@ -146,7 +141,7 @@ def _run(args) -> int:
     ep = None
     if command in ("eigen", "threshold", "verify") or (
             command not in ("torsion", "refine") and opts.initial == "eigen"):
-        ep = principal_eigenpair(kw, grid, _eigen_options(cfg))
+        ep = principal_eigenpair(kw, grid, opts, restarts=cfg.eigen_restarts)
 
     # each command prints as it goes and leaves its files (by name: a folded
     # function, branch points or a (header, rows) table), results and code
@@ -304,7 +299,7 @@ def _run_refine(cfg, params, grids, opts):
     rows = []
     for gn in grids:
         kwn, gn = fold(assemble(gn, params), gn)
-        ep = principal_eigenpair(kwn, gn, _eigen_options(cfg))
+        ep = principal_eigenpair(kwn, gn, opts, restarts=cfg.eigen_restarts)
         lambda_star_h = None
         if is_super:
             lambda_star_h = detect_threshold(

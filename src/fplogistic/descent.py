@@ -1,27 +1,31 @@
-"""The package's one descent engine: Barzilai-Borwein steps, Armijo safeguard.
+"""The package's one descent engine and its one stop rule.
 
 Every iterative answer of the package comes from ``descend``: the branch
 minimizers of the logistic energy (``solve.minimize``), the principal
 eigenpair (``eigen``, on the p-sphere, normalization as the retraction) and
 the mountain-pass saddle (``solve.mountain_pass``, the free energy on the
 energy peaks of rays, the move of a point to the peak of its ray as the
-retraction).  For p = 2 the steps are taken in a metric built on K, the
-Hessian of E/2: on the free energy with q >= 2 the full Hessian at the
-iterate (inexact Newton steps, ``operator.newton_direction``), elsewhere K
-itself (``operator.sobolev_preconditioner``).  For every other p they are
-taken in the mass inner product of the cell measures.  The residual is the
-mass norm of the gradient in every case.
+retraction).  Each stops on the command's ``SolveOptions``, and ``descend``
+alone decides whether it converged: its residual is at most
+``residual_tol`` within ``max_iters`` iterations, at the clipped point when
+the functional clips.  For p = 2 the steps are taken in a metric built on
+K, the Hessian of E/2: on the free energy with q >= 2 the full Hessian at
+the iterate (inexact Newton steps, ``operator.newton_direction``),
+elsewhere K itself (``operator.sobolev_preconditioner``).  For every other
+p they are taken in the mass inner product of the cell measures.  The
+residual is the mass norm of the gradient in every case.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .operator import mass_dot
+from .operator import mass_dot, mass_norm
 
 # Armijo sufficient-decrease constant and backtracking factor of descend
 ARMIJO_C = 1e-4
@@ -41,23 +45,55 @@ class Status(enum.Enum):
     NOT_FOUND = "not_found"
 
 
-def descend(energy: Callable[[np.ndarray], float],
-            gradient: Callable[[np.ndarray], np.ndarray],
-            u0: np.ndarray, measures: np.ndarray, tol: float, max_iters: int,
-            *, retract: Callable[[np.ndarray], np.ndarray] | None = None,
-            precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-            newton: bool = False,
-            ) -> tuple[np.ndarray, float, float, int, Status]:
+@dataclass
+class SolveOptions:
+    """The stop rule of every descent; the seed of every random start."""
+
+    residual_tol: float = 1e-8
+    max_iters: int = 50_000
+    seed: int = 0
+    initial: str = "eigen"          # eigen | random
+
+
+@dataclass(eq=False)
+class Functional:
+    """An energy and what ``descend`` needs to descend it (raw value arrays).
+
+    ``precondition`` maps the mass gradient g to a descent direction, or is
+    None for the plain mass gradient.  With ``newton`` it is the inexact
+    Newton direction of ``operator.newton_direction``, in the metric of the
+    Hessian at the array of the last ``gradient`` call, so it must follow
+    that call; without it is a fixed metric, for p = 2 the Sobolev
+    preconditioner of the diffusion part (``operator.sobolev_preconditioner``).
+    ``retract`` maps every trial point back onto a constraint set, and
+    ``clip`` maps the final point into the admissible set.  ``collapsed``
+    tells whether a critical point lies in the zero basin of its own ray;
+    only Phi has one, and None means never.
+    """
+
+    energy: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    precondition: Callable[[np.ndarray], np.ndarray] | None
+    collapsed: Callable[[np.ndarray], bool] | None = None
+    newton: bool = False
+    retract: Callable[[np.ndarray], np.ndarray] | None = None
+    clip: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
+            opts: SolveOptions) -> tuple[np.ndarray, float, float, int, Status]:
     """Monotone descent from u0; returns (u, energy, residual, iterations, status).
 
-    Stops with CONVERGED once the mass norm of the gradient is at most tol,
-    and with MAX_ITERS at the iteration cap or when the line search fails
-    far from a minimum; at MAX_ITERS the iterate of smallest residual is
-    returned.  Whether a converged point is the zero solution is the
-    caller's question (``solve.minimize``).  ``retract`` maps every trial
-    point back onto a constraint set.  ``gradient`` is called once per
-    iterate, right after ``energy`` was evaluated at that same point, so a
-    caller may carry work from one to the other.
+    Stops with CONVERGED once the mass norm of the gradient is at most
+    ``opts.residual_tol``, and with MAX_ITERS at ``opts.max_iters``
+    iterations or when the line search fails far from a minimum; at
+    MAX_ITERS the iterate of smallest residual is returned.  A ``clip``
+    that moves the final point re-evaluates energy and residual there, and
+    a clipped point above the tolerance is MAX_ITERS.  Whether a converged
+    point is the zero solution is the caller's question
+    (``solve.minimize``).  ``gradient`` is called once per iterate, right
+    after ``energy`` was evaluated at that same point, so a caller may carry
+    work from one to the other.
 
     ``precondition`` maps the mass gradient g to the search direction
     d = P^-1 (M g) of a symmetric positive definite metric P, which may
@@ -71,7 +107,9 @@ def descend(energy: Callable[[np.ndarray], float],
     ``precondition``, d = g.  Each mass pairing is one dot against M g,
     formed once per iterate.
     """
-    move = retract or (lambda v: v)
+    energy, gradient, precondition = func.energy, func.gradient, func.precondition
+    tol, newton = opts.residual_tol, func.newton
+    move = func.retract or (lambda v: v)
     u = np.asarray(u0, dtype=float).copy()
     value = energy(u)
     if not math.isfinite(value):
@@ -89,7 +127,7 @@ def descend(energy: Callable[[np.ndarray], float],
     best_u, best_res, best_value = u, res, value
     status = Status.CONVERGED
     while res > tol:
-        if it >= max_iters:
+        if it >= opts.max_iters:
             status = Status.MAX_ITERS
             break
         if prev_u is not None and not newton:
@@ -149,4 +187,10 @@ def descend(energy: Callable[[np.ndarray], float],
 
     if status is Status.MAX_ITERS and best_res < res:
         u, res, value = best_u, best_res, best_value
+    clipped = u if func.clip is None else func.clip(u)
+    if not np.array_equal(clipped, u):
+        u, value = clipped, energy(clipped)
+        res = mass_norm(gradient(u), measures)
+        if res > tol:
+            status = Status.MAX_ITERS
     return u, value, res, it, status

@@ -5,7 +5,8 @@ cell functions.  On the sphere ||u||_p = 1 the quotient is E(u) and the
 mass-gradient of E/p there is Lu - R(u) u^(p-1), which vanishes exactly at an
 eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
 the sphere, with normalization as its retraction, from strictly positive
-starts that ``seeded_uniform`` draws with the standard library's ``random``.
+starts that ``seeded_uniform`` draws with the standard library's ``random``,
+and stops it on the caller's ``SolveOptions`` like every other descent.
 For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
 preconditioned inverse iteration.  Callers pass the pair to the solvers.
 """
@@ -17,26 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import descend
+from .descent import Functional, SolveOptions, Status, descend
 from .domain import Grid
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
                        signed_power, sobolev_preconditioner)
 
-__all__ = ["EigenError", "EigenOptions", "EigenPair", "rayleigh_quotient",
+__all__ = ["EigenError", "EigenPair", "rayleigh_quotient",
            "principal_eigenpair", "seeded_uniform"]
 
 
 class EigenError(RuntimeError):
     """No restart of the eigen iteration converged."""
-
-
-@dataclass
-class EigenOptions:
-    residual_tol: float | None = None   # default 1e-8 for p = 2, else 1e-6
-    max_iters: int = 50_000
-    restarts: int = 1
-    seed: int = 0   # random.Random seed of the restart starts (seeded_uniform)
 
 
 @dataclass(eq=False)
@@ -75,25 +68,24 @@ def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
 
 
 def principal_eigenpair(kw: KernelWeights, grid: Grid,
-                        opts: EigenOptions | None = None) -> EigenPair:
+                        opts: SolveOptions | None = None, *,
+                        restarts: int = 1) -> EigenPair:
     """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1, p = kw.p.
 
-    Runs opts.restarts strictly positive seeds; restarts that converge to a
-    sign-changing function are discarded and counted.  The smallest converged
-    eigenvalue wins, ties resolved by restart order.  For p = 2 the descent
-    is preconditioned with ``operator.sobolev_preconditioner``, so that its
-    iteration count does not grow with the number of cells.
+    Descends from ``restarts`` strictly positive starts drawn from
+    ``opts.seed``; restarts that do not converge are dropped, and those
+    that converge to a sign-changing function are discarded and counted.
+    The smallest converged eigenvalue wins, ties resolved by restart order.
+    For p = 2 the descent is preconditioned with
+    ``operator.sobolev_preconditioner``, so that its iteration count does
+    not grow with the number of cells.
     """
-    opts = opts or EigenOptions()
+    opts = opts or SolveOptions()
     p = kw.p
-    if opts.restarts < 1:
-        raise ValueError(f"restarts must be positive, got {opts.restarts}")
-    tol = opts.residual_tol
-    if tol is None:
-        tol = 1e-8 if p == 2.0 else 1e-6
-    starts = seeded_uniform(opts.seed, 0.5, 1.5, opts.restarts * grid.ncells)
+    if restarts < 1:
+        raise ValueError(f"restarts must be positive, got {restarts}")
+    starts = seeded_uniform(opts.seed, 0.5, 1.5, restarts * grid.ncells)
     meas = grid.measures
-    precondition = sobolev_preconditioner(kw, meas)
     last_quotient = [0.0]
 
     def quotient(v: np.ndarray) -> float:
@@ -104,17 +96,16 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
         # the engine asks for the gradient where it last evaluated the quotient
         return _apply(v, kw, meas) - last_quotient[0] * signed_power(v, p - 1.0)
 
+    func = Functional(quotient, gradient, sobolev_preconditioner(kw, meas),
+                      retract=lambda v: _normalize(v, p, meas))
     accepted: list[tuple[float, np.ndarray, float, int]] = []
     discarded = 0
     last_res = None
-    for start in starts.reshape(opts.restarts, -1):
-        u0 = _normalize(start, p, meas)
-        u, lam, res, it, _ = descend(quotient, gradient, u0, meas, tol,
-                                     opts.max_iters,
-                                     retract=lambda v: _normalize(v, p, meas),
-                                     precondition=precondition)
+    for start in starts.reshape(restarts, -1):
+        u, lam, res, it, status = descend(func, _normalize(start, p, meas),
+                                          meas, opts)
         last_res = res
-        if res > tol:
+        if status is not Status.CONVERGED:
             continue
         if float((u * meas).sum()) < 0.0:
             u = -u
@@ -126,7 +117,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
     if not accepted:
         raise EigenError(
             f"no eigen restart converged (last residual {last_res:.3e}, "
-            f"tolerance {tol:.1e})")
+            f"tolerance {opts.residual_tol:.1e})")
 
     lams = [a[0] for a in accepted]
     best = min(range(len(accepted)), key=lambda k: lams[k])

@@ -6,6 +6,8 @@ F(t) = lam * (t+)^q / q - (t+)^r / r.  The free energy of a cell function is
     Phi(u) = E(u)/p - sum_i F(u_i) |C_i|,
 
 whose mass-gradient is Lu - f(u), p the exponent of the kernel weights.
+Each energy here is a ``descent.Functional`` (importable from this module
+too) whose final point ``descent.descend`` clips to u >= 0.
 
 The truncation freezes the reaction cellwise at its value on a positive
 anchor function, below the anchor.  No solver uses it: the branch is
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .descent import _EPS, SolverError
+from .descent import _EPS, Functional, SolverError
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
                        newton_direction, sobolev_preconditioner)
@@ -119,34 +120,13 @@ def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
     return _truncated_pair(tr, np.asarray(t, dtype=float))[0]
 
 
-@dataclass(eq=False)
-class Functional:
-    """Energy/gradient pair consumed by the descent solver (raw value arrays).
-
-    ``precondition`` maps the mass gradient g to a descent direction for
-    p = 2 and is None otherwise.  With ``newton`` it is the inexact Newton
-    direction of ``operator.newton_direction``, in the metric of the
-    Hessian at the array of the last ``gradient`` call, so it must follow
-    that call; without it is the Sobolev preconditioner of the diffusion
-    part (``operator.sobolev_preconditioner``), the fixed metric of the
-    Hessian K of E/2.  ``collapsed`` tells whether a critical point lies in
-    the zero basin of its own ray; only Phi has one, and None means never.
-    """
-
-    energy: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    precondition: Callable[[np.ndarray], np.ndarray] | None
-    collapsed: Callable[[np.ndarray], bool] | None = None
-    newton: bool = False
-
-
 def _functional(kw: KernelWeights, grid, pair,
                 collapsed=None, slope=None) -> Functional:
     """E(u)/p - sum_i F(u)_i |C_i|, mass-gradient Lu - f(u), (F, f) = pair(u).
 
     ``energy(v)`` keeps f(v) for ``gradient`` on the same array (``is``).
     With ``slope`` (f', for p = 2) the precondition is the Newton direction
-    at the array of the last ``gradient`` call.
+    at the array of the last ``gradient`` call.  The clip is to u >= 0.
     """
     _check_weights(grid.measures, kw)
     m, p = grid.measures, kw.p
@@ -162,14 +142,13 @@ def _functional(kw: KernelWeights, grid, pair,
         last[2] = v
         return _apply(v, kw, m) - (last[1] if v is last[0] else pair(v)[1])
 
-    if slope is None:
-        return Functional(energy, gradient, sobolev_preconditioner(kw, m),
-                          collapsed)
-
     def precondition(g: np.ndarray) -> np.ndarray:
         return newton_direction(kw, m * slope(last[2]), m * g)
 
-    return Functional(energy, gradient, precondition, collapsed, newton=True)
+    newton = slope is not None
+    return Functional(energy, gradient,
+                      precondition if newton else sobolev_preconditioner(kw, m),
+                      collapsed, newton, clip=lambda v: np.maximum(v, 0.0))
 
 
 def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,

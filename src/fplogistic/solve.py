@@ -1,13 +1,15 @@
 """Energy minimization, branch continuation, threshold detection, saddle search.
 
-Every solve here runs the package's one descent engine (``descent.descend``):
-``minimize`` on an energy functional, ``mountain_pass`` on the free energy
-restricted to the energy peaks of rays t * v, the move of a point to the
-peak of its own ray serving as the retraction.  For the logistic energy the
-zero function is always a critical point, and below the existence threshold
-it is the only one; a converged minimization that lies in the zero basin of
-its own ray t * u (the ``collapsed`` test of ``logistic.phi_functional``,
-free of any absolute scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
+Every solve here runs the package's one descent engine (``descent.descend``),
+which stops it on the ``SolveOptions`` it is given (defined in ``descent``,
+importable from here): ``minimize`` on an energy functional,
+``mountain_pass`` on the free energy restricted to the energy peaks of rays
+t * v, the move of a point to the peak of its own ray serving as the
+retraction.  For the logistic energy the zero function is always a critical
+point, and below the existence threshold it is the only one; a converged
+minimization that lies in the zero basin of its own ray t * u (the
+``collapsed`` test of ``logistic.phi_functional``, free of any absolute
+scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
 intensities until the first collapse, then bisection of the bracket.  p
 comes with the kernel weights, and the principal eigenpair from the caller;
@@ -16,17 +18,17 @@ parameters whose p is not that of the weights raise GridMismatchError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .descent import SolverError, Status, descend
+from .descent import Functional, SolveOptions, SolverError, Status, descend
 from .domain import Grid
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
-from .logistic import (Functional, LogisticParams, _fiber_extrema,
-                       phi_functional, torsion_functional)
-from .operator import DiscreteFunction, _check_params, mass_norm
+from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
+                       torsion_functional)
+from .operator import DiscreteFunction, _check_params
 
 __all__ = [
     "SolverError",
@@ -48,14 +50,6 @@ __all__ = [
 CONTINUATION_FACTOR = 0.9
 # a saddle within this sup distance of zero or of u_lam is not a second solution
 DISTINCT_TOL = 1e-6
-
-
-@dataclass
-class SolveOptions:
-    residual_tol: float = 1e-8
-    max_iters: int = 50_000
-    seed: int = 0
-    initial: str = "eigen"          # eigen | random
 
 
 @dataclass(eq=False)
@@ -90,23 +84,13 @@ def minimize(func: Functional, u0: DiscreteFunction,
 
     The energy sequence is nonincreasing up to the rounding floor of the
     energy evaluation.  An exact critical point returns immediately with
-    zero iterations.  The result is clipped to be nonnegative, and its
-    energy and residual are those of the clipped function.  A converged
-    result is COLLAPSED when the functional's ``collapsed`` test finds it in
-    the zero basin of its own ray.
+    zero iterations.  ``descend`` decides convergence at the clipped point;
+    a converged result is COLLAPSED when the functional's ``collapsed`` test
+    finds it in the zero basin of its own ray.
     """
     opts = opts or SolveOptions()
-    meas = u0.grid.measures
-    u, energy, res, it, status = descend(
-        func.energy, func.gradient, u0.values, meas, opts.residual_tol,
-        opts.max_iters, precondition=func.precondition, newton=func.newton)
-    clipped = np.maximum(u, 0.0)
-    if not np.array_equal(clipped, u):
-        u = clipped
-        energy = func.energy(u)
-        res = mass_norm(func.gradient(u), meas)
-    if status is Status.CONVERGED and res > opts.residual_tol:
-        status = Status.MAX_ITERS
+    u, energy, res, it, status = descend(func, u0.values, u0.grid.measures,
+                                         opts)
     if status is Status.CONVERGED and func.collapsed is not None \
             and func.collapsed(u):
         status = Status.COLLAPSED
@@ -288,31 +272,26 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     Along each ray t * v the free energy rises to one peak and then falls
     when q > p; the mountain-pass solution is the lowest such peak.  The
     search descends Phi from the peak of the ray through u_lam, moving every
-    trial point to the peak of its own ray, and stops once the residual
-    |grad Phi| is at most ``residual_tol``.  When that first peak is missing
-    or does not lie before u_lam there is no barrier between zero and u_lam,
-    and the search reports NOT_FOUND at once with the zero function.
+    trial point to the peak of its own ray, and clips the result between
+    zero and u_lam.  When that first peak is missing or does not lie before
+    u_lam there is no barrier between zero and u_lam, and the search reports
+    NOT_FOUND at once with the zero function; a result within
+    ``DISTINCT_TOL`` of either end is NOT_FOUND as well.
     """
     _check_params(params, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
-    func = phi_functional(kw, grid, lp)
     meas = grid.measures
-
     t0 = _fiber_extrema(u_lam.values, kw, lp, meas)[0]
     if not t0 < 1.0:
         return SolveReport(u=DiscreteFunction(np.zeros(grid.ncells), grid),
                            energy=0.0, residual=float("nan"), iterations=0,
                            status=Status.NOT_FOUND)
-    u, _, _, it, _ = descend(
-        func.energy, func.gradient, t0 * u_lam.values, meas, opts.residual_tol,
-        opts.max_iters, retract=lambda v: _fiber_extrema(v, kw, lp, meas)[0] * v,
-        precondition=func.precondition, newton=func.newton)
-
-    v = np.minimum(np.maximum(u, 0.0), u_lam.values)
-    res = mass_norm(func.gradient(v), meas)
-    energy = func.energy(v)
-    status = Status.CONVERGED if res <= opts.residual_tol else Status.MAX_ITERS
+    func = replace(
+        phi_functional(kw, grid, lp),
+        retract=lambda v: _fiber_extrema(v, kw, lp, meas)[0] * v,
+        clip=lambda v: np.minimum(np.maximum(v, 0.0), u_lam.values))
+    v, energy, res, it, status = descend(func, t0 * u_lam.values, meas, opts)
     gap_zero = float(np.abs(v).max())
     gap_top = float(np.abs(u_lam.values - v).max())
     if status is Status.CONVERGED and (gap_zero <= DISTINCT_TOL

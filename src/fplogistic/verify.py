@@ -23,6 +23,8 @@ from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, _check_params, lp_norm, mass_norm
+from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
+                    minimize, mountain_pass, solve_branch_point)
 
 __all__ = [
     "CheckResult",
@@ -112,8 +114,6 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
     lam <= lambda1 and at most res * |u|, so it also bounds a converged
     iterate.  Outside the q = p or lam <= lambda1 range the result is None.
     """
-    from .solve import SolveOptions, Status, minimize
-
     _check_params(params, kw)
     if params.q != params.p:
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
@@ -207,9 +207,6 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
     equidiffusive one; the superdiffusive checks locate their own
     intensities from the detected threshold.
     """
-    from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
-                        mountain_pass, solve_branch_point)
-
     _check_params(params, kw)
     opts = opts or SolveOptions()
     regime = classify_regime(params)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import settings
 
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.eigen import EigenOptions, principal_eigenpair
+from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble
+from fplogistic.solve import SolveOptions
 
 # property tests draw the same examples on every run, so that two checkouts
 # are compared on the same inputs; each test keeps its own max_examples
@@ -71,7 +72,7 @@ def kw32_p3(grid32, p3_params):
 
 @pytest.fixture(scope="session")
 def eig64(kw64, grid64):
-    return principal_eigenpair(kw64, grid64, EigenOptions(seed=0))
+    return principal_eigenpair(kw64, grid64, SolveOptions(seed=0))
 
 
 @pytest.fixture(scope="session")

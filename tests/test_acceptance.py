@@ -16,7 +16,7 @@ import pytest
 
 from fplogistic.cli import main as cli_main
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.eigen import EigenOptions, principal_eigenpair
+from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, apply_operator,
@@ -64,14 +64,14 @@ def clean_env(monkeypatch):
 @pytest.fixture(scope="module")
 def equi64(grid64, equi_params):
     kw = assemble(grid64, equi_params)
-    eig = principal_eigenpair(kw, grid64, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid64, SolveOptions(seed=0))
     return kw, eig
 
 
 @pytest.fixture(scope="module")
 def super64(grid64, super_params):
     kw = assemble(grid64, super_params)
-    eig = principal_eigenpair(kw, grid64, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid64, SolveOptions(seed=0))
     return kw, eig
 
 
@@ -208,15 +208,15 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
             g1 = build_grid(DomainSpec.interval(0.0, 1.0), 1)
             prm = validate_params(1, s, p, (1.0 + p) / 2.0, p + 1.0)
             pair = principal_eigenpair(assemble(g1, prm), g1,
-                                       EigenOptions(seed=0))
+                                       SolveOptions(seed=0))
             exact = 4.0 / (ps * (1.0 - ps))
             if abs(pair.lambda1 / exact - 1.0) > 1e-13:
                 closed_ok = False
         checks["single_cell_closed_form"] = closed_ok
 
         pair = principal_eigenpair(kw64_p3, grid64,
-                                   EigenOptions(restarts=5, seed=2,
-                                                residual_tol=1e-6))
+                                   SolveOptions(seed=2, residual_tol=1e-6),
+                                   restarts=5)
         checks["p3_all_restarts_positive"] = pair.discarded_restarts == 0
         checks["p3_restarts_agree_1e6"] = pair.restarts_agreement <= 1e-6
         checks["p3_eigenfunction_positive"] = bool(pair.u1.values.min() > 0.0)
@@ -360,7 +360,7 @@ def test_c09_refinement_and_scaling(criterion, super_params):
         for n in (32, 64, 128):
             g = build_grid(DomainSpec.interval(0.0, 1.0), n)
             kw = assemble(g, super_params)
-            eig = principal_eigenpair(kw, g, EigenOptions(seed=0))
+            eig = principal_eigenpair(kw, g, SolveOptions(seed=0))
             thr = detect_threshold(super_params, kw, g, SolveOptions(),
                                    bracket_tol=1e-3, eigen=eig)
             lam1s.append(eig.lambda1)
@@ -373,7 +373,7 @@ def test_c09_refinement_and_scaling(criterion, super_params):
         g2 = build_grid(DomainSpec.interval(0.0, 2.0), 64)
         kw2 = assemble(g2, super_params)
         lam_wide = principal_eigenpair(kw2, g2,
-                                       EigenOptions(seed=0)).lambda1
+                                       SolveOptions(seed=0)).lambda1
         ratio = lam1s[1] / lam_wide
         expected = 2.0 ** super_params.ps
         checks["length_scaling_within_2pct"] = \

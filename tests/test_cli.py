@@ -290,14 +290,73 @@ def test_sweep_rows_sorted(sub_cfg, tmp_path):
 
 def test_sweep_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
     # like solve and mountain-pass, a point that ends at the cap exits 2,
-    # after the branch table and the report are written
+    # after the branch table and the report are written; the random start
+    # needs no eigenpair, whose solve would hit the same cap first
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(sub_cfg), "--lams", "0.5,1.0",
+                 "--set", "solver.initial=random",
                  "--set", "solver.max_iters=0", "--out", str(out)])
     assert code == 2
     assert (out / "branch.csv").exists()
     doc = json.loads((out / "report.json").read_text())
     assert [pt["status"] for pt in doc["results"]["points"]] == ["max_iters"] * 2
+
+
+@pytest.mark.parametrize("argv", [["eigen"], ["sweep", "--lams", "0.5,1.0"]],
+                         ids=["eigen", "sweep_eigen_start"])
+def test_eigen_solve_at_the_iteration_cap_exits_two(sub_cfg, tmp_path, capsys,
+                                                    argv):
+    # the eigen solve stops on solver.max_iters like every other descent
+    out = tmp_path / "out"
+    code = main([*argv, "--config", str(sub_cfg),
+                 "--set", "solver.max_iters=0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "no eigen restart converged" in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_eigen_p3_meets_the_residual_tolerance(tmp_path, capsys):
+    cfg = P3_CFG.replace("q = 4.0", "q = 3.5").replace("r = 5.0", "r = 4.0") \
+        .replace("n = 32", "n = 64")
+    res = _report(tmp_path, cfg, ["eigen"])
+    assert res["residual"] <= 1e-8
+    res = _report(tmp_path, cfg, ["eigen", "--set", "solver.residual_tol=1e-10"])
+    assert res["residual"] <= 1e-10
+
+
+@pytest.fixture()
+def descend_options(monkeypatch):
+    """(residual_tol, max_iters) of every descend call, in order."""
+    import fplogistic.descent
+
+    descend = fplogistic.descent.descend
+    seen = []
+
+    def spy(func, u0, measures, opts):
+        seen.append((opts.residual_tol, opts.max_iters))
+        return descend(func, u0, measures, opts)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fplogistic") and \
+                getattr(module, "descend", None) is descend:
+            monkeypatch.setattr(module, "descend", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [["verify", "--regime", "all"],
+                                  ["refine", "--ns", "8,16,32"]],
+                         ids=["verify_all", "refine"])
+def test_every_descent_stops_on_the_solver_options(sub_cfg, tmp_path, capsys,
+                                                   descend_options, argv):
+    code = main([*argv, "--config", str(sub_cfg),
+                 "--set", "solver.residual_tol=1e-9",
+                 "--set", "solver.max_iters=40000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(descend_options) > 3
+    assert set(descend_options) == {(1e-9, 40000)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -324,9 +383,9 @@ def eigen_restarts(monkeypatch):
 
     seen = []
 
-    def spy(kw, grid, opts=None):
-        seen.append(opts.restarts if opts is not None else 1)
-        return principal_eigenpair(kw, grid, opts)
+    def spy(kw, grid, opts=None, *, restarts=1):
+        seen.append(restarts)
+        return principal_eigenpair(kw, grid, opts, restarts=restarts)
 
     monkeypatch.setattr(fplogistic.cli, "principal_eigenpair", spy)
     return seen

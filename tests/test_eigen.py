@@ -5,11 +5,12 @@ import pytest
 
 from fplogistic import eigen
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.eigen import (EigenError, EigenOptions, EigenPair,
+from fplogistic.eigen import (EigenError, EigenPair,
                               principal_eigenpair, rayleigh_quotient,
                               seeded_uniform)
 from fplogistic.kernel import assemble
 from fplogistic.operator import DiscreteFunction, lp_norm
+from fplogistic.solve import SolveOptions
 
 from oracles import dense_reference_lambda1
 
@@ -24,7 +25,7 @@ def test_linear_case_matches_dense_eigensolver(kw64, grid64, eig64):
 
 
 def test_linear_case_matches_dense_eigensolver_2d(kw2d, grid2d):
-    pair = principal_eigenpair(kw2d, grid2d, EigenOptions(seed=0))
+    pair = principal_eigenpair(kw2d, grid2d, SolveOptions(seed=0))
     lam_ref, _ = dense_reference_lambda1(kw2d, grid2d)
     assert pair.lambda1 == pytest.approx(lam_ref, rel=1e-8)
 
@@ -37,13 +38,13 @@ def test_single_cell_closed_form(s, p):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 1)
     params = validate_params(1, s, p, (1.0 + p) / 2.0, p + 1.0)
     kw = assemble(grid, params)
-    pair = principal_eigenpair(kw, grid, EigenOptions(seed=0))
+    pair = principal_eigenpair(kw, grid, SolveOptions(seed=0))
     assert pair.lambda1 == pytest.approx(4.0 / (ps * (1.0 - ps)), rel=1e-13)
 
 
 def test_nonlinear_case_with_restarts(kw32_p3, grid32):
-    opts = EigenOptions(restarts=3, seed=1, residual_tol=1e-6)
-    pair = principal_eigenpair(kw32_p3, grid32, opts)
+    opts = SolveOptions(seed=1, residual_tol=1e-6)
+    pair = principal_eigenpair(kw32_p3, grid32, opts, restarts=3)
     assert pair.residual <= 1e-6
     assert pair.restarts_agreement <= 1e-6
     assert np.all(pair.u1.values > 0.0)
@@ -51,7 +52,7 @@ def test_nonlinear_case_with_restarts(kw32_p3, grid32):
 
 
 def test_eigenvalue_is_rayleigh_minimum(kw32, grid32, rng):
-    pair = principal_eigenpair(kw32, grid32, EigenOptions(seed=0))
+    pair = principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
     for _ in range(20):
         trial = DiscreteFunction(rng.uniform(-1.0, 1.0, grid32.ncells), grid32)
         assert rayleigh_quotient(trial, kw32) >= pair.lambda1 - 1e-10
@@ -64,7 +65,7 @@ def test_rayleigh_quotient_rejects_zero(grid32, kw32):
 
 
 def test_eigenfunction_scaling_invariance(kw32, grid32):
-    pair = principal_eigenpair(kw32, grid32, EigenOptions(seed=0))
+    pair = principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
     for c in (0.5, 3.0, -2.0):
         scaled = DiscreteFunction(c * pair.u1.values, grid32)
         assert rayleigh_quotient(scaled, kw32) == pytest.approx(
@@ -79,21 +80,21 @@ def test_domain_scaling_law(sub_params):
     grid_b = build_grid(DomainSpec.interval(0.0, 0.5), n)
     kw_a = assemble(grid_a, sub_params)
     kw_b = assemble(grid_b, sub_params)
-    lam_a = principal_eigenpair(kw_a, grid_a, EigenOptions(seed=0)).lambda1
-    lam_b = principal_eigenpair(kw_b, grid_b, EigenOptions(seed=0)).lambda1
+    lam_a = principal_eigenpair(kw_a, grid_a, SolveOptions(seed=0)).lambda1
+    lam_b = principal_eigenpair(kw_b, grid_b, SolveOptions(seed=0)).lambda1
     assert lam_b == pytest.approx(2.0 ** sub_params.ps * lam_a, rel=1e-8)
 
 
 def test_eigen_error_when_iterations_exhausted(kw32, grid32):
     with pytest.raises(EigenError):
         principal_eigenpair(kw32, grid32,
-                            EigenOptions(max_iters=2, restarts=2, seed=0))
+                            SolveOptions(max_iters=2, seed=0), restarts=2)
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_eigen_rejects_restarts_below_one(kw32, grid32, restarts):
     with pytest.raises(ValueError, match="restarts"):
-        principal_eigenpair(kw32, grid32, EigenOptions(restarts=restarts))
+        principal_eigenpair(kw32, grid32, restarts=restarts)
 
 
 @pytest.mark.parametrize("lo,hi,size", [(0.5, 1.5, 64), (0.1, 1.0, 1000)])
@@ -108,13 +109,13 @@ def test_seeded_uniform_repeats_per_seed_and_stays_in_range(lo, hi, size):
 def test_restarts_descend_from_distinct_starts(kw32, grid32, monkeypatch):
     starts = []
 
-    def recording(quotient, gradient, u0, *args, **kwargs):
+    def recording(func, u0, measures, opts):
         starts.append(u0.copy())
-        return descend(quotient, gradient, u0, *args, **kwargs)
+        return descend(func, u0, measures, opts)
 
     descend = eigen.descend
     monkeypatch.setattr(eigen, "descend", recording)
-    principal_eigenpair(kw32, grid32, EigenOptions(restarts=3, seed=5))
+    principal_eigenpair(kw32, grid32, SolveOptions(seed=5), restarts=3)
     assert len(starts) == 3
     assert all(not np.array_equal(a, b)
                for i, a in enumerate(starts) for b in starts[i + 1:])
@@ -128,7 +129,7 @@ def test_refinement_monotonicity(sub_params):
         grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
         kw = assemble(grid, sub_params)
         lams.append(principal_eigenpair(kw, grid,
-                                        EigenOptions(seed=0)).lambda1)
+                                        SolveOptions(seed=0)).lambda1)
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fplogistic.cli import _canonical_regime_params, main
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.eigen import EigenOptions, principal_eigenpair
+from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble, fold
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import DiscreteFunction, _apply, _energy, mass_norm
@@ -74,7 +74,7 @@ def test_folded_answers_match_the_full_grid(dim, n, q, r, lam):
     opts = SolveOptions()
     answers = []
     for k, g in ((kw, grid), (fkw, fgrid)):
-        ep = principal_eigenpair(k, g, EigenOptions(seed=0))
+        ep = principal_eigenpair(k, g, SolveOptions(seed=0))
         answers.append([
             ep.lambda1,
             torsion_solve(k, g, opts).u.sup_norm(),
@@ -143,7 +143,7 @@ def test_verify_witnesses_are_those_of_the_full_grid(tmp_path):
     assert len(_csv_rows(tmp_path / "s" / "solution.csv")) == 1 + n
 
     base, grid, kw = _problem(1, n, 0.4, 2.0, 1.5, 3.0)
-    ep = principal_eigenpair(kw, grid, EigenOptions(seed=0))
+    ep = principal_eigenpair(kw, grid, SolveOptions(seed=0))
     entries = json.loads((out / "report.json").read_text())["results"]["checks"]
     got = {(e["regime"], e["name"]): e for e in entries}
     mirror = (lambda i: min(i, n - 1 - i))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fplogistic.solve as solve_module
 from fplogistic.domain import DomainSpec, build_grid, validate_params
-from fplogistic.eigen import EigenOptions, principal_eigenpair
+from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, GridMismatchError, _energy,
@@ -32,7 +32,7 @@ def kw16_super(grid16, super_params):
 
 @pytest.fixture(scope="module")
 def eig32(kw32, grid32):
-    return principal_eigenpair(kw32, grid32, EigenOptions(seed=0))
+    return principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
 
 
 @pytest.mark.parametrize("solver", ["solve_branch_point", "detect_threshold",
@@ -42,7 +42,7 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
     # "threshold 9.73202 fell below the analytic bound 10.6353", an error
     # about the answer, and the other two solved the p = 2 problem
     kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.5, 4.5))
-    eigen = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eigen = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     params = validate_params(1, 0.3, 3.0, 3.5, 4.5)
     run = {
         "solve_branch_point": lambda: solve_branch_point(
@@ -134,7 +134,7 @@ def test_warm_start_on_the_newton_branches(monkeypatch, case):
     grid = build_grid(domain, n)
     params = validate_params(dim, 0.4, 2.0, q, r)
     kw = assemble(grid, params)
-    eig = principal_eigenpair(kw, grid, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid, SolveOptions(seed=0))
     opts = SolveOptions()
     # the benchmark's sup gate: two solutions within residual_tol of the
     # exact one in the mass norm, each cell of measure h
@@ -170,7 +170,7 @@ def test_warm_start_ordering_violation_raises(grid32, kw32, sub_params, eig32):
 
 def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     lam = 0.5 * eig.lambda1
     rep = solve_branch_point(lam, None, equi_params, kw, grid32,
                              SolveOptions(initial="random", seed=3), eigen=eig)
@@ -202,7 +202,7 @@ def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     # below the linear threshold the energy is positive along the whole ray,
     # so the scan hands back the origin and the solve collapses cleanly
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     lp = LogisticParams(lam=0.9 * eig.lambda1, q=2.0, r=3.0)
     u0 = initial_values("eigen", grid32, kw, lp, SolveOptions(), eigen=eig)
     assert np.all(u0 == 0.0)
@@ -275,7 +275,7 @@ def test_lower_bound_rejects_bad_inputs(sub_params, super_params):
 
 
 def test_detect_threshold_invariants(grid16, kw16_super, super_params):
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     assert report.lambda_star_h >= report.lambda_0
@@ -306,7 +306,7 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     kw = assemble(grid, params)
     rep = detect_threshold(params, kw, grid, SolveOptions(), bracket_tol=1e-2,
                            eigen=principal_eigenpair(kw, grid,
-                                                     EigenOptions(seed=0)))
+                                                     SolveOptions(seed=0)))
     assert rep.lambda_star_h >= rep.lambda_0
     lams = [b.lam for b in rep.branch]
     sups = [b.sup_norm for b in rep.branch]
@@ -317,7 +317,7 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
 
 def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
                                               super_params):
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
     with pytest.raises(SolverError, match="max_iters"):
         detect_threshold(super_params, kw16_super, grid16,
                          SolveOptions(max_iters=3), bracket_tol=1e-2,
@@ -332,7 +332,7 @@ def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
 def test_threshold_probe_failure_names_where_it_stopped(
         monkeypatch, grid16, kw16_super, super_params, iterations, message):
     # a descent that gives up early is not one that ran out of iterations
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
 
     def stopped(func, u0, opts=None):
         return SolveReport(u=u0, energy=0.0, residual=379.0,
@@ -362,7 +362,7 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
     grid = build_grid(unit_interval, n)
     kw = assemble(grid, super_params)
     detect_threshold(super_params, kw, grid, SolveOptions(), bracket_tol=1e-2,
-                     eigen=principal_eigenpair(kw, grid, EigenOptions(seed=0)))
+                     eigen=principal_eigenpair(kw, grid, SolveOptions(seed=0)))
     converged = [r.iterations for r in probes if r.status is Status.CONVERGED]
     assert converged
     assert sum(converged) / len(converged) <= 12.0
@@ -371,7 +371,7 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
 
 def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,
                                                  super_params):
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
     lam0 = lower_bound_lambda0(super_params, eig.lambda1)
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=5e-2,
@@ -386,7 +386,7 @@ def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
                                                super_params):
     # an inflated lambda1 lifts lambda0 above the true threshold, so the walk
     # meets a solvable probe below the bound and stops there
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
     inflated = dataclasses.replace(eig, lambda1=2.0 * eig.lambda1)
     with pytest.raises(SolverError, match="analytic bound"):
         detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
@@ -396,7 +396,7 @@ def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
 @pytest.fixture(scope="module")
 def super_branch16(grid16, kw16_super, super_params):
     """Intensity 1.5 lambda*_h and the branch solution there, on grid16."""
-    eig = principal_eigenpair(kw16_super, grid16, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
     report = detect_threshold(super_params, kw16_super, grid16,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     lam = 1.5 * report.lambda_star_h
@@ -445,7 +445,7 @@ def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
     lam = 40.0
     big = solve_branch_point(lam, None, params, kw2d, grid2d, SolveOptions(),
                              eigen=principal_eigenpair(kw2d, grid2d,
-                                                       EigenOptions(seed=0)))
+                                                       SolveOptions(seed=0)))
     assert big.status is Status.CONVERGED
     rep = mountain_pass(lam, params, kw2d, grid2d, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED
@@ -496,7 +496,7 @@ def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
         kw = assemble(grid, sub_params)
         rep = solve_branch_point(20.0, None, sub_params, kw, grid,
                                  eigen=principal_eigenpair(
-                                     kw, grid, EigenOptions(seed=0)))
+                                     kw, grid, SolveOptions(seed=0)))
         assert rep.status is Status.CONVERGED
         iterations.append(rep.iterations)
     assert max(iterations) < 1.5 * min(iterations)
@@ -530,7 +530,7 @@ def test_mountain_pass_barrier_near_zero(grid64):
     lam = 60.0
     big = solve_branch_point(lam, None, params, kw, grid64, SolveOptions(),
                              eigen=principal_eigenpair(kw, grid64,
-                                                       EigenOptions(seed=0)))
+                                                       SolveOptions(seed=0)))
     assert big.status is Status.CONVERGED
     rep = mountain_pass(lam, params, kw, grid64, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fplogistic.domain import build_grid, validate_params
-from fplogistic.eigen import EigenOptions, principal_eigenpair
+from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble
 from fplogistic.operator import DiscreteFunction, GridMismatchError
 from fplogistic.solve import SolveOptions
@@ -69,13 +69,13 @@ def test_strict_order_branches(grid32, rng):
 
 def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
                                           equi_params):
-    lam1 = principal_eigenpair(kw32, grid32, EigenOptions(seed=0)).lambda1
+    lam1 = principal_eigenpair(kw32, grid32, SolveOptions(seed=0)).lambda1
     res = check_nonexistence_equi(sub_params, 1.0, kw32, grid32, lambda1=lam1)
     assert res.passed is None
     assert "q = p" in res.notes
 
     kw_eq = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw_eq, grid32, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw_eq, grid32, SolveOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 2.0 * eig.lambda1, kw_eq,
                                   grid32, lambda1=eig.lambda1)
     assert res.passed is None
@@ -84,7 +84,7 @@ def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
 
 def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
                                   trials=3, lambda1=eig.lambda1)
     assert res.passed
@@ -96,7 +96,7 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
     # an iteration cap leaves the trials unfinished, which the check must
     # refuse
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
                                   trials=2, opts=SolveOptions(max_iters=2),
                                   lambda1=eig.lambda1)
@@ -109,7 +109,7 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, check):
     # an equidiffusive p = q = 3 problem on p = 2 weights used to be
     # certified: the p = 2 problem it actually solved is superdiffusive
     kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.0, 4.0))
-    eigen = principal_eigenpair(kw, grid32, EigenOptions(seed=0))
+    eigen = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
     params = validate_params(1, 0.3, 3.0, 3.0, 4.0)
     run = {
         "check_nonexistence_equi": lambda: check_nonexistence_equi(
@@ -145,7 +145,7 @@ def test_refinement_study_branches():
 
 def test_run_suite_sub(grid32, kw32, sub_params):
     results = run_suite(sub_params, grid32, kw32, eigen=principal_eigenpair(
-        kw32, grid32, EigenOptions(seed=0)))
+        kw32, grid32, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names == ["strict_order", "hopf_boundary_growth", "limit_branch"]
     assert all(r.passed for r in results)
@@ -154,7 +154,7 @@ def test_run_suite_sub(grid32, kw32, sub_params):
 def test_run_suite_equi(grid32, equi_params):
     kw = assemble(grid32, equi_params)
     results = run_suite(equi_params, grid32, kw, eigen=principal_eigenpair(
-        kw, grid32, EigenOptions(seed=0)))
+        kw, grid32, SolveOptions(seed=0)))
     assert [r.name for r in results] == ["nonexistence_below_eigenvalue"]
     assert results[0].passed
 
@@ -163,7 +163,7 @@ def test_run_suite_super(super_params, unit_interval):
     grid = build_grid(unit_interval, 16)
     kw = assemble(grid, super_params)
     results = run_suite(super_params, grid, kw, eigen=principal_eigenpair(
-        kw, grid, EigenOptions(seed=0)))
+        kw, grid, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names[0] == "threshold_above_lower_bound"
     assert "hopf_boundary_growth" in names
