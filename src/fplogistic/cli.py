@@ -141,7 +141,7 @@ def _run(args) -> int:
     ep = None
     if command in ("eigen", "threshold", "verify") or (
             command not in ("torsion", "refine") and opts.initial == "eigen"):
-        ep = principal_eigenpair(kw, grid, opts, restarts=cfg.eigen_restarts)
+        ep = principal_eigenpair(kw, grid, opts)
 
     # each command prints as it goes and leaves its files (by name: a folded
     # function, branch points or a (header, rows) table), results and code
@@ -155,9 +155,7 @@ def _run(args) -> int:
               f"iterations = {ep.iterations}")
         files = {"eigen.csv": ep.u1}
         results = {"lambda1": ep.lambda1, "residual": ep.residual,
-                   "iterations": ep.iterations,
-                   "restarts_agreement": ep.restarts_agreement,
-                   "discarded_restarts": ep.discarded_restarts}
+                   "iterations": ep.iterations}
     elif command == "torsion":
         rep = torsion_solve(kw, grid, opts)
         print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
@@ -299,7 +297,7 @@ def _run_refine(cfg, params, grids, opts):
     rows = []
     for gn in grids:
         kwn, gn = fold(assemble(gn, params), gn)
-        ep = principal_eigenpair(kwn, gn, opts, restarts=cfg.eigen_restarts)
+        ep = principal_eigenpair(kwn, gn, opts)
         lambda_star_h = None
         if is_super:
             lambda_star_h = detect_threshold(

@@ -34,7 +34,7 @@ __all__ = [
     "write_branch_csv",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_PREFIX = "FPLOG_"
 
 
@@ -57,7 +57,6 @@ class RunConfig:
     solver_max_iters: int = 50_000
     solver_seed: int = 0
     solver_initial: str = "eigen"
-    eigen_restarts: int = 1
     threshold_bracket_tol: float = 1e-3
     threshold_lambda_high: float | None = None
     output_dir: str = "out"
@@ -78,13 +77,6 @@ def _nonnegative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
         raise ValueError("must be nonnegative")
-    return value
-
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError("must be positive")
     return value
 
 
@@ -113,7 +105,6 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "solver.max_iters": ("solver_max_iters", _nonnegative_int, False),
     "solver.seed": ("solver_seed", _nonnegative_int, False),
     "solver.initial": ("solver_initial", _parse_initial, False),
-    "eigen.restarts": ("eigen_restarts", _positive_int, False),
     "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
     "threshold.lambda_high": ("threshold_lambda_high",
                               _parse_optional_positive_float, False),

@@ -86,10 +86,12 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
 
     Stops with CONVERGED once the mass norm of the gradient is at most
     ``opts.residual_tol``, and with MAX_ITERS at ``opts.max_iters``
-    iterations or when the line search fails far from a minimum; at
-    MAX_ITERS the iterate of smallest residual is returned.  A ``clip``
-    that moves the final point re-evaluates energy and residual there, and
-    a clipped point above the tolerance is MAX_ITERS.  Whether a converged
+    iterations, at a non-finite residual, or when the line search fails far
+    from a minimum; at MAX_ITERS the iterate of smallest residual is
+    returned.  A non-finite energy or residual at u0 raises SolverError.
+    A ``clip`` that moves the final point re-evaluates energy and residual
+    there, and a clipped point above the tolerance, or at a non-finite
+    residual, is MAX_ITERS.  Whether a converged
     point is the zero solution is the caller's question
     (``solve.minimize``).  ``gradient`` is called once per iterate, right
     after ``energy`` was evaluated at that same point, so a caller may carry
@@ -118,6 +120,8 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
     mg = measures * g
     d = g if precondition is None else precondition(g)
     res = float(g @ mg) ** 0.5
+    if not math.isfinite(res):
+        raise SolverError(f"non-finite residual at the initial point ({res})")
 
     prev_u = prev_mg = prev_d = None
     step = 1.0
@@ -126,8 +130,9 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
     endgame_res = 1e3 * tol
     best_u, best_res, best_value = u, res, value
     status = Status.CONVERGED
-    while res > tol:
-        if it >= opts.max_iters:
+    while not res <= tol:
+        # a non-finite residual is never converged
+        if it >= opts.max_iters or not math.isfinite(res):
             status = Status.MAX_ITERS
             break
         if prev_u is not None and not newton:
@@ -185,12 +190,12 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
             best_u, best_res, best_value = u, res, value
         it += 1
 
-    if status is Status.MAX_ITERS and best_res < res:
+    if status is Status.MAX_ITERS and not res <= best_res:
         u, res, value = best_u, best_res, best_value
     clipped = u if func.clip is None else func.clip(u)
     if not np.array_equal(clipped, u):
         u, value = clipped, energy(clipped)
         res = mass_norm(gradient(u), measures)
-        if res > tol:
+        if not res <= tol:
             status = Status.MAX_ITERS
     return u, value, res, it, status

@@ -23,6 +23,13 @@ __all__ = [
 # Cap on the dense weights of the folded problem (kernel.fold): its cell
 # count squared, at 8 bytes each (4096 cells = 128 MiB per m x m array).
 MAX_DENSE_CELLS = 4096
+# Cap on the side ratio of a 2D domain, which is the aspect ratio of its
+# cells.  The 2D tensor rule (kernel._tensor_table) integrates the touching
+# columns on ceil(ratio) panels per hat half, and holds two rows of
+# 2 (2 order)^2 ceil(ratio) floats at once; at Gauss order 20 that is
+# 51,200 bytes per unit of ratio, so 2048 keeps the rule's temporaries at
+# 100 MiB, inside the 128 MiB of one dense array at the cap above.
+MAX_ASPECT_RATIO = 2048
 
 
 class ParamError(ValueError):
@@ -180,7 +187,8 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
 
     The command line solves on the mirror-even functions, one cell per
     mirror orbit (``kernel.fold``), so the cap MAX_DENSE_CELLS applies to
-    the ceil(n/2)^dim orbits.
+    the ceil(n/2)^dim orbits.  A 2D domain whose long side exceeds its
+    short side by more than MAX_ASPECT_RATIO is rejected before assembly.
     """
     if int(n) != n or n < 1:
         raise GridError(f"n must be a positive integer, got {n}")
@@ -190,6 +198,11 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
         raise GridError(
             f"grid of {n} cells per axis folds to {orbits} mirror orbits; "
             f"dense weights capped at {MAX_DENSE_CELLS}")
+    ratio = max(domain.sides) / min(domain.sides)
+    if ratio > MAX_ASPECT_RATIO:
+        raise GridError(
+            f"domain sides {domain.sides} have ratio {ratio:.6g}; the 2D "
+            f"kernel rule is capped at {MAX_ASPECT_RATIO}")
     axis_edges = [np.linspace(a, b, n + 1) for a, b in zip(domain.lo, domain.hi)]
     axis_lows = [e[:-1] for e in axis_edges]
     axis_highs = [e[1:] for e in axis_edges]

@@ -4,9 +4,10 @@ The first eigenvalue is the minimum of R(u) = E(u) / ||u||_p^p over nonzero
 cell functions.  On the sphere ||u||_p = 1 the quotient is E(u) and the
 mass-gradient of E/p there is Lu - R(u) u^(p-1), which vanishes exactly at an
 eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
-the sphere, with normalization as its retraction, from strictly positive
-starts that ``seeded_uniform`` draws with the standard library's ``random``,
-and stops it on the caller's ``SolveOptions`` like every other descent.
+the sphere, with normalization as its retraction, once, from the strictly
+positive start that ``seeded_uniform`` draws with the standard library's
+``random``, and stops it on the caller's ``SolveOptions`` like every other
+descent.
 For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
 preconditioned inverse iteration.  Callers pass the pair to the solvers.
 """
@@ -29,7 +30,7 @@ __all__ = ["EigenError", "EigenPair", "rayleigh_quotient",
 
 
 class EigenError(RuntimeError):
-    """No restart of the eigen iteration converged."""
+    """The eigen descent did not converge to a positive eigenfunction."""
 
 
 @dataclass(eq=False)
@@ -38,8 +39,6 @@ class EigenPair:
     u1: DiscreteFunction
     residual: float
     iterations: int
-    restarts_agreement: float
-    discarded_restarts: int = 0
 
 
 def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
@@ -68,23 +67,20 @@ def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
 
 
 def principal_eigenpair(kw: KernelWeights, grid: Grid,
-                        opts: SolveOptions | None = None, *,
-                        restarts: int = 1) -> EigenPair:
+                        opts: SolveOptions | None = None) -> EigenPair:
     """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1, p = kw.p.
 
-    Descends from ``restarts`` strictly positive starts drawn from
-    ``opts.seed``; restarts that do not converge are dropped, and those
-    that converge to a sign-changing function are discarded and counted.
-    The smallest converged eigenvalue wins, ties resolved by restart order.
+    One descent from the strictly positive start that ``opts.seed`` draws.
+    The principal eigenvalue is simple and its eigenfunction has one sign,
+    so the limit, flipped to positive mass, must be positive; a descent
+    that does not converge, or whose limit is not positive, raises
+    EigenError.
     For p = 2 the descent is preconditioned with
     ``operator.sobolev_preconditioner``, so that its iteration count does
     not grow with the number of cells.
     """
     opts = opts or SolveOptions()
     p = kw.p
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts}")
-    starts = seeded_uniform(opts.seed, 0.5, 1.5, restarts * grid.ncells)
     meas = grid.measures
     last_quotient = [0.0]
 
@@ -98,36 +94,18 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
 
     func = Functional(quotient, gradient, sobolev_preconditioner(kw, meas),
                       retract=lambda v: _normalize(v, p, meas))
-    accepted: list[tuple[float, np.ndarray, float, int]] = []
-    discarded = 0
-    last_res = None
-    for start in starts.reshape(restarts, -1):
-        u, lam, res, it, status = descend(func, _normalize(start, p, meas),
-                                          meas, opts)
-        last_res = res
-        if status is not Status.CONVERGED:
-            continue
-        if float((u * meas).sum()) < 0.0:
-            u = -u
-        if np.any(u <= 0.0):
-            discarded += 1
-            continue
-        accepted.append((lam, u, res, it))
-
-    if not accepted:
+    start = seeded_uniform(opts.seed, 0.5, 1.5, grid.ncells)
+    u, lam, res, it, status = descend(func, _normalize(start, p, meas),
+                                      meas, opts)
+    if status is not Status.CONVERGED:
         raise EigenError(
-            f"no eigen restart converged (last residual {last_res:.3e}, "
-            f"tolerance {opts.residual_tol:.1e})")
-
-    lams = [a[0] for a in accepted]
-    best = min(range(len(accepted)), key=lambda k: lams[k])
-    agreement = (max(lams) - min(lams)) / abs(lams[best]) if len(lams) > 1 else 0.0
-    lam, u, res, it = accepted[best]
-    return EigenPair(
-        lambda1=lam,
-        u1=DiscreteFunction(u, grid),
-        residual=res,
-        iterations=it,
-        restarts_agreement=agreement,
-        discarded_restarts=discarded,
-    )
+            f"eigen solve did not converge: residual {res:.3e} after {it} "
+            f"iterations (tolerance {opts.residual_tol:.1e})")
+    if float((u * meas).sum()) < 0.0:
+        u = -u
+    if np.any(u <= 0.0):
+        raise EigenError(
+            f"eigen solve converged to a function that is not positive "
+            f"(min {u.min():.3e}, residual {res:.3e})")
+    return EigenPair(lambda1=lam, u1=DiscreteFunction(u, grid),
+                     residual=res, iterations=it)

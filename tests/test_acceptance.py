@@ -214,12 +214,16 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
                 closed_ok = False
         checks["single_cell_closed_form"] = closed_ok
 
-        pair = principal_eigenpair(kw64_p3, grid64,
-                                   SolveOptions(seed=2, residual_tol=1e-6),
-                                   restarts=5)
-        checks["p3_all_restarts_positive"] = pair.discarded_restarts == 0
-        checks["p3_restarts_agree_1e6"] = pair.restarts_agreement <= 1e-6
-        checks["p3_eigenfunction_positive"] = bool(pair.u1.values.min() > 0.0)
+        # the eigenvalue is simple with a positive eigenfunction, so the
+        # starts of five distinct seeds all descend to it
+        pairs = [principal_eigenpair(kw64_p3, grid64,
+                                     SolveOptions(seed=seed, residual_tol=1e-6))
+                 for seed in range(2, 7)]
+        lams = [pair.lambda1 for pair in pairs]
+        checks["p3_all_seeds_positive"] = all(
+            pair.u1.values.min() > 0.0 for pair in pairs)
+        checks["p3_seeds_agree_1e6"] = \
+            (max(lams) - min(lams)) / min(lams) <= 1e-6
 
 
 def test_c05_subdiffusive_regime(criterion, grid64, kw64, sub_params, eig64):

@@ -313,7 +313,23 @@ def test_eigen_solve_at_the_iteration_cap_exits_two(sub_cfg, tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "no eigen restart converged" in captured.err
+    assert "eigen solve did not converge" in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_eigen_with_a_nan_residual_exits_two(sub_cfg, tmp_path):
+    # on a side of 1e-300 the weights overflow: the energy at the start is
+    # finite and its gradient NaN, which is no converged residual
+    out = tmp_path / "out"
+    src = str(Path(fplogistic.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "fplogistic", "eigen", "--config", str(sub_cfg),
+         "--set", "domain.hi=1e-300", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 2, done.stdout
+    assert done.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in done.stderr
     assert list(out.iterdir()) == []
 
 
@@ -376,16 +392,16 @@ def test_sweep_from_random_starts_with_zero_cells_exits_zero(sub_cfg, tmp_path,
 
 
 @pytest.fixture()
-def eigen_restarts(monkeypatch):
-    """The restarts option of every principal_eigenpair call, in order."""
+def eigen_solves(monkeypatch):
+    """The seed of every principal_eigenpair call, in order."""
     import fplogistic.cli
     from fplogistic.eigen import principal_eigenpair
 
     seen = []
 
-    def spy(kw, grid, opts=None, *, restarts=1):
-        seen.append(restarts)
-        return principal_eigenpair(kw, grid, opts, restarts=restarts)
+    def spy(kw, grid, opts=None):
+        seen.append(opts.seed)
+        return principal_eigenpair(kw, grid, opts)
 
     monkeypatch.setattr(fplogistic.cli, "principal_eigenpair", spy)
     return seen
@@ -399,12 +415,13 @@ def eigen_restarts(monkeypatch):
     (["mountain-pass", "--set", "lam=10"], 1),
 ], ids=["solve", "sweep", "sweep_random", "threshold", "mountain_pass"])
 def test_one_eigenpair_per_command_with_the_configured_restarts(
-        super_cfg, tmp_path, capsys, eigen_restarts, argv, solves):
-    # below lambda*_h every sweep point collapses and the next starts cold
-    code = main([*argv, "--config", str(super_cfg), "--set", "eigen.restarts=4",
+        super_cfg, tmp_path, capsys, eigen_solves, argv, solves):
+    # below lambda*_h every sweep point collapses and the next starts cold;
+    # the one eigen descent starts from the configured seed
+    code = main([*argv, "--config", str(super_cfg), "--set", "solver.seed=4",
                  "--out", str(tmp_path / "out")])
     assert code == 0
-    assert eigen_restarts == [4] * solves
+    assert eigen_solves == [4] * solves
 
 
 def test_threshold_command_super(super_cfg, tmp_path, capsys):
@@ -596,16 +613,19 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "solver.max_iters=-1"], "max_iters"),
     (["solve", "--set", "solver.collapse_tol=1e-6"], "unknown key"),
     (["solve", "--set", "domain.hi=inf"], "domain side"),
-    (["solve", "--set", "eigen.restarts=0"], "eigen.restarts"),
-    (["solve", "--set", "eigen.restarts=-1"], "eigen.restarts"),
+    (["solve", "--set", "eigen.restarts=0"], "unknown key 'eigen.restarts'"),
+    (["solve", "--set", "eigen.restarts=-1"], "unknown key 'eigen.restarts'"),
     (["eigen", "--set", "n=8193"], "4096"),
+    (["eigen", "--set", "dim=2", "--set", "domain.lo=0,0",
+      "--set", "domain.hi=1,1e9", "--set", "n=4"], "capped at 2048"),
 ], ids=["threshold_sub", "lams_text", "lams_empty", "lams_negative",
         "ns_text", "ns_decreasing", "ns_repeated", "lam_negative",
         "initial_bogus", "initial_zero", "seed_negative", "bracket_tol_zero",
         "lambda_high_negative", "p_nan", "q_nan", "r_nan", "lam_inf",
         "residual_tol_nan", "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
-        "domain_hi_inf", "restarts_zero", "restarts_negative", "dense_cap"])
+        "domain_hi_inf", "restarts_zero", "restarts_negative", "dense_cap",
+        "aspect_cap"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),
@@ -693,8 +713,7 @@ def test_refine_study(sub_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, files, keys", [
     (["eigen"], ["eigen.csv"],
-     ["discarded_restarts", "iterations", "lambda1", "residual",
-      "restarts_agreement"]),
+     ["iterations", "lambda1", "residual"]),
     (["torsion"], ["solution.csv"],
      ["energy", "iterations", "residual", "status", "sup_norm"]),
     (["solve"], ["solution.csv"],

@@ -51,6 +51,13 @@ def test_unknown_key_reports_line(tmp_path):
         load_config(path)
 
 
+def test_removed_eigen_restarts_key_is_unknown(tmp_path):
+    # the eigenpair is one descent from the solver.seed start
+    path = _write(tmp_path, MINIMAL + "eigen.restarts = 1\n")
+    with pytest.raises(ConfigError, match=r":11: unknown key 'eigen.restarts'"):
+        load_config(path)
+
+
 def test_duplicate_key_reports_line(tmp_path):
     path = _write(tmp_path, MINIMAL + "lam = 2.0\n")
     with pytest.raises(ConfigError, match=r":11: duplicate key 'lam'"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fplogistic import domain
 from fplogistic.domain import (DomainSpec, GridError, ParamError, Regime,
                                build_grid, classify_regime, validate_params)
 
@@ -82,3 +83,14 @@ def test_bad_domains_rejected():
         DomainSpec.interval(1.0, 1.0)
     with pytest.raises(GridError):
         DomainSpec.rectangle(0.0, 1.0, 0.0, -1.0)
+
+
+def test_long_thin_2d_domain_is_rejected_before_assembly():
+    # the 2D rule's touching columns take ceil(ratio) panels per hat half,
+    # so its memory grows with the side ratio: 1e9 would ask for 14.9 GiB
+    cap = domain.MAX_ASPECT_RATIO
+    for lo, hi in (((0.0, 0.0), (1.0, 1e9)), ((0.0, 0.0), (2.0 * cap, 1.0))):
+        with pytest.raises(GridError, match=f"capped at {cap}"):
+            build_grid(DomainSpec(lo, hi), 4)
+    assert build_grid(DomainSpec((0.0, 0.0), (1.0, float(cap))), 4).ncells == 16
+    assert build_grid(DomainSpec.interval(0.0, 1e9), 4).ncells == 4

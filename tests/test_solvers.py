@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fplogistic.solve as solve_module
+from fplogistic.descent import Functional, descend
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble
@@ -33,6 +34,27 @@ def kw16_super(grid16, super_params):
 @pytest.fixture(scope="module")
 def eig32(kw32, grid32):
     return principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
+
+
+def _half_square(nan_below: float) -> Functional:
+    """|u|^2 / 2, whose gradient is NaN wherever max |u| < nan_below."""
+    def gradient(u):
+        return np.full_like(u, np.nan) if np.abs(u).max() < nan_below else u.copy()
+
+    return Functional(lambda u: 0.5 * float(u @ u), gradient, None)
+
+
+def test_descend_never_converges_at_a_non_finite_residual():
+    # NaN > tol is False: the stop test must not read NaN as converged
+    meas, opts = np.ones(4), SolveOptions(residual_tol=1e-8, max_iters=100)
+    with pytest.raises(SolverError, match="non-finite residual"):
+        descend(_half_square(np.inf), np.ones(4), meas, opts)
+    # the first step lands on 0, where the gradient is NaN: the descent
+    # stops at the cap status and returns the iterate of smallest residual
+    u, value, res, it, status = descend(_half_square(0.5), np.ones(4), meas, opts)
+    assert status is Status.MAX_ITERS
+    assert (it, res, value) == (1, 2.0, 2.0)
+    assert np.array_equal(u, np.ones(4))
 
 
 @pytest.mark.parametrize("solver", ["solve_branch_point", "detect_threshold",
