@@ -12,7 +12,9 @@ comes from a key=value file overridden by FPLOG_ environment variables and
 then by flags.  Exit codes: 0 success or all checks passing, 1 validation
 error (bad usage, configuration, parameters, or an output path that cannot
 be written), 2 solver non-convergence or an unusable weights cache, 3
-verification failure.
+verification failure.  An error exit writes its one ``error:`` line to
+stderr and nothing else; the warnings of a command that returns reach the
+caller's warning filters when it ends.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -135,13 +138,13 @@ def _run(args) -> int:
             kw = assemble(full, params)
             if cache is not None:
                 save_weights(cache, kw, full)
-        kw, grid = fold(kw, full)
+        kw = fold(kw)
     # one eigenpair, solved with the configured options, serves the command:
     # the eigen start of every solve that starts cold and the threshold walk
     ep = None
     if command in ("eigen", "threshold", "verify") or (
             command not in ("torsion", "refine") and opts.initial == "eigen"):
-        ep = principal_eigenpair(kw, grid, opts)
+        ep = principal_eigenpair(kw, opts)
 
     # each command prints as it goes and leaves its files (by name: a folded
     # function, branch points or a (header, rows) table), results and code
@@ -149,7 +152,7 @@ def _run(args) -> int:
     if command == "refine":
         files, results, code = _run_refine(cfg, params, grids, opts)
     elif command == "verify":
-        files, results, code = _run_verify(args, cfg, params, grid, kw, opts, ep)
+        files, results, code = _run_verify(args, cfg, params, kw, opts, ep)
     elif command == "eigen":
         print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
               f"iterations = {ep.iterations}")
@@ -157,7 +160,7 @@ def _run(args) -> int:
         results = {"lambda1": ep.lambda1, "residual": ep.residual,
                    "iterations": ep.iterations}
     elif command == "torsion":
-        rep = torsion_solve(kw, grid, opts)
+        rep = torsion_solve(kw, opts)
         print(f"sup = {rep.u.sup_norm()!r}  residual = {rep.residual:.3e}  "
               f"iterations = {rep.iterations}")
         files = {"solution.csv": rep.u}
@@ -165,8 +168,7 @@ def _run(args) -> int:
                    "residual": rep.residual, "iterations": rep.iterations,
                    "status": rep.status.value}
     elif command == "solve":
-        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
-                                 eigen=ep)
+        rep = solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep)
         print(f"status = {rep.status.value}  sup = {rep.u.sup_norm()!r}  "
               f"residual = {rep.residual:.3e}  iterations = {rep.iterations}")
         files = {"solution.csv": rep.u}
@@ -178,8 +180,7 @@ def _run(args) -> int:
         points = []
         warm = None
         for lam in lams:
-            rep = solve_branch_point(lam, warm, params, kw, grid, opts,
-                                     eigen=ep)
+            rep = solve_branch_point(lam, warm, params, kw, opts, eigen=ep)
             if rep.status is Status.CONVERGED:
                 warm = rep.u
             points.append(BranchPoint(lam=lam, sup_norm=rep.u.sup_norm(),
@@ -194,7 +195,7 @@ def _run(args) -> int:
         capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
         code = 2 if capped else 0
     elif command == "threshold":
-        thr = detect_threshold(params, kw, grid, opts,
+        thr = detect_threshold(params, kw, opts,
                                bracket_tol=cfg.threshold_bracket_tol,
                                lambda_high=cfg.threshold_lambda_high,
                                eigen=ep)
@@ -207,13 +208,12 @@ def _run(args) -> int:
                    "bracket_width": thr.bracket_width,
                    "sup_norm": thr.u_star.sup_norm()}
     elif command == "mountain-pass":
-        rep = solve_branch_point(cfg.lam, None, params, kw, grid, opts,
-                                 eigen=ep)
+        rep = solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep)
         if rep.status is not Status.CONVERGED:
             raise SolverError(
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "
                 f"saddle search (status {rep.status.value})")
-        mp = mountain_pass(cfg.lam, params, kw, grid, rep.u, opts)
+        mp = mountain_pass(cfg.lam, params, kw, rep.u, opts)
         print(f"status = {mp.status.value}  sup_saddle = {mp.u.sup_norm()!r}  "
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")
@@ -262,7 +262,7 @@ def _canonical_regime_params(base, regime: str):
     return validate_params(base.dim, base.s, p, q, r)
 
 
-def _run_verify(args, cfg, params, grid, kw, opts, ep):
+def _run_verify(args, cfg, params, kw, opts, ep):
     # the canonical regimes move only q and r, so kw and its eigenpair ep
     # serve every bundle
     if args.regime is None:
@@ -275,7 +275,7 @@ def _run_verify(args, cfg, params, grid, kw, opts, ep):
     entries = []
     failed = False
     for regime, rp, lam in bundles:
-        results = run_suite(rp, grid, kw, lam, opts, eigen=ep)
+        results = run_suite(rp, kw, lam, opts, eigen=ep)
         for res in results:
             notes = f"  ({res.notes})" if res.notes else ""
             print(f"{regime}/{res.name}: {res.verdict}{notes}")
@@ -296,15 +296,14 @@ def _run_refine(cfg, params, grids, opts):
     is_super = classify_regime(params) is Regime.SUPER
     rows = []
     for gn in grids:
-        kwn, gn = fold(assemble(gn, params), gn)
-        ep = principal_eigenpair(kwn, gn, opts)
+        kwn = fold(assemble(gn, params))
+        ep = principal_eigenpair(kwn, opts)
         lambda_star_h = None
         if is_super:
             lambda_star_h = detect_threshold(
-                params, kwn, gn, opts, bracket_tol=cfg.threshold_bracket_tol,
+                params, kwn, opts, bracket_tol=cfg.threshold_bracket_tol,
                 eigen=ep).lambda_star_h
-        rep = solve_branch_point(cfg.lam, None, params, kwn, gn, opts,
-                                 eigen=ep)
+        rep = solve_branch_point(cfg.lam, None, params, kwn, opts, eigen=ep)
         rows.append({"n": gn.n, "lambda1": ep.lambda1,
                      "lambda_star_h": lambda_star_h,
                      "sup_norm": rep.u.sup_norm(), "status": rep.status.value})
@@ -335,14 +334,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if isinstance(exc.code, int) and exc.code != 0 else 0
-    try:
-        return _run(args)
-    except (ConfigError, ParamError, GridError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SolverError, EigenError, KernelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = _run(args)
+        except (ConfigError, ParamError, GridError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (SolverError, EigenError, KernelError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    # one registry per file, as each module keeps its own
+    registries: dict[str, dict] = {}
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registries.setdefault(w.filename, {}),
+                               source=w.source)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .descent import SolveOptions
 from .domain import DomainSpec, Grid, ProblemParams, build_grid, validate_params
+from .solve import BRACKET_TOL
 
 __all__ = [
     "ConfigError",
@@ -53,11 +55,12 @@ class RunConfig:
     n: int = 64
     domain_lo: tuple[float, ...] = (0.0,)
     domain_hi: tuple[float, ...] = (1.0,)
-    solver_residual_tol: float = 1e-8
-    solver_max_iters: int = 50_000
-    solver_seed: int = 0
-    solver_initial: str = "eigen"
-    threshold_bracket_tol: float = 1e-3
+    # the solver and threshold defaults are those of the library
+    solver_residual_tol: float = SolveOptions.residual_tol
+    solver_max_iters: int = SolveOptions.max_iters
+    solver_seed: int = SolveOptions.seed
+    solver_initial: str = SolveOptions.initial
+    threshold_bracket_tol: float = BRACKET_TOL
     threshold_lambda_high: float | None = None
     output_dir: str = "out"
 

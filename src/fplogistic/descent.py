@@ -74,13 +74,14 @@ class Functional:
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     precondition: Callable[[np.ndarray], np.ndarray] | None
+    measures: np.ndarray  # of the weights: the mass of every inner product
     collapsed: Callable[[np.ndarray], bool] | None = None
     newton: bool = False
     retract: Callable[[np.ndarray], np.ndarray] | None = None
     clip: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
+def descend(func: Functional, u0: np.ndarray,
             opts: SolveOptions) -> tuple[np.ndarray, float, float, int, Status]:
     """Monotone descent from u0; returns (u, energy, residual, iterations, status).
 
@@ -99,7 +100,7 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
 
     ``precondition`` maps the mass gradient g to the search direction
     d = P^-1 (M g) of a symmetric positive definite metric P, which may
-    depend on the iterate, M the diagonal of the cell measures; it is
+    depend on the iterate, M the diagonal of ``func.measures``; it is
     called right after ``gradient``, at the same iterate.  The Armijo test
     then uses <g, d>_M.  For a fixed metric the Barzilai-Borwein step is
     measured in P.  With ``newton`` the metric is the Hessian at the
@@ -110,7 +111,7 @@ def descend(func: Functional, u0: np.ndarray, measures: np.ndarray,
     formed once per iterate.
     """
     energy, gradient, precondition = func.energy, func.gradient, func.precondition
-    tol, newton = opts.residual_tol, func.newton
+    tol, newton, measures = opts.residual_tol, func.newton, func.measures
     move = func.retract or (lambda v: v)
     u = np.asarray(u0, dtype=float).copy()
     value = energy(u)

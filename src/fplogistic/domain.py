@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "ParamError",
     "GridError",
+    "GridMismatchError",
     "Regime",
     "ProblemParams",
     "DomainSpec",
@@ -25,10 +26,10 @@ __all__ = [
 MAX_DENSE_CELLS = 4096
 # Cap on the side ratio of a 2D domain, which is the aspect ratio of its
 # cells.  The 2D tensor rule (kernel._tensor_table) integrates the touching
-# columns on ceil(ratio) panels per hat half, and holds two rows of
-# 2 (2 order)^2 ceil(ratio) floats at once; at Gauss order 20 that is
-# 51,200 bytes per unit of ratio, so 2048 keeps the rule's temporaries at
-# 100 MiB, inside the 128 MiB of one dense array at the cap above.
+# columns on ceil(ratio) panels per hat half, in one buffer of
+# 2 (2 order)^2 ceil(ratio) floats; at Gauss order 20 that is 25,600 bytes
+# per unit of ratio, so 2048 keeps the rule's temporaries at 50 MiB, inside
+# the 128 MiB of one dense array at the cap above.
 MAX_ASPECT_RATIO = 2048
 
 
@@ -38,6 +39,10 @@ class ParamError(ValueError):
 
 class GridError(ValueError):
     """Invalid grid construction request."""
+
+
+class GridMismatchError(ValueError):
+    """Cell values do not match their grid, or a function, grid or p the weights."""
 
 
 class Regime(enum.Enum):

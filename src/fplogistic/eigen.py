@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import Functional, SolveOptions, Status, descend
-from .domain import Grid
 from .kernel import KernelWeights
-from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
+from .operator import (DiscreteFunction, _apply, _energy, _check_cells,
                        signed_power, sobolev_preconditioner)
 
 __all__ = ["EigenError", "EigenPair", "rayleigh_quotient",
@@ -51,9 +50,9 @@ def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
 
 
 def rayleigh_quotient(u: DiscreteFunction, kw: KernelWeights) -> float:
-    """E(u) / ||u||_p^p with p = kw.p; rejects the zero function."""
-    _check_weights(u.values, kw)
-    denom = float((np.abs(u.values) ** kw.p * u.grid.measures).sum())
+    """E(u) / ||u||_p^p, p and measures of kw; rejects the zero function."""
+    _check_cells(u.values, kw)
+    denom = float((np.abs(u.values) ** kw.p * kw.measures).sum())
     if denom == 0.0:
         raise ValueError("Rayleigh quotient of the zero function")
     return _energy(u.values, kw) / denom
@@ -66,11 +65,12 @@ def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def principal_eigenpair(kw: KernelWeights, grid: Grid,
+def principal_eigenpair(kw: KernelWeights,
                         opts: SolveOptions | None = None) -> EigenPair:
     """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1, p = kw.p.
 
-    One descent from the strictly positive start that ``opts.seed`` draws.
+    One descent, on the grid of the weights, from the strictly positive
+    start that ``opts.seed`` draws.
     The principal eigenvalue is simple and its eigenfunction has one sign,
     so the limit, flipped to positive mass, must be positive; a descent
     that does not converge, or whose limit is not positive, raises
@@ -80,8 +80,7 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
     not grow with the number of cells.
     """
     opts = opts or SolveOptions()
-    p = kw.p
-    meas = grid.measures
+    p, meas = kw.p, kw.measures
     last_quotient = [0.0]
 
     def quotient(v: np.ndarray) -> float:
@@ -90,13 +89,12 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
 
     def gradient(v: np.ndarray) -> np.ndarray:
         # the engine asks for the gradient where it last evaluated the quotient
-        return _apply(v, kw, meas) - last_quotient[0] * signed_power(v, p - 1.0)
+        return _apply(v, kw) - last_quotient[0] * signed_power(v, p - 1.0)
 
-    func = Functional(quotient, gradient, sobolev_preconditioner(kw, meas),
+    func = Functional(quotient, gradient, sobolev_preconditioner(kw), meas,
                       retract=lambda v: _normalize(v, p, meas))
-    start = seeded_uniform(opts.seed, 0.5, 1.5, grid.ncells)
-    u, lam, res, it, status = descend(func, _normalize(start, p, meas),
-                                      meas, opts)
+    start = seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells)
+    u, lam, res, it, status = descend(func, _normalize(start, p, meas), opts)
     if status is not Status.CONVERGED:
         raise EigenError(
             f"eigen solve did not converge: residual {res:.3e} after {it} "
@@ -107,5 +105,5 @@ def principal_eigenpair(kw: KernelWeights, grid: Grid,
         raise EigenError(
             f"eigen solve converged to a function that is not positive "
             f"(min {u.min():.3e}, residual {res:.3e})")
-    return EigenPair(lambda1=lam, u1=DiscreteFunction(u, grid),
+    return EigenPair(lambda1=lam, u1=DiscreteFunction(u, kw.grid),
                      residual=res, iterations=it)

@@ -13,9 +13,9 @@ stored as its offset table (Toeplitz in 1D, block-Toeplitz in 2D), one pair
 weight per offset (|di|, |dj|), and T: the integral of the kernel over
 C_i x (R^N minus C_i), the same number on every cell.  The cells tile the
 domain, so V_i = T - sum_j W_ij.  The dense W and V are derived on first use,
-and so is K^-1, the inverse of the p = 2 Hessian K = 2 (T I - W).  ``fold``
-restricts the weights to the mirror-even functions, about m / 2^dim cells,
-where the command line solves; the full weights stay the reference.
+and so is K^-1, the inverse of the p = 2 Hessian K = 2 (T I - W).  The
+weights hold their grid; ``fold`` restricts them to the mirror-even
+functions, about m / 2^dim cells, where the command line solves.
 
 In 1D the table and T are closed forms: twice-iterated antiderivatives of
 the kernel.
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid
+from .domain import Grid, GridMismatchError
 
 __all__ = [
     "KernelError",
@@ -72,7 +72,15 @@ class KernelError(RuntimeError):
 
 
 class _Dense:
-    """V and K^-1 from the dense pair weights W and T of a subclass."""
+    """V, K^-1, cells and measures from the W, T and grid of a subclass."""
+
+    @property
+    def ncells(self) -> int:
+        return self.grid.ncells
+
+    @property
+    def measures(self) -> np.ndarray:
+        return self.grid.measures
 
     @functools.cached_property
     def V(self) -> np.ndarray:
@@ -94,17 +102,17 @@ class _Dense:
 
 @dataclass(frozen=True, eq=False)
 class KernelWeights(_Dense):
-    """The kernel as its offset table and T, with a parameter snapshot."""
+    """The kernel on a grid as its offset table and T, with s and p."""
 
+    grid: Grid         # unfolded, n cells per axis
     table: np.ndarray  # (n,) or (n, n): weight per cell offset, 0 at offset 0
     T: float           # kernel over one cell against its complement
-    dim: int
     s: float
     p: float
 
-    @property
-    def ncells(self) -> int:
-        return self.table.size
+    def __post_init__(self) -> None:
+        if self.grid.full is not None or self.table.size != self.grid.ncells:
+            raise GridMismatchError("an offset table needs its unfolded grid")
 
     @property
     def ps(self) -> float:
@@ -115,7 +123,7 @@ class KernelWeights(_Dense):
         """(m, m) pair weights W_ij = table[|i - j| per axis]."""
         n = self.table.shape[0]
         d = np.abs(np.arange(n)[:, None] - np.arange(n))
-        idx = (d,) if self.dim == 1 else (d[:, None, :, None], d[None, :, None, :])
+        idx = (d,) if self.table.ndim == 1 else (d[:, None, :, None], d[None, :, None, :])
         return self.table[idx].reshape(self.ncells, -1)
 
 
@@ -123,13 +131,10 @@ class KernelWeights(_Dense):
 class FoldedWeights(_Dense):
     """The weights of the mirror-even functions, one cell per orbit (``fold``)."""
 
+    grid: Grid     # one cell per mirror orbit of grid.full
     W: np.ndarray  # (m, m) pair weights summed over both orbits, symmetric
     T: np.ndarray  # (m,) T times the orbit size
     p: float
-
-    @property
-    def ncells(self) -> int:
-        return self.T.size
 
 
 def _hankel(line: np.ndarray, h: int, axis: int) -> np.ndarray:
@@ -171,7 +176,7 @@ def _even_couplings(table: np.ndarray) -> np.ndarray:
     return block.reshape(h ** dim, h ** dim)
 
 
-def fold(kw: KernelWeights, grid: Grid) -> tuple[FoldedWeights, Grid]:
+def fold(kw: KernelWeights) -> FoldedWeights:
     """The problem on the mirror-even functions: one cell per mirror orbit.
 
     W_ij depends only on |i - j| along each axis, so the energy, the
@@ -185,9 +190,10 @@ def fold(kw: KernelWeights, grid: Grid) -> tuple[FoldedWeights, Grid]:
     times ``_even_couplings`` (symmetric), T is mu T and the measures are
     mu |C|.  Then E_f(v) = E(U v), |v|_{M_f} = |U v|_M and L_f v is L(U v)
     on the cells of the half, so energies, residuals and eigenvalues are
-    those of the full problem, and the solvers run on the folded pair
-    unchanged.  ``DiscreteFunction.unfold`` maps back to ``grid``.
+    those of the full problem, and the solvers run on the folded weights,
+    whose grid ``DiscreteFunction.unfold`` maps back to ``kw.grid``.
     """
+    grid = kw.grid
     n, h = grid.n, (grid.n + 1) // 2
     index = np.minimum(np.arange(n), np.arange(n)[::-1])  # per axis
     cells = np.arange(h)
@@ -201,7 +207,7 @@ def fold(kw: KernelWeights, grid: Grid) -> tuple[FoldedWeights, Grid]:
                                  full=grid, full_index=index)
     w = _even_couplings(kw.table)
     w *= orbit[:, None]
-    return FoldedWeights(W=w, T=orbit * kw.T, p=kw.p), folded
+    return FoldedWeights(grid=folded, W=w, T=orbit * kw.T, p=kw.p)
 
 
 # ----------------------------------------------------------------------
@@ -268,16 +274,18 @@ def _tensor_table(n: int, ratio: float, ps: float, order: int) -> np.ndarray:
     over a, b in [-1, 1], which is what this returns (ratio = hy/hx >= 1).
     On the columns dj <= 1, whose hats along b reach y = 0, the integrand
     varies on the scale 1/ratio in b, so they take ceil(ratio) panels per
-    hat half along b; every other hat half is one panel.  Rows over di keep
-    every temporary at n x (2 order)^2, or 2 x (2 order)^2 x ceil(ratio).
+    hat half along b; every other hat half is one panel.  Each column block
+    refills one buffer for every di, (n - 2) x (2 order)^2 floats, or
+    2 x (2 order)^2 x ceil(ratio) on the touching columns.
     """
     a, wa = _hat_rule(order, 1)
     table = np.empty((n, n))
     for cols, panels in ((slice(0, 2), math.ceil(ratio)), (slice(2, n), 1)):
         b, wb = _hat_rule(order, panels)
         y2 = ((np.arange(n)[cols, None] + b) * ratio) ** 2  # (dj, b)
+        k = np.empty((y2.shape[0], a.size, b.size))  # (dj, a, b)
         for di in range(n):
-            k = (di + a)[:, None] ** 2 + y2[:, None, :]  # (dj, a, b)
+            np.add((di + a)[:, None] ** 2, y2[:, None, :], out=k)
             np.power(k, -(1.0 + 0.5 * ps), out=k)
             table[di, cols] = (k @ wb) @ wa
     return table
@@ -330,7 +338,7 @@ def _assemble_2d(n: int, hx: float, hy: float,
 
 
 def assemble(grid: Grid, params) -> KernelWeights:
-    """Assemble the offset table and T for a grid.
+    """Assemble the offset table and T of an unfolded grid: weights on it.
 
     params supplies s and p (ProblemParams or anything with .s and .p).
     Deterministic: repeated assembly yields bit-identical arrays.
@@ -341,16 +349,18 @@ def assemble(grid: Grid, params) -> KernelWeights:
         table, T = _assemble_1d(grid, ps)
     else:
         table, T = _assemble_2d(grid.n, *grid.spacing, ps)
-    return KernelWeights(table=table, T=T, dim=grid.dim, s=s, p=p)
+    return KernelWeights(grid=grid, table=table, T=T, s=s, p=p)
 
 
 def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
-    """Dump the offset table and T with their identifying key."""
+    """Dump the offset table and T with the key of kw.grid, which grid must be."""
+    if grid.full is not None or (grid.domain, grid.n) != (kw.grid.domain, kw.grid.n):
+        raise GridMismatchError("weights saved for a grid other than their own")
     np.savez(
         path,
         table=kw.table,
         T=kw.T,
-        key=np.array([float(kw.dim), kw.s, kw.p, float(grid.n)]),
+        key=np.array([float(grid.dim), kw.s, kw.p, float(grid.n)]),
         dom_lo=np.asarray(grid.domain.lo),
         dom_hi=np.asarray(grid.domain.hi),
     )
@@ -380,5 +390,5 @@ def load_weights(path, grid: Grid, params) -> KernelWeights:
             or not (np.isfinite(table).all() and table.min() >= 0.0
                     and table.flat[0] == 0.0 and 0.0 < T < np.inf)):
         raise KernelError(f"weight cache {path} does not match the requested problem")
-    return KernelWeights(table=table, T=float(T), dim=grid.dim,
+    return KernelWeights(grid=grid, table=table, T=float(T),
                          s=float(params.s), p=float(params.p))

@@ -5,7 +5,7 @@ F(t) = lam * (t+)^q / q - (t+)^r / r.  The free energy of a cell function is
 
     Phi(u) = E(u)/p - sum_i F(u_i) |C_i|,
 
-whose mass-gradient is Lu - f(u), p the exponent of the kernel weights.
+whose mass-gradient is Lu - f(u), p and |C_i| those of the kernel weights.
 Each energy here is a ``descent.Functional`` (importable from this module
 too) whose final point ``descent.descend`` clips to u >= 0.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .descent import _EPS, Functional, SolverError
 from .kernel import KernelWeights
-from .operator import (DiscreteFunction, _apply, _energy, _check_weights,
+from .operator import (DiscreteFunction, _apply, _energy, _check_cells,
                        newton_direction, sobolev_preconditioner)
 
 __all__ = [
@@ -120,7 +120,7 @@ def truncated_primitive(tr: TruncatedReaction, t) -> np.ndarray:
     return _truncated_pair(tr, np.asarray(t, dtype=float))[0]
 
 
-def _functional(kw: KernelWeights, grid, pair,
+def _functional(kw: KernelWeights, pair,
                 collapsed=None, slope=None) -> Functional:
     """E(u)/p - sum_i F(u)_i |C_i|, mass-gradient Lu - f(u), (F, f) = pair(u).
 
@@ -128,8 +128,7 @@ def _functional(kw: KernelWeights, grid, pair,
     With ``slope`` (f', for p = 2) the precondition is the Newton direction
     at the array of the last ``gradient`` call.  The clip is to u >= 0.
     """
-    _check_weights(grid.measures, kw)
-    m, p = grid.measures, kw.p
+    m, p = kw.measures, kw.p
     # the array of the last energy call, its f, the last gradient's array
     last = [None, None, None]
 
@@ -140,19 +139,19 @@ def _functional(kw: KernelWeights, grid, pair,
 
     def gradient(v: np.ndarray) -> np.ndarray:
         last[2] = v
-        return _apply(v, kw, m) - (last[1] if v is last[0] else pair(v)[1])
+        return _apply(v, kw) - (last[1] if v is last[0] else pair(v)[1])
 
     def precondition(g: np.ndarray) -> np.ndarray:
         return newton_direction(kw, m * slope(last[2]), m * g)
 
     newton = slope is not None
     return Functional(energy, gradient,
-                      precondition if newton else sobolev_preconditioner(kw, m),
-                      collapsed, newton, clip=lambda v: np.maximum(v, 0.0))
+                      precondition if newton else sobolev_preconditioner(kw),
+                      m, collapsed, newton, clip=lambda v: np.maximum(v, 0.0))
 
 
-def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
-                   measures: np.ndarray) -> tuple[float, float]:
+def _fiber_extrema(v: np.ndarray, kw: KernelWeights,
+                   lp: LogisticParams) -> tuple[float, float]:
     """Peak and valley t > 0 of Phi(t v), where it turns down and back up.
 
     Along the ray, Phi(t v) = t^p E/p - lam t^q A/q + t^r B/r with A and B
@@ -167,7 +166,7 @@ def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
     cancels lam A, which lies on the zero's side of the infimum.  An
     extremum beyond the float64 range raises SolverError.
     """
-    p, q, r = kw.p, lp.q, lp.r
+    p, q, r, measures = kw.p, lp.q, lp.r, kw.measures
     nan = float("nan")
     vp = np.maximum(v, 0.0)
     la = lp.lam * float((vp ** q * measures).sum())
@@ -204,7 +203,7 @@ def _fiber_extrema(v: np.ndarray, kw: KernelWeights, lp: LogisticParams,
                           f"(lam = {lp.lam:.6g}, q = {q!r}, r = {r!r})") from None
 
 
-def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
+def phi_functional(kw: KernelWeights, lp: LogisticParams) -> Functional:
     """Free energy Phi(u) = E(u)/p - sum F(u_i)|C_i|, gradient Lu - f(u).
 
     A critical point u is collapsed when Phi(t u) has no valley, or (q > p)
@@ -216,20 +215,21 @@ def phi_functional(kw: KernelWeights, grid, lp: LogisticParams) -> Functional:
     like t^(q-2) as t -> 0+, so there it keeps the fixed metric K.
     """
     def collapsed(v: np.ndarray) -> bool:
-        peak, valley = _fiber_extrema(v, kw, lp, grid.measures)
+        peak, valley = _fiber_extrema(v, kw, lp)
         return math.isnan(valley) or peak >= 1.0
 
     newton = kw.p == 2.0 and lp.q >= 2.0
-    return _functional(kw, grid, lambda v: _reaction_pair(lp, v),
+    return _functional(kw, lambda v: _reaction_pair(lp, v),
                        collapsed,
                        (lambda v: _reaction_slope(lp, v)) if newton else None)
 
 
-def truncated_functional(kw: KernelWeights, grid, tr: TruncatedReaction) -> Functional:
-    """Phi with the reaction replaced by its truncation around the anchor."""
-    return _functional(kw, grid, lambda v: _truncated_pair(tr, v))
+def truncated_functional(kw: KernelWeights, tr: TruncatedReaction) -> Functional:
+    """Phi with the reaction truncated around an anchor on the cells of kw."""
+    _check_cells(tr.anchor.values, kw)
+    return _functional(kw, lambda v: _truncated_pair(tr, v))
 
 
-def torsion_functional(kw: KernelWeights, grid) -> Functional:
+def torsion_functional(kw: KernelWeights) -> Functional:
     """Energy E(u)/p - sum_i u_i |C_i| whose critical point solves L u = 1."""
-    return _functional(kw, grid, lambda v: (v, 1.0))
+    return _functional(kw, lambda v: (v, 1.0))

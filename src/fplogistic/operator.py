@@ -27,11 +27,11 @@ and that cancellation noise exceeds the Armijo slack of the descent engine.
 Each energy term is one dot: the m x m difference buffer against W, and
 |u|^p against V.
 
-Everything here also runs on the weights and grid of ``kernel.fold``, the
-problem on the mirror-even functions: there W carries its orbit sums on the
-diagonal (a zero difference meets them), T is a vector, and the measures
-are those of the orbits, so energies and mass norms are those of the full
-problem.  ``DiscreteFunction.unfold`` gives the function on every cell.
+Everything here also runs on the weights of ``kernel.fold``, the problem on
+the mirror-even functions: there W carries its orbit sums on the diagonal
+(a zero difference meets them), T is a vector, and the measures of their
+grid are those of the orbits, so energies and mass norms are those of the
+full problem.  ``DiscreteFunction.unfold`` gives the function on every cell.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Grid
+from .domain import Grid, GridMismatchError
 from .kernel import KernelWeights
 
 __all__ = [
@@ -59,10 +59,6 @@ __all__ = [
 
 # relative residual, in the K^-1 norm, at which newton_direction stops
 NEWTON_FORCING = 0.01
-
-
-class GridMismatchError(ValueError):
-    """Cell values do not match their grid or the weight table."""
 
 
 @dataclass(eq=False)
@@ -97,11 +93,11 @@ def signed_power(a, nu: float):
     return out if arr.ndim else float(out)
 
 
-def _check_weights(values: np.ndarray, kw: KernelWeights) -> None:
-    if kw.ncells != values.shape[0]:
-        raise GridMismatchError(
-            f"weight table for {kw.ncells} cells, function has "
-            f"{values.shape[0]}")
+def _check_cells(values: np.ndarray, owner) -> None:
+    """One value per cell of owner, weights or a Functional, or GridMismatchError."""
+    if values.shape != owner.measures.shape:
+        raise GridMismatchError(f"expected {owner.measures.size} cell values, "
+                                f"got shape {values.shape}")
 
 
 def _check_params(params, kw: KernelWeights) -> None:
@@ -126,10 +122,9 @@ def _energy(values: np.ndarray, kw: KernelWeights) -> float:
     return float(diff.ravel() @ kw.W.ravel() + 2.0 * (kw.V @ power))
 
 
-def _apply(values: np.ndarray, kw: KernelWeights,
-           measures: np.ndarray) -> np.ndarray:
+def _apply(values: np.ndarray, kw: KernelWeights) -> np.ndarray:
     if kw.p == 2.0:
-        return 2.0 * (kw.T * values - kw.W @ values) / measures
+        return 2.0 * (kw.T * values - kw.W @ values) / kw.measures
     diff = np.subtract.outer(values, values)
     mag = np.abs(diff)
     mag **= kw.p - 1.0
@@ -137,12 +132,12 @@ def _apply(values: np.ndarray, kw: KernelWeights,
     mag *= kw.W
     row = 2.0 * mag.sum(axis=1)
     row += 2.0 * kw.V * signed_power(values, kw.p - 1.0)
-    return row / measures
+    return row / kw.measures
 
 
 def gagliardo_energy(u: DiscreteFunction, kw: KernelWeights, p: float) -> float:
     """Exact nonlocal energy of the zero-extended function; p must be kw.p."""
-    _check_weights(u.values, kw)
+    _check_cells(u.values, kw)
     if p != kw.p:
         raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
     return _energy(u.values, kw)
@@ -152,13 +147,14 @@ def apply_operator(u: DiscreteFunction, kw: KernelWeights, p: float) -> Discrete
     """Cell averages of the nonlocal operator applied to u.
 
     (Lu)_i = [2 sum_j W_ij (u_i - u_j)^(p-1) + 2 V_i u_i^(p-1)] / |C_i|
-    with signed powers, so that |C_i| (Lu)_i is the partial derivative of
-    E(u)/p in u_i.  p must be kw.p (GridMismatchError otherwise).
+    with signed powers and |C_i| the measures of kw, so that |C_i| (Lu)_i is
+    the partial derivative of E(u)/p in u_i.  u must have the cells of kw and
+    p be kw.p (GridMismatchError otherwise).
     """
-    _check_weights(u.values, kw)
+    _check_cells(u.values, kw)
     if p != kw.p:
         raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
-    return DiscreteFunction(_apply(u.values, kw, u.grid.measures), u.grid)
+    return DiscreteFunction(_apply(u.values, kw), u.grid)
 
 
 def lp_norm(u: DiscreteFunction, nu: float) -> float:
@@ -179,17 +175,17 @@ def mass_norm(a: np.ndarray, measures: np.ndarray) -> float:
     return mass_dot(a, a, measures) ** 0.5
 
 
-def sobolev_preconditioner(kw: KernelWeights, measures: np.ndarray
+def sobolev_preconditioner(kw: KernelWeights
                            ) -> Callable[[np.ndarray], np.ndarray] | None:
     """The map g -> K^-1 (M g) when kw.p = 2, None for any other p.
 
     K = 2 (T I - W) is the Hessian of E/2 and M the diagonal of the cell
-    measures, so that the map sends the mass gradient of an energy to its
-    gradient in the metric of K (a Sobolev gradient).
+    measures of the weights, so that the map sends the mass gradient of an
+    energy to its gradient in the metric of K (a Sobolev gradient).
     """
     if kw.p != 2.0:
         return None
-    kinv = kw.k_inverse
+    kinv, measures = kw.k_inverse, kw.measures
     return lambda g: kinv @ (measures * g)
 
 

@@ -12,8 +12,8 @@ minimization that lies in the zero basin of its own ray t * u (the
 scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
 intensities until the first collapse, then bisection of the bracket.  p
-comes with the kernel weights, and the principal eigenpair from the caller;
-parameters whose p is not that of the weights raise GridMismatchError.
+and the grid come with the kernel weights, the eigenpair from the caller,
+and another p or cell count raises GridMismatchError.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .descent import Functional, SolveOptions, SolverError, Status, descend
-from .domain import Grid
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
                        torsion_functional)
-from .operator import DiscreteFunction, _check_params
+from .operator import DiscreteFunction, _check_cells, _check_params
 
 __all__ = [
     "SolverError",
@@ -48,6 +47,8 @@ __all__ = [
 
 # each continuation step of detect_threshold scales the intensity by this
 CONTINUATION_FACTOR = 0.9
+# detect_threshold's default width of the final bracket
+BRACKET_TOL = 1e-3
 # a saddle within this sup distance of zero or of u_lam is not a second solution
 DISTINCT_TOL = 1e-6
 
@@ -89,8 +90,8 @@ def minimize(func: Functional, u0: DiscreteFunction,
     finds it in the zero basin of its own ray.
     """
     opts = opts or SolveOptions()
-    u, energy, res, it, status = descend(func, u0.values, u0.grid.measures,
-                                         opts)
+    _check_cells(u0.values, func)
+    u, energy, res, it, status = descend(func, u0.values, opts)
     if status is Status.CONVERGED and func.collapsed is not None \
             and func.collapsed(u):
         status = Status.COLLAPSED
@@ -103,14 +104,13 @@ def minimize(func: Functional, u0: DiscreteFunction,
     )
 
 
-def torsion_solve(kw: KernelWeights, grid: Grid,
-                  opts: SolveOptions | None = None,
+def torsion_solve(kw: KernelWeights, opts: SolveOptions | None = None,
                   u0: DiscreteFunction | None = None) -> SolveReport:
     """Solve L u = 1: the positive barrier whose profile matches d(x)^s."""
     opts = opts or SolveOptions()
-    func = torsion_functional(kw, grid)
+    func = torsion_functional(kw)
     if u0 is None:
-        u0 = DiscreteFunction(np.full(grid.ncells, 0.1), grid)
+        u0 = DiscreteFunction(np.full(kw.ncells, 0.1), kw.grid)
     rep = minimize(func, u0, opts)
     if rep.status is not Status.CONVERGED:
         raise SolverError(
@@ -119,9 +119,8 @@ def torsion_solve(kw: KernelWeights, grid: Grid,
     return rep
 
 
-def initial_values(kind: str, grid: Grid, kw: KernelWeights,
-                   lp: LogisticParams, opts: SolveOptions,
-                   eigen: EigenPair | None = None) -> np.ndarray:
+def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
+                   opts: SolveOptions, eigen: EigenPair | None = None) -> np.ndarray:
     """Build a starting iterate: seeded random, or a point on the ray of u1.
 
     The eigen start needs ``eigen`` and returns t * u1 at the valley of the
@@ -131,18 +130,18 @@ def initial_values(kind: str, grid: Grid, kw: KernelWeights,
     which the solve collapses cleanly.
     """
     if kind == "random":
-        return seeded_uniform(opts.seed, 0.1, 1.0, grid.ncells)
+        return seeded_uniform(opts.seed, 0.1, 1.0, kw.ncells)
     if kind == "eigen":
         if eigen is None:
             raise ValueError("the eigen start needs the principal eigenpair")
-        t = _fiber_extrema(eigen.u1.values, kw, lp, grid.measures)[1]
-        return t * eigen.u1.values if t > 0.0 else np.zeros(grid.ncells)
+        _check_cells(eigen.u1.values, kw)
+        t = _fiber_extrema(eigen.u1.values, kw, lp)[1]
+        return t * eigen.u1.values if t > 0.0 else np.zeros(kw.ncells)
     raise ValueError(f"unknown initial guess kind: {kind}")
 
 
 def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
-                       kw: KernelWeights, grid: Grid,
-                       opts: SolveOptions | None = None,
+                       kw: KernelWeights, opts: SolveOptions | None = None,
                        eigen: EigenPair | None = None) -> SolveReport:
     """Solve the logistic problem at one intensity.
 
@@ -155,10 +154,10 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     _check_params(params, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
-    func = phi_functional(kw, grid, lp)
+    func = phi_functional(kw, lp)
     if warm is None:
-        u0 = initial_values(opts.initial, grid, kw, lp, opts, eigen)
-        return minimize(func, DiscreteFunction(u0, grid), opts)
+        u0 = initial_values(opts.initial, kw, lp, opts, eigen)
+        return minimize(func, DiscreteFunction(u0, kw.grid), opts)
 
     rep = minimize(func, warm, opts)
     gap = float((warm.values - rep.u.values).max())
@@ -188,11 +187,10 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
     return lambda1 * t_star ** (p - q) + t_star ** (r - q)
 
 
-def detect_threshold(params, kw: KernelWeights, grid: Grid,
-                     opts: SolveOptions | None = None,
-                     bracket_tol: float = 1e-3,
-                     lambda_high: float | None = None, *,
-                     eigen: EigenPair) -> ThresholdReport:
+def detect_threshold(params, kw: KernelWeights, opts: SolveOptions | None = None,
+                     bracket_tol: float = BRACKET_TOL,
+                     lambda_high: float | None = None,
+                     *, eigen: EigenPair) -> ThresholdReport:
     """Locate the smallest solvable intensity in one walk down the branch.
 
     Each probe descends the free energy from the last solvable solution and
@@ -210,9 +208,9 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     def probe(lam: float, u_start: np.ndarray | None) -> SolveReport | None:
         lp = LogisticParams(lam=lam, q=params.q, r=params.r)
         if u_start is None:
-            u_start = initial_values("eigen", grid, kw, lp, opts, eigen)
-        rep = minimize(phi_functional(kw, grid, lp),
-                       DiscreteFunction(u_start, grid), opts)
+            u_start = initial_values("eigen", kw, lp, opts, eigen)
+        rep = minimize(phi_functional(kw, lp),
+                       DiscreteFunction(u_start, kw.grid), opts)
         if rep.status is Status.MAX_ITERS and rep.iterations < opts.max_iters:
             raise SolverError(
                 f"threshold probe at lam = {lam:.6g} stopped after "
@@ -264,8 +262,7 @@ def detect_threshold(params, kw: KernelWeights, grid: Grid,
     )
 
 
-def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
-                  u_lam: DiscreteFunction,
+def mountain_pass(lam: float, params, kw: KernelWeights, u_lam: DiscreteFunction,
                   opts: SolveOptions | None = None) -> SolveReport:
     """Search for the second solution between zero and the branch solution.
 
@@ -279,23 +276,23 @@ def mountain_pass(lam: float, params, kw: KernelWeights, grid: Grid,
     ``DISTINCT_TOL`` of either end is NOT_FOUND as well.
     """
     _check_params(params, kw)
+    _check_cells(u_lam.values, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
-    meas = grid.measures
-    t0 = _fiber_extrema(u_lam.values, kw, lp, meas)[0]
+    t0 = _fiber_extrema(u_lam.values, kw, lp)[0]
     if not t0 < 1.0:
-        return SolveReport(u=DiscreteFunction(np.zeros(grid.ncells), grid),
+        return SolveReport(u=DiscreteFunction(np.zeros(kw.ncells), kw.grid),
                            energy=0.0, residual=float("nan"), iterations=0,
                            status=Status.NOT_FOUND)
     func = replace(
-        phi_functional(kw, grid, lp),
-        retract=lambda v: _fiber_extrema(v, kw, lp, meas)[0] * v,
+        phi_functional(kw, lp),
+        retract=lambda v: _fiber_extrema(v, kw, lp)[0] * v,
         clip=lambda v: np.minimum(np.maximum(v, 0.0), u_lam.values))
-    v, energy, res, it, status = descend(func, t0 * u_lam.values, meas, opts)
+    v, energy, res, it, status = descend(func, t0 * u_lam.values, opts)
     gap_zero = float(np.abs(v).max())
     gap_top = float(np.abs(u_lam.values - v).max())
     if status is Status.CONVERGED and (gap_zero <= DISTINCT_TOL
                                        or gap_top <= DISTINCT_TOL):
         status = Status.NOT_FOUND
-    return SolveReport(u=DiscreteFunction(v, grid), energy=energy,
+    return SolveReport(u=DiscreteFunction(v, kw.grid), energy=energy,
                        residual=res, iterations=it, status=status)

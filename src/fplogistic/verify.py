@@ -6,9 +6,9 @@ data, which is reported rather than silently skipped.  Witnesses carry the
 numbers behind every verdict so a failure can be inspected directly.  The
 principal eigenpair of the weights comes from the caller (``eigen=``), and
 parameters whose p is not that of the weights raise GridMismatchError.
-The checks run on full or folded weights (``kernel.fold``) alike; the
-witnesses that name cells unfold the functions first, so they index the
-cells of the full grid either way.
+The checks run on full or folded weights (``kernel.fold``) alike, on the
+grid the weights hold; the witnesses that name cells unfold the functions
+first, so they index the cells of the full grid either way.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Grid, Regime, classify_regime
+from .domain import Regime, classify_regime
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+# check_hopf passes when the boundary minimum of u / d^s is at least this
+# share of the median ratio
+HOPF_FRAC = 0.1
+
+
 @dataclass(eq=False)
 class CheckResult:
     name: str
@@ -52,11 +57,11 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckResult:
+def check_hopf(u: DiscreteFunction, s: float) -> CheckResult:
     """Boundary growth check: u should dominate a multiple of d(x)^s.
 
     Verifies that the ratio u_i / d_i^s is strictly positive on every cell
-    and that its minimum over boundary-adjacent cells is at least hopf_frac
+    and that its minimum over boundary-adjacent cells is at least HOPF_FRAC
     times the median ratio, so the profile does not flatten at the boundary.
     A folded function is judged on every cell (``DiscreteFunction.unfold``),
     so the median counts each cell and ``argmin_cell`` is a full-grid cell.
@@ -72,7 +77,7 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
     srt = sorted(ratios.tolist())
     mid = len(srt) // 2
     med = srt[mid] if len(srt) % 2 else (srt[mid - 1] + srt[mid]) / 2
-    ok = rmin > 0.0 and med > 0.0 and bmin >= hopf_frac * med
+    ok = rmin > 0.0 and med > 0.0 and bmin >= HOPF_FRAC * med
     return CheckResult(
         name="hopf_boundary_growth",
         passed=bool(ok),
@@ -82,7 +87,7 @@ def check_hopf(u: DiscreteFunction, s: float, hopf_frac: float = 0.1) -> CheckRe
             "boundary_min_ratio": bmin,
             "median_ratio": med,
         },
-        thresholds={"hopf_frac": hopf_frac},
+        thresholds={"hopf_frac": HOPF_FRAC},
     )
 
 
@@ -102,9 +107,8 @@ def check_strict_order(u_low: DiscreteFunction,
     )
 
 
-def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
-                            grid: Grid, trials: int = 5, opts=None, *,
-                            lambda1: float) -> CheckResult:
+def check_nonexistence_equi(params, lam: float, kw: KernelWeights, trials: int = 5,
+                            opts=None, *, lambda1: float) -> CheckResult:
     """Certify absence of solutions at or below the eigenvalue (q = p).
 
     Runs ``trials`` descents from seeded random positive starts; every one
@@ -124,18 +128,18 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights,
                            notes=f"requires lam <= lambda1, got lam = {lam:.6g}, "
                                  f"lambda1 = {lambda1:.6g}")
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
-    func = phi_functional(kw, grid, lp)
+    func = phi_functional(kw, lp)
     sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
     for k in range(trials):
-        u0 = DiscreteFunction(seeded_uniform(opts.seed + k, 0.1, 1.0, grid.ncells),
-                              grid)
+        u0 = DiscreteFunction(seeded_uniform(opts.seed + k, 0.1, 1.0, kw.ncells),
+                              kw.grid)
         rep = minimize(func, u0, opts)
         u = rep.u
         lhs = ((lambda1 - lam) * lp_norm(u, params.p) ** params.p
                + lp_norm(u, params.r) ** params.r)
         slack = (max(rep.residual, opts.residual_tol)
-                 * max(mass_norm(u.values, grid.measures), 1.0))
+                 * max(mass_norm(u.values, kw.measures), 1.0))
         sups.append(u.sup_norm())
         coercives.append(lhs)
         residuals.append(rep.residual)
@@ -198,7 +202,7 @@ def refinement_study(ns: Sequence[int], values: Sequence[float],
     )
 
 
-def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
+def run_suite(params, kw: KernelWeights, lam: float | None = None,
               opts=None, *, eigen: EigenPair) -> list[CheckResult]:
     """Run the checks appropriate to the regime of the given parameters.
 
@@ -215,26 +219,26 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
     if regime is Regime.SUB:
         if lam is None:
             lam = 1.0
-        rep_lo = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eigen)
-        rep_hi = solve_branch_point(2.0 * lam, rep_lo.u, params, kw, grid, opts)
+        rep_lo = solve_branch_point(lam, None, params, kw, opts, eigen=eigen)
+        rep_hi = solve_branch_point(2.0 * lam, rep_lo.u, params, kw, opts)
         results.append(check_strict_order(rep_lo.u, rep_hi.u))
         results.append(check_hopf(rep_hi.u, params.s))
         branch = [(lam, rep_lo.u.sup_norm())]
         for k in range(1, 5):
             lk = lam * 2.0 ** (-k)
-            rk = solve_branch_point(lk, None, params, kw, grid, opts, eigen=eigen)
+            rk = solve_branch_point(lk, None, params, kw, opts, eigen=eigen)
             branch.append((lk, rk.u.sup_norm()))
         results.append(check_limit_branch(branch, 0.0, tol=branch[0][1]))
     elif regime is Regime.EQUI:
         if lam is None:
             lam = 0.9 * eigen.lambda1
         results.append(check_nonexistence_equi(
-            params, lam, kw, grid, opts=opts, lambda1=eigen.lambda1))
+            params, lam, kw, opts=opts, lambda1=eigen.lambda1))
         if lam > eigen.lambda1:
-            rep = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eigen)
+            rep = solve_branch_point(lam, None, params, kw, opts, eigen=eigen)
             results.append(check_hopf(rep.u, params.s))
     else:
-        thr = detect_threshold(params, kw, grid, opts, bracket_tol=1e-2, eigen=eigen)
+        thr = detect_threshold(params, kw, opts, bracket_tol=1e-2, eigen=eigen)
         results.append(CheckResult(
             name="threshold_above_lower_bound",
             passed=bool(thr.lambda_star_h >= thr.lambda_0),
@@ -245,8 +249,8 @@ def run_suite(params, grid: Grid, kw: KernelWeights, lam: float | None = None,
         ))
         results.append(check_hopf(thr.u_star, params.s))
         lam_mp = 1.5 * thr.lambda_star_h
-        rep = solve_branch_point(lam_mp, None, params, kw, grid, opts, eigen=eigen)
-        mp = mountain_pass(lam_mp, params, kw, grid, rep.u, opts)
+        rep = solve_branch_point(lam_mp, None, params, kw, opts, eigen=eigen)
+        mp = mountain_pass(lam_mp, params, kw, rep.u, opts)
         if mp.status is Status.CONVERGED:
             results.append(check_strict_order(mp.u, rep.u))
             ok = bool(mp.u.values.min() >= 0.0

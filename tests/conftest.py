@@ -71,8 +71,8 @@ def kw32_p3(grid32, p3_params):
 
 
 @pytest.fixture(scope="session")
-def eig64(kw64, grid64):
-    return principal_eigenpair(kw64, grid64, SolveOptions(seed=0))
+def eig64(kw64):
+    return principal_eigenpair(kw64, SolveOptions(seed=0))
 
 
 @pytest.fixture(scope="session")

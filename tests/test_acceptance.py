@@ -64,14 +64,14 @@ def clean_env(monkeypatch):
 @pytest.fixture(scope="module")
 def equi64(grid64, equi_params):
     kw = assemble(grid64, equi_params)
-    eig = principal_eigenpair(kw, grid64, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
     return kw, eig
 
 
 @pytest.fixture(scope="module")
 def super64(grid64, super_params):
     kw = assemble(grid64, super_params)
-    eig = principal_eigenpair(kw, grid64, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
     return kw, eig
 
 
@@ -129,7 +129,7 @@ def test_c02_operator_consistency(criterion, grid64, kw64, kw64_p3):
         worst_pair = 0.0
         worst_fd = 0.0
         for p, kw, (q, r) in ((2.0, kw64, (1.5, 3.0)), (3.0, kw64_p3, (2.0, 4.0))):
-            phi = phi_functional(kw, grid64, LogisticParams(lam=1.0, q=q, r=r))
+            phi = phi_functional(kw, LogisticParams(lam=1.0, q=q, r=r))
             for _ in range(10):
                 u = DiscreteFunction(rng.uniform(-1.0, 1.0, 64), grid64)
                 lu = apply_operator(u, kw, p)
@@ -207,7 +207,7 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
             ps = p * s
             g1 = build_grid(DomainSpec.interval(0.0, 1.0), 1)
             prm = validate_params(1, s, p, (1.0 + p) / 2.0, p + 1.0)
-            pair = principal_eigenpair(assemble(g1, prm), g1,
+            pair = principal_eigenpair(assemble(g1, prm),
                                        SolveOptions(seed=0))
             exact = 4.0 / (ps * (1.0 - ps))
             if abs(pair.lambda1 / exact - 1.0) > 1e-13:
@@ -216,7 +216,7 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
 
         # the eigenvalue is simple with a positive eigenfunction, so the
         # starts of five distinct seeds all descend to it
-        pairs = [principal_eigenpair(kw64_p3, grid64,
+        pairs = [principal_eigenpair(kw64_p3,
                                      SolveOptions(seed=seed, residual_tol=1e-6))
                  for seed in range(2, 7)]
         lams = [pair.lambda1 for pair in pairs]
@@ -226,11 +226,11 @@ def test_c04_eigenvalue_oracles(criterion, grid64, kw64, kw64_p3, eig64):
             (max(lams) - min(lams)) / min(lams) <= 1e-6
 
 
-def test_c05_subdiffusive_regime(criterion, grid64, kw64, sub_params, eig64):
+def test_c05_subdiffusive_regime(criterion, kw64, sub_params, eig64):
     with criterion(5) as checks:
         sols = []
         for seed in range(10):
-            rep = solve_branch_point(1.0, None, sub_params, kw64, grid64,
+            rep = solve_branch_point(1.0, None, sub_params, kw64,
                                      SolveOptions(initial="random", seed=seed),
                                      eigen=eig64)
             if rep.status is not Status.CONVERGED:
@@ -241,9 +241,9 @@ def test_c05_subdiffusive_regime(criterion, grid64, kw64, sub_params, eig64):
                   if len(sols) == 10 else np.inf)
         checks["ten_random_starts_agree_1e5"] = spread <= 1e-5
 
-        rep1 = solve_branch_point(1.0, None, sub_params, kw64, grid64,
+        rep1 = solve_branch_point(1.0, None, sub_params, kw64,
                                   SolveOptions(), eigen=eig64)
-        rep2 = solve_branch_point(2.0, rep1.u, sub_params, kw64, grid64,
+        rep2 = solve_branch_point(2.0, rep1.u, sub_params, kw64,
                                   SolveOptions(), eigen=eig64)
         gap = float((rep2.u.values - rep1.u.values).min())
         checks["strict_componentwise_ordering"] = gap > 0.0
@@ -253,7 +253,7 @@ def test_c05_subdiffusive_regime(criterion, grid64, kw64, sub_params, eig64):
         converged = True
         for k in range(7):
             rep = solve_branch_point(2.0 ** (-k), None, sub_params, kw64,
-                                     grid64, SolveOptions(), eigen=eig64)
+                                     SolveOptions(), eigen=eig64)
             converged = converged and rep.status is Status.CONVERGED
             sups.append(rep.u.sup_norm())
         checks["branch_all_converged"] = converged
@@ -262,14 +262,14 @@ def test_c05_subdiffusive_regime(criterion, grid64, kw64, sub_params, eig64):
         checks["branch_tail_below_1e3"] = sups[-1] < 1e-3
 
 
-def test_c06_equidiffusive_regime(criterion, grid64, equi_params, equi64):
+def test_c06_equidiffusive_regime(criterion, equi_params, equi64):
     kw, eig = equi64
     lam1 = eig.lambda1
     with criterion(6) as checks:
         collapse_ok = True
         for frac in (0.5, 0.9, 1.0):
             rep = solve_branch_point(frac * lam1, None, equi_params, kw,
-                                     grid64, SolveOptions(), eigen=eig)
+                                     SolveOptions(), eigen=eig)
             if rep.status is not Status.COLLAPSED or rep.u.sup_norm() >= 1e-6:
                 collapse_ok = False
         # random starts cover the strictly subcritical intensities; at the
@@ -278,14 +278,14 @@ def test_c06_equidiffusive_regime(criterion, grid64, equi_params, equi64):
         for frac in (0.5, 0.9):
             for seed in (0, 1, 2):
                 rep = solve_branch_point(
-                    frac * lam1, None, equi_params, kw, grid64,
+                    frac * lam1, None, equi_params, kw,
                     SolveOptions(initial="random", seed=seed), eigen=eig)
                 if (rep.status is not Status.COLLAPSED
                         or rep.u.sup_norm() >= 1e-6):
                     collapse_ok = False
         checks["all_subcritical_trials_collapse"] = collapse_ok
 
-        rep = solve_branch_point(1.2 * lam1, None, equi_params, kw, grid64,
+        rep = solve_branch_point(1.2 * lam1, None, equi_params, kw,
                                  SolveOptions(), eigen=eig)
         checks["supercritical_solution_exists"] = (
             rep.status is Status.CONVERGED and rep.u.sup_norm() > 1e-3)
@@ -294,7 +294,7 @@ def test_c06_equidiffusive_regime(criterion, grid64, equi_params, equi64):
         converged = True
         for delta in (0.32, 0.16, 0.08, 0.04, 0.02):
             rep = solve_branch_point((1.0 + delta) * lam1, None, equi_params,
-                                     kw, grid64, SolveOptions(), eigen=eig)
+                                     kw, SolveOptions(), eigen=eig)
             converged = converged and rep.status is Status.CONVERGED
             sups.append(rep.u.sup_norm())
         checks["branch_toward_eigenvalue_converged"] = converged
@@ -303,10 +303,10 @@ def test_c06_equidiffusive_regime(criterion, grid64, equi_params, equi64):
         checks["branch_vanishes_at_eigenvalue"] = sups[-1] <= 0.1 * sups[0]
 
 
-def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
+def test_c07_superdiffusive_regime(criterion, super_params, super64):
     kw, eig = super64
     with criterion(7) as checks:
-        thr = detect_threshold(super_params, kw, grid64, SolveOptions(),
+        thr = detect_threshold(super_params, kw, SolveOptions(),
                                bracket_tol=1e-3, eigen=eig)
         checks["bracket_within_relative_1e3"] = \
             thr.bracket_width <= 1e-3 * thr.lambda_star_h
@@ -316,7 +316,7 @@ def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
         below_ok = True
         for seed in (0, 1, 2):
             rep = solve_branch_point(0.9 * thr.lambda_0, None, super_params,
-                                     kw, grid64,
+                                     kw,
                                      SolveOptions(initial="random", seed=seed),
                                      eigen=eig)
             if rep.status is not Status.COLLAPSED or rep.u.sup_norm() >= 1e-6:
@@ -324,9 +324,9 @@ def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
         checks["nonexistence_below_lower_bound"] = below_ok
 
         lam = 1.5 * thr.lambda_star_h
-        big = solve_branch_point(lam, None, super_params, kw, grid64,
+        big = solve_branch_point(lam, None, super_params, kw,
                                  SolveOptions(), eigen=eig)
-        mp = mountain_pass(lam, super_params, kw, grid64, big.u,
+        mp = mountain_pass(lam, super_params, kw, big.u,
                            SolveOptions())
         checks["mountain_pass_converged"] = mp.status is Status.CONVERGED
         checks["saddle_residual_below_1e6"] = mp.residual <= 1e-6
@@ -346,8 +346,8 @@ def test_c07_superdiffusive_regime(criterion, grid64, super_params, super64):
 
 def test_c08_torsion_and_hopf(criterion, grid64, kw64, sub_params):
     with criterion(8) as checks:
-        rep_a = torsion_solve(kw64, grid64, SolveOptions())
-        rep_b = torsion_solve(kw64, grid64, SolveOptions(),
+        rep_a = torsion_solve(kw64, SolveOptions())
+        rep_b = torsion_solve(kw64, SolveOptions(),
                               u0=DiscreteFunction(np.full(64, 1.0), grid64))
         diff = np.abs(rep_a.u.values - rep_b.u.values).max()
         checks["two_starts_agree_1e6"] = diff <= 1e-6 * rep_a.u.sup_norm()
@@ -364,8 +364,8 @@ def test_c09_refinement_and_scaling(criterion, super_params):
         for n in (32, 64, 128):
             g = build_grid(DomainSpec.interval(0.0, 1.0), n)
             kw = assemble(g, super_params)
-            eig = principal_eigenpair(kw, g, SolveOptions(seed=0))
-            thr = detect_threshold(super_params, kw, g, SolveOptions(),
+            eig = principal_eigenpair(kw, SolveOptions(seed=0))
+            thr = detect_threshold(super_params, kw, SolveOptions(),
                                    bracket_tol=1e-3, eigen=eig)
             lam1s.append(eig.lambda1)
             stars.append(thr.lambda_star_h)
@@ -376,7 +376,7 @@ def test_c09_refinement_and_scaling(criterion, super_params):
 
         g2 = build_grid(DomainSpec.interval(0.0, 2.0), 64)
         kw2 = assemble(g2, super_params)
-        lam_wide = principal_eigenpair(kw2, g2,
+        lam_wide = principal_eigenpair(kw2,
                                        SolveOptions(seed=0)).lambda1
         ratio = lam1s[1] / lam_wide
         expected = 2.0 ** super_params.ps

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import fplogistic
 from fplogistic import __version__
 from fplogistic.cli import main
+from fplogistic.eigen import EigenError
 
 SUB_CFG = """\
 dim = 1
@@ -333,6 +335,57 @@ def test_eigen_with_a_nan_residual_exits_two(sub_cfg, tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["eigen", "--set", "domain.hi=1e-300"],
+                                  ["solve", "--set", "lam=1e300"]],
+                         ids=["eigen_tiny_domain", "solve_huge_lam"])
+def test_error_exit_prints_only_its_error_line(sub_cfg, tmp_path, argv):
+    # both overflow in numpy first; its RuntimeWarnings came before the line
+    src = str(Path(fplogistic.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "fplogistic", *argv, "--config", str(sub_cfg),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 2, done.stdout
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: non-finite ")
+
+
+def _warning_eigenpair(monkeypatch, then=None):
+    """principal_eigenpair that warns first, then raises ``then`` if given."""
+    import fplogistic.cli
+
+    solve = fplogistic.cli.principal_eigenpair
+
+    def warning_solve(kw, opts=None):
+        warnings.warn("probe warning", RuntimeWarning)
+        if then is not None:
+            raise then
+        return solve(kw, opts)
+
+    monkeypatch.setattr(fplogistic.cli, "principal_eigenpair", warning_solve)
+
+
+def test_successful_run_passes_its_warnings_on(sub_cfg, tmp_path, monkeypatch):
+    _warning_eigenpair(monkeypatch)
+    argv = ["eigen", "--config", str(sub_cfg), "--out", str(tmp_path / "out")]
+    with pytest.warns(RuntimeWarning, match="probe warning"):
+        assert main(argv) == 0
+    # under the test suite's error filter the warning still raises
+    with pytest.raises(RuntimeWarning, match="probe warning"):
+        main(argv)
+
+
+def test_error_exit_drops_its_warnings(sub_cfg, tmp_path, monkeypatch, capsys):
+    _warning_eigenpair(monkeypatch, then=EigenError("no eigenpair"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eigen", "--config", str(sub_cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == "error: no eigenpair\n"
+
+
 def test_eigen_p3_meets_the_residual_tolerance(tmp_path, capsys):
     cfg = P3_CFG.replace("q = 4.0", "q = 3.5").replace("r = 5.0", "r = 4.0") \
         .replace("n = 32", "n = 64")
@@ -350,9 +403,9 @@ def descend_options(monkeypatch):
     descend = fplogistic.descent.descend
     seen = []
 
-    def spy(func, u0, measures, opts):
+    def spy(func, u0, opts):
         seen.append((opts.residual_tol, opts.max_iters))
-        return descend(func, u0, measures, opts)
+        return descend(func, u0, opts)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("fplogistic") and \
@@ -399,9 +452,9 @@ def eigen_solves(monkeypatch):
 
     seen = []
 
-    def spy(kw, grid, opts=None):
+    def spy(kw, opts=None):
         seen.append(opts.seed)
-        return principal_eigenpair(kw, grid, opts)
+        return principal_eigenpair(kw, opts)
 
     monkeypatch.setattr(fplogistic.cli, "principal_eigenpair", spy)
     return seen

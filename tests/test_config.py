@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from fplogistic.config import (ConfigError, RunConfig, SCHEMA_VERSION,
                                to_problem, write_branch_csv, write_report,
                                write_solution_csv)
 from fplogistic.domain import Regime, classify_regime
-from fplogistic.solve import BranchPoint
+from fplogistic.solve import BranchPoint, SolveOptions, detect_threshold
 
 MINIMAL = """\
 # logistic run on the unit interval
@@ -43,6 +44,18 @@ def test_minimal_config_loads(tmp_path):
     params, grid = to_problem(cfg)
     assert classify_regime(params) is Regime.SUB
     assert grid.ncells == 64
+
+
+def test_optional_keys_default_to_the_library_defaults(tmp_path):
+    # the solver.* and threshold.bracket_tol defaults are declared once, by
+    # SolveOptions and detect_threshold
+    cfg = load_config(_write(tmp_path, MINIMAL))
+    opts = SolveOptions(residual_tol=cfg.solver_residual_tol,
+                        max_iters=cfg.solver_max_iters, seed=cfg.solver_seed,
+                        initial=cfg.solver_initial)
+    assert opts == SolveOptions()
+    assert cfg.threshold_bracket_tol == \
+        inspect.signature(detect_threshold).parameters["bracket_tol"].default
 
 
 def test_unknown_key_reports_line(tmp_path):

@@ -25,7 +25,7 @@ def test_linear_case_matches_dense_eigensolver(kw64, grid64, eig64):
 
 
 def test_linear_case_matches_dense_eigensolver_2d(kw2d, grid2d):
-    pair = principal_eigenpair(kw2d, grid2d, SolveOptions(seed=0))
+    pair = principal_eigenpair(kw2d, SolveOptions(seed=0))
     lam_ref, _ = dense_reference_lambda1(kw2d, grid2d)
     assert pair.lambda1 == pytest.approx(lam_ref, rel=1e-8)
 
@@ -38,14 +38,14 @@ def test_single_cell_closed_form(s, p):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 1)
     params = validate_params(1, s, p, (1.0 + p) / 2.0, p + 1.0)
     kw = assemble(grid, params)
-    pair = principal_eigenpair(kw, grid, SolveOptions(seed=0))
+    pair = principal_eigenpair(kw, SolveOptions(seed=0))
     assert pair.lambda1 == pytest.approx(4.0 / (ps * (1.0 - ps)), rel=1e-13)
 
 
-def test_nonlinear_case_with_restarts(kw32_p3, grid32):
+def test_nonlinear_case_with_restarts(kw32_p3):
     # the principal eigenpair is simple and positive: every seed's start
     # descends to it
-    pairs = [principal_eigenpair(kw32_p3, grid32,
+    pairs = [principal_eigenpair(kw32_p3,
                                  SolveOptions(seed=seed, residual_tol=1e-6))
              for seed in (1, 2, 3)]
     lams = [pair.lambda1 for pair in pairs]
@@ -57,7 +57,7 @@ def test_nonlinear_case_with_restarts(kw32_p3, grid32):
 
 
 def test_eigenvalue_is_rayleigh_minimum(kw32, grid32, rng):
-    pair = principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
+    pair = principal_eigenpair(kw32, SolveOptions(seed=0))
     for _ in range(20):
         trial = DiscreteFunction(rng.uniform(-1.0, 1.0, grid32.ncells), grid32)
         assert rayleigh_quotient(trial, kw32) >= pair.lambda1 - 1e-10
@@ -70,7 +70,7 @@ def test_rayleigh_quotient_rejects_zero(grid32, kw32):
 
 
 def test_eigenfunction_scaling_invariance(kw32, grid32):
-    pair = principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
+    pair = principal_eigenpair(kw32, SolveOptions(seed=0))
     for c in (0.5, 3.0, -2.0):
         scaled = DiscreteFunction(c * pair.u1.values, grid32)
         assert rayleigh_quotient(scaled, kw32) == pytest.approx(
@@ -85,25 +85,25 @@ def test_domain_scaling_law(sub_params):
     grid_b = build_grid(DomainSpec.interval(0.0, 0.5), n)
     kw_a = assemble(grid_a, sub_params)
     kw_b = assemble(grid_b, sub_params)
-    lam_a = principal_eigenpair(kw_a, grid_a, SolveOptions(seed=0)).lambda1
-    lam_b = principal_eigenpair(kw_b, grid_b, SolveOptions(seed=0)).lambda1
+    lam_a = principal_eigenpair(kw_a, SolveOptions(seed=0)).lambda1
+    lam_b = principal_eigenpair(kw_b, SolveOptions(seed=0)).lambda1
     assert lam_b == pytest.approx(2.0 ** sub_params.ps * lam_a, rel=1e-8)
 
 
-def test_eigen_error_when_iterations_exhausted(kw32, grid32):
+def test_eigen_error_when_iterations_exhausted(kw32):
     with pytest.raises(EigenError, match="did not converge"):
-        principal_eigenpair(kw32, grid32, SolveOptions(max_iters=2, seed=0))
+        principal_eigenpair(kw32, SolveOptions(max_iters=2, seed=0))
 
 
-def test_eigen_error_when_the_limit_changes_sign(kw32, grid32, monkeypatch):
+def test_eigen_error_when_the_limit_changes_sign(kw32, monkeypatch):
     # a converged limit that is not positive is no principal eigenfunction
-    def sign_changing(func, u0, measures, opts):
+    def sign_changing(func, u0, opts):
         u = np.where(np.arange(u0.size) % 2, u0, -0.5 * u0)
         return u, 1.0, 0.0, 1, Status.CONVERGED
 
     monkeypatch.setattr(eigen, "descend", sign_changing)
     with pytest.raises(EigenError, match="not positive"):
-        principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
+        principal_eigenpair(kw32, SolveOptions(seed=0))
 
 
 @pytest.mark.parametrize("lo,hi,size", [(0.5, 1.5, 64), (0.1, 1.0, 1000)])
@@ -121,12 +121,12 @@ def test_refinement_monotonicity(sub_params):
     for n in (8, 16, 32, 64):
         grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
         kw = assemble(grid, sub_params)
-        lams.append(principal_eigenpair(kw, grid,
+        lams.append(principal_eigenpair(kw,
                                         SolveOptions(seed=0)).lambda1)
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 
-def test_eigenfunction_positive_and_symmetric(eig64, grid64):
+def test_eigenfunction_positive_and_symmetric(eig64):
     u = eig64.u1.values
     assert u.min() > 0.0
     assert u == pytest.approx(u[::-1], rel=1e-6, abs=1e-8)

@@ -41,7 +41,8 @@ def _flips_apart(values, n, dim):
                                         (1, 1, None), (2, 2, None)])
 def test_folded_energy_operator_and_mass_are_those_of_the_unfold(dim, n, hi, p):
     _, grid, kw = _problem(dim, n, 0.3, p, 1.5, 2.5, hi)
-    fkw, fgrid = fold(kw, grid)
+    fkw = fold(kw)
+    fgrid = fkw.grid
     rng = np.random.default_rng(n)
     v = rng.uniform(-1.0, 1.0, fkw.ncells)
     u = DiscreteFunction(v, fgrid).unfold()
@@ -55,8 +56,8 @@ def test_folded_energy_operator_and_mass_are_those_of_the_unfold(dim, n, hi, p):
 
     energy = _energy(u.values, kw)
     assert _energy(v, fkw) == pytest.approx(energy, rel=1e-14, abs=1e-300)
-    lu = _apply(u.values, kw, grid.measures)
-    assert np.abs(_apply(v, fkw, fgrid.measures) - lu[cells]).max() \
+    lu = _apply(u.values, kw)
+    assert np.abs(_apply(v, fkw) - lu[cells]).max() \
         <= 1e-14 * np.abs(lu).max()
     assert mass_norm(v, fgrid.measures) == pytest.approx(
         mass_norm(u.values, grid.measures), rel=1e-15)
@@ -69,17 +70,16 @@ def test_folded_energy_operator_and_mass_are_those_of_the_unfold(dim, n, hi, p):
 @pytest.mark.parametrize("dim, n, q, r, lam", [(1, 63, 3.0, 4.0, 10.0),
                                                (2, 9, 2.5, 3.2, 30.0)])
 def test_folded_answers_match_the_full_grid(dim, n, q, r, lam):
-    params, grid, kw = _problem(dim, n, 0.4, 2.0, q, r)
-    fkw, fgrid = fold(kw, grid)
+    params, _, kw = _problem(dim, n, 0.4, 2.0, q, r)
     opts = SolveOptions()
     answers = []
-    for k, g in ((kw, grid), (fkw, fgrid)):
-        ep = principal_eigenpair(k, g, SolveOptions(seed=0))
+    for k in (kw, fold(kw)):
+        ep = principal_eigenpair(k, SolveOptions(seed=0))
         answers.append([
             ep.lambda1,
-            torsion_solve(k, g, opts).u.sup_norm(),
-            solve_branch_point(lam, None, params, k, g, opts, eigen=ep).u.sup_norm(),
-            detect_threshold(params, k, g, opts, bracket_tol=1e-3,
+            torsion_solve(k, opts).u.sup_norm(),
+            solve_branch_point(lam, None, params, k, opts, eigen=ep).u.sup_norm(),
+            detect_threshold(params, k, opts, bracket_tol=1e-3,
                              eigen=ep).lambda_star_h,
         ])
     full, folded = answers
@@ -102,18 +102,29 @@ def test_converged_solutions_from_uneven_starts_are_even(dim, n, regime, seed):
     u0 = scale * np.random.default_rng(seed).uniform(0.0, 1.0, grid.ncells)
     assert _flips_apart(u0, n, dim) > 0.01 * scale
     opts = SolveOptions()
-    rep = minimize(phi_functional(kw, grid, LogisticParams(lam, q, r)),
+    rep = minimize(phi_functional(kw, LogisticParams(lam, q, r)),
                    DiscreteFunction(u0, grid), opts)
     assert rep.status is Status.CONVERGED
     assert _flips_apart(rep.u.values, n, dim) \
         <= opts.residual_tol / grid.measures[0] ** 0.5
 
 
+def test_the_folded_eigenpair_lives_on_the_folded_grid():
+    # the folded weights of 1D n = 7 have 4 cells, like a full n = 4 grid;
+    # paired with that grid's measures the eigen solve gave 16.822048180083566
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 7)
+    fkw = fold(assemble(grid, validate_params(1, 0.4, 2.0, 1.5, 3.0)))
+    pair = principal_eigenpair(fkw)
+    assert fkw.ncells == build_grid(DomainSpec.interval(0.0, 1.0), 4).ncells
+    assert pair.lambda1 == 18.60650506087675
+    assert pair.u1.grid is fkw.grid and pair.u1.unfold().grid is grid
+
+
 def test_cell_witnesses_of_folded_functions_are_those_of_the_unfold():
     # 2D n = 5: orbit cell (1, 2) is cell 5 of the folded grid and cells 7
     # and 17 of the full one, and the middle row and column are single
     _, grid, kw = _problem(2, 5, 0.4, 2.0, 1.5, 3.0)
-    _, fgrid = fold(kw, grid)
+    fgrid = fold(kw).grid
     high = np.ones(fgrid.ncells)
     high[5] = 0.5
     low, high = (DiscreteFunction(v, fgrid) for v in (np.zeros(fgrid.ncells), high))
@@ -143,14 +154,14 @@ def test_verify_witnesses_are_those_of_the_full_grid(tmp_path):
     assert len(_csv_rows(tmp_path / "s" / "solution.csv")) == 1 + n
 
     base, grid, kw = _problem(1, n, 0.4, 2.0, 1.5, 3.0)
-    ep = principal_eigenpair(kw, grid, SolveOptions(seed=0))
+    ep = principal_eigenpair(kw, SolveOptions(seed=0))
     entries = json.loads((out / "report.json").read_text())["results"]["checks"]
     got = {(e["regime"], e["name"]): e for e in entries}
     mirror = (lambda i: min(i, n - 1 - i))
     compared = 0
     for regime in ("sub", "equi", "super"):
         rp = _canonical_regime_params(base, regime)
-        for res in run_suite(rp, grid, kw, None, SolveOptions(), eigen=ep):
+        for res in run_suite(rp, kw, None, SolveOptions(), eigen=ep):
             entry = got.pop((regime, res.name))
             assert entry["verdict"] == res.verdict
             rows = _csv_rows(out / f"verify_{regime}_{res.name}.csv")

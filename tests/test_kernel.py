@@ -13,9 +13,10 @@ from scipy.integrate import quad
 from fplogistic.cli import main
 from fplogistic.domain import (MAX_DENSE_CELLS, DomainSpec, GridError,
                                build_grid, validate_params)
-from fplogistic.kernel import (KernelError, KernelWeights, _gauss, assemble,
-                               fold, load_weights, save_weights)
-from fplogistic.operator import DiscreteFunction
+from fplogistic.kernel import (KernelError, KernelWeights, _gauss,
+                               _tensor_table, assemble, fold, load_weights,
+                               save_weights)
+from fplogistic.operator import DiscreteFunction, GridMismatchError
 
 from oracles import (exit_distance, exterior_weight_1d, exterior_weight_2d,
                      mc_exterior_2d, oracle_exterior_1d, oracle_exterior_2d,
@@ -146,7 +147,8 @@ def test_assembled_weights_structure(kw64):
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5)])
 def test_dense_view_matches_the_index_formula(dim, n):
     table = np.random.default_rng(n).uniform(1.0, 2.0, size=(n,) * dim)
-    kw = KernelWeights(table=table, T=1.0, dim=dim, s=0.4, p=2.0)
+    grid = build_grid(DomainSpec((0.0,) * dim, (1.0,) * dim), n)
+    kw = KernelWeights(grid=grid, table=table, T=1.0, s=0.4, p=2.0)
     idx = np.indices(table.shape).reshape(dim, -1)
     ref = table[tuple(np.abs(a[:, None] - a[None, :]) for a in idx)]
     assert np.array_equal(kw.W, ref)
@@ -469,11 +471,36 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
     with pytest.raises(KernelError):
         load_weights(path, grid32, p3_params)
     # a key that matches the grid over tables of the wrong size
-    short = KernelWeights(table=kw32.table[:16], T=kw32.T, dim=1,
-                          s=kw32.s, p=kw32.p)
-    save_weights(path, short, grid32)
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **{**arrays, "table": kw32.table[:16]})
     with pytest.raises(KernelError, match="does not match"):
         load_weights(path, grid32, sub_params)
+
+
+def test_weights_hold_their_grid(tmp_path, kw32, grid32, sub_params):
+    assert kw32.grid is grid32 and kw32.measures is grid32.measures
+    fkw = fold(kw32)
+    assert fkw.grid.full is grid32 and fkw.ncells == 16
+    assert fkw.measures.sum() == pytest.approx(grid32.measures.sum(),
+                                               rel=1e-15)
+    path = tmp_path / "weights.npz"
+    # the key is that of the weights' grid; another grid is rejected, an
+    # equal one built again is the same grid
+    for other in (build_grid(DomainSpec.interval(0.0, 1.0), 16),
+                  build_grid(DomainSpec.interval(0.0, 2.0), 32), fkw.grid):
+        with pytest.raises(GridMismatchError, match="other than their own"):
+            save_weights(path, kw32, other)
+    assert not path.exists()
+    save_weights(path, kw32, build_grid(DomainSpec.interval(0.0, 1.0), 32))
+    back = load_weights(path, grid32, sub_params)
+    assert np.array_equal(back.table, kw32.table)
+    # an offset table fits only the unfolded grid of its size
+    with pytest.raises(GridMismatchError, match="unfolded grid"):
+        KernelWeights(grid=grid32, table=kw32.table[:16], T=kw32.T,
+                      s=kw32.s, p=kw32.p)
+    with pytest.raises(GridMismatchError, match="unfolded grid"):
+        assemble(fkw.grid, sub_params)
 
 
 def test_dense_cap_enforced():
@@ -523,8 +550,8 @@ def test_k_inverse_matches_the_dense_inverse(dim, hi, n, ps):
         assert np.abs(flipped - cells).max() <= 1e-14 * scale
     # the folded K_f = diag(orbit) K on mirror-even functions, so
     # U K_f^-1 w = K^-1 U (w / orbit), U the unfold
-    fkw, fgrid = fold(kw, build_grid(DomainSpec((0.0,) * dim, hi), n))
-    finv = fkw.k_inverse
+    fkw = fold(kw)
+    fgrid, finv = fkw.grid, fkw.k_inverse
     assert np.abs(finv - finv.T).max() <= 1e-14 * np.abs(finv).max()
     orbit = fgrid.measures / fgrid.full.measures[0]
     for w in np.eye(fkw.ncells):
@@ -561,8 +588,7 @@ def test_k_inverse_allocates_at_most_two_dense_arrays(dim, n):
     # the folded K_f and its inverse are the only dense arrays, each a
     # quarter (1D) or a sixteenth (2D) of one m x m array; the rest is a
     # few small numpy objects
-    fkw, _ = fold(_weights(dim, (1.0,) * dim, n, 0.8),
-                  build_grid(DomainSpec((0.0,) * dim, (1.0,) * dim), n))
+    fkw = fold(_weights(dim, (1.0,) * dim, n, 0.8))
     size = 8 * fkw.ncells ** 2
     tracemalloc.start()
     try:
@@ -574,16 +600,31 @@ def test_k_inverse_allocates_at_most_two_dense_arrays(dim, n):
     assert peak <= 2 * size + 4096
 
 
+def test_tensor_table_holds_one_row_of_the_touching_columns():
+    # the touching columns of a long cell take ceil(ratio) panels per hat
+    # half: one row of 2 x (2 order)^2 x ratio floats, refilled for every
+    # offset di (two rows were alive at once before)
+    ratio, order = 256, 20
+    _gauss(order)
+    row = 2 * (2 * order) ** 2 * ratio * 8
+    tracemalloc.start()
+    try:
+        _tensor_table(4, float(ratio), 0.8, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * row
+
+
 @pytest.mark.parametrize("dim, n, arrays", [(1, 2048, 1.1), (2, 32, 1.5)])
 def test_fold_allocates_about_one_folded_array(dim, n, arrays):
     # the folded W is read through views of the offset table; in 2D the
     # block of the first axis and numpy's iteration buffers add 0.44 of it
     # at n = 32, a share that falls as n grows
     kw = _weights(dim, (1.0,) * dim, n, 0.8)
-    grid = build_grid(DomainSpec((0.0,) * dim, (1.0,) * dim), n)
     tracemalloc.start()
     try:
-        fkw, _ = fold(kw, grid)
+        fkw = fold(kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

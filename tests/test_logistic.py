@@ -49,7 +49,7 @@ def test_reaction_is_primitive_derivative(lp):
 
 
 def test_phi_gradient_matches_finite_differences(grid32, kw32, rng, lp):
-    f = phi_functional(kw32, grid32, lp)
+    f = phi_functional(kw32, lp)
     v = rng.uniform(-0.5, 1.5, grid32.ncells)
     g = f.gradient(v)
     eps = 1e-6
@@ -62,13 +62,16 @@ def test_phi_gradient_matches_finite_differences(grid32, kw32, rng, lp):
                                                           abs=1e-9)
 
 
-def test_functional_builders_check_the_weights(grid32, kw2d, lp, anchor):
+def test_functionals_take_the_measures_of_their_weights(kw32, kw2d, lp,
+                                                        anchor):
+    # the grid comes with the weights, so no builder can pair them with the
+    # measures of another grid; the anchor of a truncation is checked
     tr = TruncatedReaction(anchor, lp)
-    for build in (lambda: phi_functional(kw2d, grid32, lp),
-                  lambda: truncated_functional(kw2d, grid32, tr),
-                  lambda: torsion_functional(kw2d, grid32)):
-        with pytest.raises(GridMismatchError, match="weight table"):
-            build()
+    for func in (phi_functional(kw32, lp), truncated_functional(kw32, tr),
+                 torsion_functional(kw32)):
+        assert func.measures is kw32.grid.measures
+    with pytest.raises(GridMismatchError, match="expected 64 cell values"):
+        truncated_functional(kw2d, tr)
 
 
 def test_truncation_requires_positive_anchor(grid32, lp):
@@ -82,7 +85,7 @@ def anchor(grid32, rng):
     return DiscreteFunction(rng.uniform(0.4, 0.9, grid32.ncells), grid32)
 
 
-def test_lower_truncation_freezes_below_anchor(grid32, anchor, lp):
+def test_lower_truncation_freezes_below_anchor(anchor, lp):
     tr = TruncatedReaction(anchor, lp)
     a = anchor.values
     low = truncated_reaction(tr, 0.25 * a)
@@ -93,7 +96,7 @@ def test_lower_truncation_freezes_below_anchor(grid32, anchor, lp):
     assert at == pytest.approx(reaction(lp, a), rel=1e-14)
 
 
-def test_truncated_primitive_differentiates_to_reaction(grid32, anchor, lp):
+def test_truncated_primitive_differentiates_to_reaction(anchor, lp):
     tr = TruncatedReaction(anchor, lp)
     eps = 1e-6
     for factor in (0.3, 0.96, 1.04, 1.8):
@@ -104,7 +107,7 @@ def test_truncated_primitive_differentiates_to_reaction(grid32, anchor, lp):
                                    abs=1e-7)
 
 
-def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp):
+def test_truncated_primitive_continuous_at_anchor(anchor, lp):
     tr = TruncatedReaction(anchor, lp)
     a = anchor.values
     eps = 1e-9
@@ -116,7 +119,7 @@ def test_truncated_primitive_continuous_at_anchor(grid32, anchor, lp):
 def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
                                                        lp, rng):
     tr = TruncatedReaction(anchor, lp)
-    f = truncated_functional(kw32, grid32, tr)
+    f = truncated_functional(kw32, tr)
     v = rng.uniform(0.0, 1.6, grid32.ncells)
     g = f.gradient(v)
     eps = 1e-6
@@ -130,7 +133,7 @@ def test_truncated_gradient_matches_finite_differences(grid32, kw32, anchor,
 
 
 def test_torsion_functional_gradient(grid32, kw32, rng):
-    f = torsion_functional(kw32, grid32)
+    f = torsion_functional(kw32)
     v = rng.uniform(0.0, 0.1, grid32.ncells)
     eps = 1e-7
     g = f.gradient(v)
@@ -143,14 +146,14 @@ def test_torsion_functional_gradient(grid32, kw32, rng):
                                                           abs=1e-9)
 
 
-def _functional_and_reaction(kind, kw, grid, lp, anchor):
+def _functional_and_reaction(kind, kw, lp, anchor):
     if kind == "phi":
-        return phi_functional(kw, grid, lp), lambda v: reaction(lp, v)
+        return phi_functional(kw, lp), lambda v: reaction(lp, v)
     if kind == "truncated":
         tr = TruncatedReaction(anchor, lp)
-        return (truncated_functional(kw, grid, tr),
+        return (truncated_functional(kw, tr),
                 lambda v: truncated_reaction(tr, v))
-    return torsion_functional(kw, grid), lambda v: 1.0
+    return torsion_functional(kw), lambda v: 1.0
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "replaced"])
@@ -158,7 +161,7 @@ def _functional_and_reaction(kind, kw, grid, lp, anchor):
 def test_gradient_reuses_the_reaction_of_the_energy_call(monkeypatch, grid32,
                                                          kw32, lp, anchor,
                                                          rng, kind, wrapped):
-    func, rxn = _functional_and_reaction(kind, kw32, grid32, lp, anchor)
+    func, rxn = _functional_and_reaction(kind, kw32, lp, anchor)
     if wrapped:
         # the wrapper a tracer puts around every evaluation
         energy, gradient = func.energy, func.gradient
@@ -176,7 +179,7 @@ def test_gradient_reuses_the_reaction_of_the_energy_call(monkeypatch, grid32,
         return out, len(calls) - before
 
     def expected(v):
-        return _apply(v, kw32, grid32.measures) - rxn(v)
+        return _apply(v, kw32) - rxn(v)
 
     a = rng.uniform(-0.5, 1.6, grid32.ncells)
     b = rng.uniform(-0.5, 1.6, grid32.ncells)
@@ -233,7 +236,7 @@ def test_newton_direction_descends_and_meets_the_forcing_term(
     else:
         kw, grid = (kw64, grid64) if case == "1d-64" else (kw2d, grid2d)
     lp = LogisticParams(lam=200.0, q=q, r=q + 1.0)
-    func = phi_functional(kw, grid, lp)
+    func = phi_functional(kw, lp)
     assert func.newton
     m = grid.measures
     rng = np.random.default_rng(sum(map(ord, case)) + int(q))
@@ -262,17 +265,17 @@ def test_newton_metric_only_for_phi_at_p_two_and_q_at_least_two(
         grid32, kw32, kw32_p3, anchor):
     def newton(q, p=2.0):
         kw = kw32 if p == 2.0 else kw32_p3
-        return phi_functional(kw, grid32,
+        return phi_functional(kw,
                               LogisticParams(lam=2.0, q=q, r=4.0)).newton
 
     assert newton(2.0) and newton(3.0)
     assert not newton(1.5) and not newton(3.0, p=3.0)
     lp3 = LogisticParams(lam=2.0, q=3.0, r=4.0)
-    assert not truncated_functional(kw32, grid32,
+    assert not truncated_functional(kw32,
                                     TruncatedReaction(anchor, lp3)).newton
-    assert not torsion_functional(kw32, grid32).newton
+    assert not torsion_functional(kw32).newton
     # below q = 2 the metric is the fixed K of the diffusion part
     g = np.linspace(-1.0, 1.0, grid32.ncells)
-    d = phi_functional(kw32, grid32, LogisticParams(
+    d = phi_functional(kw32, LogisticParams(
         lam=2.0, q=1.5, r=4.0)).precondition(g)
     assert np.array_equal(d, kw32.k_inverse @ (grid32.measures * g))

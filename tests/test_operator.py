@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import inspect
 import tracemalloc
 
@@ -72,7 +73,7 @@ def test_no_function_takes_p_beside_the_weights():
     offenders = []
     for name in ("cli", "config", "descent", "domain", "eigen", "kernel",
                  "logistic", "operator", "solve", "verify"):
-        module = getattr(fplogistic, name)
+        module = importlib.import_module(f"fplogistic.{name}")
         for attr, obj in vars(module).items():
             if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
                     or obj.__module__ != module.__name__:
@@ -88,6 +89,40 @@ def test_no_function_takes_p_beside_the_weights():
     assert offenders == []
     assert set(inspect.signature(fplogistic.LogisticParams).parameters) \
         == {"lam", "q", "r"}
+
+
+def test_no_function_takes_a_grid_beside_the_weights(kw32):
+    # the weights hold their grid; only assembly, loading and saving, which
+    # make or key the weights, see a grid beside them (a measures array is a
+    # grid's)
+    allowed = {"assemble", "load_weights", "save_weights"}
+    offenders = []
+    for name in ("cli", "config", "descent", "domain", "eigen", "kernel",
+                 "logistic", "operator", "solve", "verify"):
+        module = importlib.import_module(f"fplogistic.{name}")
+        for attr, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__ or attr in allowed:
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            notes = {prm: str(params[prm].annotation) for prm in params}
+            # a Functional carries the measures of its weights
+            takes_weights = any("Weights" in note or "Functional" in note
+                                or prm in ("kw", "kwn")
+                                for prm, note in notes.items())
+            takes_grid = any(prm in ("grid", "measures", "meas")
+                             or note.split("[")[0] in ("Grid", "Grid | None")
+                             for prm, note in notes.items())
+            if takes_weights and takes_grid:
+                offenders.append(f"{name}.{attr}")
+    assert offenders == []
+    fold = fplogistic.kernel.fold
+    assert list(inspect.signature(fold).parameters) == ["kw"]
+    assert inspect.signature(fold).return_annotation == "FoldedWeights"
+    assert isinstance(fold(kw32), fplogistic.FoldedWeights)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -292,7 +327,7 @@ def _assert_sobolev_identities(kw, grid, seed):
     g = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.ncells)
     assert g @ k @ g == pytest.approx(
         gagliardo_energy(DiscreteFunction(g, grid), kw, 2.0), rel=1e-10)
-    d = sobolev_preconditioner(kw, grid.measures)(g)
+    d = sobolev_preconditioner(kw)(g)
     mg = grid.measures * g
     assert np.abs(k @ d - mg).max() <= 1e-10 * np.abs(mg).max()
 
@@ -323,5 +358,5 @@ def test_sobolev_metric_identities_for_random_2d_grids(s, n, wide, seed):
     _assert_sobolev_identities(kw, grid, seed)
 
 
-def test_sobolev_preconditioner_only_for_p_two(grid32, kw32_p3):
-    assert sobolev_preconditioner(kw32_p3, grid32.measures) is None
+def test_sobolev_preconditioner_only_for_p_two(kw32_p3):
+    assert sobolev_preconditioner(kw32_p3) is None

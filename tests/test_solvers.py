@@ -32,8 +32,8 @@ def kw16_super(grid16, super_params):
 
 
 @pytest.fixture(scope="module")
-def eig32(kw32, grid32):
-    return principal_eigenpair(kw32, grid32, SolveOptions(seed=0))
+def eig32(kw32):
+    return principal_eigenpair(kw32, SolveOptions(seed=0))
 
 
 def _half_square(nan_below: float) -> Functional:
@@ -41,17 +41,17 @@ def _half_square(nan_below: float) -> Functional:
     def gradient(u):
         return np.full_like(u, np.nan) if np.abs(u).max() < nan_below else u.copy()
 
-    return Functional(lambda u: 0.5 * float(u @ u), gradient, None)
+    return Functional(lambda u: 0.5 * float(u @ u), gradient, None, np.ones(4))
 
 
 def test_descend_never_converges_at_a_non_finite_residual():
     # NaN > tol is False: the stop test must not read NaN as converged
-    meas, opts = np.ones(4), SolveOptions(residual_tol=1e-8, max_iters=100)
+    opts = SolveOptions(residual_tol=1e-8, max_iters=100)
     with pytest.raises(SolverError, match="non-finite residual"):
-        descend(_half_square(np.inf), np.ones(4), meas, opts)
+        descend(_half_square(np.inf), np.ones(4), opts)
     # the first step lands on 0, where the gradient is NaN: the descent
     # stops at the cap status and returns the iterate of smallest residual
-    u, value, res, it, status = descend(_half_square(0.5), np.ones(4), meas, opts)
+    u, value, res, it, status = descend(_half_square(0.5), np.ones(4), opts)
     assert status is Status.MAX_ITERS
     assert (it, res, value) == (1, 2.0, 2.0)
     assert np.array_equal(u, np.ones(4))
@@ -64,18 +64,40 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
     # "threshold 9.73202 fell below the analytic bound 10.6353", an error
     # about the answer, and the other two solved the p = 2 problem
     kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.5, 4.5))
-    eigen = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
+    eigen = principal_eigenpair(kw, SolveOptions(seed=0))
     params = validate_params(1, 0.3, 3.0, 3.5, 4.5)
     run = {
         "solve_branch_point": lambda: solve_branch_point(
-            20.0, None, params, kw, grid32, eigen=eigen),
-        "detect_threshold": lambda: detect_threshold(params, kw, grid32,
+            20.0, None, params, kw, eigen=eigen),
+        "detect_threshold": lambda: detect_threshold(params, kw,
                                                      eigen=eigen),
-        "mountain_pass": lambda: mountain_pass(20.0, params, kw, grid32,
+        "mountain_pass": lambda: mountain_pass(20.0, params, kw,
                                                eigen.u1),
     }[solver]
     with pytest.raises(GridMismatchError,
                        match="assembled for p = 2.0, got p = 3.0"):
+        run()
+
+
+@pytest.mark.parametrize("start", ["minimize", "torsion", "warm", "u_lam",
+                                   "eigen_start"])
+def test_functions_of_another_cell_count_are_rejected(kw32, sub_params,
+                                                      eig32, start):
+    # starts, warm profiles and the branch solution under the saddle come
+    # from outside the weights; a wrong count is named, not a numpy error
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 16)
+    other = DiscreteFunction(np.full(16, 0.5), grid)
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
+    run = {
+        "minimize": lambda: minimize(phi_functional(kw32, lp), other),
+        "torsion": lambda: torsion_solve(kw32, u0=other),
+        "warm": lambda: solve_branch_point(1.0, other, sub_params, kw32),
+        "u_lam": lambda: mountain_pass(1.0, sub_params, kw32, other),
+        "eigen_start": lambda: solve_branch_point(
+            1.0, None, sub_params, kw32,
+            eigen=dataclasses.replace(eig32, u1=other)),
+    }[start]
+    with pytest.raises(GridMismatchError, match="expected 32 cell values"):
         run()
 
 
@@ -88,7 +110,7 @@ def test_status_labels():
 
 def test_zero_start_is_exact_critical_point(grid32, kw32):
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
-    func = phi_functional(kw32, grid32, lp)
+    func = phi_functional(kw32, lp)
     rep = minimize(func, DiscreteFunction(np.zeros(32), grid32))
     assert rep.iterations == 0
     assert rep.status is Status.COLLAPSED
@@ -97,18 +119,18 @@ def test_zero_start_is_exact_critical_point(grid32, kw32):
 
 def test_max_iters_status(grid32, kw32, rng):
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
-    func = phi_functional(kw32, grid32, lp)
+    func = phi_functional(kw32, lp)
     u0 = DiscreteFunction(rng.uniform(0.1, 1.0, 32), grid32)
     rep = minimize(func, u0, SolveOptions(max_iters=1))
     assert rep.status is Status.MAX_ITERS
     assert rep.iterations == 1
 
 
-def test_sub_regime_starts_agree(grid32, kw32, sub_params, eig32):
+def test_sub_regime_starts_agree(kw32, sub_params, eig32):
     sups = []
     for seed in range(3):
         opts = SolveOptions(seed=seed, initial="random")
-        rep = solve_branch_point(1.0, None, sub_params, kw32, grid32, opts,
+        rep = solve_branch_point(1.0, None, sub_params, kw32, opts,
                                  eigen=eig32)
         assert rep.status is Status.CONVERGED
         assert rep.u.values.min() > 0.0
@@ -117,23 +139,23 @@ def test_sub_regime_starts_agree(grid32, kw32, sub_params, eig32):
         assert other == pytest.approx(sups[0], rel=1e-6, abs=1e-8)
 
 
-def test_restart_from_solution_is_immediate(grid32, kw32, sub_params, eig32):
-    rep = solve_branch_point(1.0, None, sub_params, kw32, grid32,
+def test_restart_from_solution_is_immediate(kw32, sub_params, eig32):
+    rep = solve_branch_point(1.0, None, sub_params, kw32,
                              SolveOptions(), eigen=eig32)
-    again = solve_branch_point(1.0, None, sub_params, kw32, grid32,
+    again = solve_branch_point(1.0, None, sub_params, kw32,
                                SolveOptions(initial="eigen"), eigen=eig32)
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
-    func = phi_functional(kw32, grid32, lp)
+    func = phi_functional(kw32, lp)
     refined = minimize(func, rep.u, SolveOptions())
     assert refined.iterations == 0
     assert refined.status is Status.CONVERGED
     assert again.u.values == pytest.approx(rep.u.values, rel=1e-6)
 
 
-def test_warm_start_preserves_ordering(grid32, kw32, sub_params, eig32):
-    low = solve_branch_point(1.0, None, sub_params, kw32, grid32,
+def test_warm_start_preserves_ordering(kw32, sub_params, eig32):
+    low = solve_branch_point(1.0, None, sub_params, kw32,
                              SolveOptions(), eigen=eig32)
-    high = solve_branch_point(2.0, low.u, sub_params, kw32, grid32,
+    high = solve_branch_point(2.0, low.u, sub_params, kw32,
                               SolveOptions(), eigen=eig32)
     assert high.status is Status.CONVERGED
     assert np.all(high.u.values >= low.u.values)
@@ -156,7 +178,7 @@ def test_warm_start_on_the_newton_branches(monkeypatch, case):
     grid = build_grid(domain, n)
     params = validate_params(dim, 0.4, 2.0, q, r)
     kw = assemble(grid, params)
-    eig = principal_eigenpair(kw, grid, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
     opts = SolveOptions()
     # the benchmark's sup gate: two solutions within residual_tol of the
     # exact one in the mass norm, each cell of measure h
@@ -169,13 +191,13 @@ def test_warm_start_on_the_newton_branches(monkeypatch, case):
         return minimize_(*args, **kwargs)
 
     monkeypatch.setattr(solve_module, "minimize", counting)
-    warm = solve_branch_point(lams[0], None, params, kw, grid, opts, eigen=eig)
+    warm = solve_branch_point(lams[0], None, params, kw, opts, eigen=eig)
     assert warm.status is Status.CONVERGED
     for lam in lams[1:]:
-        cold = solve_branch_point(lam, None, params, kw, grid, opts, eigen=eig)
+        cold = solve_branch_point(lam, None, params, kw, opts, eigen=eig)
         assert cold.status is Status.CONVERGED
         before = len(calls)
-        rep = solve_branch_point(lam, warm.u, params, kw, grid, opts, eigen=eig)
+        rep = solve_branch_point(lam, warm.u, params, kw, opts, eigen=eig)
         assert len(calls) - before == 1
         assert rep.status is Status.CONVERGED
         assert np.all(rep.u.values >= warm.u.values)
@@ -186,47 +208,47 @@ def test_warm_start_on_the_newton_branches(monkeypatch, case):
 def test_warm_start_ordering_violation_raises(grid32, kw32, sub_params, eig32):
     huge = DiscreteFunction(np.full(32, 50.0), grid32)
     with pytest.raises(SolverError, match="ordering"):
-        solve_branch_point(0.5, huge, sub_params, kw32, grid32,
+        solve_branch_point(0.5, huge, sub_params, kw32,
                            SolveOptions(), eigen=eig32)
 
 
 def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
     lam = 0.5 * eig.lambda1
-    rep = solve_branch_point(lam, None, equi_params, kw, grid32,
+    rep = solve_branch_point(lam, None, equi_params, kw,
                              SolveOptions(initial="random", seed=3), eigen=eig)
     assert rep.status is Status.COLLAPSED
     assert rep.u.sup_norm() <= 1e-6
 
 
-def test_initial_values_kinds(grid32, kw32):
+def test_initial_values_kinds(kw32):
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     opts = SolveOptions(seed=5)
-    r1 = initial_values("random", grid32, kw32, lp, opts)
-    r2 = initial_values("random", grid32, kw32, lp, SolveOptions(seed=5))
+    r1 = initial_values("random", kw32, lp, opts)
+    r2 = initial_values("random", kw32, lp, SolveOptions(seed=5))
     assert np.array_equal(r1, r2)
     assert r1.min() >= 0.1 and r1.max() < 1.0
     with pytest.raises(ValueError, match="unknown"):
-        initial_values("best", grid32, kw32, lp, opts)
+        initial_values("best", kw32, lp, opts)
 
 
-def test_eigen_start_needs_the_eigenpair(grid32, kw32, sub_params):
+def test_eigen_start_needs_the_eigenpair(kw32, sub_params):
     # the eigenpair is solved by the caller, once, never inside a solve
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     with pytest.raises(ValueError, match="eigenpair"):
-        initial_values("eigen", grid32, kw32, lp, SolveOptions())
+        initial_values("eigen", kw32, lp, SolveOptions())
     with pytest.raises(ValueError, match="eigenpair"):
-        solve_branch_point(1.0, None, sub_params, kw32, grid32, SolveOptions())
+        solve_branch_point(1.0, None, sub_params, kw32, SolveOptions())
 
 
 def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     # below the linear threshold the energy is positive along the whole ray,
     # so the scan hands back the origin and the solve collapses cleanly
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
     lp = LogisticParams(lam=0.9 * eig.lambda1, q=2.0, r=3.0)
-    u0 = initial_values("eigen", grid32, kw, lp, SolveOptions(), eigen=eig)
+    u0 = initial_values("eigen", kw, lp, SolveOptions(), eigen=eig)
     assert np.all(u0 == 0.0)
 
 
@@ -242,7 +264,7 @@ def test_eigen_start_at_the_eigenvalue_is_zero_to_rounding(grid64, kw64,
     lam1 = eig64.lambda1
     for lam, dip in ((lam1, False), ((1.0 + 1e-9) * lam1, True)):
         lp = LogisticParams(lam=lam, q=2.0, r=3.0)
-        u0 = initial_values("eigen", grid64, kw64, lp, SolveOptions(),
+        u0 = initial_values("eigen", kw64, lp, SolveOptions(),
                             eigen=eig)
         assert bool(u0.any()) is dip
 
@@ -263,13 +285,13 @@ def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
                LogisticParams(lam=8.0, q=3.0, r=4.0),
                LogisticParams(lam=40.0, q=3.0, r=4.0)):
         energy_calls.clear()
-        u0 = initial_values("eigen", grid32, kw32, lp, SolveOptions(),
+        u0 = initial_values("eigen", kw32, lp, SolveOptions(),
                             eigen=eig32)
         assert len(energy_calls) <= 1
         t = u0.max() / u1.max()
         assert t > 0.0
         assert u0 == pytest.approx(t * u1, rel=1e-14, abs=0.0)
-        phi = phi_functional(kw32, grid32, lp)
+        phi = phi_functional(kw32, lp)
 
         def slope(tau):
             # d/dtau Phi(tau u1), and the size of its largest term
@@ -296,9 +318,9 @@ def test_lower_bound_rejects_bad_inputs(sub_params, super_params):
         lower_bound_lambda0(super_params, 0.0)
 
 
-def test_detect_threshold_invariants(grid16, kw16_super, super_params):
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
-    report = detect_threshold(super_params, kw16_super, grid16,
+def test_detect_threshold_invariants(kw16_super, super_params):
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    report = detect_threshold(super_params, kw16_super,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     assert report.lambda_star_h >= report.lambda_0
     assert 0.0 < report.bracket_width <= 1e-2
@@ -326,8 +348,8 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     params = validate_params(1, s, 2.0, q, r)
     grid = build_grid(unit_interval, n)
     kw = assemble(grid, params)
-    rep = detect_threshold(params, kw, grid, SolveOptions(), bracket_tol=1e-2,
-                           eigen=principal_eigenpair(kw, grid,
+    rep = detect_threshold(params, kw, SolveOptions(), bracket_tol=1e-2,
+                           eigen=principal_eigenpair(kw,
                                                      SolveOptions(seed=0)))
     assert rep.lambda_star_h >= rep.lambda_0
     lams = [b.lam for b in rep.branch]
@@ -337,11 +359,11 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     assert all(a < b for a, b in zip(sups, sups[1:]))
 
 
-def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
+def test_threshold_probe_iteration_cap_raises(kw16_super,
                                               super_params):
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     with pytest.raises(SolverError, match="max_iters"):
-        detect_threshold(super_params, kw16_super, grid16,
+        detect_threshold(super_params, kw16_super,
                          SolveOptions(max_iters=3), bracket_tol=1e-2,
                          eigen=eig)
 
@@ -352,9 +374,9 @@ def test_threshold_probe_iteration_cap_raises(grid16, kw16_super,
      r"hit the iteration cap \(residual 3\.790e\+02\); raise max_iters"),
 ])
 def test_threshold_probe_failure_names_where_it_stopped(
-        monkeypatch, grid16, kw16_super, super_params, iterations, message):
+        monkeypatch, kw16_super, super_params, iterations, message):
     # a descent that gives up early is not one that ran out of iterations
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
 
     def stopped(func, u0, opts=None):
         return SolveReport(u=u0, energy=0.0, residual=379.0,
@@ -362,7 +384,7 @@ def test_threshold_probe_failure_names_where_it_stopped(
 
     monkeypatch.setattr(solve_module, "minimize", stopped)
     with pytest.raises(SolverError, match=message):
-        detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
+        detect_threshold(super_params, kw16_super, SolveOptions(),
                          bracket_tol=1e-2, eigen=eig)
 
 
@@ -383,54 +405,54 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
     monkeypatch.setattr(solve_module, "minimize", recorded)
     grid = build_grid(unit_interval, n)
     kw = assemble(grid, super_params)
-    detect_threshold(super_params, kw, grid, SolveOptions(), bracket_tol=1e-2,
-                     eigen=principal_eigenpair(kw, grid, SolveOptions(seed=0)))
+    detect_threshold(super_params, kw, SolveOptions(), bracket_tol=1e-2,
+                     eigen=principal_eigenpair(kw, SolveOptions(seed=0)))
     converged = [r.iterations for r in probes if r.status is Status.CONVERGED]
     assert converged
     assert sum(converged) / len(converged) <= 12.0
     assert max(r.iterations for r in probes) <= 30
 
 
-def test_detect_threshold_accepts_explicit_start(grid16, kw16_super,
+def test_detect_threshold_accepts_explicit_start(kw16_super,
                                                  super_params):
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     lam0 = lower_bound_lambda0(super_params, eig.lambda1)
-    report = detect_threshold(super_params, kw16_super, grid16,
+    report = detect_threshold(super_params, kw16_super,
                               SolveOptions(), bracket_tol=5e-2,
                               lambda_high=3.0 * lam0, eigen=eig)
     assert report.lambda_star_h >= lam0
     with pytest.raises(SolverError, match="collapsed"):
-        detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
+        detect_threshold(super_params, kw16_super, SolveOptions(),
                          lambda_high=0.5 * lam0, eigen=eig)
 
 
-def test_threshold_below_analytic_bound_raises(grid16, kw16_super,
+def test_threshold_below_analytic_bound_raises(kw16_super,
                                                super_params):
     # an inflated lambda1 lifts lambda0 above the true threshold, so the walk
     # meets a solvable probe below the bound and stops there
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     inflated = dataclasses.replace(eig, lambda1=2.0 * eig.lambda1)
     with pytest.raises(SolverError, match="analytic bound"):
-        detect_threshold(super_params, kw16_super, grid16, SolveOptions(),
+        detect_threshold(super_params, kw16_super, SolveOptions(),
                          bracket_tol=1e-2, eigen=inflated)
 
 
 @pytest.fixture(scope="module")
-def super_branch16(grid16, kw16_super, super_params):
+def super_branch16(kw16_super, super_params):
     """Intensity 1.5 lambda*_h and the branch solution there, on grid16."""
-    eig = principal_eigenpair(kw16_super, grid16, SolveOptions(seed=0))
-    report = detect_threshold(super_params, kw16_super, grid16,
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    report = detect_threshold(super_params, kw16_super,
                               SolveOptions(), bracket_tol=1e-2, eigen=eig)
     lam = 1.5 * report.lambda_star_h
     big = solve_branch_point(lam, report.u_star, super_params, kw16_super,
-                             grid16, SolveOptions(), eigen=eig)
+                             SolveOptions(), eigen=eig)
     return lam, big
 
 
 def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params,
                                     super_branch16):
     lam, big = super_branch16
-    rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u,
+    rep = mountain_pass(lam, super_params, kw16_super, big.u,
                         SolveOptions())
     assert rep.status is Status.CONVERGED
     v = rep.u.values
@@ -440,12 +462,12 @@ def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params,
     _assert_mountain_pass_level(rep, big, super_params, kw16_super, grid16, lam)
 
 
-def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
+def test_mountain_pass_iteration_cap(kw16_super, super_params,
                                      super_branch16):
     # the search stops at the cap and hands back its best iterate, clipped
     lam, big = super_branch16
     opts = SolveOptions(max_iters=5)
-    rep = mountain_pass(lam, super_params, kw16_super, grid16, big.u, opts)
+    rep = mountain_pass(lam, super_params, kw16_super, big.u, opts)
     assert rep.status is Status.MAX_ITERS
     assert rep.iterations == 5
     assert rep.residual > opts.residual_tol
@@ -456,7 +478,7 @@ def test_mountain_pass_iteration_cap(grid16, kw16_super, super_params,
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):
     # the mountain-pass level lies above both ends of the segment
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
-    phi = phi_functional(kw, grid, lp).energy
+    phi = phi_functional(kw, lp).energy
     assert rep.energy == pytest.approx(phi(rep.u.values), rel=1e-14)
     assert rep.energy > max(phi(np.zeros(grid.ncells)), phi(big.u.values))
 
@@ -465,11 +487,11 @@ def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
     # weights depend on s and p only, so the sublinear kw2d serves here
     params = validate_params(2, 0.4, 2.0, 2.5, 3.2)
     lam = 40.0
-    big = solve_branch_point(lam, None, params, kw2d, grid2d, SolveOptions(),
-                             eigen=principal_eigenpair(kw2d, grid2d,
+    big = solve_branch_point(lam, None, params, kw2d, SolveOptions(),
+                             eigen=principal_eigenpair(kw2d,
                                                        SolveOptions(seed=0)))
     assert big.status is Status.CONVERGED
-    rep = mountain_pass(lam, params, kw2d, grid2d, big.u, SolveOptions())
+    rep = mountain_pass(lam, params, kw2d, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED
     v = rep.u.values
     assert 0.0 < v.min() and rep.u.sup_norm() < big.u.sup_norm()
@@ -477,32 +499,32 @@ def test_mountain_pass_finds_saddle_2d(grid2d, kw2d):
     _assert_mountain_pass_level(rep, big, params, kw2d, grid2d, lam)
 
 
-def test_mountain_pass_not_found_without_barrier(grid32, kw32, sub_params,
+def test_mountain_pass_not_found_without_barrier(kw32, sub_params,
                                                  eig32):
     # in the sublinear regime zero is not a separated local minimum: the
     # ray through the solution has no energy peak before it
-    rep = solve_branch_point(1.0, None, sub_params, kw32, grid32,
+    rep = solve_branch_point(1.0, None, sub_params, kw32,
                              SolveOptions(), eigen=eig32)
-    mp = mountain_pass(1.0, sub_params, kw32, grid32, rep.u, SolveOptions())
+    mp = mountain_pass(1.0, sub_params, kw32, rep.u, SolveOptions())
     assert mp.status is Status.NOT_FOUND
 
 
 def test_torsion_solve(grid32, kw32):
-    rep = torsion_solve(kw32, grid32, SolveOptions())
+    rep = torsion_solve(kw32, SolveOptions())
     assert rep.status is Status.CONVERGED
     assert rep.u.values.min() > 0.0
     lu = apply_operator(rep.u, kw32, 2.0)
     assert mass_norm(lu.values - 1.0, grid32.measures) <= 1e-6
 
 
-def test_torsion_solve_raises_on_cap(grid32, kw32):
+def test_torsion_solve_raises_on_cap(kw32):
     with pytest.raises(SolverError, match="torsion"):
-        torsion_solve(kw32, grid32, SolveOptions(max_iters=0))
+        torsion_solve(kw32, SolveOptions(max_iters=0))
 
 
-def test_torsion_solve_p2_is_one_newton_step(grid32, kw32):
+def test_torsion_solve_p2_is_one_newton_step(kw32):
     # L u = 1 is linear for p = 2, so a step in the metric of K solves it
-    rep = torsion_solve(kw32, grid32, SolveOptions())
+    rep = torsion_solve(kw32, SolveOptions())
     assert rep.status is Status.CONVERGED
     assert rep.iterations <= 2
 
@@ -516,9 +538,9 @@ def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
     for n in (64, 256):
         grid = build_grid(unit_interval, n)
         kw = assemble(grid, sub_params)
-        rep = solve_branch_point(20.0, None, sub_params, kw, grid,
+        rep = solve_branch_point(20.0, None, sub_params, kw,
                                  eigen=principal_eigenpair(
-                                     kw, grid, SolveOptions(seed=0)))
+                                     kw, SolveOptions(seed=0)))
         assert rep.status is Status.CONVERGED
         iterations.append(rep.iterations)
     assert max(iterations) < 1.5 * min(iterations)
@@ -527,10 +549,10 @@ def test_logistic_iterations_do_not_grow_with_the_mesh(unit_interval,
 def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
     # kw32 depends on s and p only, so it serves the superlinear reaction
     lp = LogisticParams(lam=40.0, q=3.0, r=4.0)
-    phi = phi_functional(kw32, grid32, lp)
+    phi = phi_functional(kw32, lp)
     meas = grid32.measures
     v = rng.uniform(0.1, 1.0, grid32.ncells)
-    t = _fiber_extrema(v, kw32, lp, meas)[0]
+    t = _fiber_extrema(v, kw32, lp)[0]
     assert 0.0 < t
     u = t * v
     assert abs(mass_dot(phi.gradient(u), u, meas)) <= 1e-12 * _energy(u, kw32)
@@ -539,9 +561,9 @@ def test_fiber_peak_is_the_first_critical_point_of_the_ray(grid32, kw32, rng):
     # no peak when the reaction does not outgrow the diffusion, or when
     # the intensity is too weak for the energy to turn down along the ray
     assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
-        lam=40.0, q=1.5, r=3.0), meas)[0])
+        lam=40.0, q=1.5, r=3.0))[0])
     assert np.isnan(_fiber_extrema(v, kw32, LogisticParams(
-        lam=1.0, q=3.0, r=4.0), meas)[0])
+        lam=1.0, q=3.0, r=4.0))[0])
 
 
 def test_mountain_pass_barrier_near_zero(grid64):
@@ -550,11 +572,11 @@ def test_mountain_pass_barrier_near_zero(grid64):
     params = validate_params(1, 0.3, 3.0, 4.0, 5.0)
     kw = assemble(grid64, params)
     lam = 60.0
-    big = solve_branch_point(lam, None, params, kw, grid64, SolveOptions(),
-                             eigen=principal_eigenpair(kw, grid64,
+    big = solve_branch_point(lam, None, params, kw, SolveOptions(),
+                             eigen=principal_eigenpair(kw,
                                                        SolveOptions(seed=0)))
     assert big.status is Status.CONVERGED
-    rep = mountain_pass(lam, params, kw, grid64, big.u, SolveOptions())
+    rep = mountain_pass(lam, params, kw, big.u, SolveOptions())
     assert rep.status is Status.CONVERGED
     v = rep.u.values
     assert 0.0 < rep.u.sup_norm() and np.all(v >= 0.0)

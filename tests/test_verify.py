@@ -69,23 +69,23 @@ def test_strict_order_branches(grid32, rng):
 
 def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
                                           equi_params):
-    lam1 = principal_eigenpair(kw32, grid32, SolveOptions(seed=0)).lambda1
-    res = check_nonexistence_equi(sub_params, 1.0, kw32, grid32, lambda1=lam1)
+    lam1 = principal_eigenpair(kw32, SolveOptions(seed=0)).lambda1
+    res = check_nonexistence_equi(sub_params, 1.0, kw32, lambda1=lam1)
     assert res.passed is None
     assert "q = p" in res.notes
 
     kw_eq = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw_eq, grid32, SolveOptions(seed=0))
+    eig = principal_eigenpair(kw_eq, SolveOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 2.0 * eig.lambda1, kw_eq,
-                                  grid32, lambda1=eig.lambda1)
+                                  lambda1=eig.lambda1)
     assert res.passed is None
     assert "lambda1" in res.notes
 
 
 def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
+    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw,
                                   trials=3, lambda1=eig.lambda1)
     assert res.passed
     assert max(res.witness["sup_norms"]) <= 1e-6
@@ -96,8 +96,8 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
     # an iteration cap leaves the trials unfinished, which the check must
     # refuse
     kw = assemble(grid32, equi_params)
-    eig = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw, grid32,
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
+    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw,
                                   trials=2, opts=SolveOptions(max_iters=2),
                                   lambda1=eig.lambda1)
     assert res.passed is False
@@ -109,12 +109,12 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, check):
     # an equidiffusive p = q = 3 problem on p = 2 weights used to be
     # certified: the p = 2 problem it actually solved is superdiffusive
     kw = assemble(grid32, validate_params(1, 0.3, 2.0, 3.0, 4.0))
-    eigen = principal_eigenpair(kw, grid32, SolveOptions(seed=0))
+    eigen = principal_eigenpair(kw, SolveOptions(seed=0))
     params = validate_params(1, 0.3, 3.0, 3.0, 4.0)
     run = {
         "check_nonexistence_equi": lambda: check_nonexistence_equi(
-            params, 0.9 * eigen.lambda1, kw, grid32, lambda1=eigen.lambda1),
-        "run_suite": lambda: run_suite(params, grid32, kw, eigen=eigen),
+            params, 0.9 * eigen.lambda1, kw, lambda1=eigen.lambda1),
+        "run_suite": lambda: run_suite(params, kw, eigen=eigen),
     }[check]
     with pytest.raises(GridMismatchError,
                        match="assembled for p = 2.0, got p = 3.0"):
@@ -143,9 +143,9 @@ def test_refinement_study_branches():
     assert bad.passed is False
 
 
-def test_run_suite_sub(grid32, kw32, sub_params):
-    results = run_suite(sub_params, grid32, kw32, eigen=principal_eigenpair(
-        kw32, grid32, SolveOptions(seed=0)))
+def test_run_suite_sub(kw32, sub_params):
+    results = run_suite(sub_params, kw32, eigen=principal_eigenpair(
+        kw32, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names == ["strict_order", "hopf_boundary_growth", "limit_branch"]
     assert all(r.passed for r in results)
@@ -153,8 +153,8 @@ def test_run_suite_sub(grid32, kw32, sub_params):
 
 def test_run_suite_equi(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    results = run_suite(equi_params, grid32, kw, eigen=principal_eigenpair(
-        kw, grid32, SolveOptions(seed=0)))
+    results = run_suite(equi_params, kw, eigen=principal_eigenpair(
+        kw, SolveOptions(seed=0)))
     assert [r.name for r in results] == ["nonexistence_below_eigenvalue"]
     assert results[0].passed
 
@@ -162,8 +162,8 @@ def test_run_suite_equi(grid32, equi_params):
 def test_run_suite_super(super_params, unit_interval):
     grid = build_grid(unit_interval, 16)
     kw = assemble(grid, super_params)
-    results = run_suite(super_params, grid, kw, eigen=principal_eigenpair(
-        kw, grid, SolveOptions(seed=0)))
+    results = run_suite(super_params, kw, eigen=principal_eigenpair(
+        kw, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names[0] == "threshold_above_lower_bound"
     assert "hopf_boundary_growth" in names
