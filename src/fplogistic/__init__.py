@@ -2,13 +2,14 @@
 
 The package discretizes the degenerate nonlocal p-Laplacian with exterior
 zero condition on interval and rectangle domains by piecewise-constant cell
-functions, for which the singular double integral has closed-form and
-adaptively reduced weights, which ``fold`` restricts to the mirror-even
-functions.  On top of the full or folded weights it provides
-the principal eigenpair, descent solvers for the logistic energy in the
-subdiffusive, equidiffusive, and superdiffusive regimes, detection of the
-existence threshold, a saddle search for the second solution, and
-structural verification checks.
+functions.  The weights of the singular double integral are closed forms in
+1D; in 2D one tensor Gauss rule gives them, and a self-similar solve those
+of touching cells; ``fold`` restricts them to the mirror-even functions.
+On top of the full or folded weights it provides the principal eigenpair,
+which carries its weights, descent solvers for the logistic energy in the
+sub-, equi- and superdiffusive regimes, detection of the existence
+threshold, a saddle search for the second solution, and structural
+verification checks.
 """
 
 from __future__ import annotations

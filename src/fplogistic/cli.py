@@ -152,7 +152,7 @@ def _run(args) -> int:
     if command == "refine":
         files, results, code = _run_refine(cfg, params, grids, opts)
     elif command == "verify":
-        files, results, code = _run_verify(args, cfg, params, kw, opts, ep)
+        files, results, code = _run_verify(args, cfg, params, opts, ep)
     elif command == "eigen":
         print(f"lambda1 = {ep.lambda1!r}  residual = {ep.residual:.3e}  "
               f"iterations = {ep.iterations}")
@@ -195,10 +195,9 @@ def _run(args) -> int:
         capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
         code = 2 if capped else 0
     elif command == "threshold":
-        thr = detect_threshold(params, kw, opts,
+        thr = detect_threshold(params, ep, opts,
                                bracket_tol=cfg.threshold_bracket_tol,
-                               lambda_high=cfg.threshold_lambda_high,
-                               eigen=ep)
+                               lambda_high=cfg.threshold_lambda_high)
         print(f"lambda_star_h = {thr.lambda_star_h!r}  "
               f"lambda_0 = {thr.lambda_0!r}  "
               f"bracket_width = {thr.bracket_width!r}")
@@ -262,9 +261,9 @@ def _canonical_regime_params(base, regime: str):
     return validate_params(base.dim, base.s, p, q, r)
 
 
-def _run_verify(args, cfg, params, kw, opts, ep):
-    # the canonical regimes move only q and r, so kw and its eigenpair ep
-    # serve every bundle
+def _run_verify(args, cfg, params, opts, ep):
+    # the canonical regimes move only q and r, so the eigenpair ep and the
+    # weights it carries serve every bundle
     if args.regime is None:
         bundles = [(classify_regime(params).value, params, cfg.lam)]
     else:
@@ -275,7 +274,7 @@ def _run_verify(args, cfg, params, kw, opts, ep):
     entries = []
     failed = False
     for regime, rp, lam in bundles:
-        results = run_suite(rp, kw, lam, opts, eigen=ep)
+        results = run_suite(rp, ep, lam, opts)
         for res in results:
             notes = f"  ({res.notes})" if res.notes else ""
             print(f"{regime}/{res.name}: {res.verdict}{notes}")
@@ -296,14 +295,12 @@ def _run_refine(cfg, params, grids, opts):
     is_super = classify_regime(params) is Regime.SUPER
     rows = []
     for gn in grids:
-        kwn = fold(assemble(gn, params))
-        ep = principal_eigenpair(kwn, opts)
+        ep = principal_eigenpair(fold(assemble(gn, params)), opts)
         lambda_star_h = None
         if is_super:
             lambda_star_h = detect_threshold(
-                params, kwn, opts, bracket_tol=cfg.threshold_bracket_tol,
-                eigen=ep).lambda_star_h
-        rep = solve_branch_point(cfg.lam, None, params, kwn, opts, eigen=ep)
+                params, ep, opts, cfg.threshold_bracket_tol).lambda_star_h
+        rep = solve_branch_point(cfg.lam, None, params, ep.weights, opts, eigen=ep)
         rows.append({"n": gn.n, "lambda1": ep.lambda1,
                      "lambda_star_h": lambda_star_h,
                      "sup_norm": rep.u.sup_norm(), "status": rep.status.value})

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .domain import Grid
 from .operator import mass_dot, mass_norm
 
 # Armijo sufficient-decrease constant and backtracking factor of descend
@@ -74,11 +75,13 @@ class Functional:
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     precondition: Callable[[np.ndarray], np.ndarray] | None
-    measures: np.ndarray  # of the weights: the mass of every inner product
+    grid: Grid  # of the weights, and of the answers; its measures weigh every pairing
     collapsed: Callable[[np.ndarray], bool] | None = None
     newton: bool = False
     retract: Callable[[np.ndarray], np.ndarray] | None = None
     clip: Callable[[np.ndarray], np.ndarray] | None = None
+
+    measures = property(lambda self: self.grid.measures)
 
 
 def descend(func: Functional, u0: np.ndarray,

@@ -208,27 +208,12 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
         raise GridError(
             f"domain sides {domain.sides} have ratio {ratio:.6g}; the 2D "
             f"kernel rule is capped at {MAX_ASPECT_RATIO}")
-    axis_edges = [np.linspace(a, b, n + 1) for a, b in zip(domain.lo, domain.hi)]
-    axis_lows = [e[:-1] for e in axis_edges]
-    axis_highs = [e[1:] for e in axis_edges]
-    axis_centers = [0.5 * (lo + hi) for lo, hi in zip(axis_lows, axis_highs)]
-
-    if domain.dim == 1:
-        lows = axis_lows[0][:, None]
-        highs = axis_highs[0][:, None]
-        centers = axis_centers[0][:, None]
-    else:
-        cx, cy = np.meshgrid(axis_centers[0], axis_centers[1], indexing="ij")
-        lx, ly = np.meshgrid(axis_lows[0], axis_lows[1], indexing="ij")
-        hx, hy = np.meshgrid(axis_highs[0], axis_highs[1], indexing="ij")
-        centers = np.column_stack([cx.ravel(), cy.ravel()])
-        lows = np.column_stack([lx.ravel(), ly.ravel()])
-        highs = np.column_stack([hx.ravel(), hy.ravel()])
-
-    cell_measure = 1.0
-    for w in domain.sides:
-        cell_measure *= w / n
-    measures = np.full(centers.shape[0], cell_measure)
+    edges = [np.linspace(a, b, n + 1) for a, b in zip(domain.lo, domain.hi)]
+    # lower and upper corners (ncells, dim), x-major: all combinations of axis edges
+    lows, highs = (np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, domain.dim)
+                   for axes in ([e[:-1] for e in edges], [e[1:] for e in edges]))
+    centers = 0.5 * (lows + highs)
+    measures = np.full(centers.shape[0], math.prod(w / n for w in domain.sides))
 
     lo = np.asarray(domain.lo)
     hi = np.asarray(domain.hi)

@@ -9,7 +9,8 @@ positive start that ``seeded_uniform`` draws with the standard library's
 ``random``, and stops it on the caller's ``SolveOptions`` like every other
 descent.
 For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
-preconditioned inverse iteration.  Callers pass the pair to the solvers.
+preconditioned inverse iteration.  The pair carries the weights it was
+solved on (``EigenPair.weights``), which the solvers read off it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class EigenPair:
     u1: DiscreteFunction
     residual: float
     iterations: int
+    weights: KernelWeights  # solved on, full or folded; u1 has their cells
+
+    def __post_init__(self) -> None:
+        _check_cells(self.u1.values, self.weights)
 
 
 def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
@@ -67,10 +72,10 @@ def _normalize(v: np.ndarray, p: float, measures: np.ndarray) -> np.ndarray:
 
 def principal_eigenpair(kw: KernelWeights,
                         opts: SolveOptions | None = None) -> EigenPair:
-    """First eigenpair (lambda1, u1) with u1 > 0 and ||u1||_p = 1, p = kw.p.
+    """First eigenpair (lambda1, u1) of kw, u1 > 0 and ||u1||_p = 1, p = kw.p.
 
     One descent, on the grid of the weights, from the strictly positive
-    start that ``opts.seed`` draws.
+    start that ``opts.seed`` draws; the pair records kw as its ``weights``.
     The principal eigenvalue is simple and its eigenfunction has one sign,
     so the limit, flipped to positive mass, must be positive; a descent
     that does not converge, or whose limit is not positive, raises
@@ -91,7 +96,7 @@ def principal_eigenpair(kw: KernelWeights,
         # the engine asks for the gradient where it last evaluated the quotient
         return _apply(v, kw) - last_quotient[0] * signed_power(v, p - 1.0)
 
-    func = Functional(quotient, gradient, sobolev_preconditioner(kw), meas,
+    func = Functional(quotient, gradient, sobolev_preconditioner(kw), kw.grid,
                       retract=lambda v: _normalize(v, p, meas))
     start = seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells)
     u, lam, res, it, status = descend(func, _normalize(start, p, meas), opts)
@@ -106,4 +111,4 @@ def principal_eigenpair(kw: KernelWeights,
             f"eigen solve converged to a function that is not positive "
             f"(min {u.min():.3e}, residual {res:.3e})")
     return EigenPair(lambda1=lam, u1=DiscreteFunction(u, kw.grid),
-                     residual=res, iterations=it)
+                     residual=res, iterations=it, weights=kw)

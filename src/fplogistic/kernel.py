@@ -134,6 +134,7 @@ class FoldedWeights(_Dense):
     grid: Grid     # one cell per mirror orbit of grid.full
     W: np.ndarray  # (m, m) pair weights summed over both orbits, symmetric
     T: np.ndarray  # (m,) T times the orbit size
+    s: float
     p: float
 
 
@@ -207,7 +208,7 @@ def fold(kw: KernelWeights) -> FoldedWeights:
                                  full=grid, full_index=index)
     w = _even_couplings(kw.table)
     w *= orbit[:, None]
-    return FoldedWeights(grid=folded, W=w, T=orbit * kw.T, p=kw.p)
+    return FoldedWeights(grid=folded, W=w, T=orbit * kw.T, s=kw.s, p=kw.p)
 
 
 # ----------------------------------------------------------------------

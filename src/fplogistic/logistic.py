@@ -147,7 +147,7 @@ def _functional(kw: KernelWeights, pair,
     newton = slope is not None
     return Functional(energy, gradient,
                       precondition if newton else sobolev_preconditioner(kw),
-                      m, collapsed, newton, clip=lambda v: np.maximum(v, 0.0))
+                      kw.grid, collapsed, newton, clip=lambda v: np.maximum(v, 0.0))
 
 
 def _fiber_extrema(v: np.ndarray, kw: KernelWeights,

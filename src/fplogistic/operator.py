@@ -101,10 +101,12 @@ def _check_cells(values: np.ndarray, owner) -> None:
 
 
 def _check_params(params, kw: KernelWeights) -> None:
-    """params (anything with .p) must describe the p of the weights."""
-    if params.p != kw.p:
-        raise GridMismatchError(
-            f"weights assembled for p = {kw.p}, got p = {params.p}")
+    """params (anything with .p and .s) must describe the p and s of the weights."""
+    for name in ("p", "s"):
+        want, got = getattr(kw, name), getattr(params, name)
+        if got != want:
+            raise GridMismatchError(
+                f"weights assembled for {name} = {want}, got {name} = {got}")
 
 
 # The m x m pair terms are built in place in one or two buffers, so that an

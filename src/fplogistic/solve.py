@@ -11,9 +11,9 @@ minimization that lies in the zero basin of its own ray t * u (the
 ``collapsed`` test of ``logistic.phi_functional``, free of any absolute
 scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
-intensities until the first collapse, then bisection of the bracket.  p
-and the grid come with the kernel weights, the eigenpair from the caller,
-and another p or cell count raises GridMismatchError.
+intensities until the first collapse, then bisection of the bracket.  The
+weights bring s, p and the grid of every answer, the eigenpair its weights;
+other weights, s, p or cell counts raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
                        torsion_functional)
-from .operator import DiscreteFunction, _check_cells, _check_params
+from .operator import (DiscreteFunction, GridMismatchError, _check_cells,
+                       _check_params)
 
 __all__ = [
     "SolverError",
@@ -96,7 +97,7 @@ def minimize(func: Functional, u0: DiscreteFunction,
             and func.collapsed(u):
         status = Status.COLLAPSED
     return SolveReport(
-        u=DiscreteFunction(u, u0.grid),
+        u=DiscreteFunction(u, func.grid),
         energy=energy,
         residual=res,
         iterations=it,
@@ -127,14 +128,15 @@ def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
     free energy along the ray (``_fiber_extrema``), the last local minimum,
     which lands the descent in the nontrivial basin even where that minimum
     has positive energy.  Without a valley it returns the origin, from
-    which the solve collapses cleanly.
+    which the solve collapses cleanly.  Another pair raises GridMismatchError.
     """
+    if eigen is not None and eigen.weights is not kw:
+        raise GridMismatchError("the eigenpair was solved on other weights")
     if kind == "random":
         return seeded_uniform(opts.seed, 0.1, 1.0, kw.ncells)
     if kind == "eigen":
         if eigen is None:
             raise ValueError("the eigen start needs the principal eigenpair")
-        _check_cells(eigen.u1.values, kw)
         t = _fiber_extrema(eigen.u1.values, kw, lp)[1]
         return t * eigen.u1.values if t > 0.0 else np.zeros(kw.ncells)
     raise ValueError(f"unknown initial guess kind: {kind}")
@@ -143,7 +145,7 @@ def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
 def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
                        kw: KernelWeights, opts: SolveOptions | None = None,
                        eigen: EigenPair | None = None) -> SolveReport:
-    """Solve the logistic problem at one intensity.
+    """Solve the logistic problem at one intensity; eigen must be kw's pair.
 
     Without a warm start the descent of Phi begins at ``initial_values``.
     A warm start is a converged solution at a smaller intensity, and the
@@ -152,6 +154,8 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     norm has left the branch, and SolverError is raised.
     """
     _check_params(params, kw)
+    if eigen is not None and eigen.weights is not kw:
+        raise GridMismatchError("the eigenpair was solved on other weights")
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, lp)
@@ -187,11 +191,10 @@ def lower_bound_lambda0(params, lambda1: float) -> float:
     return lambda1 * t_star ** (p - q) + t_star ** (r - q)
 
 
-def detect_threshold(params, kw: KernelWeights, opts: SolveOptions | None = None,
+def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
                      bracket_tol: float = BRACKET_TOL,
-                     lambda_high: float | None = None,
-                     *, eigen: EigenPair) -> ThresholdReport:
-    """Locate the smallest solvable intensity in one walk down the branch.
+                     lambda_high: float | None = None) -> ThresholdReport:
+    """Walk down the branch on ``eigen.weights`` to the smallest solvable lam.
 
     Each probe descends the free energy from the last solvable solution and
     is solvable when ``minimize`` reports it converged rather than collapsed,
@@ -199,8 +202,9 @@ def detect_threshold(params, kw: KernelWeights, opts: SolveOptions | None = None
     peak far beyond t = 1.  From a solvable high intensity the walk scales
     lam by ``CONTINUATION_FACTOR`` until the first collapse, then bisects
     the bracket down to ``bracket_tol``.  A solvable probe below the
-    analytic lower bound raises at once, so the walk ends.
+    analytic lower bound, from ``eigen.lambda1``, raises at once.
     """
+    kw = eigen.weights
     _check_params(params, kw)
     opts = opts or SolveOptions()
     lam0 = lower_bound_lambda0(params, eigen.lambda1)

@@ -4,11 +4,11 @@ Each check returns a CheckResult whose ``passed`` field is True, False, or
 None; None means the check's precondition does not hold for the supplied
 data, which is reported rather than silently skipped.  Witnesses carry the
 numbers behind every verdict so a failure can be inspected directly.  The
-principal eigenpair of the weights comes from the caller (``eigen=``), and
-parameters whose p is not that of the weights raise GridMismatchError.
-The checks run on full or folded weights (``kernel.fold``) alike, on the
-grid the weights hold; the witnesses that name cells unfold the functions
-first, so they index the cells of the full grid either way.
+checks that solve take the caller's principal eigenpair alone and run on
+the weights it carries (``EigenPair.weights``), full or folded
+(``kernel.fold``); parameters of another s or p raise GridMismatchError.
+The witnesses that name cells unfold the functions first, so they index
+the cells of the full grid either way.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .domain import Regime, classify_regime
 from .eigen import EigenPair, seeded_uniform
-from .kernel import KernelWeights
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, _check_params, lp_norm, mass_norm
 from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
@@ -40,6 +39,8 @@ __all__ = [
 # check_hopf passes when the boundary minimum of u / d^s is at least this
 # share of the median ratio
 HOPF_FRAC = 0.1
+# run_suite's superdiffusive threshold bracket, whatever threshold.bracket_tol is
+SUPER_BRACKET_TOL = 1e-2
 
 
 @dataclass(eq=False)
@@ -107,9 +108,9 @@ def check_strict_order(u_low: DiscreteFunction,
     )
 
 
-def check_nonexistence_equi(params, lam: float, kw: KernelWeights, trials: int = 5,
-                            opts=None, *, lambda1: float) -> CheckResult:
-    """Certify absence of solutions at or below the eigenvalue (q = p).
+def check_nonexistence_equi(params, lam: float, eigen: EigenPair,
+                            trials: int = 5, opts=None) -> CheckResult:
+    """Certify absence of solutions on ``eigen.weights`` up to lambda1 (q = p).
 
     Runs ``trials`` descents from seeded random positive starts; every one
     must stop, collapsed or converged, before the iteration cap.  Each
@@ -118,6 +119,7 @@ def check_nonexistence_equi(params, lam: float, kw: KernelWeights, trials: int =
     lam <= lambda1 and at most res * |u|, so it also bounds a converged
     iterate.  Outside the q = p or lam <= lambda1 range the result is None.
     """
+    kw, lambda1 = eigen.weights, eigen.lambda1
     _check_params(params, kw)
     if params.q != params.p:
         return CheckResult(name="nonexistence_below_eigenvalue", passed=None,
@@ -202,16 +204,16 @@ def refinement_study(ns: Sequence[int], values: Sequence[float],
     )
 
 
-def run_suite(params, kw: KernelWeights, lam: float | None = None,
-              opts=None, *, eigen: EigenPair) -> list[CheckResult]:
+def run_suite(params, eigen: EigenPair, lam: float | None = None,
+              opts=None) -> list[CheckResult]:
     """Run the checks appropriate to the regime of the given parameters.
 
-    With lam = None a regime-appropriate default intensity is chosen: 1 in
-    the subdiffusive regime and 0.9 times the eigenvalue in the
-    equidiffusive one; the superdiffusive checks locate their own
-    intensities from the detected threshold.
+    Every check solves on ``eigen.weights``.  With lam = None a
+    regime-appropriate default intensity is chosen: 1 in the subdiffusive
+    regime and 0.9 times the eigenvalue in the equidiffusive one; the
+    superdiffusive checks locate theirs from the threshold.
     """
-    _check_params(params, kw)
+    kw = eigen.weights
     opts = opts or SolveOptions()
     regime = classify_regime(params)
     results: list[CheckResult] = []
@@ -232,13 +234,12 @@ def run_suite(params, kw: KernelWeights, lam: float | None = None,
     elif regime is Regime.EQUI:
         if lam is None:
             lam = 0.9 * eigen.lambda1
-        results.append(check_nonexistence_equi(
-            params, lam, kw, opts=opts, lambda1=eigen.lambda1))
+        results.append(check_nonexistence_equi(params, lam, eigen, opts=opts))
         if lam > eigen.lambda1:
             rep = solve_branch_point(lam, None, params, kw, opts, eigen=eigen)
             results.append(check_hopf(rep.u, params.s))
     else:
-        thr = detect_threshold(params, kw, opts, bracket_tol=1e-2, eigen=eigen)
+        thr = detect_threshold(params, eigen, opts, SUPER_BRACKET_TOL)
         results.append(CheckResult(
             name="threshold_above_lower_bound",
             passed=bool(thr.lambda_star_h >= thr.lambda_0),

@@ -306,8 +306,8 @@ def test_c06_equidiffusive_regime(criterion, equi_params, equi64):
 def test_c07_superdiffusive_regime(criterion, super_params, super64):
     kw, eig = super64
     with criterion(7) as checks:
-        thr = detect_threshold(super_params, kw, SolveOptions(),
-                               bracket_tol=1e-3, eigen=eig)
+        thr = detect_threshold(super_params, eig, SolveOptions(),
+                               bracket_tol=1e-3)
         checks["bracket_within_relative_1e3"] = \
             thr.bracket_width <= 1e-3 * thr.lambda_star_h
         checks["threshold_above_lower_bound"] = \
@@ -365,8 +365,8 @@ def test_c09_refinement_and_scaling(criterion, super_params):
             g = build_grid(DomainSpec.interval(0.0, 1.0), n)
             kw = assemble(g, super_params)
             eig = principal_eigenpair(kw, SolveOptions(seed=0))
-            thr = detect_threshold(super_params, kw, SolveOptions(),
-                                   bracket_tol=1e-3, eigen=eig)
+            thr = detect_threshold(super_params, eig, SolveOptions(),
+                                   bracket_tol=1e-3)
             lam1s.append(eig.lambda1)
             stars.append(thr.lambda_star_h)
         d1 = [abs(b - a) / abs(a) for a, b in zip(lam1s, lam1s[1:])]

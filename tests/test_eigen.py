@@ -30,6 +30,22 @@ def test_linear_case_matches_dense_eigensolver_2d(kw2d, grid2d):
     assert pair.lambda1 == pytest.approx(lam_ref, rel=1e-8)
 
 
+def test_a_limit_of_negative_mass_is_flipped(monkeypatch, kw64, eig64):
+    # a descent from the positive start ends positive in practice; a limit
+    # of negative mass, -u1, is the same eigenpair
+    descend = eigen.descend
+
+    def negated(func, u0, opts):
+        u, *rest = descend(func, u0, opts)
+        return (-u, *rest)
+
+    monkeypatch.setattr(eigen, "descend", negated)
+    pair = principal_eigenpair(kw64, SolveOptions(seed=0))
+    assert pair.lambda1 == eig64.lambda1
+    assert np.array_equal(pair.u1.values, eig64.u1.values)
+    assert pair.weights is kw64
+
+
 @pytest.mark.parametrize("s,p", [(0.4, 2.0), (0.3, 3.0), (0.25, 2.5)])
 def test_single_cell_closed_form(s, p):
     # with one cell on (0, 1) the quotient is constant in u:

@@ -79,8 +79,8 @@ def test_folded_answers_match_the_full_grid(dim, n, q, r, lam):
             ep.lambda1,
             torsion_solve(k, opts).u.sup_norm(),
             solve_branch_point(lam, None, params, k, opts, eigen=ep).u.sup_norm(),
-            detect_threshold(params, k, opts, bracket_tol=1e-3,
-                             eigen=ep).lambda_star_h,
+            detect_threshold(params, ep, opts,
+                             bracket_tol=1e-3).lambda_star_h,
         ])
     full, folded = answers
     assert folded == pytest.approx(full, rel=1e-12)
@@ -161,7 +161,7 @@ def test_verify_witnesses_are_those_of_the_full_grid(tmp_path):
     compared = 0
     for regime in ("sub", "equi", "super"):
         rp = _canonical_regime_params(base, regime)
-        for res in run_suite(rp, kw, None, SolveOptions(), eigen=ep):
+        for res in run_suite(rp, ep, None, SolveOptions()):
             entry = got.pop((regime, res.name))
             assert entry["verdict"] == res.verdict
             rows = _csv_rows(out / f"verify_{regime}_{res.name}.csv")

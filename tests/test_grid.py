@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,33 @@ def test_interval_grid_geometry():
     assert np.array_equal(grid.highs[:-1], grid.lows[1:])
     x = grid.centers[:, 0]
     assert grid.boundary_dist == pytest.approx(np.minimum(x, 1.0 - x))
+
+
+@pytest.mark.parametrize("lo,hi,n", [((-0.3,), (2.7,), 7),
+                                     ((0.0,), (1.0,), 64),
+                                     ((-1.0, 0.2), (3.0, 0.9), 5),
+                                     ((0.0, 0.0), (1.0, 1.0), 16)])
+def test_grid_fields_are_the_per_axis_formulas(lo, hi, n):
+    # one construction for every dimension: each field is, bit for bit, the
+    # per-axis formula at every cell, cells x-major
+    grid = build_grid(DomainSpec(lo, hi), n)
+    edges = [np.linspace(a, b, n + 1) for a, b in zip(lo, hi)]
+    cells = list(itertools.product(range(n), repeat=len(lo)))
+    lows = np.array([[e[i] for e, i in zip(edges, c)] for c in cells])
+    highs = np.array([[e[i + 1] for e, i in zip(edges, c)] for c in cells])
+    centers = np.array([[0.5 * (e[i] + e[i + 1]) for e, i in zip(edges, c)]
+                        for c in cells])
+    measure = 1.0
+    for a, b in zip(lo, hi):
+        measure *= (b - a) / n
+    dist = np.array([min(min(x - a, b - x) for x, a, b in zip(ctr, lo, hi))
+                     for ctr in centers])
+    for got, want in ((grid.lows, lows), (grid.highs, highs),
+                      (grid.centers, centers),
+                      (grid.measures, np.full(len(cells), measure)),
+                      (grid.boundary_dist, dist)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_refinement_nests_cells():

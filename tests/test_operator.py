@@ -125,6 +125,40 @@ def test_no_function_takes_a_grid_beside_the_weights(kw32):
     assert isinstance(fold(kw32), fplogistic.FoldedWeights)
 
 
+def test_no_function_takes_an_eigenpair_beside_the_weights():
+    # the pair carries the weights it was solved on (EigenPair.weights), so
+    # the threshold walk and the checks take it alone; only the two solvers
+    # whose eigen start is optional take weights and a pair, and they
+    # reject the pair of any other weights
+    allowed = {"solve_branch_point", "initial_values",
+               "EigenPair"}  # the pair itself
+    offenders = []
+    for name in ("cli", "config", "descent", "domain", "eigen", "kernel",
+                 "logistic", "operator", "solve", "verify"):
+        module = importlib.import_module(f"fplogistic.{name}")
+        for attr, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__ or attr in allowed:
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            notes = {prm: str(params[prm].annotation) for prm in params}
+            takes_weights = any("Weights" in note or prm in ("kw", "kwn")
+                                for prm, note in notes.items())
+            takes_pair = any("EigenPair" in note
+                             or prm in ("eigen", "ep", "lambda1")
+                             for prm, note in notes.items())
+            if takes_weights and takes_pair:
+                offenders.append(f"{name}.{attr}")
+    assert offenders == []
+    for fn, where in ((fplogistic.detect_threshold, 1),
+                      (fplogistic.run_suite, 1),
+                      (fplogistic.check_nonexistence_equi, 2)):
+        assert list(inspect.signature(fn).parameters)[where] == "eigen"
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_pairing_identity(grid32, kw32, kw32_p3, rng, p):
     # <Lu, u> in the mass inner product reproduces the energy exactly

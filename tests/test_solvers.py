@@ -11,7 +11,7 @@ import fplogistic.solve as solve_module
 from fplogistic.descent import Functional, descend
 from fplogistic.domain import DomainSpec, build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
-from fplogistic.kernel import assemble
+from fplogistic.kernel import assemble, fold
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, GridMismatchError, _energy,
                                  apply_operator, mass_dot, mass_norm)
@@ -41,7 +41,9 @@ def _half_square(nan_below: float) -> Functional:
     def gradient(u):
         return np.full_like(u, np.nan) if np.abs(u).max() < nan_below else u.copy()
 
-    return Functional(lambda u: 0.5 * float(u @ u), gradient, None, np.ones(4))
+    # four cells of measure 1
+    return Functional(lambda u: 0.5 * float(u @ u), gradient, None,
+                      build_grid(DomainSpec.interval(0.0, 4.0), 4))
 
 
 def test_descend_never_converges_at_a_non_finite_residual():
@@ -57,6 +59,94 @@ def test_descend_never_converges_at_a_non_finite_residual():
     assert np.array_equal(u, np.ones(4))
 
 
+def _quadratic(energy, clip=None) -> Functional:
+    """The given energy with the gradient u of |u|^2 / 2, on _half_square's grid."""
+    func = _half_square(0.0)
+    return dataclasses.replace(func, energy=energy, clip=clip)
+
+
+def test_descend_rejects_a_non_finite_initial_energy():
+    with pytest.raises(SolverError, match="non-finite energy"):
+        descend(_quadratic(lambda u: float("inf")), np.ones(4), SolveOptions())
+
+
+def test_descend_free_step_guard_stops_at_a_non_finite_energy():
+    # 4e-7 < 1e3 residual_tol and the expected decrease is below the
+    # rounding floor, so the first step is free; it lands on 0, where the
+    # energy is not finite, and the guard stops the descent at the start
+    u0 = np.full(4, 2e-7)
+    func = _quadratic(lambda u: 0.5 * float(u @ u) if u.any() else float("inf"))
+    u, value, res, it, status = descend(func, u0, SolveOptions())
+    assert status is Status.MAX_ITERS
+    assert (it, res) == (0, 4e-7)
+    assert np.array_equal(u, u0)
+
+
+@pytest.mark.parametrize("tol,status,iters", [(1e-2, Status.CONVERGED, 1),
+                                              (1e-8, Status.MAX_ITERS, 0)])
+def test_descend_failed_line_search(tol, status, iters):
+    # every trial point reports one unit more energy than |u|^2 / 2, so all
+    # 60 backtracks fail; at residual 1 <= 1e3 tol (near a minimum) the
+    # descent goes on with free steps and reaches 0, far from one it stops
+    u0 = np.full(4, 0.5)
+    calls = []
+
+    def energy(u):
+        calls.append(u)
+        return 0.5 * float(u @ u) + (0.0 if u is calls[0] else 1.0)
+
+    u, value, res, it, status_got = descend(_quadratic(energy), u0,
+                                            SolveOptions(residual_tol=tol))
+    assert (status_got, it) == (status, iters)
+    assert len(calls) == 1 + 60 + iters
+    assert np.array_equal(u, np.zeros(4) if iters else u0)
+
+
+def test_descend_clipped_point_above_tolerance_is_max_iters():
+    # the descent converges to 0, and the clip moves it to 1, where the
+    # residual is 2
+    func = _quadratic(lambda u: 0.5 * float(u @ u), clip=lambda v: v + 1.0)
+    u, value, res, it, status = descend(func, np.full(4, 0.5), SolveOptions())
+    assert status is Status.MAX_ITERS
+    assert (value, res) == (2.0, 2.0)
+    assert np.array_equal(u, np.ones(4))
+
+
+def test_answers_live_on_the_grid_of_the_weights(unit_interval, sub_params):
+    # the folded weights of n = 7 have 4 cells, as the full n = 4 grid has;
+    # a start on that grid used to label the answer with it, so that
+    # unfolding gave 4 values for the 7-cell problem
+    kw = fold(assemble(build_grid(unit_interval, 7), sub_params))
+    start = DiscreteFunction(np.full(4, 1e-3), build_grid(unit_interval, 4))
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
+    func = phi_functional(kw, lp)
+    assert func.grid is kw.grid and func.measures is kw.measures
+    for rep in (minimize(func, start),
+                solve_branch_point(1.0, start, sub_params, kw)):
+        assert rep.status is Status.CONVERGED
+        assert rep.u.grid is kw.grid
+        assert rep.u.unfold().values.shape == (7,)
+
+
+def test_the_threshold_walk_takes_the_pair_of_its_weights(unit_interval):
+    # the walk reads its weights and lambda1 off one pair; given the pair of
+    # the s = 0.2 weights beside the s = 0.3 ones it used to return
+    # lambda*_h = 6.98622 and lambda_0 = 6.87041 with no error
+    grid = build_grid(unit_interval, 32)
+    params = validate_params(1, 0.3, 3.0, 4.0, 5.0)
+    kw = fold(assemble(grid, params))
+    thr = detect_threshold(params, principal_eigenpair(kw))
+    assert thr.lambda_star_h == pytest.approx(6.891244355531519, rel=1e-9)
+    assert thr.lambda_0 == pytest.approx(6.77627149659275, rel=1e-9)
+    other = principal_eigenpair(
+        fold(assemble(grid, validate_params(1, 0.2, 3.0, 4.0, 5.0))))
+    lp = LogisticParams(lam=8.0, q=4.0, r=5.0)
+    for run in (lambda: solve_branch_point(8.0, None, params, kw, eigen=other),
+                lambda: initial_values("eigen", kw, lp, SolveOptions(), other)):
+        with pytest.raises(GridMismatchError, match="other weights"):
+            run()
+
+
 @pytest.mark.parametrize("solver", ["solve_branch_point", "detect_threshold",
                                     "mountain_pass"])
 def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
@@ -69,8 +159,7 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
     run = {
         "solve_branch_point": lambda: solve_branch_point(
             20.0, None, params, kw, eigen=eigen),
-        "detect_threshold": lambda: detect_threshold(params, kw,
-                                                     eigen=eigen),
+        "detect_threshold": lambda: detect_threshold(params, eigen),
         "mountain_pass": lambda: mountain_pass(20.0, params, kw,
                                                eigen.u1),
     }[solver]
@@ -320,8 +409,8 @@ def test_lower_bound_rejects_bad_inputs(sub_params, super_params):
 
 def test_detect_threshold_invariants(kw16_super, super_params):
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
-    report = detect_threshold(super_params, kw16_super,
-                              SolveOptions(), bracket_tol=1e-2, eigen=eig)
+    report = detect_threshold(super_params, eig,
+                              SolveOptions(), bracket_tol=1e-2)
     assert report.lambda_star_h >= report.lambda_0
     assert 0.0 < report.bracket_width <= 1e-2
     lams = [pt.lam for pt in report.branch]
@@ -348,9 +437,8 @@ def test_threshold_invariants_for_random_parameters(unit_interval, s, data, n):
     params = validate_params(1, s, 2.0, q, r)
     grid = build_grid(unit_interval, n)
     kw = assemble(grid, params)
-    rep = detect_threshold(params, kw, SolveOptions(), bracket_tol=1e-2,
-                           eigen=principal_eigenpair(kw,
-                                                     SolveOptions(seed=0)))
+    rep = detect_threshold(params, principal_eigenpair(kw, SolveOptions(seed=0)),
+                           SolveOptions(), bracket_tol=1e-2)
     assert rep.lambda_star_h >= rep.lambda_0
     lams = [b.lam for b in rep.branch]
     sups = [b.sup_norm for b in rep.branch]
@@ -363,9 +451,8 @@ def test_threshold_probe_iteration_cap_raises(kw16_super,
                                               super_params):
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     with pytest.raises(SolverError, match="max_iters"):
-        detect_threshold(super_params, kw16_super,
-                         SolveOptions(max_iters=3), bracket_tol=1e-2,
-                         eigen=eig)
+        detect_threshold(super_params, eig,
+                         SolveOptions(max_iters=3), bracket_tol=1e-2)
 
 
 @pytest.mark.parametrize("iterations, message", [
@@ -384,8 +471,8 @@ def test_threshold_probe_failure_names_where_it_stopped(
 
     monkeypatch.setattr(solve_module, "minimize", stopped)
     with pytest.raises(SolverError, match=message):
-        detect_threshold(super_params, kw16_super, SolveOptions(),
-                         bracket_tol=1e-2, eigen=eig)
+        detect_threshold(super_params, eig, SolveOptions(),
+                         bracket_tol=1e-2)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -405,8 +492,8 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
     monkeypatch.setattr(solve_module, "minimize", recorded)
     grid = build_grid(unit_interval, n)
     kw = assemble(grid, super_params)
-    detect_threshold(super_params, kw, SolveOptions(), bracket_tol=1e-2,
-                     eigen=principal_eigenpair(kw, SolveOptions(seed=0)))
+    detect_threshold(super_params, principal_eigenpair(kw, SolveOptions(seed=0)),
+                     SolveOptions(), bracket_tol=1e-2)
     converged = [r.iterations for r in probes if r.status is Status.CONVERGED]
     assert converged
     assert sum(converged) / len(converged) <= 12.0
@@ -417,13 +504,13 @@ def test_detect_threshold_accepts_explicit_start(kw16_super,
                                                  super_params):
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     lam0 = lower_bound_lambda0(super_params, eig.lambda1)
-    report = detect_threshold(super_params, kw16_super,
+    report = detect_threshold(super_params, eig,
                               SolveOptions(), bracket_tol=5e-2,
-                              lambda_high=3.0 * lam0, eigen=eig)
+                              lambda_high=3.0 * lam0)
     assert report.lambda_star_h >= lam0
     with pytest.raises(SolverError, match="collapsed"):
-        detect_threshold(super_params, kw16_super, SolveOptions(),
-                         lambda_high=0.5 * lam0, eigen=eig)
+        detect_threshold(super_params, eig, SolveOptions(),
+                         lambda_high=0.5 * lam0)
 
 
 def test_threshold_below_analytic_bound_raises(kw16_super,
@@ -433,16 +520,56 @@ def test_threshold_below_analytic_bound_raises(kw16_super,
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     inflated = dataclasses.replace(eig, lambda1=2.0 * eig.lambda1)
     with pytest.raises(SolverError, match="analytic bound"):
-        detect_threshold(super_params, kw16_super, SolveOptions(),
-                         bracket_tol=1e-2, eigen=inflated)
+        detect_threshold(super_params, inflated, SolveOptions(),
+                         bracket_tol=1e-2)
+
+
+def _probes_solvable_from(monkeypatch, cut):
+    """Stand-in threshold probes, solvable exactly at lam >= cut; the lams probed."""
+    lams = []
+    phi = solve_module.phi_functional
+
+    def recording_phi(kw, lp):
+        lams.append(lp.lam)
+        return phi(kw, lp)
+
+    def probe(func, u0, opts=None):
+        status = Status.CONVERGED if lams[-1] >= cut else Status.COLLAPSED
+        return SolveReport(u0, 0.0, 0.0, 1, status)
+
+    monkeypatch.setattr(solve_module, "phi_functional", recording_phi)
+    monkeypatch.setattr(solve_module, "minimize", probe)
+    return lams
+
+
+def test_threshold_walk_doubles_a_collapsed_start(monkeypatch, kw16_super,
+                                                  super_params):
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    lam0 = lower_bound_lambda0(super_params, eig.lambda1)
+    lams = _probes_solvable_from(monkeypatch, 6.0 * lam0)
+    report = detect_threshold(super_params, eig, SolveOptions(),
+                              bracket_tol=1e-2)
+    # 4 lam0 collapses, 8 lam0 is solvable, and the walk goes down from there
+    assert lams[:3] == [4.0 * lam0, 8.0 * lam0, 0.9 * 8.0 * lam0]
+    assert 6.0 * lam0 <= report.lambda_star_h <= 6.0 * lam0 + 1e-2
+
+
+def test_threshold_walk_gives_up_past_1024_lambda0(monkeypatch, kw16_super,
+                                                   super_params):
+    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    lam0 = lower_bound_lambda0(super_params, eig.lambda1)
+    lams = _probes_solvable_from(monkeypatch, float("inf"))
+    with pytest.raises(SolverError, match="pass lambda_high explicitly"):
+        detect_threshold(super_params, eig, SolveOptions())
+    assert lams == [2.0 ** k * lam0 for k in range(2, 11)]
 
 
 @pytest.fixture(scope="module")
 def super_branch16(kw16_super, super_params):
     """Intensity 1.5 lambda*_h and the branch solution there, on grid16."""
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
-    report = detect_threshold(super_params, kw16_super,
-                              SolveOptions(), bracket_tol=1e-2, eigen=eig)
+    report = detect_threshold(super_params, eig,
+                              SolveOptions(), bracket_tol=1e-2)
     lam = 1.5 * report.lambda_star_h
     big = solve_branch_point(lam, report.u_star, super_params, kw16_super,
                              SolveOptions(), eigen=eig)
@@ -473,6 +600,22 @@ def test_mountain_pass_iteration_cap(kw16_super, super_params,
     assert rep.residual > opts.residual_tol
     assert np.all(rep.u.values >= 0.0)
     assert np.all(rep.u.values <= big.u.values)
+
+
+@pytest.mark.parametrize("end", ["zero", "u_lam"])
+def test_mountain_pass_converged_next_to_an_end_is_not_found(
+        monkeypatch, kw16_super, super_params, super_branch16, end):
+    # a search that converges within DISTINCT_TOL of zero or of u_lam has
+    # found no second solution
+    lam, big = super_branch16
+    half = 0.5 * solve_module.DISTINCT_TOL
+    point = {"zero": np.full(big.u.values.size, half),
+             "u_lam": big.u.values - half}[end]
+    monkeypatch.setattr(solve_module, "descend", lambda func, u0, opts: (
+        point, 1.0, 0.0, 3, Status.CONVERGED))
+    rep = mountain_pass(lam, super_params, kw16_super, big.u, SolveOptions())
+    assert (rep.status, rep.iterations) == (Status.NOT_FOUND, 3)
+    assert np.array_equal(rep.u.values, point)
 
 
 def _assert_mountain_pass_level(rep, big, params, kw, grid, lam):

@@ -5,11 +5,12 @@ import statistics
 import numpy as np
 import pytest
 
+import fplogistic.verify as verify_module
 from fplogistic.domain import build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
-from fplogistic.kernel import assemble
+from fplogistic.kernel import assemble, fold
 from fplogistic.operator import DiscreteFunction, GridMismatchError
-from fplogistic.solve import SolveOptions
+from fplogistic.solve import SolveOptions, SolveReport, Status
 from fplogistic.verify import (CheckResult, check_hopf, check_limit_branch,
                                check_nonexistence_equi, check_strict_order,
                                refinement_study, run_suite)
@@ -69,15 +70,14 @@ def test_strict_order_branches(grid32, rng):
 
 def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
                                           equi_params):
-    lam1 = principal_eigenpair(kw32, SolveOptions(seed=0)).lambda1
-    res = check_nonexistence_equi(sub_params, 1.0, kw32, lambda1=lam1)
+    res = check_nonexistence_equi(sub_params, 1.0, principal_eigenpair(
+        kw32, SolveOptions(seed=0)))
     assert res.passed is None
     assert "q = p" in res.notes
 
     kw_eq = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw_eq, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 2.0 * eig.lambda1, kw_eq,
-                                  lambda1=eig.lambda1)
+    res = check_nonexistence_equi(equi_params, 2.0 * eig.lambda1, eig)
     assert res.passed is None
     assert "lambda1" in res.notes
 
@@ -85,8 +85,8 @@ def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
 def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw,
-                                  trials=3, lambda1=eig.lambda1)
+    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig,
+                                  trials=3)
     assert res.passed
     assert max(res.witness["sup_norms"]) <= 1e-6
     assert max(res.witness["coercive_parts"]) <= 1e-6
@@ -97,9 +97,8 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
     # refuse
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, kw,
-                                  trials=2, opts=SolveOptions(max_iters=2),
-                                  lambda1=eig.lambda1)
+    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig,
+                                  trials=2, opts=SolveOptions(max_iters=2))
     assert res.passed is False
     assert res.witness["statuses"] == ["max_iters", "max_iters"]
 
@@ -113,11 +112,30 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, check):
     params = validate_params(1, 0.3, 3.0, 3.0, 4.0)
     run = {
         "check_nonexistence_equi": lambda: check_nonexistence_equi(
-            params, 0.9 * eigen.lambda1, kw, lambda1=eigen.lambda1),
-        "run_suite": lambda: run_suite(params, kw, eigen=eigen),
+            params, 0.9 * eigen.lambda1, eigen),
+        "run_suite": lambda: run_suite(params, eigen),
     }[check]
     with pytest.raises(GridMismatchError,
                        match="assembled for p = 2.0, got p = 3.0"):
+        run()
+
+
+@pytest.mark.parametrize("check", ["check_nonexistence_equi", "run_suite"])
+def test_parameters_must_have_the_s_of_the_weights(grid32, check):
+    # fold used to drop s, so s = 0.45 checks ran on the s = 0.3 weights:
+    # the Hopf witness read boundary_min_ratio 0.0517 against the 0.0277
+    # of the weights' own s
+    kw = fold(assemble(grid32, validate_params(1, 0.3, 2.0, 1.5, 3.0)))
+    assert kw.s == 0.3
+    eigen = principal_eigenpair(kw, SolveOptions(seed=0))
+    params = validate_params(1, 0.45, 2.0, 1.5, 3.0)
+    run = {
+        "check_nonexistence_equi": lambda: check_nonexistence_equi(
+            params, 1.0, eigen),
+        "run_suite": lambda: run_suite(params, eigen),
+    }[check]
+    with pytest.raises(GridMismatchError,
+                       match="assembled for s = 0.3, got s = 0.45"):
         run()
 
 
@@ -144,7 +162,7 @@ def test_refinement_study_branches():
 
 
 def test_run_suite_sub(kw32, sub_params):
-    results = run_suite(sub_params, kw32, eigen=principal_eigenpair(
+    results = run_suite(sub_params, principal_eigenpair(
         kw32, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names == ["strict_order", "hopf_boundary_growth", "limit_branch"]
@@ -153,7 +171,7 @@ def test_run_suite_sub(kw32, sub_params):
 
 def test_run_suite_equi(grid32, equi_params):
     kw = assemble(grid32, equi_params)
-    results = run_suite(equi_params, kw, eigen=principal_eigenpair(
+    results = run_suite(equi_params, principal_eigenpair(
         kw, SolveOptions(seed=0)))
     assert [r.name for r in results] == ["nonexistence_below_eigenvalue"]
     assert results[0].passed
@@ -162,7 +180,7 @@ def test_run_suite_equi(grid32, equi_params):
 def test_run_suite_super(super_params, unit_interval):
     grid = build_grid(unit_interval, 16)
     kw = assemble(grid, super_params)
-    results = run_suite(super_params, kw, eigen=principal_eigenpair(
+    results = run_suite(super_params, principal_eigenpair(
         kw, SolveOptions(seed=0)))
     names = [r.name for r in results]
     assert names[0] == "threshold_above_lower_bound"
@@ -170,3 +188,31 @@ def test_run_suite_super(super_params, unit_interval):
     assert "saddle_between_zero_and_branch" in names
     assert all(r.passed for r in results if r.passed is not None)
     assert results[0].passed
+
+
+def test_run_suite_equi_above_the_eigenvalue(grid32, equi_params):
+    # above lambda1 the nonexistence check is out of scope, and the branch
+    # solution there gets the Hopf check
+    kw = assemble(grid32, equi_params)
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
+    results = run_suite(equi_params, eig, lam=1.5 * eig.lambda1)
+    assert [(r.name, r.passed) for r in results] == [
+        ("nonexistence_below_eigenvalue", None), ("hopf_boundary_growth", True)]
+
+
+def test_run_suite_super_skips_an_unconverged_saddle(monkeypatch,
+                                                     super_params,
+                                                     unit_interval):
+    kw = assemble(build_grid(unit_interval, 16), super_params)
+
+    def capped(lam, params, kw, u_lam, opts):
+        return SolveReport(u_lam, 0.0, 1.0, opts.max_iters, Status.MAX_ITERS)
+
+    monkeypatch.setattr(verify_module, "mountain_pass", capped)
+    results = run_suite(super_params, principal_eigenpair(
+        kw, SolveOptions(seed=0)))
+    saddle = results[-1]
+    assert (saddle.name, saddle.passed) == ("saddle_between_zero_and_branch",
+                                            None)
+    assert saddle.notes == "saddle search ended with status max_iters"
+    assert "strict_order" not in [r.name for r in results]
