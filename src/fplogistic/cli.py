@@ -35,8 +35,8 @@ from .domain import (GridError, ParamError, Regime, build_grid,
 from .eigen import EigenError, principal_eigenpair
 from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
-                    detect_threshold, mountain_pass, solve_branch_point,
-                    torsion_solve)
+                    detect_threshold, mountain_pass, require_finished,
+                    solve_branch_point, torsion_solve)
 from .verify import refinement_study, run_suite
 
 __all__ = ["main"]
@@ -207,7 +207,9 @@ def _run(args) -> int:
                    "bracket_width": thr.bracket_width,
                    "sup_norm": thr.u_star.sup_norm()}
     elif command == "mountain-pass":
-        rep = solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep)
+        rep = require_finished(
+            solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep),
+            f"the branch solve at lam = {cfg.lam:.6g}", opts)
         if rep.status is not Status.CONVERGED:
             raise SolverError(
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "

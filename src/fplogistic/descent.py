@@ -5,7 +5,8 @@ minimizers of the logistic energy (``solve.minimize``), the principal
 eigenpair (``eigen``, on the p-sphere, normalization as the retraction) and
 the mountain-pass saddle (``solve.mountain_pass``, the free energy on the
 energy peaks of rays, the move of a point to the peak of its ray as the
-retraction).  Each stops on the command's ``SolveOptions``, and ``descend``
+retraction).  Each starts on the grid of its ``Functional``, stops on the
+command's ``SolveOptions`` and ends in one ``SolveReport``; ``descend``
 alone decides whether it converged: its residual is at most
 ``residual_tol`` within ``max_iters`` iterations, at the clipped point when
 the functional clips.  For p = 2 the steps are taken in a metric built on
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import Grid
-from .operator import mass_dot, mass_norm
+from .operator import DiscreteFunction, _check_grid, mass_dot, mass_norm
 
 # Armijo sufficient-decrease constant and backtracking factor of descend
 ARMIJO_C = 1e-4
@@ -57,6 +58,17 @@ class SolveOptions:
 
 
 @dataclass(eq=False)
+class SolveReport:
+    """Where a descent ended, on the grid of its functional, and how."""
+
+    u: DiscreteFunction
+    energy: float
+    residual: float
+    iterations: int
+    status: Status
+
+
+@dataclass(eq=False)
 class Functional:
     """An energy and what ``descend`` needs to descend it (raw value arrays).
 
@@ -84,9 +96,9 @@ class Functional:
     measures = property(lambda self: self.grid.measures)
 
 
-def descend(func: Functional, u0: np.ndarray,
-            opts: SolveOptions) -> tuple[np.ndarray, float, float, int, Status]:
-    """Monotone descent from u0; returns (u, energy, residual, iterations, status).
+def descend(func: Functional, u0: DiscreteFunction,
+            opts: SolveOptions) -> SolveReport:
+    """Monotone descent from u0 on ``func.grid`` (else GridMismatchError).
 
     Stops with CONVERGED once the mass norm of the gradient is at most
     ``opts.residual_tol``, and with MAX_ITERS at ``opts.max_iters``
@@ -95,11 +107,10 @@ def descend(func: Functional, u0: np.ndarray,
     returned.  A non-finite energy or residual at u0 raises SolverError.
     A ``clip`` that moves the final point re-evaluates energy and residual
     there, and a clipped point above the tolerance, or at a non-finite
-    residual, is MAX_ITERS.  Whether a converged
-    point is the zero solution is the caller's question
-    (``solve.minimize``).  ``gradient`` is called once per iterate, right
-    after ``energy`` was evaluated at that same point, so a caller may carry
-    work from one to the other.
+    residual, is MAX_ITERS.  Whether a converged point is the zero solution
+    is the caller's question (``solve.minimize``).  ``gradient`` is called
+    once per iterate, right after ``energy`` was evaluated at that same
+    point, so a caller may carry work from one to the other.
 
     ``precondition`` maps the mass gradient g to the search direction
     d = P^-1 (M g) of a symmetric positive definite metric P, which may
@@ -116,7 +127,8 @@ def descend(func: Functional, u0: np.ndarray,
     energy, gradient, precondition = func.energy, func.gradient, func.precondition
     tol, newton, measures = opts.residual_tol, func.newton, func.measures
     move = func.retract or (lambda v: v)
-    u = np.asarray(u0, dtype=float).copy()
+    _check_grid(u0, func)
+    u = u0.values.copy()
     value = energy(u)
     if not math.isfinite(value):
         raise SolverError(f"non-finite energy at the initial point ({value})")
@@ -202,4 +214,4 @@ def descend(func: Functional, u0: np.ndarray,
         res = mass_norm(gradient(u), measures)
         if not res <= tol:
             status = Status.MAX_ITERS
-    return u, value, res, it, status
+    return SolveReport(DiscreteFunction(u, func.grid), value, res, it, status)

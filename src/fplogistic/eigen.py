@@ -22,7 +22,7 @@ import numpy as np
 
 from .descent import Functional, SolveOptions, Status, descend
 from .kernel import KernelWeights
-from .operator import (DiscreteFunction, _apply, _energy, _check_cells,
+from .operator import (DiscreteFunction, _apply, _energy, _check_grid,
                        signed_power, sobolev_preconditioner)
 
 __all__ = ["EigenError", "EigenPair", "rayleigh_quotient",
@@ -39,10 +39,10 @@ class EigenPair:
     u1: DiscreteFunction
     residual: float
     iterations: int
-    weights: KernelWeights  # solved on, full or folded; u1 has their cells
+    weights: KernelWeights  # solved on, full or folded; u1 lives on their grid
 
     def __post_init__(self) -> None:
-        _check_cells(self.u1.values, self.weights)
+        _check_grid(self.u1, self.weights)
 
 
 def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def seeded_uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
 
 def rayleigh_quotient(u: DiscreteFunction, kw: KernelWeights) -> float:
     """E(u) / ||u||_p^p, p and measures of kw; rejects the zero function."""
-    _check_cells(u.values, kw)
+    _check_grid(u, kw)
     denom = float((np.abs(u.values) ** kw.p * kw.measures).sum())
     if denom == 0.0:
         raise ValueError("Rayleigh quotient of the zero function")
@@ -98,17 +98,18 @@ def principal_eigenpair(kw: KernelWeights,
 
     func = Functional(quotient, gradient, sobolev_preconditioner(kw), kw.grid,
                       retract=lambda v: _normalize(v, p, meas))
-    start = seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells)
-    u, lam, res, it, status = descend(func, _normalize(start, p, meas), opts)
-    if status is not Status.CONVERGED:
+    start = _normalize(seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells), p, meas)
+    rep = descend(func, DiscreteFunction(start, kw.grid), opts)
+    u, res = rep.u.values, rep.residual
+    if rep.status is not Status.CONVERGED:
         raise EigenError(
-            f"eigen solve did not converge: residual {res:.3e} after {it} "
-            f"iterations (tolerance {opts.residual_tol:.1e})")
+            f"eigen solve did not converge: residual {res:.3e} after "
+            f"{rep.iterations} iterations (tolerance {opts.residual_tol:.1e})")
     if float((u * meas).sum()) < 0.0:
         u = -u
     if np.any(u <= 0.0):
         raise EigenError(
             f"eigen solve converged to a function that is not positive "
             f"(min {u.min():.3e}, residual {res:.3e})")
-    return EigenPair(lambda1=lam, u1=DiscreteFunction(u, kw.grid),
-                     residual=res, iterations=it, weights=kw)
+    return EigenPair(lambda1=rep.energy, u1=DiscreteFunction(u, kw.grid),
+                     residual=res, iterations=rep.iterations, weights=kw)

@@ -357,14 +357,12 @@ def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
     """Dump the offset table and T with the key of kw.grid, which grid must be."""
     if grid.full is not None or (grid.domain, grid.n) != (kw.grid.domain, kw.grid.n):
         raise GridMismatchError("weights saved for a grid other than their own")
-    np.savez(
-        path,
-        table=kw.table,
-        T=kw.T,
-        key=np.array([float(grid.dim), kw.s, kw.p, float(grid.n)]),
-        dom_lo=np.asarray(grid.domain.lo),
-        dom_hi=np.asarray(grid.domain.hi),
-    )
+    # the file is path as given: np.savez appends ".npz" to a name, not a file
+    with open(path, "wb") as fh:
+        np.savez(fh, table=kw.table, T=kw.T,
+                 key=np.array([float(grid.dim), kw.s, kw.p, float(grid.n)]),
+                 dom_lo=np.asarray(grid.domain.lo),
+                 dom_hi=np.asarray(grid.domain.hi))
 
 
 def load_weights(path, grid: Grid, params) -> KernelWeights:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .descent import _EPS, Functional, SolverError
 from .kernel import KernelWeights
-from .operator import (DiscreteFunction, _apply, _energy, _check_cells,
+from .operator import (DiscreteFunction, _apply, _energy, _check_grid,
                        newton_direction, sobolev_preconditioner)
 
 __all__ = [
@@ -226,7 +226,7 @@ def phi_functional(kw: KernelWeights, lp: LogisticParams) -> Functional:
 
 def truncated_functional(kw: KernelWeights, tr: TruncatedReaction) -> Functional:
     """Phi with the reaction truncated around an anchor on the cells of kw."""
-    _check_cells(tr.anchor.values, kw)
+    _check_grid(tr.anchor, kw)
     return _functional(kw, lambda v: _truncated_pair(tr, v))
 
 

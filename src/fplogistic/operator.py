@@ -93,11 +93,12 @@ def signed_power(a, nu: float):
     return out if arr.ndim else float(out)
 
 
-def _check_cells(values: np.ndarray, owner) -> None:
-    """One value per cell of owner, weights or a Functional, or GridMismatchError."""
-    if values.shape != owner.measures.shape:
-        raise GridMismatchError(f"expected {owner.measures.size} cell values, "
-                                f"got shape {values.shape}")
+def _check_grid(u: DiscreteFunction, owner) -> None:
+    """u must live on the grid of owner, weights or a Functional, or GridMismatchError."""
+    if u.grid is not owner.grid:
+        raise GridMismatchError(
+            f"expected a function on the grid of the weights ({owner.grid.ncells} "
+            f"cells), got one on another grid ({u.grid.ncells} cells)")
 
 
 def _check_params(params, kw: KernelWeights) -> None:
@@ -139,7 +140,7 @@ def _apply(values: np.ndarray, kw: KernelWeights) -> np.ndarray:
 
 def gagliardo_energy(u: DiscreteFunction, kw: KernelWeights, p: float) -> float:
     """Exact nonlocal energy of the zero-extended function; p must be kw.p."""
-    _check_cells(u.values, kw)
+    _check_grid(u, kw)
     if p != kw.p:
         raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
     return _energy(u.values, kw)
@@ -150,10 +151,10 @@ def apply_operator(u: DiscreteFunction, kw: KernelWeights, p: float) -> Discrete
 
     (Lu)_i = [2 sum_j W_ij (u_i - u_j)^(p-1) + 2 V_i u_i^(p-1)] / |C_i|
     with signed powers and |C_i| the measures of kw, so that |C_i| (Lu)_i is
-    the partial derivative of E(u)/p in u_i.  u must have the cells of kw and
+    the partial derivative of E(u)/p in u_i.  u must live on the grid of kw and
     p be kw.p (GridMismatchError otherwise).
     """
-    _check_cells(u.values, kw)
+    _check_grid(u, kw)
     if p != kw.p:
         raise GridMismatchError(f"weights assembled for p = {kw.p}, got p = {p}")
     return DiscreteFunction(_apply(u.values, kw), u.grid)

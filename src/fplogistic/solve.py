@@ -1,8 +1,9 @@
 """Energy minimization, branch continuation, threshold detection, saddle search.
 
 Every solve here runs the package's one descent engine (``descent.descend``),
-which stops it on the ``SolveOptions`` it is given (defined in ``descent``,
-importable from here): ``minimize`` on an energy functional,
+which stops it on the ``SolveOptions`` it is given and reports it in one
+``SolveReport`` (both defined in ``descent``, importable from here):
+``minimize`` on an energy functional,
 ``mountain_pass`` on the free energy restricted to the energy peaks of rays
 t * v, the move of a point to the peak of its own ray serving as the
 retraction.  For the logistic energy the zero function is always a critical
@@ -11,9 +12,12 @@ minimization that lies in the zero basin of its own ray t * u (the
 ``collapsed`` test of ``logistic.phi_functional``, free of any absolute
 scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch: warm-started probes at geometrically falling
-intensities until the first collapse, then bisection of the bracket.  The
-weights bring s, p and the grid of every answer, the eigenpair its weights;
-other weights, s, p or cell counts raise GridMismatchError.
+intensities until the first collapse, then bisection of the bracket.  A
+solve that the threshold walk, the torsion solve or the checks of
+``verify`` depend on must not stop short: ``require_finished`` turns one
+that ended MAX_ITERS into SolverError.  The weights bring s, p and the grid
+of every answer, the eigenpair its weights; other weights, s or p, or a
+start on another grid, raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -22,28 +26,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .descent import Functional, SolveOptions, SolverError, Status, descend
+from .descent import (Functional, SolveOptions, SolveReport, SolverError,
+                      Status, descend)
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
                        torsion_functional)
-from .operator import (DiscreteFunction, GridMismatchError, _check_cells,
+from .operator import (DiscreteFunction, GridMismatchError, _check_grid,
                        _check_params)
 
 __all__ = [
-    "SolverError",
-    "Status",
-    "SolveOptions",
-    "SolveReport",
-    "BranchPoint",
-    "ThresholdReport",
-    "minimize",
-    "torsion_solve",
-    "initial_values",
-    "solve_branch_point",
-    "lower_bound_lambda0",
-    "detect_threshold",
-    "mountain_pass",
+    "SolverError", "Status", "SolveOptions", "SolveReport", "BranchPoint",
+    "ThresholdReport", "minimize", "require_finished", "torsion_solve",
+    "initial_values", "solve_branch_point", "lower_bound_lambda0",
+    "detect_threshold", "mountain_pass",
 ]
 
 # each continuation step of detect_threshold scales the intensity by this
@@ -52,15 +48,6 @@ CONTINUATION_FACTOR = 0.9
 BRACKET_TOL = 1e-3
 # a saddle within this sup distance of zero or of u_lam is not a second solution
 DISTINCT_TOL = 1e-6
-
-
-@dataclass(eq=False)
-class SolveReport:
-    u: DiscreteFunction
-    energy: float
-    residual: float
-    iterations: int
-    status: Status
 
 
 @dataclass(frozen=True)
@@ -90,38 +77,37 @@ def minimize(func: Functional, u0: DiscreteFunction,
     a converged result is COLLAPSED when the functional's ``collapsed`` test
     finds it in the zero basin of its own ray.
     """
-    opts = opts or SolveOptions()
-    _check_cells(u0.values, func)
-    u, energy, res, it, status = descend(func, u0.values, opts)
-    if status is Status.CONVERGED and func.collapsed is not None \
-            and func.collapsed(u):
-        status = Status.COLLAPSED
-    return SolveReport(
-        u=DiscreteFunction(u, func.grid),
-        energy=energy,
-        residual=res,
-        iterations=it,
-        status=status,
-    )
-
-
-def torsion_solve(kw: KernelWeights, opts: SolveOptions | None = None,
-                  u0: DiscreteFunction | None = None) -> SolveReport:
-    """Solve L u = 1: the positive barrier whose profile matches d(x)^s."""
-    opts = opts or SolveOptions()
-    func = torsion_functional(kw)
-    if u0 is None:
-        u0 = DiscreteFunction(np.full(kw.ncells, 0.1), kw.grid)
-    rep = minimize(func, u0, opts)
-    if rep.status is not Status.CONVERGED:
-        raise SolverError(
-            f"torsion solve did not converge: status {rep.status.value}, "
-            f"residual {rep.residual:.3e}")
+    rep = descend(func, u0, opts or SolveOptions())
+    if rep.status is Status.CONVERGED and func.collapsed is not None \
+            and func.collapsed(rep.u.values):
+        rep.status = Status.COLLAPSED
     return rep
 
 
+def require_finished(rep: SolveReport, what: str,
+                     opts: SolveOptions) -> SolveReport:
+    """rep, or SolverError naming what and where when it stopped short."""
+    if rep.status is Status.MAX_ITERS:
+        cap = ("; raise solver.max_iters" if rep.iterations >= opts.max_iters
+               else "")
+        raise SolverError(
+            f"{what} stopped after {rep.iterations} of {opts.max_iters} "
+            f"iterations (residual {rep.residual:.3e}){cap}")
+    return rep
+
+
+def torsion_solve(kw: KernelWeights,
+                  opts: SolveOptions | None = None) -> SolveReport:
+    """Solve L u = 1: the positive barrier whose profile matches d(x)^s."""
+    opts = opts or SolveOptions()
+    u0 = DiscreteFunction(np.full(kw.ncells, 0.1), kw.grid)
+    return require_finished(minimize(torsion_functional(kw), u0, opts),
+                            "torsion solve", opts)
+
+
 def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
-                   opts: SolveOptions, eigen: EigenPair | None = None) -> np.ndarray:
+                   opts: SolveOptions,
+                   eigen: EigenPair | None = None) -> DiscreteFunction:
     """Build a starting iterate: seeded random, or a point on the ray of u1.
 
     The eigen start needs ``eigen`` and returns t * u1 at the valley of the
@@ -133,13 +119,15 @@ def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
     if eigen is not None and eigen.weights is not kw:
         raise GridMismatchError("the eigenpair was solved on other weights")
     if kind == "random":
-        return seeded_uniform(opts.seed, 0.1, 1.0, kw.ncells)
-    if kind == "eigen":
+        values = seeded_uniform(opts.seed, 0.1, 1.0, kw.ncells)
+    elif kind == "eigen":
         if eigen is None:
             raise ValueError("the eigen start needs the principal eigenpair")
         t = _fiber_extrema(eigen.u1.values, kw, lp)[1]
-        return t * eigen.u1.values if t > 0.0 else np.zeros(kw.ncells)
-    raise ValueError(f"unknown initial guess kind: {kind}")
+        values = t * eigen.u1.values if t > 0.0 else np.zeros(kw.ncells)
+    else:
+        raise ValueError(f"unknown initial guess kind: {kind}")
+    return DiscreteFunction(values, kw.grid)
 
 
 def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
@@ -160,8 +148,8 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, lp)
     if warm is None:
-        u0 = initial_values(opts.initial, kw, lp, opts, eigen)
-        return minimize(func, DiscreteFunction(u0, kw.grid), opts)
+        return minimize(func, initial_values(opts.initial, kw, lp, opts, eigen),
+                        opts)
 
     rep = minimize(func, warm, opts)
     gap = float((warm.values - rep.u.values).max())
@@ -209,21 +197,12 @@ def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
     opts = opts or SolveOptions()
     lam0 = lower_bound_lambda0(params, eigen.lambda1)
 
-    def probe(lam: float, u_start: np.ndarray | None) -> SolveReport | None:
+    def probe(lam: float, u_start: DiscreteFunction | None) -> SolveReport | None:
         lp = LogisticParams(lam=lam, q=params.q, r=params.r)
         if u_start is None:
             u_start = initial_values("eigen", kw, lp, opts, eigen)
-        rep = minimize(phi_functional(kw, lp),
-                       DiscreteFunction(u_start, kw.grid), opts)
-        if rep.status is Status.MAX_ITERS and rep.iterations < opts.max_iters:
-            raise SolverError(
-                f"threshold probe at lam = {lam:.6g} stopped after "
-                f"{rep.iterations} of {opts.max_iters} iterations "
-                f"(residual {rep.residual:.3e})")
-        if rep.status is Status.MAX_ITERS:
-            raise SolverError(
-                f"threshold probe at lam = {lam:.6g} hit the iteration cap "
-                f"(residual {rep.residual:.3e}); raise max_iters")
+        rep = require_finished(minimize(phi_functional(kw, lp), u_start, opts),
+                               f"threshold probe at lam = {lam:.6g}", opts)
         if rep.status is Status.COLLAPSED:
             return None
         if lam < lam0 * (1.0 - 1e-9):
@@ -249,7 +228,7 @@ def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
         lam_yes, rep_yes = walk[-1]
         lam = (CONTINUATION_FACTOR * lam_yes if lam_no is None
                else 0.5 * (lam_yes + lam_no))
-        rep = probe(lam, rep_yes.u.values)
+        rep = probe(lam, rep_yes.u)
         if rep is None:
             lam_no = lam
         else:
@@ -280,23 +259,19 @@ def mountain_pass(lam: float, params, kw: KernelWeights, u_lam: DiscreteFunction
     ``DISTINCT_TOL`` of either end is NOT_FOUND as well.
     """
     _check_params(params, kw)
-    _check_cells(u_lam.values, kw)
+    _check_grid(u_lam, kw)
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     t0 = _fiber_extrema(u_lam.values, kw, lp)[0]
     if not t0 < 1.0:
-        return SolveReport(u=DiscreteFunction(np.zeros(kw.ncells), kw.grid),
-                           energy=0.0, residual=float("nan"), iterations=0,
-                           status=Status.NOT_FOUND)
+        return SolveReport(DiscreteFunction(np.zeros(kw.ncells), kw.grid),
+                           0.0, float("nan"), 0, Status.NOT_FOUND)
     func = replace(
         phi_functional(kw, lp),
         retract=lambda v: _fiber_extrema(v, kw, lp)[0] * v,
         clip=lambda v: np.minimum(np.maximum(v, 0.0), u_lam.values))
-    v, energy, res, it, status = descend(func, t0 * u_lam.values, opts)
-    gap_zero = float(np.abs(v).max())
-    gap_top = float(np.abs(u_lam.values - v).max())
-    if status is Status.CONVERGED and (gap_zero <= DISTINCT_TOL
-                                       or gap_top <= DISTINCT_TOL):
-        status = Status.NOT_FOUND
-    return SolveReport(u=DiscreteFunction(v, kw.grid), energy=energy,
-                       residual=res, iterations=it, status=status)
+    rep = descend(func, DiscreteFunction(t0 * u_lam.values, kw.grid), opts)
+    gap = min(rep.u.sup_norm(), float(np.abs(u_lam.values - rep.u.values).max()))
+    if rep.status is Status.CONVERGED and gap <= DISTINCT_TOL:
+        rep.status = Status.NOT_FOUND
+    return rep

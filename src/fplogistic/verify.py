@@ -23,7 +23,8 @@ from .eigen import EigenPair, seeded_uniform
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, _check_params, lp_norm, mass_norm
 from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
-                    minimize, mountain_pass, solve_branch_point)
+                    minimize, mountain_pass, require_finished,
+                    solve_branch_point)
 
 __all__ = [
     "CheckResult",
@@ -41,6 +42,8 @@ __all__ = [
 HOPF_FRAC = 0.1
 # run_suite's superdiffusive threshold bracket, whatever threshold.bracket_tol is
 SUPER_BRACKET_TOL = 1e-2
+# seeded random starts that check_nonexistence_equi descends from
+EQUI_TRIALS = 5
 
 
 @dataclass(eq=False)
@@ -109,10 +112,10 @@ def check_strict_order(u_low: DiscreteFunction,
 
 
 def check_nonexistence_equi(params, lam: float, eigen: EigenPair,
-                            trials: int = 5, opts=None) -> CheckResult:
+                            opts=None) -> CheckResult:
     """Certify absence of solutions on ``eigen.weights`` up to lambda1 (q = p).
 
-    Runs ``trials`` descents from seeded random positive starts; every one
+    Runs ``EQUI_TRIALS`` descents from seeded random positive starts; every one
     must stop, collapsed or converged, before the iteration cap.  Each
     returned iterate u is certified through the coercive identity, whose
     left side (lambda1 - lam) |u|_p^p + |u|_r^r is nonnegative for
@@ -133,7 +136,7 @@ def check_nonexistence_equi(params, lam: float, eigen: EigenPair,
     func = phi_functional(kw, lp)
     sups, coercives, residuals, statuses = [], [], [], []
     all_ok = True
-    for k in range(trials):
+    for k in range(EQUI_TRIALS):
         u0 = DiscreteFunction(seeded_uniform(opts.seed + k, 0.1, 1.0, kw.ncells),
                               kw.grid)
         rep = minimize(func, u0, opts)
@@ -154,7 +157,7 @@ def check_nonexistence_equi(params, lam: float, eigen: EigenPair,
         witness={"sup_norms": sups, "coercive_parts": coercives,
                  "residuals": residuals, "statuses": statuses,
                  "lambda1": lambda1},
-        thresholds={"residual_tol": opts.residual_tol, "trials": trials},
+        thresholds={"residual_tol": opts.residual_tol, "trials": EQUI_TRIALS},
     )
 
 
@@ -211,32 +214,38 @@ def run_suite(params, eigen: EigenPair, lam: float | None = None,
     Every check solves on ``eigen.weights``.  With lam = None a
     regime-appropriate default intensity is chosen: 1 in the subdiffusive
     regime and 0.9 times the eigenvalue in the equidiffusive one; the
-    superdiffusive checks locate theirs from the threshold.
+    superdiffusive checks locate theirs from the threshold.  A branch solve
+    that stops short is no ground for a verdict: it raises SolverError
+    (``solve.require_finished``) naming the regime and the intensity.
     """
     kw = eigen.weights
     opts = opts or SolveOptions()
     regime = classify_regime(params)
     results: list[CheckResult] = []
 
+    def branch_point(lam: float, warm: DiscreteFunction | None):
+        return require_finished(
+            solve_branch_point(lam, warm, params, kw, opts, eigen=eigen),
+            f"{regime.value} branch solve at lam = {lam:.6g}", opts)
+
     if regime is Regime.SUB:
         if lam is None:
             lam = 1.0
-        rep_lo = solve_branch_point(lam, None, params, kw, opts, eigen=eigen)
-        rep_hi = solve_branch_point(2.0 * lam, rep_lo.u, params, kw, opts)
+        rep_lo = branch_point(lam, None)
+        rep_hi = branch_point(2.0 * lam, rep_lo.u)
         results.append(check_strict_order(rep_lo.u, rep_hi.u))
         results.append(check_hopf(rep_hi.u, params.s))
         branch = [(lam, rep_lo.u.sup_norm())]
         for k in range(1, 5):
             lk = lam * 2.0 ** (-k)
-            rk = solve_branch_point(lk, None, params, kw, opts, eigen=eigen)
-            branch.append((lk, rk.u.sup_norm()))
+            branch.append((lk, branch_point(lk, None).u.sup_norm()))
         results.append(check_limit_branch(branch, 0.0, tol=branch[0][1]))
     elif regime is Regime.EQUI:
         if lam is None:
             lam = 0.9 * eigen.lambda1
         results.append(check_nonexistence_equi(params, lam, eigen, opts=opts))
         if lam > eigen.lambda1:
-            rep = solve_branch_point(lam, None, params, kw, opts, eigen=eigen)
+            rep = branch_point(lam, None)
             results.append(check_hopf(rep.u, params.s))
     else:
         thr = detect_threshold(params, eigen, opts, SUPER_BRACKET_TOL)
@@ -250,7 +259,7 @@ def run_suite(params, eigen: EigenPair, lam: float | None = None,
         ))
         results.append(check_hopf(thr.u_star, params.s))
         lam_mp = 1.5 * thr.lambda_star_h
-        rep = solve_branch_point(lam_mp, None, params, kw, opts, eigen=eigen)
+        rep = branch_point(lam_mp, None)
         mp = mountain_pass(lam_mp, params, kw, rep.u, opts)
         if mp.status is Status.CONVERGED:
             results.append(check_strict_order(mp.u, rep.u))

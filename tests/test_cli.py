@@ -189,6 +189,25 @@ def test_weights_cache_created_and_reused(sub_cfg, tmp_path, capsys):
     assert first == second
 
 
+def test_weights_cache_keeps_the_name_it_is_given(sub_cfg, tmp_path,
+                                                  monkeypatch):
+    # np.savez appends ".npz" to a path without it: the first run used to
+    # write w.cache.npz, so that every later run missed w.cache and
+    # assembled again
+    import fplogistic.cli
+    from fplogistic.kernel import assemble
+
+    assembled = []
+    monkeypatch.setattr(fplogistic.cli, "assemble",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    cache = tmp_path / "w.cache"
+    for run in range(2):
+        assert main(["eigen", "--config", str(sub_cfg), "--weights-cache",
+                     str(cache), "--out", str(tmp_path / f"out{run}")]) == 0
+    assert len(assembled) == 1
+    assert cache.exists() and not (tmp_path / "w.cache.npz").exists()
+
+
 def _write_npz_without_key(path):
     np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16))
 
@@ -865,3 +884,68 @@ def test_refine_rejects_a_weights_cache(sub_cfg, tmp_path, capsys):
     assert captured.err.startswith("error: refine assembles one grid per n")
     assert captured.err.count("\n") == 1
     assert not cache.exists()
+
+
+def test_set_without_equals_exits_one(sub_cfg, tmp_path, capsys):
+    code = main(["eigen", "--config", str(sub_cfg), "--set", "lam",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --set expects KEY=VALUE, got 'lam'\n"
+
+
+def test_sweep_without_lams_halves_lam_six_times(sub_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(sub_cfg), "--out", str(out)]) == 0
+    points = json.loads((out / "report.json").read_text())["results"]["points"]
+    assert [pt["lambda"] for pt in points] == [2.0 ** -k for k in range(6, -1, -1)]
+    assert all(pt["status"] == "converged" for pt in points)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--set", "solver.initial=random", "--set", "solver.max_iters=1"],
+     "error: the branch solve at lam = 1 stopped after 1 of 1 iterations "
+     "(residual "),
+    (["--set", "q=3.0", "--set", "r=4.0"],
+     "error: no branch solution at lam = 1 to anchor the saddle search "
+     "(status collapsed)\n"),
+], ids=["stopped_short", "collapsed"])
+def test_mountain_pass_without_an_anchor_exits_two_in_one_line(
+        sub_cfg, tmp_path, capsys, argv, needle):
+    out = tmp_path / "out"
+    code = main(["mountain-pass", "--config", str(sub_cfg), *argv,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(needle) and captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_verify_writes_the_notes_of_a_skipped_check(tmp_path, capsys):
+    # above lambda1 the equi nonexistence check is out of scope
+    cfg = tmp_path / "equi.cfg"
+    cfg.write_text(SUB_CFG.replace("q = 1.5", "q = 2.0")
+                   .replace("lam = 1.0", "lam = 100.0"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "equi/nonexistence_below_eigenvalue: SKIP  (requires lam <= " \
+        "lambda1" in capsys.readouterr().out
+    rows = (out / "verify_equi_nonexistence_below_eigenvalue.csv") \
+        .read_text().splitlines()
+    assert rows[:2] == ["key,value", "verdict,SKIP"]
+    assert rows[-1] == ('notes,"requires lam <= lambda1, got lam = 100, '
+                        'lambda1 = 15.6522"')
+
+
+def test_refine_super_refines_the_threshold(super_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["refine", "--config", str(super_cfg), "--ns", "8,16,32",
+                 "--set", "lam=30", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "threshold_refinement: PASS" in text
+    lines = (out / "refine.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
+    doc = json.loads((out / "report.json").read_text())
+    names = [c["name"] for c in doc["results"]["checks"]]
+    assert names == ["eigenvalue_refinement", "threshold_refinement"]

@@ -10,7 +10,7 @@ from fplogistic.eigen import (EigenError, EigenPair,
                               seeded_uniform)
 from fplogistic.kernel import assemble
 from fplogistic.operator import DiscreteFunction, lp_norm
-from fplogistic.solve import SolveOptions, Status
+from fplogistic.solve import SolveOptions, SolveReport, Status
 
 from oracles import dense_reference_lambda1
 
@@ -36,8 +36,9 @@ def test_a_limit_of_negative_mass_is_flipped(monkeypatch, kw64, eig64):
     descend = eigen.descend
 
     def negated(func, u0, opts):
-        u, *rest = descend(func, u0, opts)
-        return (-u, *rest)
+        rep = descend(func, u0, opts)
+        rep.u = DiscreteFunction(-rep.u.values, rep.u.grid)
+        return rep
 
     monkeypatch.setattr(eigen, "descend", negated)
     pair = principal_eigenpair(kw64, SolveOptions(seed=0))
@@ -114,12 +115,20 @@ def test_eigen_error_when_iterations_exhausted(kw32):
 def test_eigen_error_when_the_limit_changes_sign(kw32, monkeypatch):
     # a converged limit that is not positive is no principal eigenfunction
     def sign_changing(func, u0, opts):
-        u = np.where(np.arange(u0.size) % 2, u0, -0.5 * u0)
-        return u, 1.0, 0.0, 1, Status.CONVERGED
+        v = u0.values
+        u = np.where(np.arange(v.size) % 2, v, -0.5 * v)
+        return SolveReport(DiscreteFunction(u, u0.grid), 1.0, 0.0, 1,
+                           Status.CONVERGED)
 
     monkeypatch.setattr(eigen, "descend", sign_changing)
     with pytest.raises(EigenError, match="not positive"):
         principal_eigenpair(kw32, SolveOptions(seed=0))
+
+
+def test_normalizing_a_zero_iterate_raises(grid32):
+    # the sphere has no point on the ray of zero
+    with pytest.raises(EigenError, match="collapsed to zero"):
+        eigen._normalize(np.zeros(grid32.ncells), 2.0, grid32.measures)
 
 
 @pytest.mark.parametrize("lo,hi,size", [(0.5, 1.5, 64), (0.1, 1.0, 1000)])

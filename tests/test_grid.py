@@ -114,6 +114,13 @@ def test_bad_domains_rejected():
         DomainSpec.rectangle(0.0, 1.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("lo,hi", [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                                   ((0.0, 0.0), (1.0,)), ((), ())])
+def test_domains_of_other_than_one_or_two_axes_are_rejected(lo, hi):
+    with pytest.raises(GridError, match="1 or 2 axes"):
+        DomainSpec(lo, hi)
+
+
 def test_long_thin_2d_domain_is_rejected_before_assembly():
     # the 2D rule's touching columns take ceil(ratio) panels per hat half,
     # so its memory grows with the side ratio: 1e9 would ask for 14.9 GiB

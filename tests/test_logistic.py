@@ -70,7 +70,7 @@ def test_functionals_take_the_measures_of_their_weights(kw32, kw2d, lp,
     for func in (phi_functional(kw32, lp), truncated_functional(kw32, tr),
                  torsion_functional(kw32)):
         assert func.measures is kw32.grid.measures
-    with pytest.raises(GridMismatchError, match="expected 64 cell values"):
+    with pytest.raises(GridMismatchError, match=r"weights \(64 cells\)"):
         truncated_functional(kw2d, tr)
 
 

@@ -36,27 +36,34 @@ def eig32(kw32):
     return principal_eigenpair(kw32, SolveOptions(seed=0))
 
 
+# four cells of measure 1, the grid of _half_square and _quadratic
+_GRID4 = build_grid(DomainSpec.interval(0.0, 4.0), 4)
+
+
+def _on4(values) -> DiscreteFunction:
+    return DiscreteFunction(values, _GRID4)
+
+
 def _half_square(nan_below: float) -> Functional:
     """|u|^2 / 2, whose gradient is NaN wherever max |u| < nan_below."""
     def gradient(u):
         return np.full_like(u, np.nan) if np.abs(u).max() < nan_below else u.copy()
 
-    # four cells of measure 1
-    return Functional(lambda u: 0.5 * float(u @ u), gradient, None,
-                      build_grid(DomainSpec.interval(0.0, 4.0), 4))
+    return Functional(lambda u: 0.5 * float(u @ u), gradient, None, _GRID4)
 
 
 def test_descend_never_converges_at_a_non_finite_residual():
     # NaN > tol is False: the stop test must not read NaN as converged
     opts = SolveOptions(residual_tol=1e-8, max_iters=100)
     with pytest.raises(SolverError, match="non-finite residual"):
-        descend(_half_square(np.inf), np.ones(4), opts)
+        descend(_half_square(np.inf), _on4(np.ones(4)), opts)
     # the first step lands on 0, where the gradient is NaN: the descent
     # stops at the cap status and returns the iterate of smallest residual
-    u, value, res, it, status = descend(_half_square(0.5), np.ones(4), opts)
-    assert status is Status.MAX_ITERS
-    assert (it, res, value) == (1, 2.0, 2.0)
-    assert np.array_equal(u, np.ones(4))
+    rep = descend(_half_square(0.5), _on4(np.ones(4)), opts)
+    assert rep.status is Status.MAX_ITERS
+    assert (rep.iterations, rep.residual, rep.energy) == (1, 2.0, 2.0)
+    assert np.array_equal(rep.u.values, np.ones(4))
+    assert rep.u.grid is _GRID4
 
 
 def _quadratic(energy, clip=None) -> Functional:
@@ -67,7 +74,8 @@ def _quadratic(energy, clip=None) -> Functional:
 
 def test_descend_rejects_a_non_finite_initial_energy():
     with pytest.raises(SolverError, match="non-finite energy"):
-        descend(_quadratic(lambda u: float("inf")), np.ones(4), SolveOptions())
+        descend(_quadratic(lambda u: float("inf")), _on4(np.ones(4)),
+                SolveOptions())
 
 
 def test_descend_free_step_guard_stops_at_a_non_finite_energy():
@@ -76,10 +84,10 @@ def test_descend_free_step_guard_stops_at_a_non_finite_energy():
     # energy is not finite, and the guard stops the descent at the start
     u0 = np.full(4, 2e-7)
     func = _quadratic(lambda u: 0.5 * float(u @ u) if u.any() else float("inf"))
-    u, value, res, it, status = descend(func, u0, SolveOptions())
-    assert status is Status.MAX_ITERS
-    assert (it, res) == (0, 4e-7)
-    assert np.array_equal(u, u0)
+    rep = descend(func, _on4(u0), SolveOptions())
+    assert rep.status is Status.MAX_ITERS
+    assert (rep.iterations, rep.residual) == (0, 4e-7)
+    assert np.array_equal(rep.u.values, u0)
 
 
 @pytest.mark.parametrize("tol,status,iters", [(1e-2, Status.CONVERGED, 1),
@@ -95,29 +103,27 @@ def test_descend_failed_line_search(tol, status, iters):
         calls.append(u)
         return 0.5 * float(u @ u) + (0.0 if u is calls[0] else 1.0)
 
-    u, value, res, it, status_got = descend(_quadratic(energy), u0,
-                                            SolveOptions(residual_tol=tol))
-    assert (status_got, it) == (status, iters)
+    rep = descend(_quadratic(energy), _on4(u0), SolveOptions(residual_tol=tol))
+    assert (rep.status, rep.iterations) == (status, iters)
     assert len(calls) == 1 + 60 + iters
-    assert np.array_equal(u, np.zeros(4) if iters else u0)
+    assert np.array_equal(rep.u.values, np.zeros(4) if iters else u0)
 
 
 def test_descend_clipped_point_above_tolerance_is_max_iters():
     # the descent converges to 0, and the clip moves it to 1, where the
     # residual is 2
     func = _quadratic(lambda u: 0.5 * float(u @ u), clip=lambda v: v + 1.0)
-    u, value, res, it, status = descend(func, np.full(4, 0.5), SolveOptions())
-    assert status is Status.MAX_ITERS
-    assert (value, res) == (2.0, 2.0)
-    assert np.array_equal(u, np.ones(4))
+    rep = descend(func, _on4(np.full(4, 0.5)), SolveOptions())
+    assert rep.status is Status.MAX_ITERS
+    assert (rep.energy, rep.residual) == (2.0, 2.0)
+    assert np.array_equal(rep.u.values, np.ones(4))
 
 
 def test_answers_live_on_the_grid_of_the_weights(unit_interval, sub_params):
-    # the folded weights of n = 7 have 4 cells, as the full n = 4 grid has;
-    # a start on that grid used to label the answer with it, so that
-    # unfolding gave 4 values for the 7-cell problem
+    # the folded weights of n = 7 have 4 cells: every answer lives on their
+    # grid, and unfolds to the 7 cells of the full problem
     kw = fold(assemble(build_grid(unit_interval, 7), sub_params))
-    start = DiscreteFunction(np.full(4, 1e-3), build_grid(unit_interval, 4))
+    start = DiscreteFunction(np.full(4, 1e-3), kw.grid)
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     func = phi_functional(kw, lp)
     assert func.grid is kw.grid and func.measures is kw.measures
@@ -126,6 +132,24 @@ def test_answers_live_on_the_grid_of_the_weights(unit_interval, sub_params):
         assert rep.status is Status.CONVERGED
         assert rep.u.grid is kw.grid
         assert rep.u.unfold().values.shape == (7,)
+
+
+@pytest.mark.parametrize("entry", ["minimize", "warm", "u_lam"])
+def test_a_start_on_another_grid_of_as_many_cells_is_rejected(
+        unit_interval, sub_params, entry):
+    # the folded weights of n = 7 have 4 cells, as the full n = 4 grid has;
+    # a function on that grid used to be read cell by cell as one on the
+    # folded grid, and its answer labelled with the grid of the weights
+    kw = fold(assemble(build_grid(unit_interval, 7), sub_params))
+    other = DiscreteFunction(np.full(4, 1e-3), build_grid(unit_interval, 4))
+    lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
+    run = {
+        "minimize": lambda: minimize(phi_functional(kw, lp), other),
+        "warm": lambda: solve_branch_point(1.0, other, sub_params, kw),
+        "u_lam": lambda: mountain_pass(1.0, sub_params, kw, other),
+    }[entry]
+    with pytest.raises(GridMismatchError, match="on another grid"):
+        run()
 
 
 def test_the_threshold_walk_takes_the_pair_of_its_weights(unit_interval):
@@ -168,7 +192,7 @@ def test_parameters_must_have_the_exponent_of_the_weights(grid32, solver):
         run()
 
 
-@pytest.mark.parametrize("start", ["minimize", "torsion", "warm", "u_lam",
+@pytest.mark.parametrize("start", ["minimize", "warm", "u_lam",
                                    "eigen_start"])
 def test_functions_of_another_cell_count_are_rejected(kw32, sub_params,
                                                       eig32, start):
@@ -179,14 +203,15 @@ def test_functions_of_another_cell_count_are_rejected(kw32, sub_params,
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     run = {
         "minimize": lambda: minimize(phi_functional(kw32, lp), other),
-        "torsion": lambda: torsion_solve(kw32, u0=other),
         "warm": lambda: solve_branch_point(1.0, other, sub_params, kw32),
         "u_lam": lambda: mountain_pass(1.0, sub_params, kw32, other),
         "eigen_start": lambda: solve_branch_point(
             1.0, None, sub_params, kw32,
             eigen=dataclasses.replace(eig32, u1=other)),
     }[start]
-    with pytest.raises(GridMismatchError, match="expected 32 cell values"):
+    with pytest.raises(GridMismatchError,
+                       match=r"weights \(32 cells\), got one on another grid"
+                             r" \(16 cells\)"):
         run()
 
 
@@ -314,8 +339,8 @@ def test_collapse_below_linear_threshold(grid32, equi_params, eig32):
 def test_initial_values_kinds(kw32):
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     opts = SolveOptions(seed=5)
-    r1 = initial_values("random", kw32, lp, opts)
-    r2 = initial_values("random", kw32, lp, SolveOptions(seed=5))
+    r1 = initial_values("random", kw32, lp, opts).values
+    r2 = initial_values("random", kw32, lp, SolveOptions(seed=5)).values
     assert np.array_equal(r1, r2)
     assert r1.min() >= 0.1 and r1.max() < 1.0
     with pytest.raises(ValueError, match="unknown"):
@@ -338,7 +363,8 @@ def test_eigen_start_returns_zero_without_negative_dip(grid32, equi_params):
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
     lp = LogisticParams(lam=0.9 * eig.lambda1, q=2.0, r=3.0)
     u0 = initial_values("eigen", kw, lp, SolveOptions(), eigen=eig)
-    assert np.all(u0 == 0.0)
+    assert u0.grid is kw.grid
+    assert np.all(u0.values == 0.0)
 
 
 @pytest.mark.parametrize("k", range(-4, 5))
@@ -354,7 +380,7 @@ def test_eigen_start_at_the_eigenvalue_is_zero_to_rounding(grid64, kw64,
     for lam, dip in ((lam1, False), ((1.0 + 1e-9) * lam1, True)):
         lp = LogisticParams(lam=lam, q=2.0, r=3.0)
         u0 = initial_values("eigen", kw64, lp, SolveOptions(),
-                            eigen=eig)
+                            eigen=eig).values
         assert bool(u0.any()) is dip
 
 
@@ -375,7 +401,7 @@ def test_eigen_start_is_the_last_valley_of_the_ray(monkeypatch, grid32, kw32,
                LogisticParams(lam=40.0, q=3.0, r=4.0)):
         energy_calls.clear()
         u0 = initial_values("eigen", kw32, lp, SolveOptions(),
-                            eigen=eig32)
+                            eigen=eig32).values
         assert len(energy_calls) <= 1
         t = u0.max() / u1.max()
         assert t > 0.0
@@ -457,8 +483,9 @@ def test_threshold_probe_iteration_cap_raises(kw16_super,
 
 @pytest.mark.parametrize("iterations, message", [
     (633, r"stopped after 633 of 50000 iterations \(residual 3\.790e\+02\)"),
-    (50_000,
-     r"hit the iteration cap \(residual 3\.790e\+02\); raise max_iters"),
+    pytest.param(50_000, r"stopped after 50000 of 50000 iterations "
+                 r"\(residual 3\.790e\+02\); raise solver\.max_iters",
+                 id="50000-at the cap"),
 ])
 def test_threshold_probe_failure_names_where_it_stopped(
         monkeypatch, kw16_super, super_params, iterations, message):
@@ -470,9 +497,12 @@ def test_threshold_probe_failure_names_where_it_stopped(
                            iterations=iterations, status=Status.MAX_ITERS)
 
     monkeypatch.setattr(solve_module, "minimize", stopped)
-    with pytest.raises(SolverError, match=message):
+    with pytest.raises(SolverError, match=message) as raised:
         detect_threshold(super_params, eig, SolveOptions(),
                          bracket_tol=1e-2)
+    # only a descent stopped by the cap asks for a larger one
+    assert str(raised.value).endswith("raise solver.max_iters") == (
+        iterations == 50_000)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -612,7 +642,8 @@ def test_mountain_pass_converged_next_to_an_end_is_not_found(
     point = {"zero": np.full(big.u.values.size, half),
              "u_lam": big.u.values - half}[end]
     monkeypatch.setattr(solve_module, "descend", lambda func, u0, opts: (
-        point, 1.0, 0.0, 3, Status.CONVERGED))
+        SolveReport(DiscreteFunction(point, u0.grid), 1.0, 0.0, 3,
+                    Status.CONVERGED)))
     rep = mountain_pass(lam, super_params, kw16_super, big.u, SolveOptions())
     assert (rep.status, rep.iterations) == (Status.NOT_FOUND, 3)
     assert np.array_equal(rep.u.values, point)

@@ -10,10 +10,10 @@ from fplogistic.domain import build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble, fold
 from fplogistic.operator import DiscreteFunction, GridMismatchError
-from fplogistic.solve import SolveOptions, SolveReport, Status
-from fplogistic.verify import (CheckResult, check_hopf, check_limit_branch,
-                               check_nonexistence_equi, check_strict_order,
-                               refinement_study, run_suite)
+from fplogistic.solve import SolveOptions, SolveReport, SolverError, Status
+from fplogistic.verify import (EQUI_TRIALS, CheckResult, check_hopf,
+                               check_limit_branch, check_nonexistence_equi,
+                               check_strict_order, refinement_study, run_suite)
 
 
 def test_check_result_verdicts():
@@ -85,8 +85,7 @@ def test_nonexistence_skips_outside_scope(grid32, kw32, sub_params,
 def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig,
-                                  trials=3)
+    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig)
     assert res.passed
     assert max(res.witness["sup_norms"]) <= 1e-6
     assert max(res.witness["coercive_parts"]) <= 1e-6
@@ -98,9 +97,9 @@ def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
     res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig,
-                                  trials=2, opts=SolveOptions(max_iters=2))
+                                  opts=SolveOptions(max_iters=2))
     assert res.passed is False
-    assert res.witness["statuses"] == ["max_iters", "max_iters"]
+    assert res.witness["statuses"] == ["max_iters"] * EQUI_TRIALS
 
 
 @pytest.mark.parametrize("check", ["check_nonexistence_equi", "run_suite"])
@@ -198,6 +197,19 @@ def test_run_suite_equi_above_the_eigenvalue(grid32, equi_params):
     results = run_suite(equi_params, eig, lam=1.5 * eig.lambda1)
     assert [(r.name, r.passed) for r in results] == [
         ("nonexistence_below_eigenvalue", None), ("hopf_boundary_growth", True)]
+
+
+@pytest.mark.parametrize("regime", ["sub", "equi"])
+def test_run_suite_judges_no_branch_solve_that_stopped_short(
+        kw64, eig64, sub_params, equi_params, regime):
+    # one iteration leaves every branch solve at max_iters (residual 1.6e-3
+    # at lam = 1 on the sub bundle); the checks used to pass on them
+    params, lam = {"sub": (sub_params, 1.0),
+                   "equi": (equi_params, 1.5 * eig64.lambda1)}[regime]
+    with pytest.raises(SolverError, match=(
+            rf"^{regime} branch solve at lam = {lam:.6g} stopped after 1 of 1 "
+            r"iterations \(residual \S+\); raise solver\.max_iters$")):
+        run_suite(params, eig64, lam, SolveOptions(max_iters=1))
 
 
 def test_run_suite_super_skips_an_unconverged_saddle(monkeypatch,
