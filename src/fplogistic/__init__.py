@@ -28,7 +28,7 @@ from .operator import (DiscreteFunction, GridMismatchError, apply_operator,
 from .solve import (BranchPoint, SolveOptions, SolveReport, SolverError,
                     Status, ThresholdReport, detect_threshold,
                     lower_bound_lambda0, minimize, mountain_pass,
-                    solve_branch_point, torsion_solve)
+                    solve_branch_point, torsion_solve, upper_bound_lambda_ray)
 from .verify import (CheckResult, check_hopf, check_limit_branch,
                      check_nonexistence_equi, check_strict_order,
                      refinement_study, run_suite)
@@ -47,7 +47,7 @@ __all__ = [
     "BranchPoint", "SolveOptions", "SolveReport",
     "SolverError", "Status", "ThresholdReport", "detect_threshold",
     "lower_bound_lambda0", "minimize", "mountain_pass", "solve_branch_point",
-    "torsion_solve",
+    "torsion_solve", "upper_bound_lambda_ray",
     "CheckResult", "check_hopf", "check_limit_branch",
     "check_nonexistence_equi", "check_strict_order", "refinement_study",
     "run_suite",

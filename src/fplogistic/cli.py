@@ -32,11 +32,12 @@ from .config import (ConfigError, load_config, positive_float, to_problem,
                      write_branch_csv, write_report, write_solution_csv)
 from .domain import (GridError, ParamError, Regime, build_grid,
                      classify_regime, validate_params)
+from .descent import require_finished
 from .eigen import EigenError, principal_eigenpair
 from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
-                    detect_threshold, mountain_pass, require_finished,
-                    solve_branch_point, torsion_solve)
+                    detect_threshold, mountain_pass, solve_branch_point,
+                    torsion_solve)
 from .verify import refinement_study, run_suite
 
 __all__ = ["main"]
@@ -196,14 +197,15 @@ def _run(args) -> int:
         code = 2 if capped else 0
     elif command == "threshold":
         thr = detect_threshold(params, ep, opts,
-                               bracket_tol=cfg.threshold_bracket_tol,
-                               lambda_high=cfg.threshold_lambda_high)
+                               bracket_tol=cfg.threshold_bracket_tol)
         print(f"lambda_star_h = {thr.lambda_star_h!r}  "
               f"lambda_0 = {thr.lambda_0!r}  "
+              f"lambda_ray = {thr.lambda_ray!r}  "
               f"bracket_width = {thr.bracket_width!r}")
         files = {"branch.csv": thr.branch, "solution.csv": thr.u_star}
         results = {"lambda_star_h": thr.lambda_star_h,
                    "lambda_0": thr.lambda_0,
+                   "lambda_ray": thr.lambda_ray,
                    "bracket_width": thr.bracket_width,
                    "sup_norm": thr.u_star.sup_norm()}
     elif command == "mountain-pass":

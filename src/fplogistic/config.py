@@ -61,7 +61,6 @@ class RunConfig:
     solver_seed: int = SolveOptions.seed
     solver_initial: str = SolveOptions.initial
     threshold_bracket_tol: float = BRACKET_TOL
-    threshold_lambda_high: float | None = None
     output_dir: str = "out"
 
 
@@ -70,10 +69,6 @@ def positive_float(raw: str) -> float:
     if not 0.0 < value < float("inf"):
         raise ValueError("must be positive and finite")
     return value
-
-
-def _parse_optional_positive_float(raw: str) -> float | None:
-    return None if raw == "" else positive_float(raw)
 
 
 def _nonnegative_int(raw: str) -> int:
@@ -109,8 +104,6 @@ _KEYS: dict[str, tuple[str, object, bool]] = {
     "solver.seed": ("solver_seed", _nonnegative_int, False),
     "solver.initial": ("solver_initial", _parse_initial, False),
     "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
-    "threshold.lambda_high": ("threshold_lambda_high",
-                              _parse_optional_positive_float, False),
     "output.dir": ("output_dir", str, False),
 }
 

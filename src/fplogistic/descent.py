@@ -9,7 +9,9 @@ retraction).  Each starts on the grid of its ``Functional``, stops on the
 command's ``SolveOptions`` and ends in one ``SolveReport``; ``descend``
 alone decides whether it converged: its residual is at most
 ``residual_tol`` within ``max_iters`` iterations, at the clipped point when
-the functional clips.  For p = 2 the steps are taken in a metric built on
+the functional clips.  ``require_finished`` turns a report that ended
+MAX_ITERS into SolverError, in one wording for every solve whose answer
+is needed.  For p = 2 the steps are taken in a metric built on
 K, the Hessian of E/2: on the free energy with q >= 2 the full Hessian at
 the iterate (inexact Newton steps, ``operator.newton_direction``),
 elsewhere K itself (``operator.sobolev_preconditioner``).  For every other
@@ -94,6 +96,18 @@ class Functional:
     clip: Callable[[np.ndarray], np.ndarray] | None = None
 
     measures = property(lambda self: self.grid.measures)
+
+
+def require_finished(rep: SolveReport, what: str,
+                     opts: SolveOptions) -> SolveReport:
+    """rep, or SolverError naming what and where when it stopped short."""
+    if rep.status is Status.MAX_ITERS:
+        cap = ("; raise solver.max_iters" if rep.iterations >= opts.max_iters
+               else "")
+        raise SolverError(
+            f"{what} stopped after {rep.iterations} of {opts.max_iters} "
+            f"iterations (residual {rep.residual:.3e}){cap}")
+    return rep
 
 
 def descend(func: Functional, u0: DiscreteFunction,

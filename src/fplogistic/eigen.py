@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import Functional, SolveOptions, Status, descend
+from .descent import Functional, SolveOptions, descend, require_finished
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_grid,
                        signed_power, sobolev_preconditioner)
@@ -30,7 +30,7 @@ __all__ = ["EigenError", "EigenPair", "rayleigh_quotient",
 
 
 class EigenError(RuntimeError):
-    """The eigen descent did not converge to a positive eigenfunction."""
+    """The eigen descent converged to no positive eigenfunction."""
 
 
 @dataclass(eq=False)
@@ -77,9 +77,9 @@ def principal_eigenpair(kw: KernelWeights,
     One descent, on the grid of the weights, from the strictly positive
     start that ``opts.seed`` draws; the pair records kw as its ``weights``.
     The principal eigenvalue is simple and its eigenfunction has one sign,
-    so the limit, flipped to positive mass, must be positive; a descent
-    that does not converge, or whose limit is not positive, raises
-    EigenError.
+    so the limit, flipped to positive mass, must be positive; a limit
+    that is not positive raises EigenError, and a descent that stops short
+    SolverError (``descent.require_finished``).
     For p = 2 the descent is preconditioned with
     ``operator.sobolev_preconditioner``, so that its iteration count does
     not grow with the number of cells.
@@ -99,12 +99,9 @@ def principal_eigenpair(kw: KernelWeights,
     func = Functional(quotient, gradient, sobolev_preconditioner(kw), kw.grid,
                       retract=lambda v: _normalize(v, p, meas))
     start = _normalize(seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells), p, meas)
-    rep = descend(func, DiscreteFunction(start, kw.grid), opts)
+    rep = require_finished(
+        descend(func, DiscreteFunction(start, kw.grid), opts), "eigen solve", opts)
     u, res = rep.u.values, rep.residual
-    if rep.status is not Status.CONVERGED:
-        raise EigenError(
-            f"eigen solve did not converge: residual {res:.3e} after "
-            f"{rep.iterations} iterations (tolerance {opts.residual_tol:.1e})")
     if float((u * meas).sum()) < 0.0:
         u = -u
     if np.any(u <= 0.0):

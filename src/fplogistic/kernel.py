@@ -53,15 +53,8 @@ import numpy as np
 
 from .domain import Grid, GridMismatchError
 
-__all__ = [
-    "KernelError",
-    "KernelWeights",
-    "FoldedWeights",
-    "assemble",
-    "fold",
-    "save_weights",
-    "load_weights",
-]
+__all__ = ["KernelError", "KernelWeights", "FoldedWeights", "assemble", "fold",
+           "save_weights", "load_weights"]
 
 # Relative agreement of two Gauss orders required of the 2D tensor rule.
 ASSEMBLY_REL_TOL = 1e-7

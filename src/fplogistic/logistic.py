@@ -30,16 +30,9 @@ from .operator import (DiscreteFunction, _apply, _energy, _check_grid,
                        newton_direction, sobolev_preconditioner)
 
 __all__ = [
-    "LogisticParams",
-    "TruncatedReaction",
-    "Functional",
-    "reaction",
-    "reaction_primitive",
-    "truncated_reaction",
-    "truncated_primitive",
-    "phi_functional",
-    "truncated_functional",
-    "torsion_functional",
+    "LogisticParams", "TruncatedReaction", "Functional", "reaction",
+    "reaction_primitive", "truncated_reaction", "truncated_primitive",
+    "phi_functional", "truncated_functional", "torsion_functional",
 ]
 
 

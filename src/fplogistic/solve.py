@@ -11,13 +11,13 @@ point, and below the existence threshold it is the only one; a converged
 minimization that lies in the zero basin of its own ray t * u (the
 ``collapsed`` test of ``logistic.phi_functional``, free of any absolute
 scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
-in one walk down the branch: warm-started probes at geometrically falling
-intensities until the first collapse, then bisection of the bracket.  A
-solve that the threshold walk, the torsion solve or the checks of
-``verify`` depend on must not stop short: ``require_finished`` turns one
-that ended MAX_ITERS into SolverError.  The weights bring s, p and the grid
-of every answer, the eigenpair its weights; other weights, s or p, or a
-start on another grid, raise GridMismatchError.
+in one walk down the branch, from the last point of its grid above the
+analytic bound ``upper_bound_lambda_ray``: warm-started probes at
+geometrically falling intensities until the first collapse, then bisection
+of the bracket.  Its probes, like the torsion solve, pass through
+``descent.require_finished``.  The weights bring s, p and the grid of every
+answer, the eigenpair its weights; other weights, s or p, or a start on
+another grid, raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .descent import (Functional, SolveOptions, SolveReport, SolverError,
-                      Status, descend)
+                      Status, descend, require_finished)
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
                        torsion_functional)
 from .operator import (DiscreteFunction, GridMismatchError, _check_grid,
-                       _check_params)
+                       _check_params, _energy)
 
 __all__ = [
     "SolverError", "Status", "SolveOptions", "SolveReport", "BranchPoint",
-    "ThresholdReport", "minimize", "require_finished", "torsion_solve",
+    "ThresholdReport", "minimize", "torsion_solve",
     "initial_values", "solve_branch_point", "lower_bound_lambda0",
-    "detect_threshold", "mountain_pass",
+    "upper_bound_lambda_ray", "detect_threshold", "mountain_pass",
 ]
 
 # each continuation step of detect_threshold scales the intensity by this
@@ -62,6 +62,7 @@ class BranchPoint:
 class ThresholdReport:
     lambda_star_h: float
     lambda_0: float
+    lambda_ray: float
     bracket_width: float
     u_star: DiscreteFunction
     branch: list[BranchPoint] = field(default_factory=list)
@@ -81,18 +82,6 @@ def minimize(func: Functional, u0: DiscreteFunction,
     if rep.status is Status.CONVERGED and func.collapsed is not None \
             and func.collapsed(rep.u.values):
         rep.status = Status.COLLAPSED
-    return rep
-
-
-def require_finished(rep: SolveReport, what: str,
-                     opts: SolveOptions) -> SolveReport:
-    """rep, or SolverError naming what and where when it stopped short."""
-    if rep.status is Status.MAX_ITERS:
-        cap = ("; raise solver.max_iters" if rep.iterations >= opts.max_iters
-               else "")
-        raise SolverError(
-            f"{what} stopped after {rep.iterations} of {opts.max_iters} "
-            f"iterations (residual {rep.residual:.3e}){cap}")
     return rep
 
 
@@ -159,43 +148,71 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     return rep
 
 
+def _ray_minimum(alpha: float, beta: float, params, bound: str) -> float:
+    """min over t > 0 of alpha t^(p-q) + beta t^(r-q), in closed form (q > p)."""
+    p, q, r = params.p, params.q, params.r
+    if q <= p:
+        raise ValueError(f"{bound} bound requires q > p, got q = {q}, p = {p}")
+    try:
+        t = (alpha * (q - p) / (beta * (r - q))) ** (1.0 / (r - p))
+        value = alpha * t ** (p - q) + beta * t ** (r - q)
+    except (OverflowError, ZeroDivisionError):
+        value = float("inf")
+    if not value < float("inf"):
+        raise SolverError(f"the threshold {bound} bound overflows float64 "
+                          f"(q = {q!r}, r = {r!r})")
+    return value
+
+
 def lower_bound_lambda0(params, lambda1: float) -> float:
     """Analytic positive lower bound for the existence threshold (q > p).
 
     The reaction stays below lambda1 * t^(p-1) for every t > 0 exactly when
-    lam <= min over t of [lambda1 t^(p-q) + t^(r-q)], minimized in closed
-    form; below the bound any nonnegative critical point is zero.
+    lam <= min over t of [lambda1 t^(p-q) + t^(r-q)]; below the bound any
+    nonnegative critical point is zero.
     """
-    p, q, r = params.p, params.q, params.r
-    if q <= p:
-        raise ValueError(f"lower bound requires q > p, got q = {q}, p = {p}")
     if lambda1 <= 0.0:
         raise ValueError(f"lambda1 must be positive, got {lambda1}")
-    try:
-        t_star = (lambda1 * (q - p) / (r - q)) ** (1.0 / (r - p))
-    except OverflowError:
-        raise SolverError(f"the minimizer t* of the threshold lower bound "
-                          f"overflows float64 (q = {q!r}, r = {r!r})") from None
-    return lambda1 * t_star ** (p - q) + t_star ** (r - q)
+    return _ray_minimum(lambda1, 1.0, params, "lower")
+
+
+def upper_bound_lambda_ray(params, eigen: EigenPair) -> float:
+    """Analytic upper bound for the existence threshold, on the ray of u1.
+
+    Phi(t u1) = t^p E/p - lam t^q A/q + t^r B/r (``_fiber_extrema``) is
+    negative for some t exactly when lam exceeds the minimum over t of
+    q (t^(p-q) E/p + t^(r-q) B/r) / A; there the coercive Phi has a
+    minimizer of negative energy, a solution.
+    """
+    kw = eigen.weights
+    _check_params(params, kw)
+    u1, p, q, r = eigen.u1.values, params.p, params.q, params.r
+    qa = q / float(u1 ** q @ kw.measures)
+    return _ray_minimum(qa * _energy(u1, kw) / p,
+                        qa * float(u1 ** r @ kw.measures) / r, params, "upper")
 
 
 def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
-                     bracket_tol: float = BRACKET_TOL,
-                     lambda_high: float | None = None) -> ThresholdReport:
+                     bracket_tol: float = BRACKET_TOL) -> ThresholdReport:
     """Walk down the branch on ``eigen.weights`` to the smallest solvable lam.
 
     Each probe descends the free energy from the last solvable solution and
     is solvable when ``minimize`` reports it converged rather than collapsed,
     that is past the energy peak of its own ray; a tiny iterate has that
-    peak far beyond t = 1.  From a solvable high intensity the walk scales
-    lam by ``CONTINUATION_FACTOR`` until the first collapse, then bisects
-    the bracket down to ``bracket_tol``.  A solvable probe below the
-    analytic lower bound, from ``eigen.lambda1``, raises at once.
+    peak far beyond t = 1.  Every lam above lambda_ray
+    (``upper_bound_lambda_ray``) is solvable, so of the grid 4 lambda0 2^k
+    CONTINUATION_FACTOR^j, doubled until it lies above lambda_ray, the walk
+    solves first the last point above it, from the eigen start, and raises
+    SolverError unless that ends at negative energy.  It then scales lam by
+    ``CONTINUATION_FACTOR`` until the first collapse and bisects the bracket
+    down to ``bracket_tol``; ``branch`` lists the probes it solved.  A
+    solvable probe below lambda0 (``lower_bound_lambda0``) raises at once.
     """
     kw = eigen.weights
     _check_params(params, kw)
     opts = opts or SolveOptions()
     lam0 = lower_bound_lambda0(params, eigen.lambda1)
+    lam_ray = upper_bound_lambda_ray(params, eigen)
 
     def probe(lam: float, u_start: DiscreteFunction | None) -> SolveReport | None:
         lp = LogisticParams(lam=lam, q=params.q, r=params.r)
@@ -210,17 +227,17 @@ def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
                 f"threshold {lam:.6g} fell below the analytic bound {lam0:.6g}")
         return rep
 
-    lam = 4.0 * lam0 if lambda_high is None else lambda_high
-    rep = probe(lam, None)
-    while rep is None:
-        if lambda_high is not None:
-            raise SolverError(
-                f"no solvable starting point: lam_high = {lam:.6g} collapsed")
+    lam = 4.0 * lam0
+    while lam <= lam_ray:
         lam *= 2.0
-        if lam > 1024.0 * lam0:
-            raise SolverError(
-                "no solvable starting point found; pass lambda_high explicitly")
-        rep = probe(lam, None)
+    # the same products as a walk that solved every grid point above lam_ray
+    while CONTINUATION_FACTOR * lam > lam_ray:
+        lam = CONTINUATION_FACTOR * lam
+    rep = probe(lam, None)
+    if rep is None or not rep.energy < 0.0:
+        raise SolverError(
+            f"the threshold probe at lam = {lam:.6g}, above the ray bound "
+            f"lambda_ray = {lam_ray:.6g}, found no solution of negative energy")
 
     walk = [(lam, rep)]  # the solvable probes, lam strictly decreasing
     lam_no = None
@@ -238,6 +255,7 @@ def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
     return ThresholdReport(
         lambda_star_h=lam_star,
         lambda_0=lam0,
+        lambda_ray=lam_ray,
         bracket_width=lam_star - lam_no,
         u_star=rep_star.u,
         branch=[BranchPoint(lam=l, sup_norm=r.u.sup_norm(), energy=r.energy,

@@ -18,23 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .descent import require_finished
 from .domain import Regime, classify_regime
 from .eigen import EigenPair, seeded_uniform
 from .logistic import LogisticParams, phi_functional
 from .operator import DiscreteFunction, _check_params, lp_norm, mass_norm
 from .solve import (DISTINCT_TOL, SolveOptions, Status, detect_threshold,
-                    minimize, mountain_pass, require_finished,
-                    solve_branch_point)
+                    minimize, mountain_pass, solve_branch_point)
 
-__all__ = [
-    "CheckResult",
-    "check_hopf",
-    "check_strict_order",
-    "check_nonexistence_equi",
-    "check_limit_branch",
-    "refinement_study",
-    "run_suite",
-]
+__all__ = ["CheckResult", "check_hopf", "check_strict_order",
+           "check_nonexistence_equi", "check_limit_branch", "refinement_study",
+           "run_suite"]
 
 
 # check_hopf passes when the boundary minimum of u / d^s is at least this
@@ -216,7 +210,7 @@ def run_suite(params, eigen: EigenPair, lam: float | None = None,
     regime and 0.9 times the eigenvalue in the equidiffusive one; the
     superdiffusive checks locate theirs from the threshold.  A branch solve
     that stops short is no ground for a verdict: it raises SolverError
-    (``solve.require_finished``) naming the regime and the intensity.
+    (``descent.require_finished``) naming the regime and the intensity.
     """
     kw = eigen.weights
     opts = opts or SolveOptions()
@@ -249,11 +243,15 @@ def run_suite(params, eigen: EigenPair, lam: float | None = None,
             results.append(check_hopf(rep.u, params.s))
     else:
         thr = detect_threshold(params, eigen, opts, SUPER_BRACKET_TOL)
+        # a collapsed bracket end above lambda_ray is a certified solvable
+        # intensity judged unsolvable
         results.append(CheckResult(
             name="threshold_above_lower_bound",
-            passed=bool(thr.lambda_star_h >= thr.lambda_0),
+            passed=bool(thr.lambda_0 <= thr.lambda_star_h
+                        <= thr.lambda_ray + thr.bracket_width),
             witness={"lambda_star_h": thr.lambda_star_h,
                      "lambda_0": thr.lambda_0,
+                     "lambda_ray": thr.lambda_ray,
                      "bracket_width": thr.bracket_width},
             thresholds={},
         ))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -334,8 +335,27 @@ def test_eigen_solve_at_the_iteration_cap_exits_two(sub_cfg, tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "eigen solve did not converge" in captured.err
+    assert "eigen solve stopped after 0 of 0 iterations" in captured.err
+    assert captured.err.rstrip().endswith("; raise solver.max_iters")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("max_iters, what", [
+    (10, "eigen solve"), (12, "threshold probe at lam = 7.53022")])
+def test_every_solve_that_stops_short_has_one_wording(tmp_path, capsys,
+                                                      max_iters, what):
+    # on the n = 64 sub config the eigen solve needs 12 iterations, and the
+    # super bundle's threshold probe next to the fold more; the eigen solve
+    # used to word its own error
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(SUB_CFG.replace("n = 16", "n = 64"))
+    code = main(["verify", "--config", str(cfg), "--regime", "all",
+                 "--set", f"solver.max_iters={max_iters}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert re.fullmatch(
+        rf"error: {what} stopped after {max_iters} of {max_iters} iterations "
+        r"\(residual \S+\); raise solver\.max_iters\n", capsys.readouterr().err)
 
 
 def test_eigen_with_a_nan_residual_exits_two(sub_cfg, tmp_path):
@@ -673,7 +693,9 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "solver.initial=zero"], "solver.initial"),
     (["solve", "--set", "solver.seed=-1"], "solver.seed"),
     (["solve", "--set", "threshold.bracket_tol=0"], "bracket_tol"),
-    (["solve", "--set", "threshold.lambda_high=-1"], "lambda_high"),
+    # a removed key: the walk starts where the ray bound certifies a solution
+    (["solve", "--set", "threshold.lambda_high=-1"],
+     "unknown key 'threshold.lambda_high'"),
     (["solve", "--set", "p=nan"], "p = nan"),
     (["solve", "--set", "q=nan"], "q = nan"),
     (["solve", "--set", "r=nan"], "r = nan"),
@@ -793,7 +815,7 @@ def test_refine_study(sub_cfg, tmp_path, capsys):
     (["sweep", "--lams", "0.5,1"], ["branch.csv"], ["points"]),
     (["threshold", "--set", "q=3.0", "--set", "r=4.0",
       "--set", "threshold.bracket_tol=0.05"], ["branch.csv", "solution.csv"],
-     ["bracket_width", "lambda_0", "lambda_star_h", "sup_norm"]),
+     ["bracket_width", "lambda_0", "lambda_ray", "lambda_star_h", "sup_norm"]),
     (["mountain-pass"], ["saddle.csv", "solution.csv"],
      ["iterations", "lam", "residual", "status", "sup_branch", "sup_saddle"]),
     (["verify"], ["verify_sub_hopf_boundary_growth.csv",

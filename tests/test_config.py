@@ -136,7 +136,8 @@ def test_config_dict_uses_file_keys(tmp_path):
     d = config_dict(cfg)
     assert d["solver.max_iters"] == 50_000
     assert d["domain.lo"] == [0.0]
-    assert d["threshold.lambda_high"] is None
+    # the key that set the start of the threshold walk is gone
+    assert "threshold.lambda_high" not in d
 
 
 def test_report_json_holds_timestamp_and_schema(tmp_path):

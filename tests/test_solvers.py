@@ -15,10 +15,13 @@ from fplogistic.kernel import assemble, fold
 from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import (DiscreteFunction, GridMismatchError, _energy,
                                  apply_operator, mass_dot, mass_norm)
-from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
-                              _fiber_extrema, detect_threshold, initial_values,
+from fplogistic.solve import (CONTINUATION_FACTOR, SolveOptions, SolveReport,
+                              SolverError, Status, _fiber_extrema,
+                              detect_threshold, initial_values,
                               lower_bound_lambda0, minimize, mountain_pass,
-                              solve_branch_point, torsion_solve)
+                              solve_branch_point, torsion_solve,
+                              upper_bound_lambda_ray)
+from fplogistic.verify import SUPER_BRACKET_TOL
 
 
 @pytest.fixture(scope="module")
@@ -530,19 +533,6 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
     assert max(r.iterations for r in probes) <= 30
 
 
-def test_detect_threshold_accepts_explicit_start(kw16_super,
-                                                 super_params):
-    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
-    lam0 = lower_bound_lambda0(super_params, eig.lambda1)
-    report = detect_threshold(super_params, eig,
-                              SolveOptions(), bracket_tol=5e-2,
-                              lambda_high=3.0 * lam0)
-    assert report.lambda_star_h >= lam0
-    with pytest.raises(SolverError, match="collapsed"):
-        detect_threshold(super_params, eig, SolveOptions(),
-                         lambda_high=0.5 * lam0)
-
-
 def test_threshold_below_analytic_bound_raises(kw16_super,
                                                super_params):
     # an inflated lambda1 lifts lambda0 above the true threshold, so the walk
@@ -554,8 +544,8 @@ def test_threshold_below_analytic_bound_raises(kw16_super,
                          bracket_tol=1e-2)
 
 
-def _probes_solvable_from(monkeypatch, cut):
-    """Stand-in threshold probes, solvable exactly at lam >= cut; the lams probed."""
+def _recorded_probes(monkeypatch, minimize=None):
+    """The lam of every threshold probe, in order; minimize stands in if given."""
     lams = []
     phi = solve_module.phi_functional
 
@@ -563,35 +553,109 @@ def _probes_solvable_from(monkeypatch, cut):
         lams.append(lp.lam)
         return phi(kw, lp)
 
-    def probe(func, u0, opts=None):
-        status = Status.CONVERGED if lams[-1] >= cut else Status.COLLAPSED
-        return SolveReport(u0, 0.0, 0.0, 1, status)
-
     monkeypatch.setattr(solve_module, "phi_functional", recording_phi)
-    monkeypatch.setattr(solve_module, "minimize", probe)
+    if minimize is not None:
+        monkeypatch.setattr(solve_module, "minimize", minimize)
     return lams
 
 
-def test_threshold_walk_doubles_a_collapsed_start(monkeypatch, kw16_super,
-                                                  super_params):
+@pytest.mark.parametrize("status, energy", [
+    (Status.COLLAPSED, -1.0), (Status.CONVERGED, 0.0)],
+    ids=["collapsed", "energy_zero"])
+def test_a_certified_probe_that_finds_no_solution_names_lambda_ray(
+        monkeypatch, kw16_super, super_params, status, energy):
+    # above lambda_ray the ray of u1 reaches negative energy, so a first
+    # probe there that collapses, or ends at energy >= 0, is a solver fault
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    lam_ray = upper_bound_lambda_ray(super_params, eig)
+
+    def probe(func, u0, opts=None):
+        return SolveReport(u0, energy, 0.0, 1, status)
+
+    lams = _recorded_probes(monkeypatch, probe)
+    with pytest.raises(SolverError) as raised:
+        detect_threshold(super_params, eig, SolveOptions(), bracket_tol=1e-2)
+    assert len(lams) == 1
+    assert lam_ray < lams[0] and CONTINUATION_FACTOR * lams[0] <= lam_ray
+    assert str(raised.value) == (
+        f"the threshold probe at lam = {lams[0]:.6g}, above the ray bound "
+        f"lambda_ray = {lam_ray:.6g}, found no solution of negative energy")
+
+
+def _grid_points_above(lam0: float, lam_ray: float) -> list[float]:
+    """The points of the 0.9 grid from 4 lam0 down to the last above lam_ray."""
+    points = [4.0 * lam0]
+    while CONTINUATION_FACTOR * points[-1] > lam_ray:
+        points.append(CONTINUATION_FACTOR * points[-1])
+    return points
+
+
+def test_the_walk_solves_one_probe_above_lambda_ray(monkeypatch, grid64,
+                                                    super_params):
+    # the verify_1d super bundle: the walk used to solve 21 probes, 12 of
+    # them above lambda_ray = 7.98, where a solution is certified
+    eig = principal_eigenpair(fold(assemble(grid64, super_params)))
     lam0 = lower_bound_lambda0(super_params, eig.lambda1)
-    lams = _probes_solvable_from(monkeypatch, 6.0 * lam0)
+    lam_ray = upper_bound_lambda_ray(super_params, eig)
+    lams = _recorded_probes(monkeypatch)
     report = detect_threshold(super_params, eig, SolveOptions(),
-                              bracket_tol=1e-2)
-    # 4 lam0 collapses, 8 lam0 is solvable, and the walk goes down from there
-    assert lams[:3] == [4.0 * lam0, 8.0 * lam0, 0.9 * 8.0 * lam0]
-    assert 6.0 * lam0 <= report.lambda_star_h <= 6.0 * lam0 + 1e-2
+                              SUPER_BRACKET_TOL)
+    assert sum(lam > lam_ray for lam in lams) == 1
+    assert len(lams) <= 9
+    # the first probe is the grid point a walk from 4 lam0 would reach
+    assert lams[0] == _grid_points_above(lam0, lam_ray)[-1]
+    assert report.lambda_0 == lam0 and report.lambda_ray == lam_ray
+    assert report.branch[-1].lam == lams[0] and report.branch[-1].energy < 0.0
 
 
-def test_threshold_walk_gives_up_past_1024_lambda0(monkeypatch, kw16_super,
-                                                   super_params):
-    eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
-    lam0 = lower_bound_lambda0(super_params, eig.lambda1)
-    lams = _probes_solvable_from(monkeypatch, float("inf"))
-    with pytest.raises(SolverError, match="pass lambda_high explicitly"):
-        detect_threshold(super_params, eig, SolveOptions())
-    assert lams == [2.0 ** k * lam0 for k in range(2, 11)]
+@pytest.mark.parametrize("params", [(1, 0.4, 2.0, 3.0, 4.0),
+                                    (1, 0.3, 3.0, 4.0, 5.0)],
+                         ids=["super", "p3"])
+def test_the_ray_bound_is_sharp(grid32, params):
+    # the valley of Phi along the ray of u1 is negative just above
+    # lambda_ray and not below it
+    params = validate_params(*params)
+    kw = fold(assemble(grid32, params))
+    eig = principal_eigenpair(kw)
+    lam_ray = upper_bound_lambda_ray(params, eig)
+    assert lower_bound_lambda0(params, eig.lambda1) < lam_ray
+    u1 = eig.u1.values
+    for factor, negative in [(1.0 + 1e-9, True), (1.0 - 1e-9, False)]:
+        lp = LogisticParams(lam=factor * lam_ray, q=params.q, r=params.r)
+        valley = _fiber_extrema(u1, kw, lp)[1]
+        assert (phi_functional(kw, lp).energy(valley * u1) < 0.0) is negative
+
+
+def test_the_ray_bound_needs_q_above_p(kw32, eig32, sub_params):
+    with pytest.raises(ValueError, match="q > p"):
+        upper_bound_lambda_ray(sub_params, eig32)
+
+
+# lambda*_h and bracket_width of the walk that solved every probe from
+# 4 lambda0 down: the certified start leaves them bit-identical
+@pytest.mark.parametrize("dim, n, params, tol, lambda_star_h, width", [
+    (1, 64, (0.4, 2.0, 3.0, 4.0), 1e-2, 7.54329029363438, 0.00653664670158971),
+    (1, 64, (0.4, 2.0, 3.0, 4.0), 1e-3,
+     7.542473212796681, 0.0008170808376988248),
+    (2, 8, (0.4, 2.0, 2.5, 3.2), 1e-2,
+     22.388474722173136, 0.009713004217864807),
+    (2, 8, (0.4, 2.0, 2.5, 3.2), 1e-3,
+     22.383618220064204, 0.0006070627636169945),
+    (1, 32, (0.3, 3.0, 4.0, 5.0), 1e-3,
+     6.891244355531519, 0.0007475856319736351),
+    (1, 64, (0.3, 3.0, 4.0, 5.0), 1e-3,
+     6.795064087514965, 0.0007369118411792996),
+], ids=["super-n64-1e-2", "super-n64-1e-3", "2d-n8-1e-2", "2d-n8-1e-3",
+        "p3-n32", "p3-n64"])
+def test_the_certified_start_keeps_the_threshold_bits(
+        unit_interval, unit_square, dim, n, params, tol, lambda_star_h, width):
+    params = validate_params(dim, *params)
+    domain = unit_interval if dim == 1 else unit_square
+    eig = principal_eigenpair(fold(assemble(build_grid(domain, n), params)))
+    report = detect_threshold(params, eig, SolveOptions(), bracket_tol=tol)
+    assert (report.lambda_star_h, report.bracket_width) == (lambda_star_h,
+                                                             width)
+    assert report.lambda_0 <= report.lambda_star_h <= report.lambda_ray
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import numpy as np
@@ -10,7 +11,8 @@ from fplogistic.domain import build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble, fold
 from fplogistic.operator import DiscreteFunction, GridMismatchError
-from fplogistic.solve import SolveOptions, SolveReport, SolverError, Status
+from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
+                              detect_threshold)
 from fplogistic.verify import (EQUI_TRIALS, CheckResult, check_hopf,
                                check_limit_branch, check_nonexistence_equi,
                                check_strict_order, refinement_study, run_suite)
@@ -187,6 +189,27 @@ def test_run_suite_super(super_params, unit_interval):
     assert "saddle_between_zero_and_branch" in names
     assert all(r.passed for r in results if r.passed is not None)
     assert results[0].passed
+
+
+@pytest.mark.parametrize("mutate", [
+    # the collapsed end of the bracket above the ray bound: a certified
+    # solvable intensity judged unsolvable
+    lambda thr: {"lambda_ray": thr.lambda_star_h - 2.0 * thr.bracket_width},
+    lambda thr: {"lambda_0": thr.lambda_star_h + 1.0},
+], ids=["collapse_above_lambda_ray", "threshold_below_lambda_0"])
+def test_the_threshold_check_fails_on_a_bracket_outside_its_bounds(
+        monkeypatch, super_params, unit_interval, mutate):
+    kw = assemble(build_grid(unit_interval, 16), super_params)
+
+    def walk(*args):
+        thr = detect_threshold(*args)
+        return dataclasses.replace(thr, **mutate(thr))
+
+    monkeypatch.setattr(verify_module, "detect_threshold", walk)
+    check = run_suite(super_params, principal_eigenpair(kw))[0]
+    assert (check.name, check.passed) == ("threshold_above_lower_bound", False)
+    assert set(check.witness) == {"lambda_star_h", "lambda_0", "lambda_ray",
+                                  "bracket_width"}
 
 
 def test_run_suite_equi_above_the_eigenvalue(grid32, equi_params):
