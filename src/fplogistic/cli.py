@@ -9,12 +9,13 @@ are valid, before any assembly.  Each command prints as it goes and ends
 with its files, report results and exit code, which ``_run`` writes in one
 place, so a command that ends in an error writes no file.  Configuration
 comes from a key=value file overridden by FPLOG_ environment variables and
-then by flags.  Exit codes: 0 success or all checks passing, 1 validation
-error (bad usage, configuration, parameters, or an output path that cannot
-be written), 2 solver non-convergence or an unusable weights cache, 3
-verification failure.  An error exit writes its one ``error:`` line to
-stderr and nothing else; the warnings of a command that returns reach the
-caller's warning filters when it ends.
+then by flags.  Exit codes: 0 success or all checks passing and 3 a failed
+check, both with every file written; 1 validation error (bad usage,
+configuration, parameters, or an output path that cannot be written) and 2
+a solver failure (a solve that stopped short, whichever it was) or an
+unusable weights cache, both with one ``error:`` line on stderr and nothing
+else.  The warnings of a command that returns reach the caller's warning
+filters when it ends.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .config import (ConfigError, load_config, positive_float, to_problem,
                      write_branch_csv, write_report, write_solution_csv)
 from .domain import (GridError, ParamError, Regime, build_grid,
                      classify_regime, validate_params)
-from .descent import require_finished
 from .eigen import EigenError, principal_eigenpair
 from .kernel import KernelError, assemble, fold, load_weights, save_weights
 from .solve import (BranchPoint, SolveOptions, SolverError, Status,
@@ -176,7 +176,6 @@ def _run(args) -> int:
         results = {"lam": cfg.lam, "status": rep.status.value,
                    "sup_norm": rep.u.sup_norm(), "energy": rep.energy,
                    "residual": rep.residual, "iterations": rep.iterations}
-        code = 0 if rep.status is not Status.MAX_ITERS else 2
     elif command == "sweep":
         points = []
         warm = None
@@ -193,8 +192,6 @@ def _run(args) -> int:
         results = {"points": [{"lambda": pt.lam, "sup_norm": pt.sup_norm,
                                "energy": pt.energy, "status": pt.status}
                               for pt in points]}
-        capped = any(pt.status == Status.MAX_ITERS.value for pt in points)
-        code = 2 if capped else 0
     elif command == "threshold":
         thr = detect_threshold(params, ep, opts,
                                bracket_tol=cfg.threshold_bracket_tol)
@@ -209,9 +206,7 @@ def _run(args) -> int:
                    "bracket_width": thr.bracket_width,
                    "sup_norm": thr.u_star.sup_norm()}
     elif command == "mountain-pass":
-        rep = require_finished(
-            solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep),
-            f"the branch solve at lam = {cfg.lam:.6g}", opts)
+        rep = solve_branch_point(cfg.lam, None, params, kw, opts, eigen=ep)
         if rep.status is not Status.CONVERGED:
             raise SolverError(
                 f"no branch solution at lam = {cfg.lam:.6g} to anchor the "
@@ -221,14 +216,14 @@ def _run(args) -> int:
               f"sup_branch = {rep.u.sup_norm()!r}  "
               f"residual = {mp.residual:.3e}")
         files = {"solution.csv": rep.u, "saddle.csv": mp.u}
+        found = mp.status is Status.CONVERGED
         results = {"lam": cfg.lam, "status": mp.status.value,
-                   "sup_branch": rep.u.sup_norm(),
-                   "sup_saddle": mp.u.sup_norm(),
-                   "residual": mp.residual, "iterations": mp.iterations}
-        code = 0 if mp.status is not Status.MAX_ITERS else 2
+                   "sup_branch": rep.u.sup_norm(), "sup_saddle": mp.u.sup_norm(),
+                   "residual": mp.residual if found else None,
+                   "iterations": mp.iterations}
 
     # a command that raised has written nothing; one that returned writes
-    # every file and the report, whatever its exit code
+    # every file and the report, and exits 0 or, on a failed check, 3
     for name, data in files.items():
         if isinstance(data, tuple):
             header, rows = data

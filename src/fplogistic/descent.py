@@ -9,14 +9,14 @@ retraction).  Each starts on the grid of its ``Functional``, stops on the
 command's ``SolveOptions`` and ends in one ``SolveReport``; ``descend``
 alone decides whether it converged: its residual is at most
 ``residual_tol`` within ``max_iters`` iterations, at the clipped point when
-the functional clips.  ``require_finished`` turns a report that ended
-MAX_ITERS into SolverError, in one wording for every solve whose answer
-is needed.  For p = 2 the steps are taken in a metric built on
-K, the Hessian of E/2: on the free energy with q >= 2 the full Hessian at
-the iterate (inexact Newton steps, ``operator.newton_direction``),
-elsewhere K itself (``operator.sobolev_preconditioner``).  For every other
-p they are taken in the mass inner product of the cell measures.  The
-residual is the mass norm of the gradient in every case.
+the functional clips.  A descent that stops short raises SolverError, in
+one wording for every solve, so every report a caller sees has finished.
+For p = 2 the steps are taken in a metric built on K, the Hessian of E/2:
+on the free energy with q >= 2 the full Hessian at the iterate (inexact
+Newton steps, ``operator.newton_direction``), elsewhere K itself
+(``operator.sobolev_preconditioner``).  For every other p they are taken
+in the mass inner product of the cell measures.  The residual is the mass
+norm of the gradient in every case.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class SolverError(RuntimeError):
 class Status(enum.Enum):
     CONVERGED = "converged"
     COLLAPSED = "collapsed"
-    MAX_ITERS = "max_iters"
     NOT_FOUND = "not_found"
 
 
@@ -98,33 +97,21 @@ class Functional:
     measures = property(lambda self: self.grid.measures)
 
 
-def require_finished(rep: SolveReport, what: str,
-                     opts: SolveOptions) -> SolveReport:
-    """rep, or SolverError naming what and where when it stopped short."""
-    if rep.status is Status.MAX_ITERS:
-        cap = ("; raise solver.max_iters" if rep.iterations >= opts.max_iters
-               else "")
-        raise SolverError(
-            f"{what} stopped after {rep.iterations} of {opts.max_iters} "
-            f"iterations (residual {rep.residual:.3e}){cap}")
-    return rep
-
-
-def descend(func: Functional, u0: DiscreteFunction,
-            opts: SolveOptions) -> SolveReport:
+def descend(func: Functional, u0: DiscreteFunction, opts: SolveOptions,
+            what: str = "descent") -> SolveReport:
     """Monotone descent from u0 on ``func.grid`` (else GridMismatchError).
 
-    Stops with CONVERGED once the mass norm of the gradient is at most
-    ``opts.residual_tol``, and with MAX_ITERS at ``opts.max_iters``
-    iterations, at a non-finite residual, or when the line search fails far
-    from a minimum; at MAX_ITERS the iterate of smallest residual is
-    returned.  A non-finite energy or residual at u0 raises SolverError.
-    A ``clip`` that moves the final point re-evaluates energy and residual
-    there, and a clipped point above the tolerance, or at a non-finite
-    residual, is MAX_ITERS.  Whether a converged point is the zero solution
-    is the caller's question (``solve.minimize``).  ``gradient`` is called
-    once per iterate, right after ``energy`` was evaluated at that same
-    point, so a caller may carry work from one to the other.
+    Returns CONVERGED once the mass norm of the gradient is at most
+    ``opts.residual_tol``.  Raises SolverError "<what> stopped after k of N
+    iterations (residual r)" at ``opts.max_iters`` iterations (adding
+    "; raise solver.max_iters"), at a non-finite residual, when the line
+    search fails far from a minimum, or when ``clip`` moves the converged
+    point to one above the tolerance (energy and residual are evaluated
+    again there); and SolverError at a non-finite energy or residual at u0.
+    Whether a converged point is the zero solution is the caller's question
+    (``solve.minimize``).  ``gradient`` is called once per iterate, right
+    after ``energy`` was evaluated at that same point, so a caller may carry
+    work from one to the other.
 
     ``precondition`` maps the mass gradient g to the search direction
     d = P^-1 (M g) of a symmetric positive definite metric P, which may
@@ -158,12 +145,9 @@ def descend(func: Functional, u0: DiscreteFunction,
     it = 0
     free = False
     endgame_res = 1e3 * tol
-    best_u, best_res, best_value = u, res, value
-    status = Status.CONVERGED
     while not res <= tol:
         # a non-finite residual is never converged
         if it >= opts.max_iters or not math.isfinite(res):
-            status = Status.MAX_ITERS
             break
         if prev_u is not None and not newton:
             du = u - prev_u
@@ -192,7 +176,6 @@ def descend(func: Functional, u0: DiscreteFunction,
             v = move(u - step * d)
             ev = energy(v)
             if not math.isfinite(ev) or res > max(1e6 * endgame_res, 1.0):
-                status = Status.MAX_ITERS
                 break
         else:
             t = step
@@ -208,7 +191,6 @@ def descend(func: Functional, u0: DiscreteFunction,
                 if res <= endgame_res:
                     free = True
                     continue
-                status = Status.MAX_ITERS
                 break
         prev_u, prev_mg, prev_d = u, mg, d
         u, value = v, ev
@@ -216,16 +198,15 @@ def descend(func: Functional, u0: DiscreteFunction,
         mg = measures * g
         d = g if precondition is None else precondition(g)
         res = float(g @ mg) ** 0.5
-        if res < best_res:
-            best_u, best_res, best_value = u, res, value
         it += 1
-
-    if status is Status.MAX_ITERS and not res <= best_res:
-        u, res, value = best_u, best_res, best_value
-    clipped = u if func.clip is None else func.clip(u)
-    if not np.array_equal(clipped, u):
-        u, value = clipped, energy(clipped)
-        res = mass_norm(gradient(u), measures)
-        if not res <= tol:
-            status = Status.MAX_ITERS
-    return SolveReport(DiscreteFunction(u, func.grid), value, res, it, status)
+    else:
+        clipped = u if func.clip is None else func.clip(u)
+        if not np.array_equal(clipped, u):
+            u, value = clipped, energy(clipped)
+            res = mass_norm(gradient(u), measures)
+    if not res <= tol:
+        cap = "; raise solver.max_iters" if it >= opts.max_iters else ""
+        raise SolverError(f"{what} stopped after {it} of {opts.max_iters} "
+                          f"iterations (residual {res:.3e}){cap}")
+    return SolveReport(DiscreteFunction(u, func.grid), value, res, it,
+                       Status.CONVERGED)

@@ -7,7 +7,7 @@ eigenpair.  The package's descent engine (``descent.descend``) minimizes E on
 the sphere, with normalization as its retraction, once, from the strictly
 positive start that ``seeded_uniform`` draws with the standard library's
 ``random``, and stops it on the caller's ``SolveOptions`` like every other
-descent.
+descent: it converges or raises SolverError.
 For p = 2 it steps in the metric of K, the Hessian of E/2, which makes it a
 preconditioned inverse iteration.  The pair carries the weights it was
 solved on (``EigenPair.weights``), which the solvers read off it.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import Functional, SolveOptions, descend, require_finished
+from .descent import Functional, SolveOptions, descend
 from .kernel import KernelWeights
 from .operator import (DiscreteFunction, _apply, _energy, _check_grid,
                        signed_power, sobolev_preconditioner)
@@ -79,7 +79,7 @@ def principal_eigenpair(kw: KernelWeights,
     The principal eigenvalue is simple and its eigenfunction has one sign,
     so the limit, flipped to positive mass, must be positive; a limit
     that is not positive raises EigenError, and a descent that stops short
-    SolverError (``descent.require_finished``).
+    SolverError, as the "eigen solve" (``descent.descend``).
     For p = 2 the descent is preconditioned with
     ``operator.sobolev_preconditioner``, so that its iteration count does
     not grow with the number of cells.
@@ -99,8 +99,7 @@ def principal_eigenpair(kw: KernelWeights,
     func = Functional(quotient, gradient, sobolev_preconditioner(kw), kw.grid,
                       retract=lambda v: _normalize(v, p, meas))
     start = _normalize(seeded_uniform(opts.seed, 0.5, 1.5, kw.ncells), p, meas)
-    rep = require_finished(
-        descend(func, DiscreteFunction(start, kw.grid), opts), "eigen solve", opts)
+    rep = descend(func, DiscreteFunction(start, kw.grid), opts, "eigen solve")
     u, res = rep.u.values, rep.residual
     if float((u * meas).sum()) < 0.0:
         u = -u

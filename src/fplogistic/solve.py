@@ -1,8 +1,9 @@
 """Energy minimization, branch continuation, threshold detection, saddle search.
 
 Every solve here runs the package's one descent engine (``descent.descend``),
-which stops it on the ``SolveOptions`` it is given and reports it in one
-``SolveReport`` (both defined in ``descent``, importable from here):
+which stops it on the ``SolveOptions`` it is given, reports it in one
+``SolveReport`` (both defined in ``descent``, importable from here) and
+raises SolverError, naming the solve, when it stops short:
 ``minimize`` on an energy functional,
 ``mountain_pass`` on the free energy restricted to the energy peaks of rays
 t * v, the move of a point to the peak of its own ray serving as the
@@ -14,10 +15,9 @@ scale) is reported as collapsed.  ``detect_threshold`` finds that threshold
 in one walk down the branch, from the last point of its grid above the
 analytic bound ``upper_bound_lambda_ray``: warm-started probes at
 geometrically falling intensities until the first collapse, then bisection
-of the bracket.  Its probes, like the torsion solve, pass through
-``descent.require_finished``.  The weights bring s, p and the grid of every
-answer, the eigenpair its weights; other weights, s or p, or a start on
-another grid, raise GridMismatchError.
+of the bracket.  The weights bring s, p and the grid of every answer, the
+eigenpair its weights; other weights, s or p, or a start on another grid,
+raise GridMismatchError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .descent import (Functional, SolveOptions, SolveReport, SolverError,
-                      Status, descend, require_finished)
+                      Status, descend)
 from .eigen import EigenPair, seeded_uniform
 from .kernel import KernelWeights
 from .logistic import (LogisticParams, _fiber_extrema, phi_functional,
@@ -69,18 +69,19 @@ class ThresholdReport:
 
 
 def minimize(func: Functional, u0: DiscreteFunction,
-             opts: SolveOptions | None = None) -> SolveReport:
+             opts: SolveOptions | None = None,
+             what: str = "descent") -> SolveReport:
     """Descend an energy functional from u0 to a nonnegative critical point.
 
     The energy sequence is nonincreasing up to the rounding floor of the
     energy evaluation.  An exact critical point returns immediately with
-    zero iterations.  ``descend`` decides convergence at the clipped point;
-    a converged result is COLLAPSED when the functional's ``collapsed`` test
-    finds it in the zero basin of its own ray.
+    zero iterations.  ``descend`` decides convergence at the clipped point
+    and raises SolverError naming ``what`` when it stops short; the result
+    is COLLAPSED when the functional's ``collapsed`` test finds it in the
+    zero basin of its own ray.
     """
-    rep = descend(func, u0, opts or SolveOptions())
-    if rep.status is Status.CONVERGED and func.collapsed is not None \
-            and func.collapsed(rep.u.values):
+    rep = descend(func, u0, opts or SolveOptions(), what)
+    if func.collapsed is not None and func.collapsed(rep.u.values):
         rep.status = Status.COLLAPSED
     return rep
 
@@ -90,8 +91,7 @@ def torsion_solve(kw: KernelWeights,
     """Solve L u = 1: the positive barrier whose profile matches d(x)^s."""
     opts = opts or SolveOptions()
     u0 = DiscreteFunction(np.full(kw.ncells, 0.1), kw.grid)
-    return require_finished(minimize(torsion_functional(kw), u0, opts),
-                            "torsion solve", opts)
+    return minimize(torsion_functional(kw), u0, opts, "torsion solve")
 
 
 def initial_values(kind: str, kw: KernelWeights, lp: LogisticParams,
@@ -136,11 +136,12 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, lp)
+    what = f"branch solve at lam = {lam:.6g}"
     if warm is None:
         return minimize(func, initial_values(opts.initial, kw, lp, opts, eigen),
-                        opts)
+                        opts, what)
 
-    rep = minimize(func, warm, opts)
+    rep = minimize(func, warm, opts, what)
     gap = float((warm.values - rep.u.values).max())
     if gap > 1e-6 * max(rep.u.sup_norm(), warm.sup_norm()):
         raise SolverError(
@@ -218,8 +219,8 @@ def detect_threshold(params, eigen: EigenPair, opts: SolveOptions | None = None,
         lp = LogisticParams(lam=lam, q=params.q, r=params.r)
         if u_start is None:
             u_start = initial_values("eigen", kw, lp, opts, eigen)
-        rep = require_finished(minimize(phi_functional(kw, lp), u_start, opts),
-                               f"threshold probe at lam = {lam:.6g}", opts)
+        rep = minimize(phi_functional(kw, lp), u_start, opts,
+                       f"threshold probe at lam = {lam:.6g}")
         if rep.status is Status.COLLAPSED:
             return None
         if lam < lam0 * (1.0 - 1e-9):
@@ -273,8 +274,9 @@ def mountain_pass(lam: float, params, kw: KernelWeights, u_lam: DiscreteFunction
     trial point to the peak of its own ray, and clips the result between
     zero and u_lam.  When that first peak is missing or does not lie before
     u_lam there is no barrier between zero and u_lam, and the search reports
-    NOT_FOUND at once with the zero function; a result within
-    ``DISTINCT_TOL`` of either end is NOT_FOUND as well.
+    NOT_FOUND at once with the zero function and a NaN residual, as no
+    descent ran; a result within ``DISTINCT_TOL`` of either end is NOT_FOUND
+    as well, and a search that stops short raises SolverError.
     """
     _check_params(params, kw)
     _check_grid(u_lam, kw)
@@ -288,8 +290,9 @@ def mountain_pass(lam: float, params, kw: KernelWeights, u_lam: DiscreteFunction
         phi_functional(kw, lp),
         retract=lambda v: _fiber_extrema(v, kw, lp)[0] * v,
         clip=lambda v: np.minimum(np.maximum(v, 0.0), u_lam.values))
-    rep = descend(func, DiscreteFunction(t0 * u_lam.values, kw.grid), opts)
+    rep = descend(func, DiscreteFunction(t0 * u_lam.values, kw.grid), opts,
+                  f"saddle search at lam = {lam:.6g}")
     gap = min(rep.u.sup_norm(), float(np.abs(u_lam.values - rep.u.values).max()))
-    if rep.status is Status.CONVERGED and gap <= DISTINCT_TOL:
+    if gap <= DISTINCT_TOL:
         rep.status = Status.NOT_FOUND
     return rep

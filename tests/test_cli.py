@@ -160,11 +160,17 @@ def test_solve_reruns_are_byte_identical(sub_cfg, tmp_path):
 
 
 def test_solve_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
+    # a capped solve is an error like any other: one line and no file
+    out = tmp_path / "out"
     code = main(["solve", "--config", str(sub_cfg),
                  "--set", "solver.initial=random",
                  "--set", "solver.max_iters=1",
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(out)])
     assert code == 2
+    assert re.fullmatch(
+        r"error: branch solve at lam = 1 stopped after 1 of 1 iterations "
+        r"\(residual \S+\); raise solver\.max_iters\n", capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_torsion_cap_exits_two(sub_cfg, tmp_path, capsys):
@@ -311,17 +317,18 @@ def test_sweep_rows_sorted(sub_cfg, tmp_path):
 
 
 def test_sweep_iteration_cap_exits_two(sub_cfg, tmp_path, capsys):
-    # like solve and mountain-pass, a point that ends at the cap exits 2,
-    # after the branch table and the report are written; the random start
-    # needs no eigenpair, whose solve would hit the same cap first
+    # like solve and mountain-pass, a point that ends at the cap exits 2
+    # with one line and no file; the random start needs no eigenpair, whose
+    # solve would hit the same cap first
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(sub_cfg), "--lams", "0.5,1.0",
                  "--set", "solver.initial=random",
                  "--set", "solver.max_iters=0", "--out", str(out)])
     assert code == 2
-    assert (out / "branch.csv").exists()
-    doc = json.loads((out / "report.json").read_text())
-    assert [pt["status"] for pt in doc["results"]["points"]] == ["max_iters"] * 2
+    assert re.fullmatch(
+        r"error: branch solve at lam = 0\.5 stopped after 0 of 0 iterations "
+        r"\(residual \S+\); raise solver\.max_iters\n", capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["eigen"], ["sweep", "--lams", "0.5,1.0"]],
@@ -442,9 +449,9 @@ def descend_options(monkeypatch):
     descend = fplogistic.descent.descend
     seen = []
 
-    def spy(func, u0, opts):
+    def spy(func, u0, opts, what):
         seen.append((opts.residual_tol, opts.max_iters))
-        return descend(func, u0, opts)
+        return descend(func, u0, opts, what)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("fplogistic") and \
@@ -535,6 +542,8 @@ def test_mountain_pass_not_found_in_sub(sub_cfg, tmp_path, capsys):
     assert "not_found" in capsys.readouterr().out
     doc = json.loads((out / "report.json").read_text())
     assert doc["results"]["status"] == "not_found"
+    # no barrier: the search ran no descent and has no residual
+    assert doc["results"]["residual"] is None
 
 
 @pytest.mark.parametrize("nodes", [2, 1, 0, -1])
@@ -805,6 +814,10 @@ def test_refine_study(sub_cfg, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("argv, files, keys", [
     (["eigen"], ["eigen.csv"],
      ["iterations", "lambda1", "residual"]),
@@ -830,7 +843,9 @@ def test_each_command_writes_its_files_and_report(sub_cfg, tmp_path, capsys,
     assert main([*argv, "--config", str(sub_cfg), "--out", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == sorted(
         [*files, "report.json"])
-    doc = json.loads((out / "report.json").read_text())
+    # strict JSON (RFC 8259): NaN and Infinity are no JSON numbers
+    doc = json.loads((out / "report.json").read_text(),
+                     parse_constant=_no_constant)
     assert doc["command"] == argv[0]
     assert sorted(doc["results"]) == keys
 
@@ -871,16 +886,20 @@ def test_out_that_is_a_file_exits_one_before_assembly(sub_cfg, tmp_path, capsys,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_returned_exit_two_still_writes_the_outputs(sub_cfg, tmp_path, capsys):
+def test_refine_exits_two_on_a_capped_solve(tmp_path, capsys):
+    # the n = 16 branch solve stops at the cap, at residual 4.2e-8; refine
+    # used to record its row as max_iters and pass the eigenvalue check
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text(P3_CFG.replace("n = 32", "n = 16").replace("q = 4.0", "q = 2.0")
+                   .replace("r = 5.0", "r = 4.0"))
     out = tmp_path / "out"
-    code = main(["solve", "--config", str(sub_cfg),
-                 "--set", "solver.initial=random", "--set", "solver.max_iters=1",
-                 "--out", str(out)])
+    code = main(["refine", "--config", str(cfg), "--ns", "4,8,16",
+                 "--set", "solver.max_iters=48", "--out", str(out)])
     assert code == 2
-    assert sorted(path.name for path in out.iterdir()) == ["report.json",
-                                                           "solution.csv"]
-    doc = json.loads((out / "report.json").read_text())
-    assert doc["results"]["status"] == "max_iters"
+    assert re.fullmatch(
+        r"error: branch solve at lam = 1 stopped after 48 of 48 iterations "
+        r"\(residual \S+\); raise solver\.max_iters\n", capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_refine_checks_every_grid_before_solving(sub_cfg, tmp_path, capsys):
@@ -925,7 +944,7 @@ def test_sweep_without_lams_halves_lam_six_times(sub_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, needle", [
     (["--set", "solver.initial=random", "--set", "solver.max_iters=1"],
-     "error: the branch solve at lam = 1 stopped after 1 of 1 iterations "
+     "error: branch solve at lam = 1 stopped after 1 of 1 iterations "
      "(residual "),
     (["--set", "q=3.0", "--set", "r=4.0"],
      "error: no branch solution at lam = 1 to anchor the saddle search "

@@ -35,8 +35,8 @@ def test_a_limit_of_negative_mass_is_flipped(monkeypatch, kw64, eig64):
     # of negative mass, -u1, is the same eigenpair
     descend = eigen.descend
 
-    def negated(func, u0, opts):
-        rep = descend(func, u0, opts)
+    def negated(func, u0, opts, what):
+        rep = descend(func, u0, opts, what)
         rep.u = DiscreteFunction(-rep.u.values, rep.u.grid)
         return rep
 
@@ -117,7 +117,7 @@ def test_eigen_error_when_iterations_exhausted(kw32):
 
 def test_eigen_error_when_the_limit_changes_sign(kw32, monkeypatch):
     # a converged limit that is not positive is no principal eigenfunction
-    def sign_changing(func, u0, opts):
+    def sign_changing(func, u0, opts, what):
         v = u0.values
         u = np.where(np.arange(v.size) % 2, v, -0.5 * v)
         return SolveReport(DiscreteFunction(u, u0.grid), 1.0, 0.0, 1,

@@ -61,12 +61,10 @@ def test_descend_never_converges_at_a_non_finite_residual():
     with pytest.raises(SolverError, match="non-finite residual"):
         descend(_half_square(np.inf), _on4(np.ones(4)), opts)
     # the first step lands on 0, where the gradient is NaN: the descent
-    # stops at the cap status and returns the iterate of smallest residual
-    rep = descend(_half_square(0.5), _on4(np.ones(4)), opts)
-    assert rep.status is Status.MAX_ITERS
-    assert (rep.iterations, rep.residual, rep.energy) == (1, 2.0, 2.0)
-    assert np.array_equal(rep.u.values, np.ones(4))
-    assert rep.u.grid is _GRID4
+    # stops there, short of the cap, and says so
+    with pytest.raises(SolverError, match=(
+            r"^descent stopped after 1 of 100 iterations \(residual nan\)$")):
+        descend(_half_square(0.5), _on4(np.ones(4)), opts)
 
 
 def _quadratic(energy, clip=None) -> Functional:
@@ -87,18 +85,19 @@ def test_descend_free_step_guard_stops_at_a_non_finite_energy():
     # energy is not finite, and the guard stops the descent at the start
     u0 = np.full(4, 2e-7)
     func = _quadratic(lambda u: 0.5 * float(u @ u) if u.any() else float("inf"))
-    rep = descend(func, _on4(u0), SolveOptions())
-    assert rep.status is Status.MAX_ITERS
-    assert (rep.iterations, rep.residual) == (0, 4e-7)
-    assert np.array_equal(rep.u.values, u0)
+    with pytest.raises(SolverError, match=(
+            r"^descent stopped after 0 of 50000 iterations "
+            r"\(residual 4\.000e-07\)$")):
+        descend(func, _on4(u0), SolveOptions())
 
 
 @pytest.mark.parametrize("tol,status,iters", [(1e-2, Status.CONVERGED, 1),
-                                              (1e-8, Status.MAX_ITERS, 0)])
+                                              (1e-8, SolverError, 0)])
 def test_descend_failed_line_search(tol, status, iters):
     # every trial point reports one unit more energy than |u|^2 / 2, so all
     # 60 backtracks fail; at residual 1 <= 1e3 tol (near a minimum) the
     # descent goes on with free steps and reaches 0, far from one it stops
+    # short of the cap and says so
     u0 = np.full(4, 0.5)
     calls = []
 
@@ -106,20 +105,30 @@ def test_descend_failed_line_search(tol, status, iters):
         calls.append(u)
         return 0.5 * float(u @ u) + (0.0 if u is calls[0] else 1.0)
 
-    rep = descend(_quadratic(energy), _on4(u0), SolveOptions(residual_tol=tol))
-    assert (rep.status, rep.iterations) == (status, iters)
+    def run():
+        return descend(_quadratic(energy), _on4(u0),
+                       SolveOptions(residual_tol=tol), "the probe")
+
+    if status is SolverError:
+        with pytest.raises(SolverError, match=(
+                r"^the probe stopped after 0 of 50000 iterations "
+                r"\(residual 1\.000e\+00\)$")):
+            run()
+    else:
+        rep = run()
+        assert (rep.status, rep.iterations) == (status, iters)
+        assert np.array_equal(rep.u.values, np.zeros(4))
     assert len(calls) == 1 + 60 + iters
-    assert np.array_equal(rep.u.values, np.zeros(4) if iters else u0)
 
 
-def test_descend_clipped_point_above_tolerance_is_max_iters():
-    # the descent converges to 0, and the clip moves it to 1, where the
-    # residual is 2
+def test_descend_clipped_point_above_tolerance_raises():
+    # the descent converges to 0 in one step, and the clip moves it to 1,
+    # where the residual is 2
     func = _quadratic(lambda u: 0.5 * float(u @ u), clip=lambda v: v + 1.0)
-    rep = descend(func, _on4(np.full(4, 0.5)), SolveOptions())
-    assert rep.status is Status.MAX_ITERS
-    assert (rep.energy, rep.residual) == (2.0, 2.0)
-    assert np.array_equal(rep.u.values, np.ones(4))
+    with pytest.raises(SolverError, match=(
+            r"^descent stopped after 1 of 50000 iterations "
+            r"\(residual 2\.000e\+00\)$")):
+        descend(func, _on4(np.full(4, 0.5)), SolveOptions())
 
 
 def test_answers_live_on_the_grid_of_the_weights(unit_interval, sub_params):
@@ -221,7 +230,6 @@ def test_functions_of_another_cell_count_are_rejected(kw32, sub_params,
 def test_status_labels():
     assert Status.CONVERGED.value == "converged"
     assert Status.COLLAPSED.value == "collapsed"
-    assert Status.MAX_ITERS.value == "max_iters"
     assert Status.NOT_FOUND.value == "not_found"
 
 
@@ -234,13 +242,14 @@ def test_zero_start_is_exact_critical_point(grid32, kw32):
     assert rep.u.sup_norm() == 0.0
 
 
-def test_max_iters_status(grid32, kw32, rng):
+def test_minimize_at_the_iteration_cap_raises(grid32, kw32, rng):
     lp = LogisticParams(lam=1.0, q=1.5, r=3.0)
     func = phi_functional(kw32, lp)
     u0 = DiscreteFunction(rng.uniform(0.1, 1.0, 32), grid32)
-    rep = minimize(func, u0, SolveOptions(max_iters=1))
-    assert rep.status is Status.MAX_ITERS
-    assert rep.iterations == 1
+    with pytest.raises(SolverError, match=(
+            r"^branch solve stopped after 1 of 1 iterations "
+            r"\(residual \S+\); raise solver\.max_iters$")):
+        minimize(func, u0, SolveOptions(max_iters=1), "branch solve")
 
 
 def test_sub_regime_starts_agree(kw32, sub_params, eig32):
@@ -492,14 +501,24 @@ def test_threshold_probe_iteration_cap_raises(kw16_super,
 ])
 def test_threshold_probe_failure_names_where_it_stopped(
         monkeypatch, kw16_super, super_params, iterations, message):
-    # a descent that gives up early is not one that ran out of iterations
+    # a descent that gives up early is not one that ran out of iterations.
+    # The stand-in energy is linear, of mass gradient 379 (norm 379 on the
+    # 16 cells of measure 1/16), so every step is accepted, until the energy
+    # turns infinite after the given number of iterations and every
+    # backtrack fails
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
+    calls = []
 
-    def stopped(func, u0, opts=None):
-        return SolveReport(u=u0, energy=0.0, residual=379.0,
-                           iterations=iterations, status=Status.MAX_ITERS)
+    def energy(v):
+        calls.append(None)
+        finite = len(calls) <= iterations + 1
+        return 379.0 * float(v @ kw16_super.measures) if finite else np.inf
 
-    monkeypatch.setattr(solve_module, "minimize", stopped)
+    def linear(kw, lp):
+        return Functional(energy, lambda v: np.full_like(v, 379.0), None,
+                          kw.grid)
+
+    monkeypatch.setattr(solve_module, "phi_functional", linear)
     with pytest.raises(SolverError, match=message) as raised:
         detect_threshold(super_params, eig, SolveOptions(),
                          bracket_tol=1e-2)
@@ -517,8 +536,8 @@ def test_newton_probes_take_few_iterations(monkeypatch, unit_interval,
     # per converging probe, and up to 145
     probes = []
 
-    def recorded(func, u0, opts=None):
-        rep = minimize(func, u0, opts)
+    def recorded(func, u0, opts, what):
+        rep = minimize(func, u0, opts, what)
         probes.append(rep)
         return rep
 
@@ -569,7 +588,7 @@ def test_a_certified_probe_that_finds_no_solution_names_lambda_ray(
     eig = principal_eigenpair(kw16_super, SolveOptions(seed=0))
     lam_ray = upper_bound_lambda_ray(super_params, eig)
 
-    def probe(func, u0, opts=None):
+    def probe(func, u0, opts, what):
         return SolveReport(u0, energy, 0.0, 1, status)
 
     lams = _recorded_probes(monkeypatch, probe)
@@ -685,15 +704,13 @@ def test_mountain_pass_finds_saddle(grid16, kw16_super, super_params,
 
 def test_mountain_pass_iteration_cap(kw16_super, super_params,
                                      super_branch16):
-    # the search stops at the cap and hands back its best iterate, clipped
+    # a search stopped by the cap is an error that names it
     lam, big = super_branch16
-    opts = SolveOptions(max_iters=5)
-    rep = mountain_pass(lam, super_params, kw16_super, big.u, opts)
-    assert rep.status is Status.MAX_ITERS
-    assert rep.iterations == 5
-    assert rep.residual > opts.residual_tol
-    assert np.all(rep.u.values >= 0.0)
-    assert np.all(rep.u.values <= big.u.values)
+    with pytest.raises(SolverError, match=(
+            rf"^saddle search at lam = {lam:.6g} stopped after 5 of 5 "
+            r"iterations \(residual \S+\); raise solver\.max_iters$")):
+        mountain_pass(lam, super_params, kw16_super, big.u,
+                      SolveOptions(max_iters=5))
 
 
 @pytest.mark.parametrize("end", ["zero", "u_lam"])
@@ -705,7 +722,7 @@ def test_mountain_pass_converged_next_to_an_end_is_not_found(
     half = 0.5 * solve_module.DISTINCT_TOL
     point = {"zero": np.full(big.u.values.size, half),
              "u_lam": big.u.values - half}[end]
-    monkeypatch.setattr(solve_module, "descend", lambda func, u0, opts: (
+    monkeypatch.setattr(solve_module, "descend", lambda func, u0, opts, what: (
         SolveReport(DiscreteFunction(point, u0.grid), 1.0, 0.0, 3,
                     Status.CONVERGED)))
     rep = mountain_pass(lam, super_params, kw16_super, big.u, SolveOptions())

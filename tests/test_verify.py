@@ -10,10 +10,11 @@ import fplogistic.verify as verify_module
 from fplogistic.domain import build_grid, validate_params
 from fplogistic.eigen import principal_eigenpair
 from fplogistic.kernel import assemble, fold
+from fplogistic.logistic import LogisticParams, phi_functional
 from fplogistic.operator import DiscreteFunction, GridMismatchError
 from fplogistic.solve import (SolveOptions, SolveReport, SolverError, Status,
-                              detect_threshold)
-from fplogistic.verify import (EQUI_TRIALS, CheckResult, check_hopf,
+                              detect_threshold, mountain_pass)
+from fplogistic.verify import (CheckResult, check_hopf,
                                check_limit_branch, check_nonexistence_equi,
                                check_strict_order, refinement_study, run_suite)
 
@@ -94,14 +95,16 @@ def test_nonexistence_passes_below_eigenvalue(grid32, equi_params):
 
 
 def test_nonexistence_fails_when_descent_is_cut_short(grid32, equi_params):
-    # an iteration cap leaves the trials unfinished, which the check must
-    # refuse
+    # an iteration cap leaves the first trial unfinished: no ground for a
+    # verdict either way, so the check raises rather than FAIL
     kw = assemble(grid32, equi_params)
     eig = principal_eigenpair(kw, SolveOptions(seed=0))
-    res = check_nonexistence_equi(equi_params, 0.9 * eig.lambda1, eig,
-                                  opts=SolveOptions(max_iters=2))
-    assert res.passed is False
-    assert res.witness["statuses"] == ["max_iters"] * EQUI_TRIALS
+    lam = 0.9 * eig.lambda1
+    with pytest.raises(SolverError, match=(
+            rf"^equi trial 0 at lam = {lam:.6g} stopped after 2 of 2 "
+            r"iterations \(residual \S+\); raise solver\.max_iters$")):
+        check_nonexistence_equi(equi_params, lam, eig,
+                                opts=SolveOptions(max_iters=2))
 
 
 @pytest.mark.parametrize("check", ["check_nonexistence_equi", "run_suite"])
@@ -225,29 +228,146 @@ def test_run_suite_equi_above_the_eigenvalue(grid32, equi_params):
 @pytest.mark.parametrize("regime", ["sub", "equi"])
 def test_run_suite_judges_no_branch_solve_that_stopped_short(
         kw64, eig64, sub_params, equi_params, regime):
-    # one iteration leaves every branch solve at max_iters (residual 1.6e-3
+    # one iteration leaves every branch solve at the cap (residual 1.6e-3
     # at lam = 1 on the sub bundle); the checks used to pass on them
     params, lam = {"sub": (sub_params, 1.0),
                    "equi": (equi_params, 1.5 * eig64.lambda1)}[regime]
     with pytest.raises(SolverError, match=(
-            rf"^{regime} branch solve at lam = {lam:.6g} stopped after 1 of 1 "
+            rf"^branch solve at lam = {lam:.6g} stopped after 1 of 1 "
             r"iterations \(residual \S+\); raise solver\.max_iters$")):
         run_suite(params, eig64, lam, SolveOptions(max_iters=1))
 
 
-def test_run_suite_super_skips_an_unconverged_saddle(monkeypatch,
-                                                     super_params,
-                                                     unit_interval):
-    kw = assemble(build_grid(unit_interval, 16), super_params)
+def test_run_suite_super_raises_on_an_unconverged_saddle(monkeypatch, super16):
+    # a saddle search cut short used to be SKIP, with exit 0: the paper's
+    # second solution went unchecked because a solve stopped short
+    params, eig, thr = super16
+    monkeypatch.setattr(verify_module, "detect_threshold", lambda *args: thr)
+    monkeypatch.setattr(verify_module, "mountain_pass",
+                        lambda *args: mountain_pass(*args[:-1],
+                                                    SolveOptions(max_iters=2)))
+    with pytest.raises(SolverError, match=(
+            rf"^saddle search at lam = {1.5 * thr.lambda_star_h:.6g} stopped "
+            r"after 2 of 2 iterations \(residual \S+\); "
+            r"raise solver\.max_iters$")):
+        run_suite(params, eig)
 
-    def capped(lam, params, kw, u_lam, opts):
-        return SolveReport(u_lam, 0.0, 1.0, opts.max_iters, Status.MAX_ITERS)
 
-    monkeypatch.setattr(verify_module, "mountain_pass", capped)
-    results = run_suite(super_params, principal_eigenpair(
-        kw, SolveOptions(seed=0)))
+def test_run_suite_super_skips_a_saddle_not_found(monkeypatch, super16):
+    # a search with no barrier leaves the second solution unchecked: SKIP
+    params, eig, thr = super16
+    monkeypatch.setattr(verify_module, "detect_threshold", lambda *args: thr)
+    monkeypatch.setattr(verify_module, "mountain_pass", lambda *args: (
+        SolveReport(DiscreteFunction(np.zeros(16), eig.u1.grid), 0.0,
+                    float("nan"), 0, Status.NOT_FOUND)))
+    results = run_suite(params, eig)
     saddle = results[-1]
     assert (saddle.name, saddle.passed) == ("saddle_between_zero_and_branch",
                                             None)
-    assert saddle.notes == "saddle search ended with status max_iters"
+    assert saddle.notes == "saddle search ended with status not_found"
     assert "strict_order" not in [r.name for r in results]
+
+
+@pytest.fixture(scope="module")
+def super16(super_params, unit_interval):
+    """The super parameters, their n = 16 eigenpair and threshold report."""
+    kw = assemble(build_grid(unit_interval, 16), super_params)
+    eig = principal_eigenpair(kw, SolveOptions(seed=0))
+    return super_params, eig, detect_threshold(super_params, eig, SolveOptions(),
+                                               verify_module.SUPER_BRACKET_TOL)
+
+
+def _zero_first_cell(u: DiscreteFunction) -> DiscreteFunction:
+    # a profile that vanishes on a boundary cell has no Hopf growth
+    return DiscreteFunction(np.concatenate([[0.0], u.values[1:]]), u.grid)
+
+
+def _edited_branch(edit):
+    """A stand-in for solve_branch_point: its report, u = edit(warm, u)."""
+    def make(real):
+        def stand_in(lam, warm, *args, **kwargs):
+            rep = real(lam, warm, *args, **kwargs)
+            rep.u = edit(warm, rep.u)
+            return rep
+        return stand_in
+    return make
+
+
+def _edited_threshold(edit):
+    """A stand-in for detect_threshold: its report with edit(report) replaced."""
+    def make(real):
+        def stand_in(*args):
+            thr = real(*args)
+            return dataclasses.replace(thr, **edit(thr))
+        return stand_in
+    return make
+
+
+def _saddle_at(scale):
+    """A stand-in for mountain_pass: converged at scale * u_lam, at its energy."""
+    def make(real):
+        def stand_in(lam, params, kw, u_lam, opts):
+            v = scale * u_lam.values
+            lp = LogisticParams(lam=lam, q=params.q, r=params.r)
+            return SolveReport(DiscreteFunction(v, u_lam.grid),
+                               phi_functional(kw, lp).energy(v), 0.0, 1,
+                               Status.CONVERGED)
+        return stand_in
+    return make
+
+
+# every check run_suite can emit, as regime/name, with a mutant that FAILs
+# it: lam / lambda1 to run at (None: the default), and the function of the
+# verify module to stand in for, with make(real) giving the stand-in
+MUTANTS = {
+    # the warm-started, higher solution touches the lower one
+    "sub/strict_order": (None, "solve_branch_point", _edited_branch(
+        lambda warm, u: u if warm is None else warm)),
+    "sub/hopf_boundary_growth": (None, "solve_branch_point", _edited_branch(
+        lambda warm, u: u if warm is None else _zero_first_cell(u))),
+    # the branch read backwards: lam below 1 is solved at 1 / lam, so the
+    # sup norm grows as lam falls
+    "sub/limit_branch": (None, "solve_branch_point", lambda real: (
+        lambda lam, *args, **kwargs: real(max(lam, 1.0 / lam), *args, **kwargs))),
+    # a descent that calls its random start, nonzero at lam <= lambda1, a
+    # critical point
+    "equi/nonexistence_below_eigenvalue": (None, "minimize", lambda real: (
+        lambda func, u0, opts, what: SolveReport(
+            u0, func.energy(u0.values), 0.0, 1, Status.CONVERGED))),
+    "equi/hopf_boundary_growth": (1.5, "solve_branch_point", _edited_branch(
+        lambda warm, u: _zero_first_cell(u))),
+    # the collapsed end of the bracket above the ray bound
+    "super/threshold_above_lower_bound": (
+        None, "detect_threshold", _edited_threshold(lambda thr: {
+            "lambda_ray": thr.lambda_star_h - 2.0 * thr.bracket_width})),
+    "super/hopf_boundary_growth": (None, "detect_threshold", _edited_threshold(
+        lambda thr: {"u_star": _zero_first_cell(thr.u_star)})),
+    # a saddle that touches the branch solution
+    "super/strict_order": (None, "mountain_pass", _saddle_at(1.0)),
+    # just below the branch solution: nonnegative, apart from zero and
+    # ordered, but of negative energy, so no mountain-pass level
+    "super/saddle_between_zero_and_branch": (None, "mountain_pass",
+                                             _saddle_at(0.99)),
+}
+
+
+@pytest.mark.parametrize("key", list(MUTANTS))
+def test_every_check_of_run_suite_fails_on_its_mutant(
+        monkeypatch, grid32, kw32, sub_params, equi_params, super16, key):
+    regime = key.split("/")[0]
+    if regime == "super":
+        params, eig, thr = super16
+        # the threshold walk, solved once for the module
+        monkeypatch.setattr(verify_module, "detect_threshold", lambda *args: thr)
+    else:
+        params = {"sub": sub_params, "equi": equi_params}[regime]
+        kw = kw32 if regime == "sub" else assemble(grid32, equi_params)
+        eig = principal_eigenpair(kw, SolveOptions(seed=0))
+    factor, attr, make = MUTANTS[key]
+    monkeypatch.setattr(verify_module, attr, make(getattr(verify_module, attr)))
+    results = run_suite(params, eig, None if factor is None
+                        else factor * eig.lambda1)
+    verdicts = {f"{regime}/{r.name}": r.verdict for r in results}
+    assert verdicts[key] == "FAIL"
+    # the table leaves out no check that run_suite emits
+    assert set(verdicts) <= set(MUTANTS)
