@@ -8,14 +8,14 @@ one row per cell of the grid.  The output directory is made once the inputs
 are valid, before any assembly.  Each command prints as it goes and ends
 with its files, report results and exit code, which ``_run`` writes in one
 place, so a command that ends in an error writes no file.  Configuration
-comes from a key=value file overridden by FPLOG_ environment variables and
-then by flags.  Exit codes: 0 success or all checks passing and 3 a failed
-check, both with every file written; 1 validation error (bad usage,
-configuration, parameters, or an output path that cannot be written) and 2
-a solver failure (a solve that stopped short, whichever it was) or an
-unusable weights cache, both with one ``error:`` line on stderr and nothing
-else.  The warnings of a command that returns reach the caller's warning
-filters when it ends.
+comes from a key=value file overridden by ``--set`` flags, nothing else, and
+the output directory from ``--out``.  Exit codes: 0 success or all checks
+passing and 3 a failed check, both with every file written; 1 validation
+error (bad usage, configuration, parameters, or an output path that cannot
+be written) and 2 a solver failure (a solve that stopped short, whichever
+it was) or an unusable weights cache, both with one ``error:`` line on
+stderr and nothing else.  The warnings of a command that returns reach the
+caller's warning filters when it ends.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -53,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value configuration file")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
-    common.add_argument("--out", type=Path, default=None,
-                        help="output directory (overrides output.dir)")
+    common.add_argument("--out", type=Path, default=Path("out"),
+                        help="output directory (default: out)")
     common.add_argument("--weights-cache", type=Path, default=None,
                         help="npz file holding assembled kernel weights")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,10 +103,8 @@ def _parse_list(raw: str, flag: str, parse) -> list:
 
 
 def _run(args) -> int:
-    cfg = load_config(args.config, env=dict(os.environ),
-                      flags=_parse_overrides(args.set))
+    cfg = load_config(args.config, flags=_parse_overrides(args.set))
     params, full = to_problem(cfg)
-    outdir = args.out if args.out is not None else Path(cfg.output_dir)
     opts = SolveOptions(residual_tol=cfg.solver_residual_tol,
                         max_iters=cfg.solver_max_iters, seed=cfg.solver_seed,
                         initial=cfg.solver_initial)
@@ -130,7 +127,7 @@ def _run(args) -> int:
         raise ConfigError(f"threshold needs q > p, got q = {params.q}, "
                           f"p = {params.p}")
     # every input is valid: an unwritable --out fails before any assembly
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     if command != "refine":
         if cache is not None and cache.exists():
@@ -227,14 +224,14 @@ def _run(args) -> int:
     for name, data in files.items():
         if isinstance(data, tuple):
             header, rows = data
-            with (outdir / name).open("w", newline="") as fh:
+            with (args.out / name).open("w", newline="") as fh:
                 csv.writer(fh).writerows([header, *rows])
         elif isinstance(data, list):
-            write_branch_csv(outdir / name, data)
+            write_branch_csv(args.out / name, data)
         else:
             data = data.unfold()
-            write_solution_csv(outdir / name, data.grid, data.values, params.s)
-    write_report(outdir, cfg, command, results)
+            write_solution_csv(args.out / name, data.grid, data.values, params.s)
+    write_report(args.out, cfg, command, results)
     return code
 
 

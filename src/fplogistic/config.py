@@ -1,18 +1,18 @@
 """Run configuration and report output.
 
 Configuration lives in a flat key=value file with '#' comments.  Dotted key
-names group related settings.  Environment variables prefixed FPLOG_
-override file values (double underscore encodes the dot), and command-line
-flags override both.  Reports are a JSON document plus CSV tables whose
-float columns use repr formatting, so rerunning a configuration reproduces
-the CSV bytes exactly.
+names group related settings; the attribute of a key is its name with the
+dots replaced by underscores.  Command-line ``--set`` flags override file
+values, and nothing else does.  Reports are a JSON document plus CSV tables
+whose float columns use repr formatting, so rerunning a configuration
+reproduces the CSV bytes exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,8 +36,7 @@ __all__ = [
     "write_branch_csv",
 ]
 
-SCHEMA_VERSION = 2
-ENV_PREFIX = "FPLOG_"
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -46,22 +45,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    dim: int = 1
-    s: float = 0.4
-    p: float = 2.0
-    q: float = 1.5
-    r: float = 3.0
-    lam: float = 1.0
-    n: int = 64
-    domain_lo: tuple[float, ...] = (0.0,)
-    domain_hi: tuple[float, ...] = (1.0,)
+    """One run's settings; a field without a default is a required key."""
+
+    dim: int
+    s: float
+    p: float
+    q: float
+    r: float
+    lam: float
+    n: int
+    domain_lo: tuple[float, ...]
+    domain_hi: tuple[float, ...]
     # the solver and threshold defaults are those of the library
     solver_residual_tol: float = SolveOptions.residual_tol
     solver_max_iters: int = SolveOptions.max_iters
     solver_seed: int = SolveOptions.seed
     solver_initial: str = SolveOptions.initial
     threshold_bracket_tol: float = BRACKET_TOL
-    output_dir: str = "out"
 
 
 def positive_float(raw: str) -> float:
@@ -88,26 +88,24 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
-# key name in file -> (attribute, parser, required)
-_KEYS: dict[str, tuple[str, object, bool]] = {
-    "dim": ("dim", int, True),
-    "s": ("s", float, True),
-    "p": ("p", float, True),
-    "q": ("q", float, True),
-    "r": ("r", float, True),
-    "lam": ("lam", positive_float, True),
-    "n": ("n", int, True),
-    "domain.lo": ("domain_lo", _parse_floats, True),
-    "domain.hi": ("domain_hi", _parse_floats, True),
-    "solver.residual_tol": ("solver_residual_tol", positive_float, False),
-    "solver.max_iters": ("solver_max_iters", _nonnegative_int, False),
-    "solver.seed": ("solver_seed", _nonnegative_int, False),
-    "solver.initial": ("solver_initial", _parse_initial, False),
-    "threshold.bracket_tol": ("threshold_bracket_tol", positive_float, False),
-    "output.dir": ("output_dir", str, False),
+# key name in file -> parser of its value; the attribute is the key with
+# '.' replaced by '_'
+_KEYS = {
+    "dim": int,
+    "s": float,
+    "p": float,
+    "q": float,
+    "r": float,
+    "lam": positive_float,
+    "n": int,
+    "domain.lo": _parse_floats,
+    "domain.hi": _parse_floats,
+    "solver.residual_tol": positive_float,
+    "solver.max_iters": _nonnegative_int,
+    "solver.seed": _nonnegative_int,
+    "solver.initial": _parse_initial,
+    "threshold.bracket_tol": positive_float,
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _KEYS.items()}
 
 
 def _parse_kv_lines(text: str, origin: str) -> dict[str, tuple[str, str]]:
@@ -131,22 +129,9 @@ def _parse_kv_lines(text: str, origin: str) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _env_overrides(env: dict[str, str]) -> dict[str, tuple[str, str]]:
-    out: dict[str, tuple[str, str]] = {}
-    for name, raw in env.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        if key not in _KEYS:
-            raise ConfigError(f"environment variable {name}: unknown key {key!r}")
-        out[key] = (raw, f"environment variable {name}")
-    return out
-
-
 def load_config(path: str | Path | None = None,
-                env: dict[str, str] | None = None,
                 flags: dict[str, str] | None = None) -> RunConfig:
-    """Assemble a RunConfig with precedence file < environment < flags."""
+    """Assemble a RunConfig from the file, then the flag overrides."""
     merged: dict[str, tuple[str, str]] = {}
     if path is not None:
         path = Path(path)
@@ -155,26 +140,23 @@ def load_config(path: str | Path | None = None,
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         merged.update(_parse_kv_lines(text, str(path)))
-    if env is not None:
-        merged.update(_env_overrides(env))
     for key, raw in (flags or {}).items():
         if key not in _KEYS:
             raise ConfigError(f"flag override: unknown key {key!r}")
         merged[key] = (raw, f"flag {key}")
 
-    cfg = RunConfig()
-    seen = set()
+    values = {}
     for key, (raw, origin) in merged.items():
-        attr, parser, _ = _KEYS[key]
         try:
-            setattr(cfg, attr, parser(raw))
+            values[key.replace(".", "_")] = _KEYS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad value for {key!r}: {raw!r} "
                               f"({exc})") from exc
-        seen.add(key)
-    for key, (_, _, required) in _KEYS.items():
-        if required and key not in seen:
+    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
+    for key in _KEYS:
+        if key.replace(".", "_") in required and key not in merged:
             raise ConfigError(f"missing required key: {key}")
+    cfg = RunConfig(**values)
     if len(cfg.domain_lo) != cfg.dim or len(cfg.domain_hi) != cfg.dim:
         raise ConfigError(
             f"domain.lo/domain.hi must have dim = {cfg.dim} coordinates, got "
@@ -185,11 +167,9 @@ def load_config(path: str | Path | None = None,
 def config_dict(cfg: RunConfig) -> dict:
     """Config as a JSON-ready mapping keyed by the file key names."""
     out = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[_ATTR_TO_KEY[f.name]] = value
+    for key in _KEYS:
+        value = getattr(cfg, key.replace(".", "_"))
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 

@@ -73,12 +73,12 @@ class SolveReport:
 class Functional:
     """An energy and what ``descend`` needs to descend it (raw value arrays).
 
-    ``precondition`` maps the mass gradient g to a descent direction, or is
-    None for the plain mass gradient.  With ``newton`` it is the inexact
-    Newton direction of ``operator.newton_direction``, in the metric of the
-    Hessian at the array of the last ``gradient`` call, so it must follow
-    that call; without it is a fixed metric, for p = 2 the Sobolev
-    preconditioner of the diffusion part (``operator.sobolev_preconditioner``).
+    ``precondition`` maps the iterate u and its mass gradient g to a
+    descent direction, or is None for the plain mass gradient.  With
+    ``newton`` it is the inexact Newton direction of
+    ``operator.newton_direction``, in the metric of the Hessian at u;
+    without it is a fixed metric, for p = 2 the Sobolev preconditioner of
+    the diffusion part (``operator.sobolev_preconditioner``).
     ``retract`` maps every trial point back onto a constraint set, and
     ``clip`` maps the final point into the admissible set.  ``collapsed``
     tells whether a critical point lies in the zero basin of its own ray;
@@ -87,7 +87,7 @@ class Functional:
 
     energy: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    precondition: Callable[[np.ndarray], np.ndarray] | None
+    precondition: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     grid: Grid  # of the weights, and of the answers; its measures weigh every pairing
     collapsed: Callable[[np.ndarray], bool] | None = None
     newton: bool = False
@@ -113,15 +113,15 @@ def descend(func: Functional, u0: DiscreteFunction, opts: SolveOptions,
     after ``energy`` was evaluated at that same point, so a caller may carry
     work from one to the other.
 
-    ``precondition`` maps the mass gradient g to the search direction
-    d = P^-1 (M g) of a symmetric positive definite metric P, which may
-    depend on the iterate, M the diagonal of ``func.measures``; it is
-    called right after ``gradient``, at the same iterate.  The Armijo test
-    then uses <g, d>_M.  For a fixed metric the Barzilai-Borwein step is
-    measured in P.  With ``newton`` the metric is the Hessian at the
-    iterate, or stands in for it where that is not positive definite, so it
-    changes from step to step and no Barzilai-Borwein pairing applies;
-    every line search then starts from the unit step.  Without
+    ``precondition`` maps the iterate u and its mass gradient g to the
+    search direction d = P^-1 (M g) of a symmetric positive definite metric
+    P, which may depend on u, M the diagonal of ``func.measures``.  The
+    Armijo test then uses <g, d>_M.  For a fixed metric the
+    Barzilai-Borwein step is measured in P.  With ``newton`` the metric is
+    the Hessian at the iterate, or stands in for it where that is not
+    positive definite, so it changes from step to step and no
+    Barzilai-Borwein pairing applies; every line search then starts from
+    the unit step.  Without
     ``precondition``, d = g.  Each mass pairing is one dot against M g,
     formed once per iterate.
     """
@@ -135,7 +135,7 @@ def descend(func: Functional, u0: DiscreteFunction, opts: SolveOptions,
         raise SolverError(f"non-finite energy at the initial point ({value})")
     g = gradient(u)
     mg = measures * g
-    d = g if precondition is None else precondition(g)
+    d = g if precondition is None else precondition(u, g)
     res = float(g @ mg) ** 0.5
     if not math.isfinite(res):
         raise SolverError(f"non-finite residual at the initial point ({res})")
@@ -196,7 +196,7 @@ def descend(func: Functional, u0: DiscreteFunction, opts: SolveOptions,
         u, value = v, ev
         g = gradient(u)
         mg = measures * g
-        d = g if precondition is None else precondition(g)
+        d = g if precondition is None else precondition(u, g)
         res = float(g @ mg) ** 0.5
         it += 1
     else:

@@ -119,11 +119,11 @@ def _functional(kw: KernelWeights, pair,
 
     ``energy(v)`` keeps f(v) for ``gradient`` on the same array (``is``).
     With ``slope`` (f', for p = 2) the precondition is the Newton direction
-    at the array of the last ``gradient`` call.  The clip is to u >= 0.
+    at the iterate.  The clip is to u >= 0.
     """
     m, p = kw.measures, kw.p
-    # the array of the last energy call, its f, the last gradient's array
-    last = [None, None, None]
+    # the array of the last energy call and its f
+    last = [None, None]
 
     def energy(v: np.ndarray) -> float:
         F, last[1] = pair(v)
@@ -131,11 +131,10 @@ def _functional(kw: KernelWeights, pair,
         return _energy(v, kw) / p - float(m @ F)
 
     def gradient(v: np.ndarray) -> np.ndarray:
-        last[2] = v
         return _apply(v, kw) - (last[1] if v is last[0] else pair(v)[1])
 
-    def precondition(g: np.ndarray) -> np.ndarray:
-        return newton_direction(kw, m * slope(last[2]), m * g)
+    def precondition(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return newton_direction(kw, m * slope(v), m * g)
 
     newton = slope is not None
     return Functional(energy, gradient,

@@ -178,18 +178,19 @@ def mass_norm(a: np.ndarray, measures: np.ndarray) -> float:
     return mass_dot(a, a, measures) ** 0.5
 
 
-def sobolev_preconditioner(kw: KernelWeights
-                           ) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The map g -> K^-1 (M g) when kw.p = 2, None for any other p.
+def sobolev_preconditioner(
+        kw: KernelWeights) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+    """The map (u, g) -> K^-1 (M g) when kw.p = 2, None for any other p.
 
     K = 2 (T I - W) is the Hessian of E/2 and M the diagonal of the cell
-    measures of the weights, so that the map sends the mass gradient of an
-    energy to its gradient in the metric of K (a Sobolev gradient).
+    measures of the weights, so that the map sends the mass gradient g of
+    an energy at any iterate u to its gradient in the metric of K (a
+    Sobolev gradient).
     """
     if kw.p != 2.0:
         return None
     kinv, measures = kw.k_inverse, kw.measures
-    return lambda g: kinv @ (measures * g)
+    return lambda u, g: kinv @ (measures * g)
 
 
 def newton_direction(kw: KernelWeights, shift: np.ndarray, b: np.ndarray

@@ -131,8 +131,6 @@ def solve_branch_point(lam: float, warm: DiscreteFunction | None, params,
     norm has left the branch, and SolverError is raised.
     """
     _check_params(params, kw)
-    if eigen is not None and eigen.weights is not kw:
-        raise GridMismatchError("the eigenpair was solved on other weights")
     opts = opts or SolveOptions()
     lp = LogisticParams(lam=lam, q=params.q, r=params.r)
     func = phi_functional(kw, lp)

@@ -156,18 +156,18 @@ def check_nonexistence_equi(params, lam: float, eigen: EigenPair,
     )
 
 
-def check_limit_branch(points: Sequence[tuple[float, float]], limit: float,
+def check_limit_branch(points: Sequence[tuple[float, float]],
                        tol: float) -> CheckResult:
-    """Monotone approach of branch sup-norms to a limit value.
+    """Monotone approach of branch sup-norms to zero.
 
     ``points`` are (parameter, sup_norm) pairs ordered along the branch.
-    Requires at least three points, distances to the limit nonincreasing,
-    and the final distance within tol.
+    Requires at least three points, distances to zero nonincreasing, and
+    the final distance within tol.
     """
     if len(points) < 3:
         return CheckResult(name="limit_branch", passed=None,
                            notes=f"needs at least 3 branch points, got {len(points)}")
-    dists = [abs(s - limit) for _, s in points]
+    dists = [abs(s) for _, s in points]
     mono = all(b <= a for a, b in zip(dists, dists[1:]))
     ok = mono and dists[-1] <= tol
     return CheckResult(
@@ -236,7 +236,7 @@ def run_suite(params, eigen: EigenPair, lam: float | None = None,
             lk = lam * 2.0 ** (-k)
             rep = solve_branch_point(lk, None, params, kw, opts, eigen=eigen)
             branch.append((lk, rep.u.sup_norm()))
-        results.append(check_limit_branch(branch, 0.0, tol=branch[0][1]))
+        results.append(check_limit_branch(branch, tol=branch[0][1]))
     elif regime is Regime.EQUI:
         if lam is None:
             lam = 0.9 * eigen.lambda1

@@ -8,7 +8,6 @@ interval at n = 64 unless a criterion states otherwise.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -54,12 +53,6 @@ def criterion(capsys):
         assert not failed, f"criterion {number} failed: {failed}"
 
     return _criterion
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in [k for k in os.environ if k.startswith("FPLOG_")]:
-        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="module")

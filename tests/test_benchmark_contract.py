@@ -4,14 +4,18 @@ A traced benchmark run records (weights, grid, params) from every
 ``assemble(grid, params)`` and ``load_weights(path, grid, params)`` call of
 the CLI (``perfbench/tracing.py``), and ``perfbench/child.py``'s
 ``layer_probes`` then times ``apply_operator``, ``gagliardo_energy``,
-``save_weights`` and ``load_weights`` on them.  The benchmark's files are
-not edited here: they are loaded as they are, and only the timing loop is
-replaced by a single call.
+``save_weights`` and ``load_weights`` on them.  Each workload of
+``perfbench/workloads.py`` must give the answers recorded in
+``perfbench/references.json``.  The benchmark's files are not edited here:
+they are loaded as they are, and only the timing loop is replaced by a
+single call.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,8 @@ def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks up the module it is defined in
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -49,6 +55,11 @@ def child():
 @pytest.fixture(scope="module")
 def tracing():
     return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
@@ -83,3 +94,21 @@ def test_layer_probes_run_on_the_recorded_weights(child, tracing, monkeypatch,
     assert probes["kernel.cache_bytes"] \
         == (tmp_path / "probe_weights.npz").stat().st_size
     assert probes["operator.apply_ms"] == probes["operator.energy_ms"] == 1e3
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["verify_1d", "assemble_2d"])
+def test_workload_answers_match_the_references(workloads, tmp_path, name,
+                                               seed):
+    wl = workloads.WORKLOADS[name]
+    (tmp_path / "workload.cfg").write_text(workloads.config_text(wl, seed))
+    refs = workloads.load_references()[name]
+    argvs = workloads.command_argvs(wl, tmp_path)
+    assert len(argvs) == len(refs)
+    for argv, ref in zip(argvs, refs):
+        assert main(argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        report = json.loads((out / "report.json").read_text())
+        answers = workloads.extract_answers(report)
+        assert workloads.check_answers(argv[0], answers, ref,
+                                       report["config"]) == []

@@ -35,12 +35,6 @@ P3_CFG = (SUB_CFG.replace("s = 0.4", "s = 0.3").replace("p = 2.0", "p = 3.0")
           .replace("n = 16", "n = 32"))
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in [k for k in os.environ if k.startswith("FPLOG_")]:
-        monkeypatch.delenv(name)
-
-
 @pytest.fixture()
 def sub_cfg(tmp_path):
     path = tmp_path / "sub.cfg"
@@ -294,13 +288,25 @@ def test_unwritable_output_path_exits_one_in_one_line(sub_cfg, tmp_path,
     assert "taken" in err
 
 
-def test_env_override_reaches_report(sub_cfg, tmp_path, monkeypatch):
-    monkeypatch.setenv("FPLOG_LAM", "2.0")
+def test_environment_variables_do_not_reach_the_run(sub_cfg, tmp_path,
+                                                    monkeypatch):
+    # the file and --set are the only sources of a run's values
+    monkeypatch.setenv("FPLOG_TYPO", "1")
+    monkeypatch.setenv("FPLOG_LAM", "5")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(sub_cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
-    assert doc["config"]["lam"] == 2.0
-    assert doc["results"]["lam"] == 2.0
+    assert doc["config"]["lam"] == 1.0
+    assert doc["results"]["lam"] == 1.0
+
+
+def test_out_defaults_to_out_in_the_working_directory(sub_cfg, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["eigen", "--config", str(sub_cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["command"] == "eigen"
+    assert (tmp_path / "out" / "eigen.csv").is_file()
 
 
 def test_sweep_rows_sorted(sub_cfg, tmp_path):
@@ -718,6 +724,8 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "domain.hi=inf"], "domain side"),
     (["solve", "--set", "eigen.restarts=0"], "unknown key 'eigen.restarts'"),
     (["solve", "--set", "eigen.restarts=-1"], "unknown key 'eigen.restarts'"),
+    # --out is the one way to name the output directory
+    (["solve", "--set", "output.dir=elsewhere"], "unknown key 'output.dir'"),
     (["eigen", "--set", "n=8193"], "4096"),
     (["eigen", "--set", "dim=2", "--set", "domain.lo=0,0",
       "--set", "domain.hi=1,1e9", "--set", "n=4"], "capped at 2048"),
@@ -727,8 +735,8 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
         "lambda_high_negative", "p_nan", "q_nan", "r_nan", "lam_inf",
         "residual_tol_nan", "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
-        "domain_hi_inf", "restarts_zero", "restarts_negative", "dense_cap",
-        "aspect_cap"])
+        "domain_hi_inf", "restarts_zero", "restarts_negative", "output_dir_key",
+        "dense_cap", "aspect_cap"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),

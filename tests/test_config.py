@@ -3,12 +3,13 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from fplogistic import __version__
-from fplogistic.config import (ConfigError, RunConfig, SCHEMA_VERSION,
+from fplogistic.config import (_KEYS, ConfigError, RunConfig, SCHEMA_VERSION,
                                config_dict, load_config,
                                to_problem, write_branch_csv, write_report,
                                write_solution_csv)
@@ -102,24 +103,9 @@ def test_domain_length_must_match_dim(tmp_path):
         load_config(path)
 
 
-def test_env_overrides_file(tmp_path):
+def test_flag_precedence_over_file(tmp_path):
     path = _write(tmp_path, MINIMAL)
-    env = {"FPLOG_SOLVER__MAX_ITERS": "123", "FPLOG_LAM": "4.5",
-           "UNRELATED": "x"}
-    cfg = load_config(path, env=env)
-    assert cfg.solver_max_iters == 123
-    assert cfg.lam == 4.5
-
-
-def test_unknown_env_key_rejected(tmp_path):
-    path = _write(tmp_path, MINIMAL)
-    with pytest.raises(ConfigError, match="FPLOG_TYPO"):
-        load_config(path, env={"FPLOG_TYPO": "1"})
-
-
-def test_flag_precedence_over_env_and_file(tmp_path):
-    path = _write(tmp_path, MINIMAL)
-    cfg = load_config(path, env={"FPLOG_LAM": "4.5"}, flags={"lam": "9.0"})
+    cfg = load_config(path, flags={"lam": "9.0"})
     assert cfg.lam == 9.0
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path, flags={"lambda": "9.0"})
@@ -129,6 +115,23 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     noisy = MINIMAL.replace("lam = 1.0", "lam = 1.0   # intensity\n\n")
     cfg = load_config(_write(tmp_path, noisy))
     assert cfg.lam == 1.0
+
+
+def test_each_key_is_one_field_and_required_exactly_without_a_default():
+    attrs = [key.replace(".", "_") for key in _KEYS]
+    assert attrs == [f.name for f in fields(RunConfig)]
+    required = [f.name for f in fields(RunConfig) if f.default is MISSING]
+    assert required == ["dim", "s", "p", "q", "r", "lam", "n", "domain_lo",
+                        "domain_hi"]
+
+
+def test_removed_output_dir_key_is_unknown(tmp_path):
+    # --out is the one way to name the output directory
+    path = _write(tmp_path, MINIMAL + "output.dir = elsewhere\n")
+    with pytest.raises(ConfigError, match=r":11: unknown key 'output.dir'"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="unknown key 'output.dir'"):
+        load_config(_write(tmp_path, MINIMAL), flags={"output.dir": "elsewhere"})
 
 
 def test_config_dict_uses_file_keys(tmp_path):
@@ -215,4 +218,4 @@ def test_missing_file_is_config_error(tmp_path):
 
 def test_default_config_requires_explicit_problem():
     with pytest.raises(ConfigError, match="missing required key"):
-        load_config(None, env={}, flags={})
+        load_config(None, flags={})

@@ -245,7 +245,7 @@ def test_newton_direction_descends_and_meets_the_forcing_term(
         for _ in range(4):
             u = scale * rng.uniform(0.1, 1.0, grid.ncells)
             g = func.gradient(u)
-            d = func.precondition(g)
+            d = func.precondition(u, g)
             b = m * g
             assert d @ b > 0.0
             k, h = _hessian(kw, grid, lp, u)
@@ -274,8 +274,9 @@ def test_newton_metric_only_for_phi_at_p_two_and_q_at_least_two(
     assert not truncated_functional(kw32,
                                     TruncatedReaction(anchor, lp3)).newton
     assert not torsion_functional(kw32).newton
-    # below q = 2 the metric is the fixed K of the diffusion part
+    # below q = 2 the metric is the fixed K of the diffusion part, the same
+    # at every iterate
     g = np.linspace(-1.0, 1.0, grid32.ncells)
     d = phi_functional(kw32, LogisticParams(
-        lam=2.0, q=1.5, r=4.0)).precondition(g)
+        lam=2.0, q=1.5, r=4.0)).precondition(np.ones_like(g), g)
     assert np.array_equal(d, kw32.k_inverse @ (grid32.measures * g))

@@ -145,12 +145,12 @@ def test_parameters_must_have_the_s_of_the_weights(grid32, check):
 
 def test_limit_branch_branches():
     pts = [(1.0, 0.8), (0.5, 0.3), (0.25, 0.05)]
-    assert check_limit_branch(pts, 0.0, tol=0.1).passed
-    res = check_limit_branch(pts, 0.0, tol=0.01)
+    assert check_limit_branch(pts, tol=0.1).passed
+    res = check_limit_branch(pts, tol=0.01)
     assert res.passed is False
     wob = [(1.0, 0.8), (0.5, 0.9), (0.25, 0.05)]
-    assert check_limit_branch(wob, 0.0, tol=0.1).passed is False
-    short = check_limit_branch(pts[:2], 0.0, tol=0.1)
+    assert check_limit_branch(wob, tol=0.1).passed is False
+    short = check_limit_branch(pts[:2], tol=0.1)
     assert short.passed is None
 
 
