@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: out)")
     common.add_argument("--weights-cache", type=Path, default=None,
-                        help="npz file holding assembled kernel weights")
+                        help=".npy file holding assembled kernel weights")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("eigen", parents=[common],
                    help="principal eigenpair of the nonlocal operator")
@@ -91,7 +91,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, raw = pair.partition("=")
-        out[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"--set: duplicate key {key!r}")
+        out[key] = raw.strip()
     return out
 
 

@@ -199,17 +199,26 @@ def write_report(outdir: str | Path, cfg: RunConfig, command: str,
 
 def write_solution_csv(path: str | Path, grid: Grid, values: np.ndarray,
                        s: float) -> Path:
-    """Cell table with centers, value, boundary distance, and value/d^s."""
+    """Cell table with centers, value, boundary distance, and value/d^s.
+
+    The bytes are those of csv.writer on the repr of each float.  Unfolded
+    values and the coordinate and distance columns repeat, so each distinct
+    float is formatted once, keyed on its bits: -0.0 keeps its own repr.
+    """
     path = Path(path)
     d = grid.boundary_dist
     ratio = values / d ** s
     coord_cols = ["x"] if grid.dim == 1 else ["x", "y"]
     table = np.column_stack([grid.centers, values, d, ratio])
+    keys = table.view(np.int64).ravel().tolist()
+    text = {key: repr(value)
+            for key, value in dict(zip(keys, table.ravel().tolist())).items()}
+    cells = iter(map(text.__getitem__, keys))
+    lines = [",".join(["cell_index", *coord_cols, "value", "d", "ratio"])]
+    lines += [",".join((str(i), *row))
+              for i, row in enumerate(zip(*[cells] * table.shape[1]))]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", *coord_cols, "value", "d", "ratio"])
-        writer.writerows([i, *map(repr, row.tolist())]
-                         for i, row in enumerate(table))
+        fh.write("\r\n".join(lines) + "\r\n")
     return path
 
 

@@ -26,10 +26,11 @@ __all__ = [
 MAX_DENSE_CELLS = 4096
 # Cap on the side ratio of a 2D domain, which is the aspect ratio of its
 # cells.  The 2D tensor rule (kernel._tensor_table) integrates the touching
-# columns on ceil(ratio) panels per hat half, in one buffer of
-# 2 (2 order)^2 ceil(ratio) floats; at Gauss order 20 that is 25,600 bytes
-# per unit of ratio, so 2048 keeps the rule's temporaries at 50 MiB, inside
-# the 128 MiB of one dense array at the cap above.
+# columns on ceil(ratio) panels per hat half, and holds the kernel values of
+# at least one panel of x nodes at once: 3 order^2 ceil(ratio) floats there,
+# 19.7 MB at Gauss order 20 and ratio 2048, inside the 128 MiB of one dense
+# array at the cap above.  (The other columns take order^2 (n - 1) floats
+# per panel, 406 KB at the 2D cap n = 128.)
 MAX_ASPECT_RATIO = 2048
 
 

@@ -27,9 +27,12 @@ on the hats' support, so one tensor Gauss rule on the hats gives every
 other entry: split at the kinks, at two orders that must agree to
 ASSEMBLY_REL_TOL (KernelError otherwise).  Along the long cell axis the
 hats that reach 0 take ceil(aspect ratio) panels per half, because there
-the kernel varies on the scale of the short side.  The three touching
-offsets (|di|, |dj| <= 1) follow from self-similarity.  Splitting both
-cells into their four half-size cells writes the weight of offset o as
+the kernel varies on the scale of the short side.  The right half of one
+offset's hat is the left half of the next one's, so the nodes of all
+offsets lie on one lattice per axis and the kernel is evaluated once per
+node pair.  The three touching offsets (|di|, |dj| <= 1) follow from
+self-similarity.  Splitting both cells into their four half-size cells
+writes the weight of offset o as
 
     W(o) = rho * sum_delta c(delta_x) c(delta_y) W(|2o + delta|),
 
@@ -39,6 +42,9 @@ weights, whose other terms are tensor-rule entries out to offset 3; its
 pivots 1 - rho and 1 - 2 rho are positive because ps < 1.  Splitting one
 cell the same way gives T = 2^ps / (2^ps - 1) * (sum of the touching
 weights).
+
+``save_weights`` writes the table and T as one flat float64 .npy record,
+behind the key that ``load_weights`` checks.
 """
 
 from __future__ import annotations
@@ -257,6 +263,40 @@ def _hat_rule(order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return a, np.tile(wts, 2 * panels) * (0.5 / panels) * (1.0 - np.abs(a))
 
 
+def _hat_lattice(order: int, panels: int, first: int,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice of the hat rules of offsets first, ..., first + count - 1.
+
+    The nodes are (m + (1 + x_j)/2) / panels, in cells, for the Gauss nodes
+    x_j and m = panels (first - 1), ..., panels (first + count) - 1: the
+    right half of one offset's hat is the left half of the next one's, so
+    each node serves both.  Returns the nodes and the ``_hat_rule`` weights,
+    which every hat shares.
+    """
+    x, _ = _gauss(order)
+    _, w = _hat_rule(order, panels)
+    m = np.arange(panels * (first - 1), panels * (first + count))
+    return ((m[:, None] + 0.5 * (1.0 + x)) / panels).ravel(), w
+
+
+def _hat_sums(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each hat rule of a ``_hat_lattice`` along the last axis of 2D values.
+
+    The lattice is count + 1 blocks of one hat half each; hat i is the first
+    half of w on block i plus the second half on block i + 1.
+    """
+    half = w.size // 2
+    blocks = values.reshape(-1, half)
+    first, second = ((blocks @ part).reshape(len(values), -1)
+                     for part in (w[:half], w[half:]))
+    return first[:, :-1] + second[:, 1:]
+
+
+# Kernel values of the 2D tensor rule held at once, unless one panel of x
+# nodes needs more: a block the allocator reuses from one chunk to the next
+_CHUNK_FLOATS = 2 ** 14
+
+
 def _tensor_table(n: int, ratio: float, ps: float, order: int) -> np.ndarray:
     """Tensor Gauss rule on the hat profiles for every offset (di, dj).
 
@@ -266,22 +306,29 @@ def _tensor_table(n: int, ratio: float, ps: float, order: int) -> np.ndarray:
         int int (1 - |a|) (1 - |b|) |(di + a, (dj + b) hy/hx)|^(-(2+ps)) da db
 
     over a, b in [-1, 1], which is what this returns (ratio = hy/hx >= 1).
-    On the columns dj <= 1, whose hats along b reach y = 0, the integrand
-    varies on the scale 1/ratio in b, so they take ceil(ratio) panels per
-    hat half along b; every other hat half is one panel.  Each column block
-    refills one buffer for every di, (n - 2) x (2 order)^2 floats, or
-    2 x (2 order)^2 x ceil(ratio) on the touching columns.
+    The kernel is evaluated once per node pair of the x and y lattices of
+    ``_hat_lattice``, summed over the y hats, then over the x hats.  On the
+    columns dj <= 1, whose hats along b reach y = 0, the integrand varies on
+    the scale 1/ratio in b, so they take ceil(ratio) panels per hat half
+    along b; every other hat half is one panel.  The kernel values come in
+    chunks of whole x panels, _CHUNK_FLOATS or one panel's order x (y nodes)
+    if that is more: 3 order^2 ceil(ratio) floats on the touching columns.
     """
-    a, wa = _hat_rule(order, 1)
+    x, wx = _hat_lattice(order, 1, 0, n)
+    x2 = x * x
     table = np.empty((n, n))
-    for cols, panels in ((slice(0, 2), math.ceil(ratio)), (slice(2, n), 1)):
-        b, wb = _hat_rule(order, panels)
-        y2 = ((np.arange(n)[cols, None] + b) * ratio) ** 2  # (dj, b)
-        k = np.empty((y2.shape[0], a.size, b.size))  # (dj, a, b)
-        for di in range(n):
-            np.add((di + a)[:, None] ** 2, y2[:, None, :], out=k)
-            np.power(k, -(1.0 + 0.5 * ps), out=k)
-            table[di, cols] = (k @ wb) @ wa
+    for first, count, panels in ((0, 2, math.ceil(ratio)), (2, n - 2, 1)):
+        y, wy = _hat_lattice(order, panels, first, count)
+        y2 = (y * ratio) ** 2
+        sums = np.empty((x.size, count))  # the y hats' sums at each x node
+        chunk = min(x.size, max(1, _CHUNK_FLOATS // (order * y.size)) * order)
+        k = np.empty((chunk, y.size))
+        for rows in range(0, x.size, chunk):
+            block = k[:x.size - rows]
+            np.add.outer(x2[rows:rows + chunk], y2, out=block)
+            np.power(block, -(1.0 + 0.5 * ps), out=block)
+            sums[rows:rows + chunk] = _hat_sums(block, wy)
+        table[:, first:first + count] = _hat_sums(sums.T, wx).T
     return table
 
 
@@ -346,41 +393,50 @@ def assemble(grid: Grid, params) -> KernelWeights:
     return KernelWeights(grid=grid, table=table, T=T, s=s, p=p)
 
 
+def _cache_key(grid: Grid, s: float, p: float) -> np.ndarray:
+    """The head of a cache record: dim, s, p, n, the domain's lo and hi."""
+    return np.concatenate(([grid.dim, s, p, grid.n], grid.domain.lo,
+                           grid.domain.hi)).astype(float)
+
+
 def save_weights(path, kw: KernelWeights, grid: Grid) -> None:
-    """Dump the offset table and T with the key of kw.grid, which grid must be."""
+    """Dump the weights with the key of kw.grid, which grid must be.
+
+    The file is one flat float64 .npy record: the key, T, then the offset
+    table.
+    """
     if grid.full is not None or (grid.domain, grid.n) != (kw.grid.domain, kw.grid.n):
         raise GridMismatchError("weights saved for a grid other than their own")
-    # the file is path as given: np.savez appends ".npz" to a name, not a file
+    record = np.concatenate((_cache_key(grid, kw.s, kw.p), [kw.T], kw.table.ravel()))
+    # the file is path as given: np.save appends ".npy" to a name, not a file
     with open(path, "wb") as fh:
-        np.savez(fh, table=kw.table, T=kw.T,
-                 key=np.array([float(grid.dim), kw.s, kw.p, float(grid.n)]),
-                 dom_lo=np.asarray(grid.domain.lo),
-                 dom_hi=np.asarray(grid.domain.hi))
+        np.save(fh, record)
 
 
 def load_weights(path, grid: Grid, params) -> KernelWeights:
     """Load cached weights, checking the (dim, s, p, domain, n) key and arrays.
 
-    The table must be finite, nonnegative and 0 at offset 0, and T finite
-    and positive.  A file that cannot be read as a weights archive raises
-    KernelError naming the file, like a cache built for another problem.
+    The record must be one float64 vector of the key, T and the table; the
+    table must be finite, nonnegative and 0 at offset 0, and T finite and
+    positive.  A file that cannot be read as such a record, an npz archive
+    of the older format among them, raises KernelError naming the file, like
+    a cache built for another problem.
     """
     try:
-        with np.load(path) as data:
-            key, lo, hi, table, T = (data[k] for k in
-                                     ("key", "dom_lo", "dom_hi", "table", "T"))
-    # TypeError: np.load returned a bare array, which is no archive
-    except (OSError, EOFError, ValueError, KeyError, TypeError,
-            zipfile.BadZipFile) as exc:
+        record = np.load(path)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise KernelError(f"weight cache {path} cannot be read: {exc}") from exc
-    want = np.array([float(grid.dim), float(params.s), float(params.p), float(grid.n)])
-    if (key.shape != want.shape or not np.array_equal(key, want)
-            or not np.array_equal(lo, np.asarray(grid.domain.lo))
-            or not np.array_equal(hi, np.asarray(grid.domain.hi))
-            or table.shape != (grid.n,) * grid.dim or T.shape != ()
-            or table.dtype != float or T.dtype != float
-            or not (np.isfinite(table).all() and table.min() >= 0.0
-                    and table.flat[0] == 0.0 and 0.0 < T < np.inf)):
+    if not isinstance(record, np.ndarray):
+        record.close()
+        raise KernelError(f"weight cache {path} is an npz archive, a format no "
+                          "longer read: delete it to assemble again")
+    s, p = float(params.s), float(params.p)
+    key = _cache_key(grid, s, p)
+    head = key.size  # T is record[head], the table follows
+    if (record.dtype != float or record.shape != (head + 1 + grid.ncells,)
+            or not np.array_equal(record[:head], key)
+            or not (np.isfinite(record[head:]).all() and record[head] > 0.0
+                    and record[head + 1] == 0.0 and record[head + 1:].min() >= 0.0)):
         raise KernelError(f"weight cache {path} does not match the requested problem")
-    return KernelWeights(grid=grid, table=table, T=float(T),
-                         s=float(params.s), p=float(params.p))
+    table = record[head + 1:].reshape((grid.n,) * grid.dim)
+    return KernelWeights(grid=grid, table=table, T=float(record[head]), s=s, p=p)

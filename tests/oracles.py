@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fplogistic.domain import DomainSpec
-from fplogistic.kernel import _GAUSS_ORDERS, KernelError, _gauss
+from fplogistic.kernel import _GAUSS_ORDERS, KernelError, _gauss, _hat_rule
 
 
 def oracle_pair_1d(cell_a, cell_b, ps):
@@ -167,6 +167,27 @@ def dense_reference_lambda1(kw, grid):
     b = a / np.sqrt(np.outer(m, m))
     vals, vecs = np.linalg.eigh(b)
     return float(vals[0]), vecs[:, 0] / np.sqrt(m)
+
+
+def tensor_table_per_offset(n, ratio, ps, order):
+    """The tensor Gauss rule of ``kernel._tensor_table``, one offset di at a time.
+
+    Each offset's hat gets nodes of its own, so a node that two neighbouring
+    hats share is evaluated twice.  Assembly evaluates it once, on the
+    lattice of ``kernel._hat_lattice``; this per-offset form is the reference
+    that lattice is checked against.
+    """
+    a, wa = _hat_rule(order, 1)
+    table = np.empty((n, n))
+    for cols, panels in ((slice(0, 2), math.ceil(ratio)), (slice(2, n), 1)):
+        b, wb = _hat_rule(order, panels)
+        y2 = ((np.arange(n)[cols, None] + b) * ratio) ** 2  # (dj, b)
+        k = np.empty((y2.shape[0], a.size, b.size))  # (dj, a, b)
+        for di in range(n):
+            np.add((di + a)[:, None] ** 2, y2[:, None, :], out=k)
+            np.power(k, -(1.0 + 0.5 * ps), out=k)
+            table[di, cols] = (k @ wb) @ wa
+    return table
 
 
 # ----------------------------------------------------------------------

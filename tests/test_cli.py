@@ -209,36 +209,53 @@ def test_weights_cache_keeps_the_name_it_is_given(sub_cfg, tmp_path,
     assert cache.exists() and not (tmp_path / "w.cache.npz").exists()
 
 
-def _write_npz_without_key(path):
-    np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16))
+def _save_record(path, record):
+    # np.save appends ".npy" to a name, not to an open file
+    with open(path, "wb") as fh:
+        np.save(fh, record)
 
 
-_SUB_KEY = dict(key=np.array([1.0, 0.4, 2.0, 16.0]), dom_lo=np.array([0.0]),
-                dom_hi=np.array([1.0]))
+# the key of SUB_CFG's weights: dim, s, p, n, then domain.lo and domain.hi
+_SUB_KEY = [1.0, 0.4, 2.0, 16.0, 0.0, 1.0]
+
+
+def _write_record_without_key(path):
+    _save_record(path, np.concatenate([[1.0], np.full(16, 0.5)]))
 
 
 def _write_dense_format(path):
-    # the archive layout that stored the dense W and V instead of the table
-    np.savez(path, W=np.zeros((16, 16)), V=np.zeros(16), **_SUB_KEY)
+    # the dense W and V of the layout before the offset table, behind the key
+    _save_record(path, np.concatenate([_SUB_KEY, [1.0], np.zeros(16 * 16 + 16)]))
 
 
 def _write_text_table(path):
-    np.savez(path, table=np.array(["0.5"] * 16), T=np.array(1.0), **_SUB_KEY)
+    _save_record(path, np.array([str(v) for v in _SUB_KEY] + ["1.0"] + ["0.5"] * 16))
 
 
-def _write_truncated_npz(path):
-    _write_npz_without_key(path)
+def _write_truncated_record(path):
+    _write_sub_weights(path)
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
 
 
-def _write_sub_weights(path, table=lambda t: t, T=lambda t: t):
-    # the right weights of SUB_CFG, with the table and T passed through edits
-    kw = fplogistic.assemble(
+def _sub_weights():
+    return fplogistic.assemble(
         fplogistic.build_grid(fplogistic.DomainSpec.interval(0.0, 1.0), 16),
         fplogistic.validate_params(1, 0.4, 2.0, 1.5, 3.0))
-    np.savez(path, table=table(kw.table.copy()), T=np.array(T(kw.T)),
-             **_SUB_KEY)
+
+
+def _write_sub_weights(path, table=lambda t: t, T=lambda t: t, key=_SUB_KEY):
+    # the right weights of SUB_CFG, with the key, table and T passed through edits
+    kw = _sub_weights()
+    _save_record(path, np.concatenate([key, [T(kw.T)], table(kw.table.copy())]))
+
+
+def _write_old_npz(path):
+    # the right weights of SUB_CFG in the npz archive of earlier versions
+    kw = _sub_weights()
+    with open(path, "wb") as fh:
+        np.savez(fh, table=kw.table, T=kw.T, key=np.array(_SUB_KEY[:4]),
+                 dom_lo=np.array([0.0]), dom_hi=np.array([1.0]))
 
 
 def _offset_zero_weighted(table):
@@ -246,10 +263,15 @@ def _offset_zero_weighted(table):
     return table
 
 
+def _nan_entry(table):
+    table[3] = float("nan")
+    return table
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_text("not an archive\n"),
-    _write_truncated_npz,
-    _write_npz_without_key,
+    _write_truncated_record,
+    _write_record_without_key,
     _write_dense_format,
     _write_text_table,
     lambda path: _write_sub_weights(path, T=lambda t: float("nan")),
@@ -257,9 +279,14 @@ def _offset_zero_weighted(table):
     lambda path: _write_sub_weights(path, T=lambda t: 0.0),
     lambda path: _write_sub_weights(path, T=lambda t: float("inf")),
     lambda path: _write_sub_weights(path, table=_offset_zero_weighted),
+    lambda path: _write_sub_weights(path, table=_nan_entry),
+    lambda path: _write_sub_weights(path, key=[1.0, 0.3, 2.0, 16.0, 0.0, 1.0]),
+    lambda path: _save_record(path, np.float64(1.0)),
+    _write_old_npz,
 ], ids=["not_zip", "truncated_zip", "missing_key", "dense_format",
         "text_table", "nan_T", "negative_table", "zero_T", "inf_T",
-        "offset_zero_weighted"])
+        "offset_zero_weighted", "nan_table", "other_s", "scalar_record",
+        "old_npz"])
 def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
     cache = tmp_path / "weights.npz"
     write(cache)
@@ -268,6 +295,15 @@ def test_corrupt_weights_cache_exits_two(sub_cfg, tmp_path, capsys, write):
     err = capsys.readouterr().err
     assert err.startswith(f"error: weight cache {cache}")
     assert err.count("\n") == 1
+
+
+def test_a_good_record_is_read(sub_cfg, tmp_path, capsys):
+    # the writer the cases above edit makes a cache the command line reads
+    cache = tmp_path / "weights.npz"
+    _write_sub_weights(cache)
+    assert main(["eigen", "--config", str(sub_cfg), "--out",
+                 str(tmp_path / "out"), "--weights-cache", str(cache)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag, target", [
@@ -726,6 +762,8 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
     (["solve", "--set", "eigen.restarts=-1"], "unknown key 'eigen.restarts'"),
     # --out is the one way to name the output directory
     (["solve", "--set", "output.dir=elsewhere"], "unknown key 'output.dir'"),
+    # a key given twice is refused, by flags as in the file
+    (["solve", "--set", "lam=2.0", "--set", "lam=3.0"], "duplicate key 'lam'"),
     (["eigen", "--set", "n=8193"], "4096"),
     (["eigen", "--set", "dim=2", "--set", "domain.lo=0,0",
       "--set", "domain.hi=1,1e9", "--set", "n=4"], "capped at 2048"),
@@ -736,7 +774,7 @@ def test_solution_scale_overflow_exits_two_in_one_line(tmp_path, capsys, argv,
         "residual_tol_nan", "torsion_residual_tol_nan", "residual_tol_zero",
         "residual_tol_negative", "max_iters_negative", "collapse_tol_key",
         "domain_hi_inf", "restarts_zero", "restarts_negative", "output_dir_key",
-        "dense_cap", "aspect_cap"])
+        "set_key_twice", "dense_cap", "aspect_cap"])
 def test_bad_input_exits_one_in_one_line(sub_cfg, tmp_path, capsys, argv,
                                          needle):
     code = main([*argv, "--config", str(sub_cfg),

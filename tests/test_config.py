@@ -199,6 +199,19 @@ def test_solution_csv_bytes_match_a_per_cell_writer(tmp_path, grid32, grid2d,
     assert ours.read_bytes() == ref.read_bytes()
 
 
+def test_solution_csv_keeps_each_repr_of_repeated_values(tmp_path, grid2d):
+    # unfolded values repeat, so the writer formats each distinct float once,
+    # keyed on its bits: a key on float equality would print -0.0 and 0.0
+    # alike, since -0.0 == 0.0
+    base = [0.7312458119462113, -0.0, 0.0, 1e-300, 0.7312458119462113, 0.0,
+            -0.0, 5e-324, 1.0]
+    values = np.resize(base, grid2d.ncells)
+    ours = write_solution_csv(tmp_path / "a.csv", grid2d, values, 0.4)
+    ref = _per_cell_solution_csv(tmp_path / "b.csv", grid2d, values, 0.4)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert b",-0.0," in ref.read_bytes() and b",0.0," in ref.read_bytes()
+
+
 def test_branch_csv_layout(tmp_path):
     pts = [BranchPoint(lam=1.0, sup_norm=0.5, energy=-0.25,
                        status="converged"),

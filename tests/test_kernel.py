@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fplogistic import kernel
 from fplogistic.cli import main
 from fplogistic.domain import (MAX_DENSE_CELLS, DomainSpec, GridError,
                                build_grid, validate_params)
@@ -21,7 +22,7 @@ from fplogistic.operator import DiscreteFunction, GridMismatchError
 from oracles import (exit_distance, exterior_weight_1d, exterior_weight_2d,
                      mc_exterior_2d, oracle_exterior_1d, oracle_exterior_2d,
                      oracle_pair_1d, oracle_pair_2d, pair_weight_1d,
-                     pair_weight_2d)
+                     pair_weight_2d, tensor_table_per_offset)
 
 # the reference quadratures push scipy's subdivision limits near the kernel
 # singularities; the returned values are still well within test tolerance
@@ -471,11 +472,14 @@ def test_load_rejects_mismatch(tmp_path, kw32, grid32, sub_params, p3_params):
     with pytest.raises(KernelError):
         load_weights(path, grid32, p3_params)
     # a key that matches the grid over tables of the wrong size
-    with np.load(path) as data:
-        arrays = dict(data)
-    np.savez(path, **{**arrays, "table": kw32.table[:16]})
-    with pytest.raises(KernelError, match="does not match"):
-        load_weights(path, grid32, sub_params)
+    # (np.save on a name would append ".npy" to it)
+    record = np.load(path)
+    head = 4 + 2 * grid32.dim
+    for wrong in (record[:head + 1 + 16], np.concatenate([record, kw32.table])):
+        with open(path, "wb") as fh:
+            np.save(fh, wrong)
+        with pytest.raises(KernelError, match="does not match"):
+            load_weights(path, grid32, sub_params)
 
 
 def test_weights_hold_their_grid(tmp_path, kw32, grid32, sub_params):
@@ -614,6 +618,37 @@ def test_tensor_table_holds_one_row_of_the_touching_columns():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * row
+
+
+def test_tensor_table_holds_one_panel_of_the_touching_columns():
+    # the kernel values come one panel of x nodes at a time when a panel
+    # exceeds _CHUNK_FLOATS: order x 3 order ratio floats on the touching
+    # columns, plus the y nodes and their squares
+    ratio, order = 256, 20
+    _gauss(order)
+    panel = order * 3 * order * ratio * 8
+    tracemalloc.start()
+    try:
+        _tensor_table(4, float(ratio), 0.8, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * panel
+
+
+@pytest.mark.parametrize("n", [4, 16, 33])
+@pytest.mark.parametrize("ratio", [1.0, 2.5, 300.0])
+def test_table_and_T_match_the_per_offset_tensor_rule(monkeypatch, n, ratio):
+    # assembly evaluates the kernel once per node of one lattice per axis and
+    # sums over the y hats, then the x hats; the per-offset rule evaluates
+    # each shared node twice and sums in another order, so the two agree to
+    # rounding
+    ps, hx, hy = 0.8, 1.0 / n, ratio / n
+    table, T = kernel._assemble_2d(n, hx, hy, ps)
+    monkeypatch.setattr(kernel, "_tensor_table", tensor_table_per_offset)
+    ref_table, ref_T = kernel._assemble_2d(n, hx, hy, ps)
+    assert np.all(np.abs(table - ref_table) <= 2e-15 * ref_table)
+    assert abs(T - ref_T) <= 2e-15 * ref_T
 
 
 @pytest.mark.parametrize("dim, n, arrays", [(1, 2048, 1.1), (2, 32, 1.5)])

@@ -13,7 +13,7 @@ from fplogistic.config import _KEYS
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # inline code spans that are one dotted name, such as `kernel.fold`
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
-FILE_SUFFIXES = (".csv", ".json", ".cfg", ".npz")
+FILE_SUFFIXES = (".csv", ".json", ".cfg", ".npy")
 # dotted names of other packages and of the README's own code example
 ALLOWED = {"numpy.random", "kw.p"}
 
